@@ -11,7 +11,6 @@ against central finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -133,25 +132,6 @@ class AlignmentHead:
                                                float(obj.get("clamp_max", 100.0))))
         except KeyError as exc:
             raise DataIOError(f"head JSON is missing field {exc}") from exc
-
-    def save(self, path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(self.to_json_dict(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise DataIOError(f"cannot write {path}: {exc}") from exc
-
-    @classmethod
-    def load(cls, path) -> "AlignmentHead":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise DataIOError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(obj)
 
 
 @dataclass(frozen=True)

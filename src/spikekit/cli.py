@@ -20,9 +20,9 @@ from .camera import EncoderConfig, encode_video, upsample_temporal
 from .energy import EnergyLedger, energy_report, format_report
 from .errors import PreconditionError, SpikeKitError
 from .hsfe import BlockSpec, BranchSpec
+from .jsonio import read_json, write_json
 from .pipeline import (PipelineConfig, build_feature_weights,
-                       featurize_stream, provenance, read_json, run_pipeline,
-                       write_json)
+                       featurize_stream, provenance, run_pipeline)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig

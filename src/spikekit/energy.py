@@ -9,12 +9,12 @@ multiply-accumulate of the same layer shapes at the SOP rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
+from .jsonio import read_json, write_json
 
 E_SOP_J = 4.6e-12
 E_NEURON_J = 0.9e-12
@@ -119,31 +119,26 @@ class EnergyLedger:
 
     @classmethod
     def from_json_list(cls, records: list[dict]) -> "EnergyLedger":
-        layers = [LayerEnergy(
-            layer_name=obj["layer_name"], spike_count=obj["spike_count"],
-            fan_out=obj["fan_out"], actual_sops=obj["actual_sops"],
-            neuron_ops=obj["neuron_ops"], max_sops=obj.get("max_sops"),
-            element_count=obj.get("element_count")) for obj in records]
+        if not isinstance(records, list):
+            raise DataIOError("ledger JSON must be a list of layer records")
+        try:
+            layers = [LayerEnergy(
+                layer_name=obj["layer_name"], spike_count=obj["spike_count"],
+                fan_out=obj["fan_out"], actual_sops=obj["actual_sops"],
+                neuron_ops=obj["neuron_ops"], max_sops=obj.get("max_sops"),
+                element_count=obj.get("element_count")) for obj in records]
+        except KeyError as exc:
+            raise DataIOError(f"ledger record is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataIOError(f"ledger record has a bad value: {exc}") from exc
         return cls(layers=layers)
 
     def save(self, path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(self.to_json_list(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise DataIOError(f"cannot write {path}: {exc}") from exc
+        write_json(self.to_json_list(), path)
 
     @classmethod
     def load(cls, path) -> "EnergyLedger":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                records = json.load(fh)
-        except OSError as exc:
-            raise DataIOError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_json_list(records)
+        return cls.from_json_list(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 ``run_pipeline`` executes the requested stages in dependency order
 (synthesize, encode, featurize, few-shot train, evaluate, plus an
 optional spiking-forward energy stage) entirely from explicit seeds, so two runs
-of the same config produce byte-identical artifacts. Every JSON artifact
-carries a provenance record (input hashes, seeds, toolkit version).
+of the same config on the same numpy build and BLAS thread count produce
+byte-identical artifacts. Every JSON artifact carries a provenance record
+(input hashes, seeds, toolkit version).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 
@@ -20,8 +20,9 @@ from . import __version__
 from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
 from .camera import EncoderConfig, encode_video, upsample_temporal
 from .energy import EnergyLedger, energy_report, estimate_snn_energy
-from .errors import DataIOError, PreconditionError
+from .errors import PreconditionError
 from .hsfe import BlockSpec, BranchSpec, hsfe_forward, init_hsfe_weights
+from .jsonio import read_json, write_json
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
 from .stream import SpikeStream, StreamMeta, read_dat, write_dat
@@ -85,14 +86,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise DataIOError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(read_json(path))
 
     def block_spec(self) -> BlockSpec:
         return BlockSpec(self.r_win, self.step, self.n_blocks)
@@ -125,25 +119,6 @@ def provenance(seed, inputs: dict[str, str] | None = None,
     if params:
         record["params"] = params
     return record
-
-
-def write_json(obj, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}") from exc
-
-
-def read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,3 @@ def tfi_video(stream: SpikeStream, stride: int,
     frames = [tfi_reconstruct(stream, t, cfg)
               for t in range(0, stream.t_len, stride)]
     return IntensityVideo(np.stack(frames))
-
-
-def write_pgm(frame: np.ndarray, path) -> None:
-    """Write one [0, 1] grayscale frame as a binary 8-bit PGM file."""
-    arr = np.asarray(frame, dtype=np.float64)
-    if arr.ndim != 2:
-        raise PreconditionError(f"PGM frame must be 2-D, got shape {arr.shape}")
-    pixels = np.round(255.0 * np.clip(arr, 0.0, 1.0)).astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyLedger, count_conv_sops, dense_conv_macs,
-                     dense_linear_macs)
+from .energy import (EnergyLedger, _require_binary, count_conv_sops,
+                     dense_conv_macs, dense_linear_macs)
 from .errors import InvariantError, PreconditionError
 from .nnops import conv2d, he_init, linear
 from .stream import SpikeStream, subsample_temporal
@@ -146,16 +146,34 @@ def tdbn(x: np.ndarray, gamma, beta, eps: float = 1e-5) -> np.ndarray:
     return (x - mean) / np.sqrt(var + eps) * gamma + beta
 
 
-def _require_binary(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr)
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise PreconditionError(f"{what} must be binary (0/1)")
-    return arr
-
-
 def spike_fn(potential: np.ndarray, thresh: float) -> np.ndarray:
     """Instantaneous spike function: fire where potential >= thresh."""
     return (np.asarray(potential) >= thresh).astype(np.uint8)
+
+
+def _conv_tdbn(s: np.ndarray, weights: dict[str, np.ndarray], prefix: str,
+               stride: int, ledger: EnergyLedger | None) -> np.ndarray:
+    """One spiking conv stage up to the membrane input: a 3x3 conv of every
+    binary [t, b] map, then TDBN. Records the stage's SOPs in the ledger,
+    with one neuron update per normalized output element."""
+    kernel = weights[f"{prefix}.conv.w"]
+    t_len, batch = s.shape[:2]
+    conv_out = np.array([[conv2d(s[t, b].astype(np.float64), kernel, None,
+                                 stride=stride, padding=1)
+                          for b in range(batch)] for t in range(t_len)])
+    normed = tdbn(conv_out, weights[f"{prefix}.tdbn.gamma"],
+                  weights[f"{prefix}.tdbn.beta"])
+    if ledger is not None:
+        c_out = kernel.shape[0]
+        actual = sum(count_conv_sops(s[t, b], c_out, stride=stride, exact=True)
+                     for t in range(t_len) for b in range(batch))
+        dense = dense_conv_macs(s.shape[2:], c_out,
+                                stride=stride) * t_len * batch
+        ledger.record(f"{prefix}.conv", spike_count=int(s.sum()),
+                      fan_out=9 * c_out, actual_sops=actual,
+                      neuron_ops=normed.size, max_sops=dense,
+                      element_count=s.size)
+    return normed
 
 
 def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
@@ -172,26 +190,8 @@ def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
     if s.ndim != 5:
         raise PreconditionError(
             f"residual block input must be [t, b, c, h, w], got {s.shape}")
-    kernel = weights[f"{prefix}.conv.w"]
-    t_len, batch = s.shape[:2]
-    conv_out = np.empty(s.shape, dtype=np.float64)
-    for t in range(t_len):
-        for b in range(batch):
-            conv_out[t, b] = conv2d(s[t, b].astype(np.float64), kernel,
-                                    None, stride=1, padding=1)
-    normed = tdbn(conv_out, weights[f"{prefix}.tdbn.gamma"],
-                  weights[f"{prefix}.tdbn.beta"])
-    out = spike_fn(normed + s, p.thresh)
-    if ledger is not None:
-        c_out = kernel.shape[0]
-        actual = sum(count_conv_sops(s[t, b], c_out, exact=True)
-                     for t in range(t_len) for b in range(batch))
-        dense = dense_conv_macs(s.shape[2:], c_out) * t_len * batch
-        ledger.record(f"{prefix}.conv", spike_count=int(s.sum()),
-                      fan_out=9 * c_out, actual_sops=actual,
-                      neuron_ops=out.size, max_sops=dense,
-                      element_count=s.size)
-    return out
+    normed = _conv_tdbn(s, weights, prefix, 1, ledger)
+    return spike_fn(normed + s, p.thresh)
 
 
 def sn_threshold(x: np.ndarray, alpha_sn: float = 1.0
@@ -321,35 +321,15 @@ def init_fsve_weights(cfg: FsveConfig, seed: int) -> dict[str, np.ndarray]:
     return weights
 
 
-def _spiking_stem(s: np.ndarray, kernel: np.ndarray, gamma, beta,
-                  p: LifParams, name: str,
+def _spiking_stem(s: np.ndarray, weights: dict[str, np.ndarray],
+                  p: LifParams, prefix: str,
                   ledger: EnergyLedger | None) -> np.ndarray:
     """Stride-2 spiking convolution stage: conv, TDBN, stateful LIF."""
-    t_len, batch = s.shape[:2]
-    first = conv2d(s[0, 0].astype(np.float64), kernel, None,
-                   stride=2, padding=1)
-    conv_out = np.empty((t_len, batch) + first.shape, dtype=np.float64)
-    conv_out[0, 0] = first
-    for t in range(t_len):
-        for b in range(batch):
-            if t == 0 and b == 0:
-                continue
-            conv_out[t, b] = conv2d(s[t, b].astype(np.float64), kernel,
-                                    None, stride=2, padding=1)
-    normed = tdbn(conv_out, gamma, beta)
+    normed = _conv_tdbn(s, weights, prefix, 2, ledger)
     state = MembraneState.zeros(normed.shape[1:])
     spikes = np.empty(normed.shape, dtype=np.uint8)
-    for t in range(t_len):
+    for t in range(normed.shape[0]):
         spikes[t], state = lif_step(state, normed[t], p)
-    if ledger is not None:
-        c_out = kernel.shape[0]
-        actual = sum(count_conv_sops(s[t, b], c_out, stride=2, exact=True)
-                     for t in range(t_len) for b in range(batch))
-        dense = dense_conv_macs(s.shape[2:], c_out, stride=2) * t_len * batch
-        ledger.record(f"{name}.conv", spike_count=int(s.sum()),
-                      fan_out=9 * c_out, actual_sops=actual,
-                      neuron_ops=spikes.size, max_sops=dense,
-                      element_count=s.size)
     return spikes
 
 
@@ -367,15 +347,9 @@ def fsve_forward(stream: SpikeStream, weights: dict[str, np.ndarray],
     x = sub.data[:, None, None, :, :].astype(np.uint8)    # [T, 1, 1, H, W]
     stages: dict[str, np.ndarray] = {"input": x}
 
-    s1 = _spiking_stem(x, weights["fsve.stem1.conv.w"],
-                       weights["fsve.stem1.tdbn.gamma"],
-                       weights["fsve.stem1.tdbn.beta"], cfg.lif,
-                       "fsve.stem1", ledger)
+    s1 = _spiking_stem(x, weights, cfg.lif, "fsve.stem1", ledger)
     stages["stem1"] = s1
-    s2 = _spiking_stem(s1, weights["fsve.stem2.conv.w"],
-                       weights["fsve.stem2.tdbn.gamma"],
-                       weights["fsve.stem2.tdbn.beta"], cfg.lif,
-                       "fsve.stem2", ledger)
+    s2 = _spiking_stem(s1, weights, cfg.lif, "fsve.stem2", ledger)
     stages["stem2"] = s2
     s3 = spiking_residual_block(s2, weights, cfg.lif, "fsve.block", ledger)
     stages["resblock"] = s3

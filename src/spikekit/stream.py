@@ -9,13 +9,13 @@ zero-padded byte at the end. Dimensions travel separately in a
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
+from .jsonio import read_json, write_json
 
 META_SUFFIX = ".meta.json"
 
@@ -119,6 +119,8 @@ class StreamMeta:
                                      if "tick_seconds" in obj else None))
         except KeyError as exc:
             raise DataIOError(f"stream meta is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataIOError(f"stream meta has a bad value: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -201,23 +203,11 @@ def sidecar_path(dat_path) -> str:
 
 
 def write_meta(meta: StreamMeta, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(meta.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}") from exc
+    write_json(meta.to_json_dict(), path)
 
 
 def read_meta(path) -> StreamMeta:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
-    return StreamMeta.from_json_dict(obj)
+    return StreamMeta.from_json_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ Clips are written as directories of numbered 8-bit PGM frames plus a
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ import numpy as np
 
 from .camera import IntensityVideo
 from .errors import PreconditionError
+from .jsonio import write_json
 from .videoio import write_pgm_clip
 
 CLASS_PROMPTS = {
@@ -144,10 +144,7 @@ def synth_dataset(spec: SyntheticDatasetSpec, out_dir) -> dict:
               encoding="utf-8") as fh:
         for class_name in spec.classes:
             fh.write(CLASS_PROMPTS[class_name] + "\n")
-    with open(os.path.join(out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest
 
 

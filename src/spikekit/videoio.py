@@ -8,13 +8,13 @@ carrying ``t_len``/``height``/``width``.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from .camera import IntensityVideo
 from .errors import DataIOError
+from .jsonio import read_json, write_json
 
 
 def write_pgm_frame(frame: np.ndarray, path) -> None:
@@ -85,22 +85,25 @@ def read_pgm_clip(clip_dir) -> IntensityVideo:
 def write_video_raw(video: IntensityVideo, path) -> None:
     """Raw planar little-endian float32 body plus a .meta.json sidecar."""
     video.frames.astype("<f4").tofile(path)
-    sidecar = os.fspath(path) + ".meta.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({"t_len": video.n_frames, "height": video.height,
-                   "width": video.width, "dtype": "f32"}, fh, indent=2)
-        fh.write("\n")
+    write_json({"t_len": video.n_frames, "height": video.height,
+                "width": video.width, "dtype": "f32"},
+               os.fspath(path) + ".meta.json")
 
 
 def read_video_raw(path) -> IntensityVideo:
     sidecar = os.fspath(path) + ".meta.json"
+    meta = read_json(sidecar)
     try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        shape = (int(meta["t_len"]), int(meta["height"]), int(meta["width"]))
+        dtype = meta.get("dtype", "f32")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataIOError(f"{sidecar}: bad raw-video sidecar ({exc!r})") from exc
+    if dtype != "f32":
+        raise DataIOError(f"{sidecar}: unsupported dtype {dtype!r}")
+    try:
         flat = np.fromfile(path, dtype="<f4")
     except OSError as exc:
         raise DataIOError(f"cannot read raw video {path}: {exc}") from exc
-    shape = (int(meta["t_len"]), int(meta["height"]), int(meta["width"]))
     if flat.size != shape[0] * shape[1] * shape[2]:
         raise DataIOError(
             f"{path}: {flat.size} values do not match sidecar shape {shape}")

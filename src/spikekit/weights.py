@@ -8,12 +8,12 @@ stays f32.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from .errors import DataIOError
+from .jsonio import read_json, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -30,25 +30,22 @@ def save_weights(weights: dict[str, np.ndarray], directory) -> None:
             raise DataIOError(f"cannot write {blob}: {exc}") from exc
         manifest.append({"name": name, "dtype": "f32",
                          "shape": list(arr.shape)})
-    with open(os.path.join(directory, MANIFEST_NAME), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest, os.path.join(directory, MANIFEST_NAME))
 
 
 def load_weights(directory) -> dict[str, np.ndarray]:
     manifest_path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataIOError(f"cannot read {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataIOError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
+    if not isinstance(manifest, list):
+        raise DataIOError(f"{manifest_path}: manifest must be a JSON list")
 
     weights = {}
     for entry in manifest:
-        name, shape = entry["name"], tuple(entry["shape"])
+        try:
+            name, shape = entry["name"], tuple(entry["shape"])
+        except (KeyError, TypeError) as exc:
+            raise DataIOError(
+                f"{manifest_path}: bad tensor record {entry!r}") from exc
         if entry.get("dtype", "f32") != "f32":
             raise DataIOError(f"{name}: unsupported dtype {entry['dtype']}")
         blob = os.path.join(directory, name + ".bin")

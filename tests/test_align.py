@@ -16,6 +16,7 @@ from spikekit.align import (AlignmentHead, EmbeddingBatch, Temperature,
                             finetune_head, head_gradient, text_features,
                             tokenize)
 from spikekit.errors import PreconditionError
+from spikekit.jsonio import read_json, write_json
 from spikekit.synth import CLASS_PROMPTS
 
 UNIT_TAU = Temperature(log_inv_tau=0.0)
@@ -368,8 +369,8 @@ def test_head_json_roundtrip(tmp_path):
     head = AlignmentHead.create(6, 4, seed=125)
     head.temperature.log_inv_tau = 1.25
     path = tmp_path / "head.json"
-    head.save(path)
-    back = AlignmentHead.load(path)
+    write_json({"head": head.to_json_dict()}, path)
+    back = AlignmentHead.from_json_dict(read_json(path)["head"])
     assert np.array_equal(back.projection, head.projection)
     assert np.array_equal(back.bias, head.bias)
     assert back.temperature.log_inv_tau == head.temperature.log_inv_tau

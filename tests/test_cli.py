@@ -9,7 +9,7 @@ import pytest
 
 from spikekit.cli import main
 from spikekit.stream import StreamMeta, read_dat, read_meta
-from spikekit.videoio import read_pgm, write_pgm_clip
+from spikekit.videoio import read_pgm, write_pgm_clip, write_video_raw
 from spikekit.camera import IntensityVideo
 
 
@@ -268,3 +268,86 @@ def test_featurize_directory_with_manifest(tmp_path):
     assert len(obj["embeddings"]) == 2
     assert all(e["label"] == 1 for e in obj["embeddings"])
     assert len(obj["embeddings"][0]["vector"]) == 64
+
+
+def test_encode_raw_video_matches_npy(tmp_path):
+    # Multiples of 1/256 are exact in float32, so the raw file carries
+    # the same intensities as the float64 .npy tensor.
+    rng = np.random.default_rng(144)
+    frames = rng.integers(0, 257, size=(30, 8, 8)) / 256.0
+    write_video_raw(IntensityVideo(frames), tmp_path / "v.raw")
+    np.save(tmp_path / "v.npy", frames)
+    for name in ("v.raw", "v.npy"):
+        assert main(["encode", str(tmp_path / name),
+                     str(tmp_path / f"{name[2:]}.dat"), "--theta", "2.0"]) == 0
+    raw_dat = (tmp_path / "raw.dat").read_bytes()
+    assert raw_dat == (tmp_path / "npy.dat").read_bytes()
+    assert any(raw_dat)
+    assert ((tmp_path / "raw.meta.json").read_bytes()
+            == (tmp_path / "npy.meta.json").read_bytes())
+
+
+def _malformed_ledger(tmp_path, encoded_dat):
+    return tmp_path / "ledger.json", ["energy", "--snn",
+                                      str(tmp_path / "ledger.json")]
+
+
+def _malformed_raw_sidecar(tmp_path, encoded_dat):
+    raw = tmp_path / "v.raw"
+    np.zeros(3 * 8 * 8, dtype="<f4").tofile(raw)
+    return tmp_path / "v.raw.meta.json", ["encode", str(raw),
+                                          str(tmp_path / "v.dat")]
+
+
+def _malformed_stream_sidecar(tmp_path, encoded_dat):
+    return tmp_path / "bad.meta.json", [
+        "decode", str(encoded_dat), "--meta", str(tmp_path / "bad.meta.json"),
+        "--out", str(tmp_path / "x.npy")]
+
+
+def _malformed_manifest(tmp_path, encoded_dat):
+    (tmp_path / "w").mkdir()
+    return tmp_path / "w" / "manifest.json", [
+        "snn-forward", str(encoded_dat), "--weights", str(tmp_path / "w"),
+        "--ledger", str(tmp_path / "ledger.json")]
+
+
+@pytest.mark.parametrize("setup,text", [
+    pytest.param(_malformed_ledger, '[{"layer_name": "a"}]',
+                 id="ledger-missing-field"),
+    pytest.param(_malformed_ledger, '{"a": 1}', id="ledger-object"),
+    pytest.param(_malformed_ledger, '[1]', id="ledger-number-record"),
+    pytest.param(_malformed_ledger,
+                 '[{"layer_name": "a", "spike_count": null, "fan_out": 1, '
+                 '"actual_sops": 0, "neuron_ops": 0}]', id="ledger-null-count"),
+    pytest.param(_malformed_ledger, '{not json', id="ledger-not-json"),
+    pytest.param(_malformed_raw_sidecar, '{not json', id="sidecar-not-json"),
+    pytest.param(_malformed_raw_sidecar, '{"t_len": 3}',
+                 id="sidecar-missing-field"),
+    pytest.param(_malformed_raw_sidecar, '[3, 8, 8]', id="sidecar-list"),
+    pytest.param(_malformed_raw_sidecar,
+                 '{"t_len": "x", "height": 8, "width": 8}',
+                 id="sidecar-bad-value"),
+    pytest.param(_malformed_raw_sidecar,
+                 '{"t_len": 3, "height": 8, "width": 8, "dtype": "f64"}',
+                 id="sidecar-bad-dtype"),
+    pytest.param(_malformed_stream_sidecar, '[8, 8, 40]',
+                 id="stream-sidecar-list"),
+    pytest.param(_malformed_stream_sidecar,
+                 '{"height": "x", "width": 8, "t_len": 40}',
+                 id="stream-sidecar-bad-value"),
+    pytest.param(_malformed_manifest,
+                 '[{"dtype": "f32", "shape": [8, 1, 3, 3]}]',
+                 id="manifest-missing-name"),
+    pytest.param(_malformed_manifest, '{"name": "fsve.stem1.conv.w"}',
+                 id="manifest-object"),
+    pytest.param(_malformed_manifest, '["fsve.stem1.conv.w"]',
+                 id="manifest-string-record"),
+])
+def test_malformed_json_artifact_exits_3(setup, text, encoded_dat, tmp_path,
+                                         capsys):
+    path, argv = setup(tmp_path, encoded_dat)
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
