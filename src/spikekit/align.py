@@ -417,6 +417,8 @@ def evaluate_topk(video_embs, class_text_embs, labels, k: int) -> float:
             f"k={k} must lie in [1, class count {n_classes}]")
     if labels.shape != (v.shape[0],):
         raise PreconditionError("labels must have one entry per video")
+    if labels.size == 0:
+        raise PreconditionError("cannot evaluate an empty batch")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise PreconditionError(
             f"labels must lie in [0, {n_classes}), got "

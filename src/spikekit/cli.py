@@ -18,7 +18,7 @@ import numpy as np
 from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
 from .camera import EncoderConfig, encode_video, upsample_temporal
 from .energy import EnergyLedger, energy_report, format_report
-from .errors import PreconditionError, SpikeKitError
+from .errors import DataIOError, PreconditionError, SpikeKitError
 from .hsfe import BlockSpec, BranchSpec
 from .jsonio import read_json, write_json
 from .pipeline import (PipelineConfig, build_feature_weights,
@@ -49,6 +49,18 @@ def _load_embeddings(path) -> list[dict]:
     if not isinstance(entries, list) or not entries:
         raise PreconditionError(f"{path}: no embeddings found")
     return entries
+
+
+def _load_head(path) -> tuple[AlignmentHead, list[str]]:
+    obj = read_json(path)
+    if not isinstance(obj, dict) or not isinstance(obj.get("head"), dict):
+        raise DataIOError(f"{path}: head file needs a \"head\" object")
+    prompts = obj.get("prompts")
+    if (not isinstance(prompts, list) or not prompts
+            or not all(isinstance(p, str) for p in prompts)):
+        raise DataIOError(
+            f"{path}: head file needs a non-empty \"prompts\" string list")
+    return AlignmentHead.from_json_dict(obj["head"]), prompts
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +267,7 @@ def cmd_train_head(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    head_obj = read_json(args.head)
-    head = AlignmentHead.from_json_dict(head_obj["head"])
-    prompts = head_obj["prompts"]
+    head, prompts = _load_head(args.head)
     entries = _load_embeddings(args.embeddings)
     missing = [e["id"] for e in entries if "label" not in e]
     if missing:

@@ -1,8 +1,26 @@
 """Small dense building blocks shared by the forward-path modules.
 
 Everything here is plain numpy in float64 with deterministic evaluation
-order; convolutions go through im2col + matmul so desk-scale forwards
-stay fast without any framework dependency.
+order, so desk-scale forwards stay fast without any framework dependency.
+
+``conv2d`` is the one convolution kernel. It writes the input into a
+zeroed padded buffer, takes one strided view ``[C_in, kh, kw, H', W']``
+of it and runs one GEMM, in one of two orientations:
+
+* output maps of at least ``TAP_MAJOR_MIN_PIXELS`` pixels (16x16) copy
+  the view to tap-major columns ``[C_in*kh*kw, H'*W']`` and compute
+  ``kernel2d @ cols``. Each copied row is a contiguous run of ``W'``
+  values, and the product already has the ``[C_out, H', W']`` layout.
+* smaller maps copy it to pixel-major columns ``[H'*W', C_in*kh*kw]`` and
+  compute ``cols @ kernel2d.T``.
+
+On large maps both orientations give the same bits, and tap-major skips
+a copy that strides ``kw`` values at a time. On small maps the BLAS picks
+other kernels for the two layouts, and several backbone shapes round
+1-2 ulp apart. The few-shot fine-tune is chaotic, and the benchmark
+checks its top-1 values for exact equality, so one ulp in an embedding
+moves results. The small-map branch keeps those bits until that check
+tolerates embedding drift.
 """
 
 from __future__ import annotations
@@ -10,6 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
+
+# Output maps with at least this many pixels use tap-major columns.
+TAP_MAJOR_MIN_PIXELS = 256
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -52,17 +73,25 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
         raise PreconditionError(
             f"conv2d kernel {kernel.shape} does not match input {x.shape}")
     c_out, c_in, kh, kw = kernel.shape
-    xp = np.pad(x.astype(np.float64, copy=False),
-                ((0, 0), (padding, padding), (padding, padding)))
+    _, h, w = x.shape
+    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
     if xp.shape[1] < kh or xp.shape[2] < kw:
         raise PreconditionError("conv2d input smaller than kernel")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw),
-                                                       axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]          # [C_in, H', W', kh, kw]
-    _, h_out, w_out = windows.shape[:3]
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out,
-                                                    c_in * kh * kw)
-    out = cols @ kernel.reshape(c_out, -1).T          # [H'*W', C_out]
+    xp[:, padding:padding + h, padding:padding + w] = x
+    h_out = (xp.shape[1] - kh) // stride + 1
+    w_out = (xp.shape[2] - kw) // stride + 1
+    s_c, s_h, s_w = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, (c_in, kh, kw, h_out, w_out),
+        (s_c, s_h, s_w, s_h * stride, s_w * stride), writeable=False)
+    kernel2d = kernel.reshape(c_out, -1)
+    if h_out * w_out >= TAP_MAJOR_MIN_PIXELS:
+        out = kernel2d @ taps.reshape(kernel2d.shape[1], h_out * w_out)
+        if bias is not None:
+            out += bias[:, None]
+        return out.reshape(c_out, h_out, w_out)
+    cols = taps.transpose(3, 4, 0, 1, 2).reshape(h_out * w_out, -1)
+    out = cols @ kernel2d.T                           # [H'*W', C_out]
     if bias is not None:
         out = out + bias
     return out.T.reshape(c_out, h_out, w_out)

@@ -72,6 +72,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PipelineConfig":
+        if not isinstance(obj, dict):
+            raise PreconditionError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:
@@ -81,6 +83,10 @@ class PipelineConfig:
         coerced = dict(obj)
         for name in ("classes", "shots", "eval_seeds", "topk"):
             if name in coerced:
+                if not isinstance(coerced[name], list) or not coerced[name]:
+                    raise PreconditionError(
+                        f"config field {name!r} must be a non-empty list, "
+                        f"got {coerced[name]!r}")
                 coerced[name] = tuple(coerced[name])
         return cls(**coerced)
 

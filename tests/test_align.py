@@ -361,6 +361,12 @@ def test_topk_precondition_errors():
         evaluate_topk(videos, classes, np.array([0, 2]), k=1)
 
 
+def test_topk_empty_batch_is_precondition_error():
+    with pytest.raises(PreconditionError, match="empty batch"):
+        evaluate_topk(np.zeros((0, 3)), np.ones((2, 3)),
+                      np.zeros(0, dtype=np.int64), k=1)
+
+
 # ---------------------------------------------------------------------------
 # Head and temperature plumbing
 # ---------------------------------------------------------------------------

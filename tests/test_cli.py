@@ -245,6 +245,24 @@ def test_pipeline_config_validation(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"seed": 1, "shots": 4},
+    {"seed": 1, "classes": "wave"},
+    {"seed": 1, "eval_seeds": 0},
+    {"seed": 1, "topk": None},
+    {"seed": 1, "shots": []},
+    [1],
+], ids=["shots-int", "classes-str", "eval-seeds-int", "topk-null",
+        "shots-empty", "config-list"])
+def test_pipeline_config_bad_field_type_exits_2(config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_featurize_directory_with_manifest(tmp_path):
     # Two short random streams featurized in one call.
     from spikekit.stream import SpikeStream, write_dat
@@ -312,6 +330,16 @@ def _malformed_manifest(tmp_path, encoded_dat):
         "--ledger", str(tmp_path / "ledger.json")]
 
 
+def _malformed_head(tmp_path, encoded_dat):
+    emb = tmp_path / "e.json"
+    emb.write_text(json.dumps([{"id": "a", "label": 0, "vector": [1.0]}]))
+    return tmp_path / "head.json", ["eval", str(tmp_path / "head.json"),
+                                    str(emb)]
+
+
+_HEAD = '{"projection": [[1.0]], "bias": [0.0], "log_inv_tau": 0.0}'
+
+
 @pytest.mark.parametrize("setup,text", [
     pytest.param(_malformed_ledger, '[{"layer_name": "a"}]',
                  id="ledger-missing-field"),
@@ -343,6 +371,15 @@ def _malformed_manifest(tmp_path, encoded_dat):
                  id="manifest-object"),
     pytest.param(_malformed_manifest, '["fsve.stem1.conv.w"]',
                  id="manifest-string-record"),
+    pytest.param(_malformed_head, '{"prompts": ["a"]}',
+                 id="head-missing-head"),
+    pytest.param(_malformed_head, '{"head": %s}' % _HEAD,
+                 id="head-missing-prompts"),
+    pytest.param(_malformed_head, '[%s]' % _HEAD, id="head-list"),
+    pytest.param(_malformed_head, '{"head": [1], "prompts": ["a"]}',
+                 id="head-head-list"),
+    pytest.param(_malformed_head, '{"head": %s, "prompts": "a"}' % _HEAD,
+                 id="head-prompts-string"),
 ])
 def test_malformed_json_artifact_exits_3(setup, text, encoded_dat, tmp_path,
                                          capsys):

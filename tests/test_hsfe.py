@@ -11,16 +11,16 @@ from spikekit.errors import PreconditionError
 from spikekit.hsfe import (BlockSpec, BranchAllocation, BranchSpec,
                            allocate_channels, hsfe_forward, init_hsfe_weights,
                            mtf_forward, slice_blocks, spatial_attention)
-from spikekit.nnops import moving_average_same
+from spikekit.nnops import conv2d, moving_average_same
 from spikekit.stream import SpikeStream
 
 
-def conv2d_loops(x, kernel, bias=None, padding=1):
+def conv2d_loops(x, kernel, bias=None, stride=1, padding=1):
     """Dense convolution oracle: plain quintuple loop."""
     c_out, c_in, kh, kw = kernel.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    h_out = xp.shape[1] - kh + 1
-    w_out = xp.shape[2] - kw + 1
+    h_out = (xp.shape[1] - kh) // stride + 1
+    w_out = (xp.shape[2] - kw) // stride + 1
     out = np.zeros((c_out, h_out, w_out))
     for o in range(c_out):
         for y in range(h_out):
@@ -29,7 +29,8 @@ def conv2d_loops(x, kernel, bias=None, padding=1):
                 for c in range(c_in):
                     for i in range(kh):
                         for j in range(kw):
-                            acc += xp[c, y + i, w + j] * kernel[o, c, i, j]
+                            acc += (xp[c, y * stride + i, w * stride + j]
+                                    * kernel[o, c, i, j])
                 out[o, y, w] = acc + (bias[o] if bias is not None else 0.0)
     return out
 
@@ -168,6 +169,24 @@ def test_mtf_matches_dense_loop_oracle():
         sub = moving_average_same(sub, alloc.avg_width)
         expected = conv2d_loops(sub, weights[f"hsfe.branch{i}.conv.w"])
         np.testing.assert_allclose(outs[i], expected, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [8, 32])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_conv2d_matches_loop_oracle(size, k, padding, stride, with_bias):
+    # 8x8 maps take the pixel-major branch; 32x32 maps take the tap-major
+    # one except at stride 2 with padding 0 and a 3x3 kernel (15x15 out).
+    rng = np.random.default_rng([48, size, k, padding, stride])
+    x = rng.normal(size=(2, size, size))
+    kernel = rng.normal(size=(3, 2, k, k))
+    bias = rng.normal(size=3) if with_bias else None
+    got = conv2d(x, kernel, bias, stride=stride, padding=padding)
+    want = conv2d_loops(x, kernel, bias, stride=stride, padding=padding)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_mtf_is_linear_in_input():

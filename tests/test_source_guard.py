@@ -1,5 +1,6 @@
-"""Source guards: the JSON artifact format and the shared helpers each
-live in one module, so hand-copied duplicates cannot creep back in."""
+"""Source guards: the JSON artifact format, the shared helpers and the
+one conv kernel each live in one module, so hand-copied duplicates cannot
+creep back in."""
 
 import ast
 import pathlib
@@ -39,3 +40,14 @@ def test_require_binary_defined_once():
 
 def test_one_pgm_writer():
     assert _functions(_writes_pgm_header) == ["videoio.py:write_pgm_frame"]
+
+
+def test_conv2d_defined_once():
+    assert _functions(lambda fn: fn.name == "conv2d") == ["nnops.py:conv2d"]
+
+
+def test_window_views_only_in_nnops():
+    users = [name for name, text in _sources().items()
+             if re.search(r"\b(np\.pad|sliding_window_view|as_strided)\b",
+                          text)]
+    assert users == ["nnops.py"]
