@@ -21,7 +21,7 @@ from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .hsfe import (BlockSpec, BranchAllocation, BranchSpec, allocate_channels,
                    hsfe_forward, init_hsfe_weights, mtf_forward, slice_blocks,
                    spatial_attention)
-from .starnet import (FeatureTensor, MiniMapResNetConfig, attention_pool,
+from .starnet import (MiniMapResNetConfig, attention_pool,
                       init_starnet_weights, mini_mapresnet_forward,
                       star_net_forward, temporal_attention, temporal_pool)
 from .snn import (FsveConfig, LifParams, MembraneState, SdsaParams,
@@ -29,10 +29,9 @@ from .snn import (FsveConfig, LifParams, MembraneState, SdsaParams,
                   sn_threshold, spiking_residual_block, surrogate_grad, tdbn)
 from .energy import (EnergyLedger, LayerEnergy, count_conv_sops, count_sops,
                      energy_report, estimate_ann_energy, estimate_snn_energy)
-from .align import (AlignmentHead, EmbeddingBatch, Temperature,
-                    contrastive_loss, cosine_similarity, embed_text,
-                    evaluate_topk, finetune_head, head_gradient,
-                    text_features)
+from .align import (AlignmentHead, Temperature, contrastive_loss,
+                    cosine_similarity, embed_text, evaluate_topk,
+                    finetune_head, head_gradient, text_features)
 from .synth import SyntheticDatasetSpec, synth_dataset
 from .pipeline import PipelineConfig, run_pipeline
 from .weights import load_weights, save_weights
@@ -49,7 +48,7 @@ __all__ = [
     "BlockSpec", "BranchSpec", "BranchAllocation", "slice_blocks",
     "allocate_channels", "mtf_forward", "spatial_attention", "hsfe_forward",
     "init_hsfe_weights",
-    "MiniMapResNetConfig", "FeatureTensor", "mini_mapresnet_forward",
+    "MiniMapResNetConfig", "mini_mapresnet_forward",
     "attention_pool", "temporal_attention", "temporal_pool",
     "star_net_forward", "init_starnet_weights",
     "LifParams", "MembraneState", "SdsaParams", "FsveConfig", "lif_step",
@@ -57,7 +56,7 @@ __all__ = [
     "esdsa_forward", "fsve_forward", "init_fsve_weights",
     "EnergyLedger", "LayerEnergy", "count_sops", "count_conv_sops",
     "estimate_snn_energy", "estimate_ann_energy", "energy_report",
-    "EmbeddingBatch", "Temperature", "AlignmentHead", "embed_text",
+    "Temperature", "AlignmentHead", "embed_text",
     "text_features", "cosine_similarity", "contrastive_loss",
     "head_gradient", "finetune_head", "evaluate_topk",
     "SyntheticDatasetSpec", "synth_dataset",

@@ -20,35 +20,9 @@ from .errors import DataIOError, PreconditionError
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
-DEFAULT_TABLE_SIZE = 4096
-DEFAULT_TABLE_SEED = 17
+TABLE_SIZE = 4096
+TABLE_SEED = 17
 DEFAULT_INIT_INV_TAU = 14.29        # tau ~= 0.07
-
-
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """B x D matrix of modal embeddings with a modality tag and optional
-    integer class labels."""
-
-    rows: np.ndarray
-    modality: str
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise PreconditionError(
-                f"embedding batch must be [b, d] with b >= 1, got {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise PreconditionError("embeddings must be finite")
-        if self.modality not in ("video", "text"):
-            raise PreconditionError(f"unknown modality {self.modality!r}")
-        object.__setattr__(self, "rows", rows)
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (rows.shape[0],):
-                raise PreconditionError("labels must have one entry per row")
-            object.__setattr__(self, "labels", labels)
 
 
 @dataclass
@@ -102,12 +76,10 @@ class AlignmentHead:
         return self.projection.shape[1]
 
     @classmethod
-    def create(cls, d_in: int, d_out: int, seed: int,
-               init_inv_tau: float = DEFAULT_INIT_INV_TAU) -> "AlignmentHead":
+    def create(cls, d_in: int, d_out: int, seed: int) -> "AlignmentHead":
         rng = np.random.default_rng(seed)
         proj = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out))
-        return cls(projection=proj, bias=np.zeros(d_out),
-                   temperature=Temperature(math.log(init_inv_tau)))
+        return cls(projection=proj, bias=np.zeros(d_out))
 
     def copy(self) -> "AlignmentHead":
         return AlignmentHead(self.projection.copy(), self.bias.copy(),
@@ -160,24 +132,20 @@ def fnv1a_64(token: str) -> int:
     return h
 
 
-_TABLE_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
+_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
-def token_table(dim: int, table_size: int = DEFAULT_TABLE_SIZE,
-                seed: int = DEFAULT_TABLE_SEED) -> np.ndarray:
-    """Fixed table of seeded pseudo-random unit vectors, memoized."""
-    key = (dim, table_size, seed)
-    if key not in _TABLE_CACHE:
-        rng = np.random.default_rng(seed)
-        table = rng.normal(size=(table_size, dim))
+def token_table(dim: int) -> np.ndarray:
+    """Fixed table of seeded pseudo-random unit vectors, memoized per dim."""
+    if dim not in _TABLE_CACHE:
+        rng = np.random.default_rng(TABLE_SEED)
+        table = rng.normal(size=(TABLE_SIZE, dim))
         table /= np.linalg.norm(table, axis=1, keepdims=True)
-        _TABLE_CACHE[key] = table
-    return _TABLE_CACHE[key]
+        _TABLE_CACHE[dim] = table
+    return _TABLE_CACHE[dim]
 
 
-def text_features(text_or_tokens, dim: int,
-                  table_size: int = DEFAULT_TABLE_SIZE,
-                  seed: int = DEFAULT_TABLE_SEED) -> np.ndarray:
+def text_features(text_or_tokens, dim: int) -> np.ndarray:
     """Raw (pre-projection) bag-of-tokens feature: mean of hashed token
     vectors. Order-independent and vocabulary-free."""
     if isinstance(text_or_tokens, str):
@@ -186,19 +154,16 @@ def text_features(text_or_tokens, dim: int,
         tokens = [t.lower() for t in text_or_tokens]
         if not tokens:
             raise PreconditionError("token sequence is empty")
-    table = token_table(dim, table_size, seed)
+    table = token_table(dim)
     # Canonical summation order makes the bag mean bit-identical under
     # token permutation.
-    idx = sorted(fnv1a_64(tok) % table_size for tok in tokens)
+    idx = sorted(fnv1a_64(tok) % TABLE_SIZE for tok in tokens)
     return table[idx].mean(axis=0)
 
 
-def embed_text(text_or_tokens, head: AlignmentHead,
-               table_size: int = DEFAULT_TABLE_SIZE,
-               seed: int = DEFAULT_TABLE_SEED) -> np.ndarray:
+def embed_text(text_or_tokens, head: AlignmentHead) -> np.ndarray:
     """Hashed bag-of-tokens feature pushed through the trainable head."""
-    feats = text_features(text_or_tokens, head.d_in, table_size, seed)
-    return head.project(feats)
+    return head.project(text_features(text_or_tokens, head.d_in))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +180,6 @@ def cosine_similarity(v: np.ndarray, t: np.ndarray) -> float:
 
 
 def _rows(batch) -> np.ndarray:
-    if isinstance(batch, EmbeddingBatch):
-        return batch.rows
     arr = np.asarray(batch, dtype=np.float64)
     if arr.ndim != 2:
         raise PreconditionError(f"expected [b, d] embeddings, got {arr.shape}")
@@ -343,9 +306,7 @@ def _forward_backward(v_feat, t_feat, head: AlignmentHead, need_grads: bool):
 # ---------------------------------------------------------------------------
 
 def finetune_head(support_set, shots: int, epochs: int, lr: float, seed: int,
-                  head: AlignmentHead | None = None,
-                  table_size: int = DEFAULT_TABLE_SIZE,
-                  table_seed: int = DEFAULT_TABLE_SEED
+                  head: AlignmentHead | None = None
                   ) -> tuple[AlignmentHead, list[float]]:
     """Plain gradient descent on the contrastive loss over support batches.
 
@@ -378,8 +339,7 @@ def finetune_head(support_set, shots: int, epochs: int, lr: float, seed: int,
         head = AlignmentHead.create(d_in, min(d_in, 32), seed)
     else:
         head = head.copy()
-    text_feats = np.stack([text_features(p, d_in, table_size, table_seed)
-                           for p in prompts])
+    text_feats = np.stack([text_features(p, d_in) for p in prompts])
 
     rng = np.random.default_rng(seed)
     trace: list[float] = []

@@ -15,21 +15,22 @@ import sys
 
 import numpy as np
 
-from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
-from .camera import EncoderConfig, encode_video, upsample_temporal
+from .align import AlignmentHead
+from .camera import EncoderConfig
 from .energy import EnergyLedger, energy_report, format_report
 from .errors import DataIOError, PreconditionError, SpikeKitError
 from .hsfe import BlockSpec, BranchSpec
 from .jsonio import read_json, write_json
-from .pipeline import (PipelineConfig, build_feature_weights,
-                       featurize_stream, provenance, run_pipeline)
+from .pipeline import (PipelineConfig, build_feature_weights, encode_file,
+                       evaluate_head, featurize_stream, provenance,
+                       run_pipeline, train_fewshot_head)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig
 from .stream import (ClipWindowSpec, StreamMeta, read_dat, read_meta,
                      sidecar_path, slice_clips, subsample_temporal, write_dat)
 from .synth import CLASS_PROMPTS, SyntheticDatasetSpec, synth_dataset
-from .videoio import load_video, write_pgm_frame
+from .videoio import write_pgm_frame
 from .weights import load_weights, save_weights
 
 
@@ -44,10 +45,23 @@ def _resolve_meta(dat_path: str, meta_arg: str | None) -> StreamMeta:
 
 
 def _load_embeddings(path) -> list[dict]:
+    """Entries with equal-length numeric "vector" lists and, where given,
+    an integer "label"."""
     obj = read_json(path)
-    entries = obj["embeddings"] if isinstance(obj, dict) else obj
-    if not isinstance(entries, list) or not entries:
+    entries = obj.get("embeddings") if isinstance(obj, dict) else obj
+    if not isinstance(entries, list):
+        raise DataIOError(f"{path}: needs an \"embeddings\" list")
+    if not entries:
         raise PreconditionError(f"{path}: no embeddings found")
+    for i, entry in enumerate(entries):
+        vector = entry.get("vector") if isinstance(entry, dict) else None
+        if not (isinstance(vector, list) and vector
+                and all(type(x) in (int, float) for x in vector)
+                and len(vector) == len(entries[0]["vector"])
+                and type(entry.get("label", 0)) is int):
+            raise DataIOError(
+                f"{path}: embedding {i} needs a numeric \"vector\" as long "
+                f"as the first one and, if labelled, an integer \"label\"")
     return entries
 
 
@@ -68,15 +82,10 @@ def _load_head(path) -> tuple[AlignmentHead, list[str]]:
 # ---------------------------------------------------------------------------
 
 def cmd_encode(args) -> int:
-    video = load_video(args.input)
-    if args.upsample > 1:
-        video = upsample_temporal(video, args.upsample)
     cfg = EncoderConfig(theta=args.theta, noise_amplitude=args.noise)
     if cfg.noise_amplitude > 0 and args.seed is None:
         raise PreconditionError("--seed is required when --noise > 0")
-    stream = encode_video(video, cfg, seed=args.seed)
-    meta = StreamMeta.for_stream(stream, threshold_theta=args.theta)
-    write_dat(stream, meta, args.out)
+    stream = encode_file(args.input, args.out, cfg, args.upsample, args.seed)
     print(f"encoded {stream.t_len}x{stream.height}x{stream.width} "
           f"({stream.spike_count()} spikes) -> {args.out}")
     return 0
@@ -142,21 +151,17 @@ def cmd_subsample(args) -> int:
     return 0
 
 
-def _featurize_setup(args, spatial_hw):
-    block_spec = BlockSpec(args.r_win, args.step, args.n_blocks)
-    branches = BranchSpec(args.m, args.channel_step, args.c_out)
-    star_cfg = MiniMapResNetConfig(embed_dim=args.embed_dim)
+def _weights(args, init) -> dict[str, np.ndarray]:
+    """Weights from --weights, else ``init(--seed)``, saved to
+    --save-weights when given."""
     if args.weights:
-        weights = load_weights(args.weights)
-    else:
-        if args.seed is None:
-            raise PreconditionError(
-                "--seed is required when --weights is not given")
-        weights = build_feature_weights(block_spec.block_len, branches,
-                                        star_cfg, spatial_hw, args.seed)
-        if args.save_weights:
-            save_weights(weights, args.save_weights)
-    return block_spec, branches, star_cfg, weights
+        return load_weights(args.weights)
+    if args.seed is None:
+        raise PreconditionError("--seed is required when --weights is not given")
+    weights = init(args.seed)
+    if args.save_weights:
+        save_weights(weights, args.save_weights)
+    return weights
 
 
 def cmd_featurize(args) -> int:
@@ -174,8 +179,12 @@ def cmd_featurize(args) -> int:
         labels = {c["name"]: c["label"] for c in manifest["clips"]}
 
     first_meta = _resolve_meta(paths[0], args.meta)
-    setup = _featurize_setup(args, (first_meta.height, first_meta.width))
-    block_spec, branches, star_cfg, weights = setup
+    block_spec = BlockSpec(args.r_win, args.step, args.n_blocks)
+    branches = BranchSpec(args.m, args.channel_step, args.c_out)
+    star_cfg = MiniMapResNetConfig(embed_dim=args.embed_dim)
+    weights = _weights(args, lambda seed: build_feature_weights(
+        block_spec.block_len, branches, star_cfg,
+        (first_meta.height, first_meta.width), seed))
 
     entries = []
     for path in paths:
@@ -199,15 +208,7 @@ def cmd_snn_forward(args) -> int:
     meta = _resolve_meta(args.input, args.meta)
     stream = read_dat(args.input, meta)
     cfg = FsveConfig(channels=args.channels, timesteps=args.timesteps)
-    if args.weights:
-        weights = load_weights(args.weights)
-    else:
-        if args.seed is None:
-            raise PreconditionError(
-                "--seed is required when --weights is not given")
-        weights = init_fsve_weights(cfg, args.seed)
-        if args.save_weights:
-            save_weights(weights, args.save_weights)
+    weights = _weights(args, lambda seed: init_fsve_weights(cfg, seed))
     ledger = EnergyLedger()
     embedding, _ = fsve_forward(stream, weights, cfg, ledger)
     ledger.save(args.ledger)
@@ -221,14 +222,10 @@ def cmd_snn_forward(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    snn_ledger = EnergyLedger.load(args.snn)
-    ann_ledger = EnergyLedger.load(args.ann) if args.ann else None
-    report = energy_report(snn_ledger, ann_ledger)
+    report = energy_report(EnergyLedger.load(args.snn))
     print(format_report(report))
     if args.out:
-        report["provenance"] = provenance(
-            None, inputs={"snn": args.snn} | ({"ann": args.ann}
-                                              if args.ann else {}))
+        report["provenance"] = provenance(None, inputs={"snn": args.snn})
         write_json(report, args.out)
     return 0
 
@@ -239,22 +236,9 @@ def cmd_train_head(args) -> int:
         prompts = [line.strip() for line in fh if line.strip()]
     if not prompts:
         raise PreconditionError(f"{args.prompts}: no prompts")
-    rng = np.random.default_rng(args.seed)
-    support = []
-    for label, prompt in enumerate(prompts):
-        rows = [e for e in entries if e.get("label") == label]
-        if len(rows) < args.shots:
-            raise PreconditionError(
-                f"class {label} has {len(rows)} embeddings, needs "
-                f">= {args.shots}")
-        picks = rng.choice(len(rows), size=args.shots, replace=False)
-        support.extend((np.array(rows[int(i)]["vector"]), prompt)
-                       for i in picks)
-    d_in = len(support[0][0])
-    head = AlignmentHead.create(d_in, min(d_in, 32),
-                                seed=int(rng.integers(2 ** 31)))
-    head, trace = finetune_head(support, shots=args.shots, epochs=args.epochs,
-                                lr=args.lr, seed=args.seed, head=head)
+    head, trace = train_fewshot_head(
+        entries, prompts, args.shots, np.random.default_rng(args.seed),
+        args.epochs, args.lr, args.seed)
     write_json({"head": head.to_json_dict(), "prompts": prompts,
                 "loss_trace": [trace[0], trace[-1]],
                 "provenance": provenance(
@@ -269,21 +253,22 @@ def cmd_train_head(args) -> int:
 def cmd_eval(args) -> int:
     head, prompts = _load_head(args.head)
     entries = _load_embeddings(args.embeddings)
-    missing = [e["id"] for e in entries if "label" not in e]
+    missing = [e.get("id") for e in entries if "label" not in e]
     if missing:
         raise PreconditionError(
             f"embeddings without labels cannot be evaluated: {missing[:5]}")
-    vectors = np.array([e["vector"] for e in entries])
-    labels = np.array([e["label"] for e in entries])
-    class_feats = np.stack([text_features(p, head.d_in) for p in prompts])
-    ks = [int(k) for k in args.topk.split(",")]
-    results = {}
+    try:
+        ks = [int(k) for k in args.topk.split(",")]
+    except ValueError as exc:
+        raise PreconditionError(
+            f"--topk must be comma-separated integers, got {args.topk!r}"
+        ) from exc
+    results = evaluate_head(head, prompts,
+                            np.array([e["vector"] for e in entries]),
+                            np.array([e["label"] for e in entries]), ks)
     for k in ks:
-        acc = evaluate_topk(head.project(vectors), head.project(class_feats),
-                            labels, k)
-        results[f"top{k}"] = acc
-        print(f"top-{k} accuracy: {acc:.4f}  ({len(entries)} videos, "
-              f"{len(prompts)} classes)")
+        print(f"top-{k} accuracy: {results[f'top{k}']:.4f}  "
+              f"({len(entries)} videos, {len(prompts)} classes)")
     if args.out:
         write_json({"accuracy": results,
                     "provenance": provenance(
@@ -405,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="energy report from ledger JSON")
     p.add_argument("--snn", required=True)
-    p.add_argument("--ann", default=None,
-                   help="separate dense-baseline ledger (defaults to --snn)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_energy)
 

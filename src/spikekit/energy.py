@@ -232,22 +232,13 @@ def estimate_ann_energy(ledger: EnergyLedger) -> float:
     return total
 
 
-def energy_report(snn_ledger: EnergyLedger,
-                  ann_ledger: EnergyLedger | None = None) -> dict:
+def energy_report(snn_ledger: EnergyLedger) -> dict:
     """Summary report: total joules, percentage reduction, per-layer sparsity.
 
-    The dense baseline defaults to the same ledger's max_sops column. Both
-    ledgers must cover the same layer set.
+    The dense baseline is the ledger's own max_sops column.
     """
-    if ann_ledger is None:
-        ann_ledger = snn_ledger
-    if set(snn_ledger.layer_names()) != set(ann_ledger.layer_names()):
-        raise PreconditionError(
-            "snn and ann ledgers cover different layer sets: "
-            f"{sorted(snn_ledger.layer_names())} vs "
-            f"{sorted(ann_ledger.layer_names())}")
     e_snn = estimate_snn_energy(snn_ledger)
-    e_ann = estimate_ann_energy(ann_ledger)
+    e_ann = estimate_ann_energy(snn_ledger)
     reduction = 100.0 * (1.0 - e_snn / e_ann) if e_ann > 0 else 0.0
     layers = []
     for rec in snn_ledger.layers:

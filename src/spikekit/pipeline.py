@@ -155,20 +155,65 @@ def featurize_stream(stream: SpikeStream, block_spec: BlockSpec,
 
 
 # ---------------------------------------------------------------------------
-# Full run
+# Stages shared by run_pipeline and the CLI
 # ---------------------------------------------------------------------------
 
-def _select_support(pool: list[dict], shots: int, n_classes: int,
-                    rng: np.random.Generator) -> list[tuple[np.ndarray, str]]:
-    support = []
-    for label in range(n_classes):
-        rows = [e for e in pool if e["label"] == label]
-        picks = rng.choice(len(rows), size=shots, replace=False)
-        for idx in picks:
-            entry = rows[int(idx)]
-            support.append((np.array(entry["vector"]), entry["prompt"]))
-    return support
+def encode_file(video_path, dat_path, cfg: EncoderConfig, upsample: int,
+                seed: int | None) -> SpikeStream:
+    """Load an intensity video, upsample it in time by ``upsample`` when
+    above 1, encode it to spikes and write the ``.dat`` plus its sidecar."""
+    video = load_video(video_path)
+    if upsample > 1:
+        video = upsample_temporal(video, upsample)
+    stream = encode_video(video, cfg, seed=seed)
+    write_dat(stream, StreamMeta.for_stream(stream, threshold_theta=cfg.theta),
+              dat_path)
+    return stream
 
+
+def train_fewshot_head(entries: list[dict], prompts: list[str], shots: int,
+                       rng: np.random.Generator, epochs: int, lr: float,
+                       seed: int) -> tuple[AlignmentHead, list[float]]:
+    """Few-shot protocol: draw ``shots`` support rows per class label with
+    ``rng``, build a head seeded from ``rng`` and fine-tune it.
+
+    Class ``label`` is paired with ``prompts[label]``; ``seed`` drives the
+    fine-tune's per-epoch shuffling.
+    """
+    support = []
+    for label, prompt in enumerate(prompts):
+        rows = [e for e in entries if e.get("label") == label]
+        if not 1 <= shots <= len(rows):
+            raise PreconditionError(
+                f"shots={shots} must lie in [1, {len(rows)}], the embeddings "
+                f"of class {label}")
+        picks = rng.choice(len(rows), size=shots, replace=False)
+        support.extend((np.array(rows[int(i)]["vector"]), prompt)
+                       for i in picks)
+    d_in = len(support[0][0])
+    head = AlignmentHead.create(d_in, min(d_in, 32),
+                                seed=int(rng.integers(2 ** 31)))
+    return finetune_head(support, shots=shots, epochs=epochs, lr=lr,
+                         seed=seed, head=head)
+
+
+def evaluate_head(head: AlignmentHead, prompts: list[str], vectors: np.ndarray,
+                  labels: np.ndarray, ks) -> dict[str, float]:
+    """Top-k accuracy, keyed ``top{k}``, of ranking the prompts' text
+    features against ``vectors`` [n, d_in] through the head."""
+    if vectors.ndim != 2 or vectors.shape[1] != head.d_in:
+        raise PreconditionError(
+            f"embeddings of shape {vectors.shape} do not match head "
+            f"d_in={head.d_in}")
+    video = head.project(vectors)
+    text = head.project(np.stack([text_features(p, head.d_in)
+                                  for p in prompts]))
+    return {f"top{k}": evaluate_topk(video, text, labels, k) for k in ks}
+
+
+# ---------------------------------------------------------------------------
+# Full run
+# ---------------------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     """Execute all stages; returns the final metrics dict.
@@ -194,15 +239,10 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                             noise_amplitude=config.noise_amplitude)
     dat_paths: dict[str, str] = {}
     for clip in manifest["clips"]:
-        video = load_video(os.path.join(dataset_dir, clip["path"]))
-        if config.upsample > 1:
-            video = upsample_temporal(video, config.upsample)
-        stream = encode_video(video, enc_cfg,
-                              seed=config.seed if config.noise_amplitude > 0
-                              else None)
-        meta = StreamMeta.for_stream(stream, threshold_theta=config.theta)
         dat_path = os.path.join(spikes_dir, clip["name"] + ".dat")
-        write_dat(stream, meta, dat_path)
+        encode_file(os.path.join(dataset_dir, clip["path"]), dat_path, enc_cfg,
+                    config.upsample,
+                    config.seed if config.noise_amplitude > 0 else None)
         dat_paths[clip["name"]] = dat_path
 
     # Stage 3: featurize with seeded frozen weights.
@@ -212,11 +252,12 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     weights = build_feature_weights(block_spec.block_len, branches, star_cfg,
                                     (config.height, config.width), config.seed)
     prompts = [CLASS_PROMPTS[c] for c in config.classes]
+    meta = StreamMeta(height=config.height, width=config.width,
+                      t_len=(config.frames - 1) * config.upsample + 1,
+                      threshold_theta=config.theta)
     train_pool, test_set = [], []
     support_per_class = config.clips_per_class - config.test_per_class
     for clip in manifest["clips"]:
-        meta = StreamMeta(height=config.height, width=config.width,
-                          t_len=config.frames, threshold_theta=config.theta)
         stream = read_dat(dat_paths[clip["name"]], meta)
         vector = featurize_stream(stream, block_spec, branches, star_cfg,
                                   weights)
@@ -245,25 +286,15 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         per_seed: dict[str, dict] = {}
         for eval_seed in config.eval_seeds:
             rng = np.random.default_rng([config.seed, 3, shots, eval_seed])
-            support = _select_support(train_pool, shots, len(config.classes),
-                                      rng)
-            head = AlignmentHead.create(config.embed_dim,
-                                        min(config.embed_dim, 32),
-                                        seed=int(rng.integers(2 ** 31)))
-            head, trace = finetune_head(support, shots=shots,
-                                        epochs=config.epochs, lr=config.lr,
-                                        seed=eval_seed, head=head)
+            head, trace = train_fewshot_head(
+                train_pool, prompts, shots, rng, config.epochs, config.lr,
+                eval_seed)
             head_path = os.path.join(out_dir,
                                      f"head_s{shots}_seed{eval_seed}.json")
             write_json({"head": head.to_json_dict(), "prompts": prompts,
                         "provenance": provenance(eval_seed)}, head_path)
-            class_feats = np.stack([text_features(p, config.embed_dim)
-                                    for p in prompts])
-            accs = {}
-            for k in config.topk:
-                accs[f"top{k}"] = evaluate_topk(
-                    head.project(test_vectors), head.project(class_feats),
-                    test_labels, k)
+            accs = evaluate_head(head, prompts, test_vectors, test_labels,
+                                 config.topk)
             per_seed[str(eval_seed)] = {"accuracy": accs,
                                         "final_loss": trace[-1],
                                         "initial_loss": trace[0]}
@@ -275,8 +306,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     # Stage 6: spiking forward + energy on the first clip.
     if config.run_snn:
         first = manifest["clips"][0]["name"]
-        meta = StreamMeta(height=config.height, width=config.width,
-                          t_len=config.frames, threshold_theta=config.theta)
         stream = read_dat(dat_paths[first], meta)
         fsve_cfg = FsveConfig(channels=config.snn_channels,
                               timesteps=config.timesteps)

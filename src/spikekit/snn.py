@@ -67,24 +67,22 @@ class MembraneState:
 
 @dataclass(frozen=True)
 class SdsaParams:
-    """Spike-driven self-attention settings: spike-normalization scaling
-    factor, attention scale (defaults to 1/sqrt(dim)), head dimension."""
+    """Spike-driven self-attention settings: head dimension and
+    spike-normalization scaling factor. The attention scale is
+    1/sqrt(dim)."""
 
     dim: int
     alpha_sn: float = 1.0
-    scale: float | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise PreconditionError("dim must be >= 1")
         if self.alpha_sn <= 0:
             raise PreconditionError("alpha_sn must be > 0")
-        if self.scale is not None and self.scale <= 0:
-            raise PreconditionError("scale must be > 0")
 
     @property
     def effective_scale(self) -> float:
-        return self.scale if self.scale is not None else 1.0 / math.sqrt(self.dim)
+        return 1.0 / math.sqrt(self.dim)
 
 
 def lif_step(state: MembraneState, inputs: np.ndarray,

@@ -28,7 +28,6 @@ class MiniMapResNetConfig:
     blocks_per_group: tuple[int, int, int, int] = (2, 2, 2, 2)
     heads: int = 8
     embed_dim: int = 64
-    block_style: str = "bottleneck"   # "bottleneck" | "basic"
     ffn_dim: int = 128
 
     def __post_init__(self):
@@ -41,47 +40,10 @@ class MiniMapResNetConfig:
             raise PreconditionError("group widths must be positive")
         if any(b < a for a, b in zip(self.group_widths, self.group_widths[1:])):
             raise PreconditionError("group widths must be non-decreasing")
-        if self.block_style not in ("bottleneck", "basic"):
-            raise PreconditionError(
-                f"unknown block style {self.block_style!r}")
 
     # Stride plan: stem /8, then groups 2 and 3 halve once each -> /32.
     def group_stride(self, g: int) -> int:
         return 2 if g in (1, 2) else 1
-
-
-@dataclass(frozen=True)
-class FeatureTensor:
-    """Dense tensor with named axis roles (time, batch, channel, height, width)."""
-
-    data: np.ndarray
-    axes: tuple[str, ...]
-
-    _ALLOWED = ("time", "batch", "channel", "height", "width")
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if len(self.axes) != arr.ndim:
-            raise PreconditionError(
-                f"{arr.ndim}-D data needs {arr.ndim} axis names, got {self.axes}")
-        if len(set(self.axes)) != len(self.axes):
-            raise PreconditionError(f"axis names must be unique: {self.axes}")
-        for name in self.axes:
-            if name not in self._ALLOWED:
-                raise PreconditionError(f"unknown axis role {name!r}")
-        if not np.all(np.isfinite(arr)):
-            raise PreconditionError("feature tensor must be finite")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, FeatureTensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +51,16 @@ def _as_array(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _residual_block(x: np.ndarray, prefix: str, stride: int, out_ch: int,
-                    style: str, weights: dict[str, np.ndarray]) -> np.ndarray:
+                    weights: dict[str, np.ndarray]) -> np.ndarray:
+    """Bottleneck block: 1x1 reduce, strided 3x3, 1x1 expand, plus a
+    shortcut (1x1 projection when the shape changes)."""
     w = weights
-    if style == "bottleneck":
-        y = relu(conv2d(x, w[f"{prefix}.conv1.w"], w[f"{prefix}.conv1.b"],
-                        stride=1, padding=0))
-        y = relu(conv2d(y, w[f"{prefix}.conv2.w"], w[f"{prefix}.conv2.b"],
-                        stride=stride, padding=1))
-        y = conv2d(y, w[f"{prefix}.conv3.w"], w[f"{prefix}.conv3.b"],
-                   stride=1, padding=0)
-    else:
-        y = relu(conv2d(x, w[f"{prefix}.conv1.w"], w[f"{prefix}.conv1.b"],
-                        stride=stride, padding=1))
-        y = conv2d(y, w[f"{prefix}.conv2.w"], w[f"{prefix}.conv2.b"],
-                   stride=1, padding=1)
+    y = relu(conv2d(x, w[f"{prefix}.conv1.w"], w[f"{prefix}.conv1.b"],
+                    stride=1, padding=0))
+    y = relu(conv2d(y, w[f"{prefix}.conv2.w"], w[f"{prefix}.conv2.b"],
+                    stride=stride, padding=1))
+    y = conv2d(y, w[f"{prefix}.conv3.w"], w[f"{prefix}.conv3.b"],
+               stride=1, padding=0)
     if f"{prefix}.proj.w" in w:
         shortcut = conv2d(x, w[f"{prefix}.proj.w"], None,
                           stride=stride, padding=0)
@@ -174,7 +132,7 @@ def mini_mapresnet_forward(estimate: np.ndarray, cfg: MiniMapResNetConfig,
         for b in range(n_blocks):
             stride = cfg.group_stride(g) if b == 0 else 1
             x = _residual_block(x, f"star.group{g + 1}.block{b}", stride,
-                                width, cfg.block_style, weights)
+                                width, weights)
     c = x.shape[0]
     tokens = x.reshape(c, -1).T            # [N, C]
     return attention_pool(tokens, weights, cfg.heads)
@@ -193,7 +151,7 @@ def temporal_attention(seq, weights: dict[str, np.ndarray], heads: int = 8,
     followed by a position-wise feed-forward, both with residual
     connections. Shape is preserved.
     """
-    x = _as_array(seq)
+    x = np.asarray(seq, dtype=np.float64)
     if x.ndim != 3:
         raise PreconditionError(f"sequence must be [t, b, d], got {x.shape}")
     t_len, batch, dim = x.shape
@@ -229,7 +187,7 @@ def temporal_attention(seq, weights: dict[str, np.ndarray], heads: int = 8,
 def temporal_pool(seq) -> np.ndarray:
     """Arithmetic mean over the time axis, accumulated strictly left to
     right so two runs bit-compare equal."""
-    x = _as_array(seq)
+    x = np.asarray(seq, dtype=np.float64)
     if x.ndim != 3:
         raise PreconditionError(f"sequence must be [t, b, d], got {x.shape}")
     if x.shape[0] < 1:
@@ -287,14 +245,10 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
         for b in range(n_blocks):
             stride = cfg.group_stride(g) if b == 0 else 1
             prefix = f"star.group{g + 1}.block{b}"
-            if cfg.block_style == "bottleneck":
-                mid = max(1, width // 4)
-                conv(f"{prefix}.conv1", mid, c_in, 1)
-                conv(f"{prefix}.conv2", mid, mid, 3)
-                conv(f"{prefix}.conv3", width, mid, 1)
-            else:
-                conv(f"{prefix}.conv1", width, c_in, 3)
-                conv(f"{prefix}.conv2", width, width, 3)
+            mid = max(1, width // 4)
+            conv(f"{prefix}.conv1", mid, c_in, 1)
+            conv(f"{prefix}.conv2", mid, mid, 3)
+            conv(f"{prefix}.conv3", width, mid, 1)
             if stride != 1 or c_in != width:
                 weights[f"{prefix}.proj.w"] = he_init(
                     rng, (width, c_in, 1, 1), fan_in=c_in)

@@ -31,7 +31,13 @@ class SpikeStream:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.uint8)     # private snapshot
+        raw = np.asarray(self.data)
+        # uint8 is range-checked below and bool is binary; any other dtype
+        # must hold exactly 0 or 1 before the cast can truncate or wrap it.
+        if (raw.dtype not in (np.uint8, np.bool_)
+                and not ((raw == 0) | (raw == 1)).all()):
+            raise PreconditionError("spike stream elements must be 0 or 1")
+        arr = np.array(raw, dtype=np.uint8)     # private snapshot
         if arr.ndim != 3:
             raise PreconditionError(
                 f"spike stream must be 3-D [t, y, x], got shape {arr.shape}")

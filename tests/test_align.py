@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from spikekit.align import (AlignmentHead, EmbeddingBatch, Temperature,
+from spikekit.align import (AlignmentHead, Temperature,
                             alignment_loss, contrastive_loss,
                             cosine_similarity, embed_text, evaluate_topk,
                             finetune_head, head_gradient, text_features,
@@ -162,13 +162,6 @@ def test_loss_approaches_zero_on_one_hot_match():
 def test_loss_batch_mismatch():
     with pytest.raises(PreconditionError):
         contrastive_loss(np.ones((2, 4)), np.ones((3, 4)), UNIT_TAU)
-
-
-def test_loss_accepts_embedding_batches():
-    rng = np.random.default_rng(114)
-    v = EmbeddingBatch(rng.normal(size=(3, 5)), "video")
-    t = EmbeddingBatch(rng.normal(size=(3, 5)), "text")
-    assert contrastive_loss(v, t, UNIT_TAU) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +380,3 @@ def test_temperature_clamp_and_validation():
     assert Temperature(log_inv_tau=0.0).inv_tau == 1.0
     with pytest.raises(PreconditionError):
         Temperature(clamp_max=0.0)
-
-
-def test_embedding_batch_validation():
-    with pytest.raises(PreconditionError):
-        EmbeddingBatch(np.zeros((0, 4)), "video")
-    with pytest.raises(PreconditionError):
-        EmbeddingBatch(np.zeros((2, 4)), "audio")
-    with pytest.raises(PreconditionError):
-        EmbeddingBatch(np.zeros((2, 4)), "video", labels=np.array([1]))

@@ -196,6 +196,41 @@ def test_eval_topk_above_class_count_exits_2(tmp_path):
     assert main(["eval", str(head), str(emb), "--topk", "5"]) == 2
 
 
+@pytest.mark.parametrize("shots", ["0", "-1"])
+def test_train_head_needs_a_positive_shot_count(shots, tmp_path, capsys):
+    prompts = tmp_path / "p.txt"
+    prompts.write_text("a person waving one hand\n")
+    emb = tmp_path / "e.json"
+    emb.write_text(json.dumps([{"id": "a", "label": 0, "vector": [1.0]}]))
+    assert main(["train-head", str(emb), str(prompts), "--shots", shots,
+                 "--seed", "0", "--out", str(tmp_path / "h.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _write_eval_inputs(tmp_path, width):
+    head = tmp_path / "h.json"
+    head.write_text(json.dumps({
+        "head": {"projection": [[1.0], [0.0]], "bias": [0.0],
+                 "log_inv_tau": 0.0},
+        "prompts": ["a person waving one hand"]}))
+    emb = tmp_path / "e.json"
+    emb.write_text(json.dumps([{"id": "a", "label": 0,
+                                "vector": [1.0] * width}]))
+    return str(head), str(emb)
+
+
+@pytest.mark.parametrize("width,topk", [
+    pytest.param(2, "a", id="topk-not-integer"),
+    pytest.param(2, "1,", id="topk-empty-item"),
+    pytest.param(3, "1", id="embedding-wider-than-head"),
+    pytest.param(1, "1", id="embedding-narrower-than-head"),
+])
+def test_eval_bad_input_exits_2(width, topk, tmp_path, capsys):
+    head, emb = _write_eval_inputs(tmp_path, width)
+    assert main(["eval", head, emb, "--topk", topk]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_encode_accepts_rgb_ppm_frames(tmp_path):
     rng = np.random.default_rng(144)
     clip_dir = tmp_path / "rgb"
@@ -226,6 +261,21 @@ def test_pipeline_command_runs_all_stages(tmp_path):
     assert (out_dir / "embeddings_test.json").exists()
     prov = metrics["provenance"]
     assert prov["seed"] == 3 and "toolkit_version" in prov
+
+
+def test_pipeline_featurizes_upsampled_streams(tmp_path):
+    config = {"seed": 3, "classes": ["wave", "throw"], "clips_per_class": 2,
+              "test_per_class": 1, "frames": 50, "upsample": 2, "r_win": 10,
+              "step": 20, "n_blocks": 4, "channel_step": 8, "shots": [1],
+              "eval_seeds": [0], "epochs": 5, "run_snn": False}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(out_dir)]) == 0
+    assert read_meta(str(out_dir / "spikes" / "wave_000.meta.json")).t_len \
+        == 99
+    assert (out_dir / "metrics.json").exists()
 
 
 def test_pipeline_config_validation(tmp_path):
@@ -330,6 +380,35 @@ def _malformed_manifest(tmp_path, encoded_dat):
         "--ledger", str(tmp_path / "ledger.json")]
 
 
+def _malformed_embeddings_train(tmp_path, encoded_dat):
+    (tmp_path / "p.txt").write_text("a person waving one hand\n")
+    return tmp_path / "e.json", [
+        "train-head", str(tmp_path / "e.json"), str(tmp_path / "p.txt"),
+        "--shots", "1", "--seed", "0", "--epochs", "2",
+        "--out", str(tmp_path / "h.json")]
+
+
+def _malformed_embeddings_eval(tmp_path, encoded_dat):
+    (tmp_path / "h.json").write_text(
+        '{"head": %s, "prompts": ["a"]}' % _HEAD)
+    return tmp_path / "e.json", ["eval", str(tmp_path / "h.json"),
+                                 str(tmp_path / "e.json")]
+
+
+_BAD_EMBEDDINGS = [
+    ('{"a": 1}', "no-embeddings-key"),
+    ('[1]', "entry-number"),
+    ('[{"id": "a", "label": 0}]', "vector-missing"),
+    ('[{"id": "a", "label": 0, "vector": 1.0}]', "vector-number"),
+    ('[{"id": "a", "label": 0, "vector": [1.0]}, '
+     '{"id": "b", "label": 0, "vector": [1.0, 2.0]}]', "vector-ragged"),
+    ('[{"id": "a", "label": 0, "vector": ["x"]}]', "vector-string"),
+    ('[{"id": "a", "label": 0, "vector": [[1.0]]}]', "vector-nested"),
+    ('[{"id": "a", "label": "x", "vector": [1.0]}]', "label-string"),
+    ('[{"id": "a", "label": 0.5, "vector": [1.0]}]', "label-float"),
+]
+
+
 def _malformed_head(tmp_path, encoded_dat):
     emb = tmp_path / "e.json"
     emb.write_text(json.dumps([{"id": "a", "label": 0, "vector": [1.0]}]))
@@ -380,7 +459,10 @@ _HEAD = '{"projection": [[1.0]], "bias": [0.0], "log_inv_tau": 0.0}'
                  id="head-head-list"),
     pytest.param(_malformed_head, '{"head": %s, "prompts": "a"}' % _HEAD,
                  id="head-prompts-string"),
-])
+] + [pytest.param(setup, text, id=f"embeddings-{name}-{command}")
+     for text, name in _BAD_EMBEDDINGS
+     for setup, command in ((_malformed_embeddings_train, "train-head"),
+                            (_malformed_embeddings_eval, "eval"))])
 def test_malformed_json_artifact_exits_3(setup, text, encoded_dat, tmp_path,
                                          capsys):
     path, argv = setup(tmp_path, encoded_dat)

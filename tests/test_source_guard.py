@@ -1,10 +1,12 @@
-"""Source guards: the JSON artifact format, the shared helpers and the
-one conv kernel each live in one module, so hand-copied duplicates cannot
-creep back in."""
+"""Source guards: the JSON artifact format, the shared helpers, the one
+conv kernel and the few-shot stages each live in one place, so
+hand-copied duplicates cannot creep back in."""
 
 import ast
 import pathlib
 import re
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikekit"
 
@@ -51,3 +53,28 @@ def test_window_views_only_in_nnops():
              if re.search(r"\b(np\.pad|sliding_window_view|as_strided)\b",
                           text)]
     assert users == ["nnops.py"]
+
+
+def _calls(callee: str):
+    """Predicate: the function calls ``callee``, a dotted name matched
+    against the call's ``Attribute`` chain."""
+    return lambda fn: any(isinstance(node, ast.Call)
+                          and ast.unparse(node.func) == callee
+                          for node in ast.walk(fn))
+
+
+@pytest.mark.parametrize("callee,home,caller", [
+    ("AlignmentHead.create", "align.py", "pipeline.py:train_fewshot_head"),
+    ("evaluate_topk", "align.py", "pipeline.py:evaluate_head"),
+    ("encode_video", "camera.py", "pipeline.py:encode_file"),
+])
+def test_fewshot_stages_have_one_caller(callee, home, caller):
+    outside = [name for name in _functions(_calls(callee))
+               if not name.startswith(home + ":")]
+    assert outside == [caller]
+
+
+def test_every_export_resolves():
+    import spikekit
+    assert [name for name in spikekit.__all__
+            if not hasattr(spikekit, name)] == []

@@ -9,10 +9,10 @@ import pytest
 
 from spikekit.errors import PreconditionError
 from spikekit.nnops import relu, softmax
-from spikekit.starnet import (FeatureTensor, MiniMapResNetConfig,
-                              attention_pool, init_starnet_weights,
-                              mini_mapresnet_forward, star_net_forward,
-                              temporal_attention, temporal_pool)
+from spikekit.starnet import (MiniMapResNetConfig, attention_pool,
+                              init_starnet_weights, mini_mapresnet_forward,
+                              star_net_forward, temporal_attention,
+                              temporal_pool)
 
 CFG = MiniMapResNetConfig()
 
@@ -100,15 +100,6 @@ def test_attention_pool_matches_loop_oracle():
     np.testing.assert_allclose(pooled, expected, rtol=1e-10, atol=1e-12)
 
 
-def test_basic_block_style_also_runs():
-    cfg = MiniMapResNetConfig(block_style="basic")
-    weights = init_starnet_weights(cfg, 3, (64, 64), seed=64)
-    rng = np.random.default_rng(64)
-    out = mini_mapresnet_forward(rng.normal(size=(3, 64, 64)), cfg, weights)
-    assert out.shape == (cfg.embed_dim,)
-    assert np.all(np.isfinite(out))
-
-
 # ---------------------------------------------------------------------------
 # Temporal attention
 # ---------------------------------------------------------------------------
@@ -167,15 +158,6 @@ def test_temporal_attention_batch_permutation_equivariance():
     out = temporal_attention(x, weights, heads=CFG.heads)
     out_perm = temporal_attention(x[:, perm, :], weights, heads=CFG.heads)
     np.testing.assert_array_equal(out[:, perm, :], out_perm)
-
-
-def test_temporal_attention_accepts_feature_tensor():
-    weights = make_weights(seed=69)
-    rng = np.random.default_rng(69)
-    ft = FeatureTensor(rng.normal(size=(3, 1, CFG.embed_dim)),
-                       axes=("time", "batch", "channel"))
-    out = temporal_attention(ft, weights, heads=CFG.heads)
-    assert out.shape == ft.shape
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +241,8 @@ def test_star_forward_is_bit_deterministic():
     assert np.array_equal(a, b)
 
 
-# ---------------------------------------------------------------------------
-# FeatureTensor contract
-# ---------------------------------------------------------------------------
-
-def test_feature_tensor_validates_axes():
-    with pytest.raises(PreconditionError):
-        FeatureTensor(np.zeros((2, 2)), axes=("time", "time"))
-    with pytest.raises(PreconditionError):
-        FeatureTensor(np.zeros((2, 2)), axes=("time",))
-    with pytest.raises(PreconditionError):
-        FeatureTensor(np.full((2, 2), np.nan), axes=("time", "channel"))
-    ft = FeatureTensor(np.zeros((2, 3)), axes=("time", "channel"))
-    assert ft.shape == (2, 3)
-
-
 def test_config_invariants():
     with pytest.raises(PreconditionError):
         MiniMapResNetConfig(embed_dim=30)                 # not divisible by 8
     with pytest.raises(PreconditionError):
         MiniMapResNetConfig(group_widths=(32, 16, 64, 128))
-    with pytest.raises(PreconditionError):
-        MiniMapResNetConfig(block_style="dense")

@@ -87,6 +87,23 @@ def test_stream_rejects_non_binary():
         SpikeStream(np.full((1, 1, 1), 2, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("value,dtype", [
+    (0.7, np.float64), (1.5, np.float64), (-1.0, np.float64),
+    (np.nan, np.float64), (256, np.int64), (-1, np.int8)])
+def test_stream_rejects_values_the_uint8_cast_would_change(value, dtype):
+    data = np.zeros((2, 2, 2), dtype=dtype)
+    data[1, 0, 1] = value
+    with pytest.raises(PreconditionError):
+        SpikeStream(data)
+
+
+def test_stream_accepts_exact_binary_of_any_dtype():
+    bits = np.array([0, 1, 1, 0, 1, 0, 0, 1]).reshape(2, 2, 2)
+    expected = bits.astype(np.uint8)
+    for dtype in (np.float64, np.int64, np.bool_, np.uint8):
+        assert np.array_equal(SpikeStream(bits.astype(dtype)).data, expected)
+
+
 def test_stream_rejects_bad_rank_and_empty_dims():
     with pytest.raises(PreconditionError):
         SpikeStream(np.zeros((2, 2), dtype=np.uint8))
