@@ -24,10 +24,10 @@ from .hsfe import (BlockSpec, BranchAllocation, BranchSpec, allocate_channels,
 from .starnet import (MiniMapResNetConfig, attention_pool,
                       init_starnet_weights, mini_mapresnet_forward,
                       star_net_forward, temporal_attention, temporal_pool)
-from .snn import (FsveConfig, LifParams, MembraneState, SdsaParams,
-                  esdsa_forward, fsve_forward, init_fsve_weights, lif_step,
-                  sn_threshold, spiking_residual_block, surrogate_grad, tdbn)
-from .energy import (EnergyLedger, LayerEnergy, count_conv_sops, count_sops,
+from .snn import (FsveConfig, LifParams, esdsa_forward, fsve_forward,
+                  init_fsve_weights, lif_step, sn_threshold,
+                  spiking_residual_block, surrogate_grad, tdbn)
+from .energy import (EnergyLedger, LayerEnergy, count_conv_sops,
                      energy_report, estimate_ann_energy, estimate_snn_energy)
 from .align import (AlignmentHead, Temperature, contrastive_loss,
                     cosine_similarity, embed_text, evaluate_topk,
@@ -51,10 +51,10 @@ __all__ = [
     "MiniMapResNetConfig", "mini_mapresnet_forward",
     "attention_pool", "temporal_attention", "temporal_pool",
     "star_net_forward", "init_starnet_weights",
-    "LifParams", "MembraneState", "SdsaParams", "FsveConfig", "lif_step",
+    "LifParams", "FsveConfig", "lif_step",
     "surrogate_grad", "tdbn", "spiking_residual_block", "sn_threshold",
     "esdsa_forward", "fsve_forward", "init_fsve_weights",
-    "EnergyLedger", "LayerEnergy", "count_sops", "count_conv_sops",
+    "EnergyLedger", "LayerEnergy", "count_conv_sops",
     "estimate_snn_energy", "estimate_ann_energy", "energy_report",
     "Temperature", "AlignmentHead", "embed_text",
     "text_features", "cosine_similarity", "contrastive_loss",

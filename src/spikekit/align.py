@@ -104,6 +104,8 @@ class AlignmentHead:
                                                float(obj.get("clamp_max", 100.0))))
         except KeyError as exc:
             raise DataIOError(f"head JSON is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataIOError(f"head JSON has a bad value: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,19 @@ def _load_embeddings(path) -> list[dict]:
     return entries
 
 
+def _load_manifest_labels(path) -> dict[str, int]:
+    """Clip name -> integer label, from a dataset manifest's "clips"."""
+    obj = read_json(path)
+    clips = obj.get("clips") if isinstance(obj, dict) else None
+    if not (isinstance(clips, list) and all(
+            isinstance(c, dict) and isinstance(c.get("name"), str)
+            and type(c.get("label")) is int for c in clips)):
+        raise DataIOError(f"{path}: manifest needs a \"clips\" list of "
+                          f"objects with a string \"name\" and an integer "
+                          f"\"label\"")
+    return {c["name"]: c["label"] for c in clips}
+
+
 def _load_head(path) -> tuple[AlignmentHead, list[str]]:
     obj = read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("head"), dict):
@@ -173,10 +186,7 @@ def cmd_featurize(args) -> int:
         paths = [os.path.join(args.input, n) for n in names]
     else:
         paths = [args.input]
-    labels = {}
-    if args.manifest:
-        manifest = read_json(args.manifest)
-        labels = {c["name"]: c["label"] for c in manifest["clips"]}
+    labels = _load_manifest_labels(args.manifest) if args.manifest else {}
 
     first_meta = _resolve_meta(paths[0], args.meta)
     block_spec = BlockSpec(args.r_win, args.step, args.n_blocks)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataIOError, PreconditionError
 from .jsonio import read_json, write_json
+from .stream import is_binary
 
 E_SOP_J = 4.6e-12
 E_NEURON_J = 0.9e-12
@@ -33,22 +34,19 @@ class LayerEnergy:
     element_count: int | None = None
 
     def __post_init__(self):
-        for name in ("spike_count", "fan_out", "actual_sops", "neuron_ops"):
+        optional = ("max_sops",) if self.max_sops is not None else ()
+        for name in ("spike_count", "fan_out", "actual_sops", "neuron_ops",
+                     *optional):
             value = getattr(self, name)
             if int(value) != value or value < 0:
                 raise PreconditionError(
                     f"{self.layer_name}: {name} must be a non-negative "
                     f"integer, got {value}")
             setattr(self, name, int(value))
-        if self.max_sops is not None:
-            if int(self.max_sops) != self.max_sops or self.max_sops < 0:
-                raise PreconditionError(
-                    f"{self.layer_name}: max_sops must be a non-negative integer")
-            self.max_sops = int(self.max_sops)
-            if self.actual_sops > self.max_sops:
-                raise PreconditionError(
-                    f"{self.layer_name}: actual_sops {self.actual_sops} exceeds "
-                    f"max_sops {self.max_sops}")
+        if self.max_sops is not None and self.actual_sops > self.max_sops:
+            raise PreconditionError(
+                f"{self.layer_name}: actual_sops {self.actual_sops} exceeds "
+                f"max_sops {self.max_sops}")
         if self.element_count is not None:
             self.element_count = int(self.element_count)
 
@@ -83,14 +81,10 @@ class EnergyLedger:
                element_count: int | None = None) -> None:
         rec = LayerEnergy(layer_name, spike_count, fan_out, actual_sops,
                           neuron_ops, max_sops, element_count)
-        self._accumulate(rec)
-
-    def _accumulate(self, rec: LayerEnergy) -> None:
-        existing = self._by_name.get(rec.layer_name)
+        existing = self._by_name.get(layer_name)
         if existing is None:
-            copy = LayerEnergy(**rec.to_json_dict())
-            self.layers.append(copy)
-            self._by_name[rec.layer_name] = copy
+            self.layers.append(rec)
+            self._by_name[layer_name] = rec
             return
         existing.spike_count += rec.spike_count
         existing.actual_sops += rec.actual_sops
@@ -102,17 +96,7 @@ class EnergyLedger:
             existing.element_count = (existing.element_count or 0) + rec.element_count
         if existing.max_sops is not None and existing.actual_sops > existing.max_sops:
             raise PreconditionError(
-                f"{rec.layer_name}: accumulated actual_sops exceed max_sops")
-
-    def merge(self, other: "EnergyLedger") -> "EnergyLedger":
-        """Associative per-layer sum of two ledgers (same-name layers add)."""
-        merged = EnergyLedger()
-        for rec in self.layers + other.layers:
-            merged._accumulate(rec)
-        return merged
-
-    def layer_names(self) -> list[str]:
-        return [rec.layer_name for rec in self.layers]
+                f"{layer_name}: accumulated actual_sops exceed max_sops")
 
     def to_json_list(self) -> list[dict]:
         return [rec.to_json_dict() for rec in self.layers]
@@ -145,21 +129,6 @@ class EnergyLedger:
 # SOP counting
 # ---------------------------------------------------------------------------
 
-def _require_binary(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr)
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise PreconditionError(f"{what} must be binary (0/1)")
-    return arr
-
-
-def count_sops(spikes_in: np.ndarray, fan_out_per_spike: int) -> int:
-    """SOPs under the uniform-reach rule: spikes times per-spike fan-out."""
-    spikes = _require_binary(spikes_in, "spikes_in")
-    if fan_out_per_spike < 0:
-        raise PreconditionError("fan_out_per_spike must be >= 0")
-    return int(spikes.sum()) * int(fan_out_per_spike)
-
-
 def _reach_counts(n_in: int, kernel: int, stride: int, padding: int) -> np.ndarray:
     """How many conv output positions each input position reaches (1-D)."""
     n_out = (n_in + 2 * padding - kernel) // stride + 1
@@ -172,26 +141,21 @@ def _reach_counts(n_in: int, kernel: int, stride: int, padding: int) -> np.ndarr
 
 
 def count_conv_sops(spikes_in: np.ndarray, out_channels: int,
-                    kernel: int = 3, stride: int = 1, padding: int = 1,
-                    exact: bool = False) -> int:
-    """SOPs of a 2-D convolution driven by a binary [C, H, W] input.
-
-    Interior approximation: every spike reaches kernel^2 * out_channels
-    outputs. Exact mode counts the border-clipped reach per position.
-    """
-    spikes = _require_binary(spikes_in, "spikes_in")
-    if spikes.ndim == 2:
-        spikes = spikes[None]
-    if spikes.ndim != 3:
+                    kernel: int = 3, stride: int = 1, padding: int = 1) -> int:
+    """SOPs of a 2-D convolution driven by binary [..., C, H, W] input
+    maps, summed over every leading axis: each spike reaches its
+    border-clipped set of output positions in every output channel."""
+    spikes = np.asarray(spikes_in)
+    if not is_binary(spikes):
+        raise PreconditionError("conv spikes must be binary (0/1)")
+    if spikes.ndim < 3:
         raise PreconditionError(
-            f"conv spikes must be [c, h, w], got shape {spikes.shape}")
-    if not exact:
-        return count_sops(spikes, kernel * kernel * out_channels)
-    _, h, w = spikes.shape
+            f"conv spikes must be [..., c, h, w], got shape {spikes.shape}")
+    h, w = spikes.shape[-2:]
+    per_position = spikes.reshape(-1, h, w).sum(axis=0, dtype=np.int64)
     reach = np.outer(_reach_counts(h, kernel, stride, padding),
                      _reach_counts(w, kernel, stride, padding))
-    per_channel = spikes.astype(np.int64) * reach[None]
-    return int(per_channel.sum()) * out_channels
+    return int((per_position * reach).sum()) * out_channels
 
 
 def dense_conv_macs(in_shape: tuple[int, int, int], out_channels: int,

@@ -19,9 +19,10 @@ import numpy as np
 from . import __version__
 from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
 from .camera import EncoderConfig, encode_video, upsample_temporal
-from .energy import EnergyLedger, energy_report, estimate_snn_energy
+from .energy import EnergyLedger, energy_report
 from .errors import PreconditionError
-from .hsfe import BlockSpec, BranchSpec, hsfe_forward, init_hsfe_weights
+from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
+                   init_hsfe_weights)
 from .jsonio import read_json, write_json
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
@@ -69,6 +70,13 @@ class PipelineConfig:
             raise PreconditionError(
                 f"largest shot count {max(self.shots)} exceeds support pool "
                 f"of {pool} clips per class")
+        # Fail before rendering anything, not in the featurize stage.
+        blocks, branches = self.block_spec(), self.branch_spec()
+        allocate_channels(blocks.block_len, branches.m, branches.channel_step)
+        if self.t_len < blocks.required_t_len:
+            raise PreconditionError(
+                f"streams of {self.t_len} steps are too short for "
+                f"{blocks.n_blocks} blocks (need {blocks.required_t_len})")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PipelineConfig":
@@ -93,6 +101,10 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         return cls.from_json_dict(read_json(path))
+
+    @property
+    def t_len(self) -> int:     # encoded stream length after upsampling
+        return (self.frames - 1) * self.upsample + 1
 
     def block_spec(self) -> BlockSpec:
         return BlockSpec(self.r_win, self.step, self.n_blocks)
@@ -253,7 +265,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                                     (config.height, config.width), config.seed)
     prompts = [CLASS_PROMPTS[c] for c in config.classes]
     meta = StreamMeta(height=config.height, width=config.width,
-                      t_len=(config.frames - 1) * config.upsample + 1,
+                      t_len=config.t_len,
                       threshold_theta=config.theta)
     train_pool, test_set = [], []
     support_per_class = config.clips_per_class - config.test_per_class
@@ -319,7 +331,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         report["provenance"] = provenance(
             config.seed, inputs={"stream": dat_paths[first]})
         write_json(report, os.path.join(out_dir, "energy_report.json"))
-        metrics["energy"] = {"e_snn_joules": estimate_snn_energy(ledger)}
+        metrics["energy"] = {"e_snn_joules": report["e_snn_joules"]}
 
     write_json(metrics, os.path.join(out_dir, "metrics.json"))
     return metrics

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyLedger, _require_binary, count_conv_sops,
-                     dense_conv_macs, dense_linear_macs)
+from .energy import (EnergyLedger, count_conv_sops, dense_conv_macs,
+                     dense_linear_macs)
 from .errors import InvariantError, PreconditionError
 from .nnops import conv2d, he_init, linear
-from .stream import SpikeStream, subsample_temporal
+from .stream import SpikeStream, is_binary, subsample_temporal
 
 
 @dataclass(frozen=True)
@@ -46,66 +46,29 @@ class LifParams:
             raise PreconditionError("lens must be > 0")
 
 
-@dataclass(frozen=True)
-class MembraneState:
-    """Per-neuron potentials plus the current step index. Single-writer:
-    updates return a new state."""
-
-    u: np.ndarray
-    step_index: int = 0
-
-    def __post_init__(self):
-        arr = np.asarray(self.u, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise PreconditionError("membrane potentials must be finite")
-        object.__setattr__(self, "u", arr)
-
-    @classmethod
-    def zeros(cls, shape) -> "MembraneState":
-        return cls(u=np.zeros(shape))
-
-
-@dataclass(frozen=True)
-class SdsaParams:
-    """Spike-driven self-attention settings: head dimension and
-    spike-normalization scaling factor. The attention scale is
-    1/sqrt(dim)."""
-
-    dim: int
-    alpha_sn: float = 1.0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise PreconditionError("dim must be >= 1")
-        if self.alpha_sn <= 0:
-            raise PreconditionError("alpha_sn must be > 0")
-
-    @property
-    def effective_scale(self) -> float:
-        return 1.0 / math.sqrt(self.dim)
-
-
-def lif_step(state: MembraneState, inputs: np.ndarray,
-             p: LifParams) -> tuple[np.ndarray, MembraneState]:
-    """One LIF update: u <- decay*u + input, fire where u >= thresh.
+def lif_step(u: np.ndarray, inputs: np.ndarray,
+             p: LifParams) -> tuple[np.ndarray, np.ndarray]:
+    """One LIF update of the potentials ``u``: u <- decay*u + input, fire
+    where u >= thresh. Returns the spikes and the new potentials.
 
     Fired neurons reset (hard to 0, or minus thresh in soft mode); the
     rest keep their potential.
     """
+    u = np.asarray(u, dtype=np.float64)
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape != state.u.shape:
+    if inputs.shape != u.shape:
         raise PreconditionError(
-            f"input shape {inputs.shape} does not match membrane "
-            f"{state.u.shape}")
-    u = p.decay * state.u + inputs
+            f"input shape {inputs.shape} does not match membrane {u.shape}")
+    u = p.decay * u + inputs
+    if not np.all(np.isfinite(u)):
+        raise PreconditionError(
+            "membrane potentials and inputs must be finite")
     fired = u >= p.thresh
-    new_u = u.copy()
     if p.soft_reset:
-        new_u[fired] -= p.thresh
+        u[fired] -= p.thresh
     else:
-        new_u[fired] = 0.0
-    spikes = fired.astype(np.uint8)
-    return spikes, MembraneState(u=new_u, step_index=state.step_index + 1)
+        u[fired] = 0.0
+    return fired.astype(np.uint8), u
 
 
 def surrogate_grad(u, p: LifParams):
@@ -144,11 +107,6 @@ def tdbn(x: np.ndarray, gamma, beta, eps: float = 1e-5) -> np.ndarray:
     return (x - mean) / np.sqrt(var + eps) * gamma + beta
 
 
-def spike_fn(potential: np.ndarray, thresh: float) -> np.ndarray:
-    """Instantaneous spike function: fire where potential >= thresh."""
-    return (np.asarray(potential) >= thresh).astype(np.uint8)
-
-
 def _conv_tdbn(s: np.ndarray, weights: dict[str, np.ndarray], prefix: str,
                stride: int, ledger: EnergyLedger | None) -> np.ndarray:
     """One spiking conv stage up to the membrane input: a 3x3 conv of every
@@ -163,8 +121,7 @@ def _conv_tdbn(s: np.ndarray, weights: dict[str, np.ndarray], prefix: str,
                   weights[f"{prefix}.tdbn.beta"])
     if ledger is not None:
         c_out = kernel.shape[0]
-        actual = sum(count_conv_sops(s[t, b], c_out, stride=stride, exact=True)
-                     for t in range(t_len) for b in range(batch))
+        actual = count_conv_sops(s, c_out, stride=stride)
         dense = dense_conv_macs(s.shape[2:], c_out,
                                 stride=stride) * t_len * batch
         ledger.record(f"{prefix}.conv", spike_count=int(s.sum()),
@@ -184,12 +141,14 @@ def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
     potential 1 >= thresh (for thresh <= 1), so the block passes the
     identity through.
     """
-    s = _require_binary(s, "residual block input")
+    s = np.asarray(s)
+    if not is_binary(s):
+        raise PreconditionError("residual block input must be binary (0/1)")
     if s.ndim != 5:
         raise PreconditionError(
             f"residual block input must be [t, b, c, h, w], got {s.shape}")
     normed = _conv_tdbn(s, weights, prefix, 1, ledger)
-    return spike_fn(normed + s, p.thresh)
+    return (normed + s >= p.thresh).astype(np.uint8)
 
 
 def sn_threshold(x: np.ndarray, alpha_sn: float = 1.0
@@ -209,32 +168,31 @@ def sn_threshold(x: np.ndarray, alpha_sn: float = 1.0
     return (x >= v_th).astype(np.uint8), v_th
 
 
-def esdsa_forward(u: np.ndarray, params: SdsaParams,
-                  weights: dict[str, np.ndarray],
+def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
                   ledger: EnergyLedger | None = None,
-                  prefix: str = "fsve.sdsa",
-                  return_internals: bool = False):
+                  prefix: str = "fsve.sdsa"):
     """Spike-driven self-attention over [tokens, d_model].
 
-    Q/K/V are spike-normalized linear projections (binary). The raw
-    correlation Q_S K_S^T / sqrt(d) is never multiplied by the scale
-    factor; instead the spike-normalization threshold is reparameterized
-    to V_th / scale, which is algebraically identical and numerically
-    stabler. The binary attention map gates V_S and a final linear layer
-    produces the output. All SN stage spike counts go to the ledger.
+    Q/K/V are spike-normalized linear projections (binary) whose width d
+    is the q projection's output width. The raw correlation
+    Q_S K_S^T / sqrt(d) is never multiplied by the scale factor
+    1/sqrt(d); instead the spike-normalization threshold is
+    reparameterized to V_th / scale, which is algebraically identical and
+    numerically stabler. The binary attention map gates V_S and a final
+    linear layer produces the output. All SN stage spike counts go to the
+    ledger. Returns the output and a dict of the binary stages.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise PreconditionError(f"tokens must be [n, d], got shape {u.shape}")
     n_tokens, d_model = u.shape
     w = weights
-    input_binary = bool(np.isin(u, (0, 1)).all())
+    input_binary = is_binary(u)
 
     projections = {}
     for name in ("q", "k", "v"):
         raw = linear(u, w[f"{prefix}.{name}.w"], w[f"{prefix}.{name}.b"])
-        spikes, v_th = sn_threshold(raw, params.alpha_sn)
-        projections[name] = spikes
+        projections[name], _ = sn_threshold(raw)
         if ledger is not None:
             d_out = raw.shape[1]
             dense = dense_linear_macs(n_tokens, d_model, d_out)
@@ -245,10 +203,11 @@ def esdsa_forward(u: np.ndarray, params: SdsaParams,
                           element_count=u.size)
     q_s, k_s, v_s = projections["q"], projections["k"], projections["v"]
 
-    d = params.dim
+    d = q_s.shape[1]
+    scale = 1.0 / math.sqrt(d)
     corr = (q_s.astype(np.float64) @ k_s.T.astype(np.float64)) / math.sqrt(d)
-    _, v_th_attn = sn_threshold(corr * params.effective_scale, params.alpha_sn)
-    v_th_reparam = v_th_attn / params.effective_scale
+    _, v_th_attn = sn_threshold(corr * scale)
+    v_th_reparam = v_th_attn / scale
     attn_spikes = (corr >= v_th_reparam).astype(np.uint8)
 
     gated = attn_spikes.astype(np.float64) @ v_s.astype(np.float64)
@@ -277,10 +236,8 @@ def esdsa_forward(u: np.ndarray, params: SdsaParams,
                       fan_out=out.shape[1], actual_sops=dense,
                       neuron_ops=0, max_sops=dense)
 
-    if return_internals:
-        return out, {"q_s": q_s, "k_s": k_s, "v_s": v_s,
-                     "attn_spikes": attn_spikes, "v_th_attn": v_th_reparam}
-    return out
+    return out, {"q_s": q_s, "k_s": k_s, "v_s": v_s,
+                 "attn_spikes": attn_spikes}
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +248,6 @@ def esdsa_forward(u: np.ndarray, params: SdsaParams,
 class FsveConfig:
     channels: int = 8
     timesteps: int = 2
-    lif: LifParams = LifParams(thresh=0.5, decay=0.5)
-    alpha_sn: float = 1.0
 
     def __post_init__(self):
         if self.channels < 1:
@@ -305,14 +260,11 @@ def init_fsve_weights(cfg: FsveConfig, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     c = cfg.channels
     weights: dict[str, np.ndarray] = {}
-    for name, c_in in (("stem1", 1), ("stem2", c)):
+    for name, c_in in (("stem1", 1), ("stem2", c), ("block", c)):
         weights[f"fsve.{name}.conv.w"] = he_init(rng, (c, c_in, 3, 3),
                                                  fan_in=c_in * 9)
         weights[f"fsve.{name}.tdbn.gamma"] = np.ones(c)
         weights[f"fsve.{name}.tdbn.beta"] = np.zeros(c)
-    weights["fsve.block.conv.w"] = he_init(rng, (c, c, 3, 3), fan_in=c * 9)
-    weights["fsve.block.tdbn.gamma"] = np.ones(c)
-    weights["fsve.block.tdbn.beta"] = np.zeros(c)
     for name in ("q", "k", "v", "out"):
         weights[f"fsve.sdsa.{name}.w"] = he_init(rng, (c, c), fan_in=c)
         weights[f"fsve.sdsa.{name}.b"] = np.zeros(c)
@@ -324,10 +276,10 @@ def _spiking_stem(s: np.ndarray, weights: dict[str, np.ndarray],
                   ledger: EnergyLedger | None) -> np.ndarray:
     """Stride-2 spiking convolution stage: conv, TDBN, stateful LIF."""
     normed = _conv_tdbn(s, weights, prefix, 2, ledger)
-    state = MembraneState.zeros(normed.shape[1:])
+    u = np.zeros(normed.shape[1:])
     spikes = np.empty(normed.shape, dtype=np.uint8)
     for t in range(normed.shape[0]):
-        spikes[t], state = lif_step(state, normed[t], p)
+        spikes[t], u = lif_step(u, normed[t], p)
     return spikes
 
 
@@ -345,31 +297,26 @@ def fsve_forward(stream: SpikeStream, weights: dict[str, np.ndarray],
     x = sub.data[:, None, None, :, :].astype(np.uint8)    # [T, 1, 1, H, W]
     stages: dict[str, np.ndarray] = {"input": x}
 
-    s1 = _spiking_stem(x, weights, cfg.lif, "fsve.stem1", ledger)
+    lif = LifParams()
+    s1 = _spiking_stem(x, weights, lif, "fsve.stem1", ledger)
     stages["stem1"] = s1
-    s2 = _spiking_stem(s1, weights, cfg.lif, "fsve.stem2", ledger)
+    s2 = _spiking_stem(s1, weights, lif, "fsve.stem2", ledger)
     stages["stem2"] = s2
-    s3 = spiking_residual_block(s2, weights, cfg.lif, "fsve.block", ledger)
+    s3 = spiking_residual_block(s2, weights, lif, "fsve.block", ledger)
     stages["resblock"] = s3
 
-    params = SdsaParams(dim=cfg.channels, alpha_sn=cfg.alpha_sn)
     t_len, batch, c = s3.shape[:3]
     outputs = []
     for t in range(t_len):
         for b in range(batch):
             tokens = s3[t, b].reshape(c, -1).T          # [N, C]
-            out, internals = esdsa_forward(tokens, params, weights,
-                                           ledger=ledger,
-                                           return_internals=True)
+            out, internals = esdsa_forward(tokens, weights, ledger=ledger)
             outputs.append(out)
-            for key, value in internals.items():
-                if key == "v_th_attn":
-                    continue
-                stages[f"sdsa.t{t}.{key}"] = value
+            stages.update({f"sdsa.t{t}.{key}": value
+                           for key, value in internals.items()})
 
     for key, value in stages.items():
-        if np.asarray(value).dtype == np.uint8 and \
-                not np.isin(value, (0, 1)).all():
+        if not is_binary(value):
             raise InvariantError(f"stage {key} is not binary")
 
     embedding = np.mean([o.mean(axis=0) for o in outputs], axis=0)

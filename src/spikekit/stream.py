@@ -20,6 +20,15 @@ from .jsonio import read_json, write_json
 META_SUFFIX = ".meta.json"
 
 
+def is_binary(arr) -> bool:
+    """True when every element of ``arr`` is exactly 0 or 1."""
+    arr = np.asarray(arr)
+    if arr.dtype.kind in "biu":     # a range check; unsigned needs no min
+        return bool((arr.dtype.kind == "u" or arr.min(initial=0) >= 0)
+                    and arr.max(initial=0) <= 1)
+    return bool(((arr == 0) | (arr == 1)).all())
+
+
 @dataclass(frozen=True)
 class SpikeStream:
     """Binary spatiotemporal event tensor of shape [t_len, height, width].
@@ -32,10 +41,8 @@ class SpikeStream:
 
     def __post_init__(self):
         raw = np.asarray(self.data)
-        # uint8 is range-checked below and bool is binary; any other dtype
-        # must hold exactly 0 or 1 before the cast can truncate or wrap it.
-        if (raw.dtype not in (np.uint8, np.bool_)
-                and not ((raw == 0) | (raw == 1)).all()):
+        # Checked before the uint8 cast, which would truncate or wrap.
+        if not is_binary(raw):
             raise PreconditionError("spike stream elements must be 0 or 1")
         arr = np.array(raw, dtype=np.uint8)     # private snapshot
         if arr.ndim != 3:
@@ -44,8 +51,6 @@ class SpikeStream:
         if any(s < 1 for s in arr.shape):
             raise PreconditionError(
                 f"all stream dimensions must be >= 1, got {arr.shape}")
-        if arr.max(initial=0) > 1:
-            raise PreconditionError("spike stream elements must be 0 or 1")
         arr.flags.writeable = False     # safe to share across threads
         object.__setattr__(self, "data", arr)
 

@@ -149,6 +149,30 @@ def test_snn_forward_then_energy_report(tmp_path):
         + sum(r["neuron_ops"] for r in ledger) * 0.9e-12
 
 
+def test_snn_forward_width_comes_from_the_weight_archive(tmp_path):
+    rng = np.random.default_rng(145)
+    from spikekit.stream import SpikeStream, write_dat
+    stream = SpikeStream(rng.integers(0, 2, size=(8, 32, 32),
+                                      dtype=np.uint8))
+    dat = tmp_path / "s.dat"
+    write_dat(stream, StreamMeta.for_stream(stream), dat)
+    assert main(["snn-forward", str(dat), "--seed", "5", "--channels", "4",
+                 "--save-weights", str(tmp_path / "w"),
+                 "--ledger", str(tmp_path / "seeded.json")]) == 0
+    for channels in ("4", "8"):
+        assert main(["snn-forward", str(dat), "--weights", str(tmp_path / "w"),
+                     "--channels", channels,
+                     "--ledger", str(tmp_path / f"ledger{channels}.json"),
+                     "--out", str(tmp_path / f"emb{channels}.json")]) == 0
+    assert ((tmp_path / "ledger4.json").read_bytes()
+            == (tmp_path / "ledger8.json").read_bytes()
+            == (tmp_path / "seeded.json").read_bytes())
+    assert ((tmp_path / "emb4.json").read_bytes()
+            == (tmp_path / "emb8.json").read_bytes())
+    assert len(json.loads((tmp_path / "emb8.json").read_text())
+               ["embedding"]) == 4
+
+
 def test_train_head_and_eval_flow(tmp_path):
     # Hand-built separable embeddings for two classes.
     rng = np.random.default_rng(142)
@@ -294,6 +318,16 @@ def test_pipeline_config_validation(tmp_path):
     assert main(["pipeline", "--config", str(path),
                  "--out", str(tmp_path / "x")]) == 2
 
+    # Streams too short for the blocks (counting the upsampling), a branch
+    # left without channels and a negative window radius all fail before
+    # the first stage writes anything.
+    for fields in ({"frames": 200}, {"frames": 120, "upsample": 2},
+                   {"channel_step": 40}, {"r_win": -1}):
+        path.write_text(json.dumps({"seed": 1, **fields}))
+        assert main(["pipeline", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2, fields
+        assert not (tmp_path / "x").exists(), fields
+
 
 @pytest.mark.parametrize("config", [
     {"seed": 1, "shots": 4},
@@ -419,6 +453,13 @@ def _malformed_head(tmp_path, encoded_dat):
 _HEAD = '{"projection": [[1.0]], "bias": [0.0], "log_inv_tau": 0.0}'
 
 
+def _malformed_featurize_manifest(tmp_path, encoded_dat):
+    return tmp_path / "manifest.json", [
+        "featurize", str(encoded_dat), "--seed", "0",
+        "--manifest", str(tmp_path / "manifest.json"),
+        "--out", str(tmp_path / "e.json")]
+
+
 @pytest.mark.parametrize("setup,text", [
     pytest.param(_malformed_ledger, '[{"layer_name": "a"}]',
                  id="ledger-missing-field"),
@@ -459,6 +500,37 @@ _HEAD = '{"projection": [[1.0]], "bias": [0.0], "log_inv_tau": 0.0}'
                  id="head-head-list"),
     pytest.param(_malformed_head, '{"head": %s, "prompts": "a"}' % _HEAD,
                  id="head-prompts-string"),
+    pytest.param(_malformed_head,
+                 '{"head": {"projection": [[1.0]], "bias": [0.0], '
+                 '"log_inv_tau": "x"}, "prompts": ["a"]}',
+                 id="head-tau-string"),
+    pytest.param(_malformed_head,
+                 '{"head": {"projection": [[1.0]], "bias": [0.0], '
+                 '"log_inv_tau": null}, "prompts": ["a"]}',
+                 id="head-tau-null"),
+    pytest.param(_malformed_head,
+                 '{"head": {"projection": "x", "bias": [0.0], '
+                 '"log_inv_tau": 0.0}, "prompts": ["a"]}',
+                 id="head-projection-string"),
+    pytest.param(_malformed_head,
+                 '{"head": {"projection": [[1.0], [1.0, 2.0]], "bias": [0.0], '
+                 '"log_inv_tau": 0.0}, "prompts": ["a"]}',
+                 id="head-projection-ragged"),
+    pytest.param(_malformed_featurize_manifest, '{"a": 1}',
+                 id="featurize-manifest-no-clips"),
+    pytest.param(_malformed_featurize_manifest, '[1]',
+                 id="featurize-manifest-list"),
+    pytest.param(_malformed_featurize_manifest, '{"clips": 1}',
+                 id="featurize-manifest-clips-number"),
+    pytest.param(_malformed_featurize_manifest, '{"clips": [1]}',
+                 id="featurize-manifest-clip-number"),
+    pytest.param(_malformed_featurize_manifest, '{"clips": [{"label": 0}]}',
+                 id="featurize-manifest-clip-no-name"),
+    pytest.param(_malformed_featurize_manifest, '{"clips": [{"name": "x"}]}',
+                 id="featurize-manifest-clip-no-label"),
+    pytest.param(_malformed_featurize_manifest,
+                 '{"clips": [{"name": "x", "label": "0"}]}',
+                 id="featurize-manifest-clip-label-string"),
 ] + [pytest.param(setup, text, id=f"embeddings-{name}-{command}")
      for text, name in _BAD_EMBEDDINGS
      for setup, command in ((_malformed_embeddings_train, "train-head"),

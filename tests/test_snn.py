@@ -7,10 +7,9 @@ import pytest
 from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.energy import EnergyLedger
 from spikekit.errors import PreconditionError
-from spikekit.snn import (FsveConfig, LifParams, MembraneState, SdsaParams,
-                          esdsa_forward, fsve_forward, init_fsve_weights,
-                          lif_step, sn_threshold, spiking_residual_block,
-                          surrogate_grad, tdbn)
+from spikekit.snn import (FsveConfig, LifParams, esdsa_forward, fsve_forward,
+                          init_fsve_weights, lif_step, sn_threshold,
+                          spiking_residual_block, surrogate_grad, tdbn)
 from spikekit.stream import SpikeStream
 
 
@@ -20,26 +19,24 @@ from spikekit.stream import SpikeStream
 
 def test_lif_fires_and_hard_resets():
     p = LifParams(thresh=0.5, decay=0.5)
-    state = MembraneState.zeros((1,))
-    spikes, state = lif_step(state, np.array([0.6]), p)
+    spikes, u = lif_step(np.zeros(1), np.array([0.6]), p)
     assert spikes.tolist() == [1]
-    assert state.u.tolist() == [0.0]
+    assert u.tolist() == [0.0]
 
 
 def test_lif_subthreshold_keeps_potential():
     p = LifParams(thresh=0.5, decay=0.5)
-    state = MembraneState(u=np.array([0.2]))
-    spikes, state = lif_step(state, np.array([0.1]), p)
+    spikes, u = lif_step(np.array([0.2]), np.array([0.1]), p)
     assert spikes.tolist() == [0]
-    assert state.u == pytest.approx([0.2])
+    assert u == pytest.approx([0.2])
 
 
 def test_lif_matches_scalar_recurrence_oracle():
     p = LifParams(thresh=0.5, decay=0.5)
-    state = MembraneState.zeros((1,))
+    u = np.zeros(1)
     got = []
     for _ in range(10):
-        spikes, state = lif_step(state, np.array([0.3]), p)
+        spikes, u = lif_step(u, np.array([0.3]), p)
         got.append(int(spikes[0]))
     # Scalar oracle, step by step.
     u, expected = 0.0, []
@@ -55,19 +52,29 @@ def test_lif_matches_scalar_recurrence_oracle():
 
 def test_lif_soft_reset_subtracts_threshold():
     p = LifParams(thresh=0.5, decay=1.0, soft_reset=True)
-    state = MembraneState(u=np.array([0.4]))
-    spikes, state = lif_step(state, np.array([0.3]), p)
+    spikes, u = lif_step(np.array([0.4]), np.array([0.3]), p)
     assert spikes.tolist() == [1]
-    assert state.u == pytest.approx([0.2])
+    assert u == pytest.approx([0.2])
 
 
 def test_lif_step_counts_and_shape_check():
     p = LifParams()
-    state = MembraneState.zeros((2, 2))
-    _, state = lif_step(state, np.zeros((2, 2)), p)
-    assert state.step_index == 1
+    _, u = lif_step(np.zeros((2, 2)), np.zeros((2, 2)), p)
+    assert u.shape == (2, 2)
     with pytest.raises(PreconditionError):
-        lif_step(state, np.zeros((3,)), p)
+        lif_step(u, np.zeros((3,)), p)
+
+
+@pytest.mark.parametrize("u,inputs", [
+    pytest.param([np.nan, 0.0], [0.0, 0.0], id="nan-potential"),
+    pytest.param([0.0, np.inf], [0.0, 0.0], id="inf-potential"),
+    pytest.param([0.0, 0.0], [np.nan, 0.0], id="nan-input"),
+    pytest.param([0.0, 0.0], [0.0, -np.inf], id="inf-input"),
+    pytest.param([0.0, 0.0], [0.0, np.inf], id="inf-input-that-fires"),
+])
+def test_lif_step_rejects_non_finite_values(u, inputs):
+    with pytest.raises(PreconditionError):
+        lif_step(np.array(u), np.array(inputs), LifParams())
 
 
 def test_lif_reproduces_video_encoder_with_soft_reset():
@@ -76,9 +83,9 @@ def test_lif_reproduces_video_encoder_with_soft_reset():
     frames = rng.uniform(0.0, 1.0, size=(300, 3, 3))
     stream = encode_video(IntensityVideo(frames), EncoderConfig(theta=5.0))
     p = LifParams(thresh=5.0, decay=1.0, soft_reset=True)
-    state = MembraneState.zeros((3, 3))
+    u = np.zeros((3, 3))
     for t in range(300):
-        spikes, state = lif_step(state, frames[t], p)
+        spikes, u = lif_step(u, frames[t], p)
         assert np.array_equal(spikes, stream.data[t]), f"frame {t}"
 
 
@@ -186,7 +193,7 @@ def test_block_output_binary_for_random_inputs():
     weights = init_fsve_weights(cfg, seed=84)
     for _ in range(5):
         s = rng.integers(0, 2, size=(2, 1, 4, 6, 6)).astype(np.uint8)
-        out = spiking_residual_block(s, weights, cfg.lif)
+        out = spiking_residual_block(s, weights, LifParams())
         assert set(np.unique(out)).issubset({0, 1})
 
 
@@ -246,9 +253,7 @@ def test_esdsa_zero_input_hand_trace():
     # matrix, which sits exactly at its own threshold and fires
     # everywhere; the gated value sums two all-ones rows.
     w = sdsa_weights(2, seed=86)
-    params = SdsaParams(dim=2, alpha_sn=1.0)
-    out, internals = esdsa_forward(np.zeros((2, 2)), params, w,
-                                   return_internals=True)
+    out, internals = esdsa_forward(np.zeros((2, 2)), w)
     assert internals["q_s"].tolist() == [[1, 1], [1, 1]]
     assert internals["k_s"].tolist() == [[1, 1], [1, 1]]
     assert internals["v_s"].tolist() == [[1, 1], [1, 1]]
@@ -271,24 +276,21 @@ def test_esdsa_reparameterization_identity_power_of_two_scales():
 
 def test_esdsa_stages_binary_for_random_input():
     w = sdsa_weights(6, seed=88)
-    params = SdsaParams(dim=6)
     rng = np.random.default_rng(88)
     for _ in range(10):
         u = rng.normal(size=(9, 6))
-        _, internals = esdsa_forward(u, params, w, return_internals=True)
+        _, internals = esdsa_forward(u, w)
         for key in ("q_s", "k_s", "v_s", "attn_spikes"):
             assert set(np.unique(internals[key])).issubset({0, 1}), key
 
 
 def test_esdsa_records_spike_counts():
     w = sdsa_weights(4, seed=89)
-    params = SdsaParams(dim=4)
     rng = np.random.default_rng(89)
     ledger = EnergyLedger()
     u = rng.integers(0, 2, size=(8, 4)).astype(np.float64)
-    _, internals = esdsa_forward(u, params, w, ledger=ledger,
-                                 return_internals=True)
-    names = ledger.layer_names()
+    _, internals = esdsa_forward(u, w, ledger=ledger)
+    names = [rec.layer_name for rec in ledger.layers]
     assert {"fsve.sdsa.q_proj", "fsve.sdsa.attn_corr",
             "fsve.sdsa.attn_apply", "fsve.sdsa.out_proj"} <= set(names)
     corr_rec = ledger.layers[names.index("fsve.sdsa.attn_corr")]
@@ -299,14 +301,6 @@ def test_esdsa_records_spike_counts():
     pairwise = sum(int(q[i, j]) and int(k[l, j])
                    for i in range(8) for l in range(8) for j in range(4))
     assert corr_rec.actual_sops == pairwise
-
-
-def test_sdsa_params_validation():
-    with pytest.raises(PreconditionError):
-        SdsaParams(dim=0)
-    with pytest.raises(PreconditionError):
-        SdsaParams(dim=4, alpha_sn=0.0)
-    assert SdsaParams(dim=4).effective_scale == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Source guards: the JSON artifact format, the shared helpers, the one
-conv kernel and the few-shot stages each live in one place, so
-hand-copied duplicates cannot creep back in."""
+binary check, the one conv kernel, the SOP count and the few-shot stages
+each live in one place, so hand-copied duplicates cannot creep back in."""
 
 import ast
 import pathlib
@@ -35,9 +35,14 @@ def test_json_dump_and_load_only_in_jsonio():
     assert users == ["jsonio.py"]
 
 
-def test_require_binary_defined_once():
-    assert _functions(lambda fn: fn.name == "_require_binary") == [
-        "energy.py:_require_binary"]
+def test_is_binary_defined_once():
+    assert _functions(lambda fn: fn.name == "is_binary") == [
+        "stream.py:is_binary"]
+
+
+def test_no_isin_binary_checks():
+    assert [name for name, text in _sources().items()
+            if re.search(r"\bnp\.isin\b", text)] == []
 
 
 def test_one_pgm_writer():
@@ -72,6 +77,12 @@ def test_fewshot_stages_have_one_caller(callee, home, caller):
     outside = [name for name in _functions(_calls(callee))
                if not name.startswith(home + ":")]
     assert outside == [caller]
+
+
+def test_conv_sops_counted_once_per_spiking_stage():
+    outside = [name for name in _functions(_calls("count_conv_sops"))
+               if not name.startswith("energy.py:")]
+    assert outside == ["snn.py:_conv_tdbn"]
 
 
 def test_every_export_resolves():
