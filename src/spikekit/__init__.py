@@ -29,9 +29,9 @@ from .snn import (FsveConfig, LifParams, esdsa_forward, fsve_forward,
                   spiking_residual_block, surrogate_grad, tdbn)
 from .energy import (EnergyLedger, LayerEnergy, count_conv_sops,
                      energy_report, estimate_ann_energy, estimate_snn_energy)
-from .align import (AlignmentHead, Temperature, contrastive_loss,
-                    cosine_similarity, embed_text, evaluate_topk,
-                    finetune_head, head_gradient, text_features)
+from .align import (AlignmentHead, Temperature, alignment_loss_and_grads,
+                    contrastive_loss, cosine_similarity, embed_text,
+                    evaluate_topk, finetune_head, text_features)
 from .synth import SyntheticDatasetSpec, synth_dataset
 from .pipeline import PipelineConfig, run_pipeline
 from .weights import load_weights, save_weights
@@ -58,7 +58,7 @@ __all__ = [
     "estimate_snn_energy", "estimate_ann_energy", "energy_report",
     "Temperature", "AlignmentHead", "embed_text",
     "text_features", "cosine_similarity", "contrastive_loss",
-    "head_gradient", "finetune_head", "evaluate_topk",
+    "alignment_loss_and_grads", "finetune_head", "evaluate_topk",
     "SyntheticDatasetSpec", "synth_dataset",
     "PipelineConfig", "run_pipeline",
     "save_weights", "load_weights",

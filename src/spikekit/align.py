@@ -212,7 +212,7 @@ def contrastive_loss(video, text, temp: Temperature) -> float:
     v_hat = _normalize_rows(v, "video batch")
     t_hat = _normalize_rows(t, "text batch")
     logits = (v_hat @ t_hat.T) * temp.inv_tau
-    return _loss_from_logits(logits)
+    return float(_loss_from_logits(logits)[0])
 
 
 def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -220,143 +220,173 @@ def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def _loss_from_logits(logits: np.ndarray) -> float:
-    b = logits.shape[0]
-    row_lp = _log_softmax(logits, axis=1)
-    col_lp = _log_softmax(logits, axis=0)
+def _loss_from_logits(logits: np.ndarray):
+    """Loss of [..., b, b] logits, plus the row- and column-wise log
+    softmax it is made of."""
+    b = logits.shape[-1]
+    row_lp = _log_softmax(logits, axis=-1)
+    col_lp = _log_softmax(logits, axis=-2)
     diag = np.arange(b)
-    return float(-(row_lp[diag, diag] + col_lp[diag, diag]).sum() / b)
+    loss = -(row_lp[..., diag, diag] + col_lp[..., diag, diag]).sum(axis=-1) / b
+    return loss, row_lp, col_lp
 
 
 # ---------------------------------------------------------------------------
 # Analytic head gradients
 # ---------------------------------------------------------------------------
 
-def alignment_loss(v_feat: np.ndarray, t_feat: np.ndarray,
-                   head: AlignmentHead) -> float:
-    """Loss of raw (pre-projection) features pushed through the head."""
-    loss, _ = _forward_backward(v_feat, t_feat, head, need_grads=False)
-    return loss
-
-
-def head_gradient(v_feat: np.ndarray, t_feat: np.ndarray,
-                  head: AlignmentHead) -> HeadGradients:
-    """Exact gradient of the contrastive loss w.r.t. projection, bias and
-    log inverse-temperature, diagonal pairing assumed.
+def alignment_loss_and_grads(v_feat, t_feat, head: AlignmentHead
+                             ) -> tuple[float, HeadGradients]:
+    """Contrastive loss of raw (pre-projection) features pushed through the
+    head, and its exact gradient w.r.t. projection, bias and log
+    inverse-temperature, diagonal pairing assumed.
 
     The chain includes the unit normalization of the projected features;
     the temperature gradient is zero while the inverse temperature sits at
-    its clamp ceiling.
+    its clamp ceiling. One head is a batch of one of ``_forward_backward``.
     """
-    _, grads = _forward_backward(v_feat, t_feat, head, need_grads=True)
-    return grads
+    loss, d_proj, d_bias, d_log_inv_tau = _forward_backward(
+        v_feat, t_feat, head.projection[None], head.bias[None],
+        [head.temperature])
+    return float(loss[0]), HeadGradients(d_proj[0], d_bias[0],
+                                         d_log_inv_tau[0])
 
 
-def alignment_loss_and_grads(v_feat, t_feat, head):
-    return _forward_backward(v_feat, t_feat, head, need_grads=True)
+def _forward_backward(v_feat, t_feat, projection: np.ndarray,
+                      bias: np.ndarray, temps: list[Temperature]):
+    """Loss and gradients of S heads at once.
 
+    Features are [S, b, d_in] (a 2-D input is a batch of one), the
+    parameters [S, d_in, d_out] and [S, d_out], and ``temps`` holds the S
+    temperatures. Returns the S losses, the projection and bias gradients
+    and the S log inverse-temperature gradients as Python floats.
 
-def _forward_backward(v_feat, t_feat, head: AlignmentHead, need_grads: bool):
+    Every product is one BLAS call per head and every reduction runs
+    within one head, so each head gets the bits it would get alone.
+    """
     v_feat = np.asarray(v_feat, dtype=np.float64)
     t_feat = np.asarray(t_feat, dtype=np.float64)
-    if v_feat.ndim != 2 or t_feat.ndim != 2:
-        raise PreconditionError("features must be [b, d_in] matrices")
-    if v_feat.shape != t_feat.shape or v_feat.shape[1] != head.d_in:
+    if v_feat.ndim == 2 and t_feat.ndim == 2:
+        v_feat, t_feat = v_feat[None], t_feat[None]
+    n_heads, d_in = projection.shape[:2]
+    if v_feat.ndim != 3 or v_feat.shape != t_feat.shape \
+            or v_feat.shape[0] != n_heads or v_feat.shape[2] != d_in:
         raise PreconditionError(
-            f"feature shapes {v_feat.shape}/{t_feat.shape} do not match head "
-            f"d_in={head.d_in}")
-    b = v_feat.shape[0]
+            f"feature shapes {v_feat.shape}/{t_feat.shape} do not match "
+            f"{n_heads} head(s) of d_in={d_in}")
+    b = v_feat.shape[1]
 
-    p_v = head.project(v_feat)
-    p_t = head.project(t_feat)
-    nv = np.linalg.norm(p_v, axis=1, keepdims=True)
-    nt = np.linalg.norm(p_t, axis=1, keepdims=True)
+    p_v = v_feat @ projection + bias[:, None, :]
+    p_t = t_feat @ projection + bias[:, None, :]
+    nv = np.linalg.norm(p_v, axis=-1, keepdims=True)
+    nt = np.linalg.norm(p_t, axis=-1, keepdims=True)
     if np.any(nv == 0.0) or np.any(nt == 0.0):
         raise PreconditionError("projected feature has zero norm")
     v_hat = p_v / nv
     t_hat = p_t / nt
 
-    sims = v_hat @ t_hat.T
-    inv_tau = head.temperature.inv_tau
-    logits = sims * inv_tau
-    loss = _loss_from_logits(logits)
-    if not need_grads:
-        return loss, None
+    sims = v_hat @ t_hat.swapaxes(-1, -2)
+    # math.exp per head, as Temperature computes it: np.exp may round
+    # differently from libm.
+    inv_tau = np.array([temp.inv_tau for temp in temps])[:, None, None]
+    loss, row_lp, col_lp = _loss_from_logits(sims * inv_tau)
 
-    row_sm = np.exp(_log_softmax(logits, axis=1))
-    col_sm = np.exp(_log_softmax(logits, axis=0))
     eye = np.eye(b)
-    d_logits = (row_sm - eye) / b + (col_sm - eye) / b
-
-    d_inv_tau = float(np.sum(d_logits * sims))
-    d_log_inv_tau = 0.0 if head.temperature.clamped else d_inv_tau * inv_tau
+    d_logits = (np.exp(row_lp) - eye) / b + (np.exp(col_lp) - eye) / b
+    d_inv_tau = (d_logits * sims).reshape(n_heads, b * b).sum(axis=1)
+    d_log_inv_tau = [0.0 if temp.clamped else float(d) * temp.inv_tau
+                     for temp, d in zip(temps, d_inv_tau)]
 
     d_sims = d_logits * inv_tau
     d_v_hat = d_sims @ t_hat
-    d_t_hat = d_sims.T @ v_hat
+    d_t_hat = d_sims.swapaxes(-1, -2) @ v_hat
     # Backprop through row normalization: project out the radial component.
-    d_p_v = (d_v_hat - (d_v_hat * v_hat).sum(axis=1, keepdims=True) * v_hat) / nv
-    d_p_t = (d_t_hat - (d_t_hat * t_hat).sum(axis=1, keepdims=True) * t_hat) / nt
+    d_p_v = (d_v_hat - (d_v_hat * v_hat).sum(axis=-1, keepdims=True)
+             * v_hat) / nv
+    d_p_t = (d_t_hat - (d_t_hat * t_hat).sum(axis=-1, keepdims=True)
+             * t_hat) / nt
 
-    d_proj = v_feat.T @ d_p_v + t_feat.T @ d_p_t
-    d_bias = d_p_v.sum(axis=0) + d_p_t.sum(axis=0)
-    return loss, HeadGradients(d_proj, d_bias, d_log_inv_tau)
+    d_proj = v_feat.swapaxes(-1, -2) @ d_p_v + t_feat.swapaxes(-1, -2) @ d_p_t
+    d_bias = d_p_v.sum(axis=-2) + d_p_t.sum(axis=-2)
+    return loss, d_proj, d_bias, d_log_inv_tau
 
 
 # ---------------------------------------------------------------------------
 # Few-shot fine-tuning
 # ---------------------------------------------------------------------------
 
-def finetune_head(support_set, shots: int, epochs: int, lr: float, seed: int,
-                  head: AlignmentHead | None = None
-                  ) -> tuple[AlignmentHead, list[float]]:
-    """Plain gradient descent on the contrastive loss over support batches.
+def finetune_head(supports, shots: int, epochs: int, lr: float, seeds,
+                  heads: list[AlignmentHead]
+                  ) -> list[tuple[AlignmentHead, list[float]]]:
+    """Plain gradient descent on the contrastive loss, for a batch of heads
+    trained in lockstep.
 
-    ``support_set`` is a sequence of (raw feature vector, class prompt)
-    pairs; the first ``shots`` items of each class (in sequence order) are
-    used. Every batch pairs one sample per class with its prompt feature,
-    so the diagonal pairing of the loss holds. Deterministic for a fixed
-    seed: the seed drives only the per-epoch shuffling of samples within
-    each class. Returns the trained head and the per-epoch mean loss
-    trace.
+    Head ``i`` starts from ``heads[i]`` and trains on ``supports[i]``, a
+    sequence of (raw feature vector, class prompt) pairs; the first
+    ``shots`` items of each class (in sequence order) are used. Every batch
+    pairs one sample per class with its prompt feature, so the diagonal
+    pairing of the loss holds. ``seeds[i]`` drives only head ``i``'s
+    per-epoch shuffling of samples within each class. The heads share
+    ``shots``, ``epochs`` and ``lr``, and each ends bit-identical to
+    training it alone (a batch of one). Returns, per head, the trained copy
+    and its per-epoch mean loss trace.
     """
     if shots < 1:
         raise PreconditionError("shots must be >= 1")
     if epochs < 1:
         raise PreconditionError("epochs must be >= 1")
-    by_class: dict[str, list[np.ndarray]] = {}
-    for feats, prompt in support_set:
-        by_class.setdefault(prompt, []).append(
-            np.asarray(feats, dtype=np.float64))
-    if not by_class:
-        raise PreconditionError("support set is empty")
-    prompts = list(by_class)
-    for prompt in prompts:
-        if len(by_class[prompt]) < shots:
-            raise PreconditionError(
-                f"class {prompt!r} has {len(by_class[prompt])} samples, "
-                f"needs >= {shots}")
-    d_in = by_class[prompts[0]][0].shape[0]
-    if head is None:
-        head = AlignmentHead.create(d_in, min(d_in, 32), seed)
-    else:
-        head = head.copy()
-    text_feats = np.stack([text_features(p, d_in) for p in prompts])
+    if not heads or not len(supports) == len(seeds) == len(heads):
+        raise PreconditionError(
+            "need one support set and one seed per head, and a head")
+    feats, text_feats = [], []
+    for support in supports:
+        by_class: dict[str, list[np.ndarray]] = {}
+        for vector, prompt in support:
+            by_class.setdefault(prompt, []).append(
+                np.asarray(vector, dtype=np.float64))
+        if not by_class:
+            raise PreconditionError("support set is empty")
+        for prompt, rows in by_class.items():
+            if len(rows) < shots:
+                raise PreconditionError(
+                    f"class {prompt!r} has {len(rows)} samples, "
+                    f"needs >= {shots}")
+        feats.append(np.array([rows[:shots] for rows in by_class.values()]))
+        text_feats.append(np.stack([text_features(p, feats[-1].shape[-1])
+                                    for p in by_class]))
+    if len({f.shape for f in feats}) != 1 \
+            or len({head.projection.shape for head in heads}) != 1:
+        raise PreconditionError(
+            "heads trained together need support sets and heads of one shape")
+    feats = np.stack(feats)                 # [S, classes, shots, d_in]
+    text_feats = np.stack(text_feats)       # [S, classes, d_in]
 
-    rng = np.random.default_rng(seed)
-    trace: list[float] = []
+    trained = [head.copy() for head in heads]
+    projection = np.stack([head.projection for head in trained])
+    bias = np.stack([head.bias for head in trained])
+    temps = [head.temperature for head in trained]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n_heads, n_classes = feats.shape[:2]
+    head_idx = np.arange(n_heads)[:, None]
+    class_idx = np.arange(n_classes)[None, :]
+    losses = np.empty((n_heads, shots))
+    traces: list[list[float]] = [[] for _ in trained]
     for _ in range(epochs):
-        order = {p: rng.permutation(shots) for p in prompts}
-        epoch_losses = []
+        order = np.array([[rng.permutation(shots) for _ in range(n_classes)]
+                          for rng in rngs])
         for j in range(shots):
-            v_batch = np.stack([by_class[p][order[p][j]] for p in prompts])
-            loss, grads = alignment_loss_and_grads(v_batch, text_feats, head)
-            head.projection -= lr * grads.projection
-            head.bias -= lr * grads.bias
-            head.temperature.log_inv_tau -= lr * grads.log_inv_tau
-            epoch_losses.append(loss)
-        trace.append(float(np.mean(epoch_losses)))
-    return head, trace
+            v_batch = feats[head_idx, class_idx, order[:, :, j]]
+            losses[:, j], d_proj, d_bias, d_log_inv_tau = _forward_backward(
+                v_batch, text_feats, projection, bias, temps)
+            projection -= lr * d_proj
+            bias -= lr * d_bias
+            for temp, d in zip(temps, d_log_inv_tau):
+                temp.log_inv_tau -= lr * d
+        for trace, epoch_losses in zip(traces, losses):
+            trace.append(float(np.mean(epoch_losses)))
+    for i, head in enumerate(trained):
+        head.projection, head.bias = projection[i].copy(), bias[i].copy()
+    return list(zip(trained, traces))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -165,13 +166,27 @@ def cmd_subsample(args) -> int:
 
 
 def _weights(args, init) -> dict[str, np.ndarray]:
-    """Weights from --weights, else ``init(--seed)``, saved to
-    --save-weights when given."""
+    """Weights from --weights, else ``init(--seed, None)``, saved to
+    --save-weights when given.
+
+    A loaded archive must hold exactly the names and shapes of
+    ``init(0, archive)``, the seeded weights at the sizes the archive
+    decides; anything else is a ``DataIOError``.
+    """
     if args.weights:
-        return load_weights(args.weights)
+        weights = load_weights(args.weights)
+        expected = init(0, weights)
+        bad = sorted(set(expected) ^ set(weights)) + [
+            f"{name} {weights[name].shape} (expected {want.shape})"
+            for name, want in expected.items()
+            if name in weights and weights[name].shape != want.shape]
+        if bad:
+            raise DataIOError(f"{args.weights}: weight archive does not fit "
+                              f"this model: {', '.join(bad)}")
+        return weights
     if args.seed is None:
         raise PreconditionError("--seed is required when --weights is not given")
-    weights = init(args.seed)
+    weights = init(args.seed, None)
     if args.save_weights:
         save_weights(weights, args.save_weights)
     return weights
@@ -192,7 +207,7 @@ def cmd_featurize(args) -> int:
     block_spec = BlockSpec(args.r_win, args.step, args.n_blocks)
     branches = BranchSpec(args.m, args.channel_step, args.c_out)
     star_cfg = MiniMapResNetConfig(embed_dim=args.embed_dim)
-    weights = _weights(args, lambda seed: build_feature_weights(
+    weights = _weights(args, lambda seed, _archive: build_feature_weights(
         block_spec.block_len, branches, star_cfg,
         (first_meta.height, first_meta.width), seed))
 
@@ -218,7 +233,15 @@ def cmd_snn_forward(args) -> int:
     meta = _resolve_meta(args.input, args.meta)
     stream = read_dat(args.input, meta)
     cfg = FsveConfig(channels=args.channels, timesteps=args.timesteps)
-    weights = _weights(args, lambda seed: init_fsve_weights(cfg, seed))
+
+    def init(seed, archive):
+        # An archive's own width wins over --channels.
+        stem = (archive or {}).get("fsve.stem1.conv.w")
+        width = stem.shape[0] if stem is not None and stem.ndim == 4 \
+            and stem.shape[0] else cfg.channels
+        return init_fsve_weights(replace(cfg, channels=width), seed)
+
+    weights = _weights(args, init)
     ledger = EnergyLedger()
     embedding, _ = fsve_forward(stream, weights, cfg, ledger)
     ledger.save(args.ledger)
@@ -246,9 +269,9 @@ def cmd_train_head(args) -> int:
         prompts = [line.strip() for line in fh if line.strip()]
     if not prompts:
         raise PreconditionError(f"{args.prompts}: no prompts")
-    head, trace = train_fewshot_head(
-        entries, prompts, args.shots, np.random.default_rng(args.seed),
-        args.epochs, args.lr, args.seed)
+    (head, trace), = train_fewshot_head(
+        entries, prompts, args.shots, [np.random.default_rng(args.seed)],
+        args.epochs, args.lr, [args.seed])
     write_json({"head": head.to_json_dict(), "prompts": prompts,
                 "loss_trace": [trace[0], trace[-1]],
                 "provenance": provenance(

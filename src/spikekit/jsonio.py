@@ -1,23 +1,33 @@
 """The JSON artifact format: one reader and one writer for every module.
 
-Artifacts are UTF-8 JSON with 2-space indent and a trailing newline.
+Artifacts are UTF-8 JSON with 2-space indent and a trailing newline, and
+are written atomically.
 Any failure to read, write or parse a file becomes a ``DataIOError``, so
 the CLI reports it with exit code 3 instead of a traceback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 from .errors import DataIOError
 
 
 def write_json(obj, path) -> None:
+    """Write ``obj`` whole or not at all: it is serialized first, then
+    written to a temporary file beside ``path`` that replaces it, so a
+    failure leaves any previous file as it was."""
+    text = json.dumps(obj, indent=2) + "\n"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise DataIOError(f"cannot write {path}: {exc}") from exc
 
 

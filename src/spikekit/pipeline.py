@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
-from .camera import EncoderConfig, encode_video, upsample_temporal
+from .camera import (EncoderConfig, IntensityVideo, encode_video,
+                     upsample_temporal)
 from .energy import EnergyLedger, energy_report
 from .errors import PreconditionError
 from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
@@ -27,8 +28,9 @@ from .jsonio import read_json, write_json
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
 from .stream import SpikeStream, StreamMeta, read_dat, write_dat
-from .synth import CLASS_PROMPTS, SyntheticDatasetSpec, synth_dataset
-from .videoio import load_video
+from .synth import (CLASS_PROMPTS, SyntheticDatasetSpec, dataset_clips,
+                    render_frames, write_dataset_index)
+from .videoio import load_video, quantize_u8
 
 
 @dataclass
@@ -170,11 +172,10 @@ def featurize_stream(stream: SpikeStream, block_spec: BlockSpec,
 # Stages shared by run_pipeline and the CLI
 # ---------------------------------------------------------------------------
 
-def encode_file(video_path, dat_path, cfg: EncoderConfig, upsample: int,
-                seed: int | None) -> SpikeStream:
-    """Load an intensity video, upsample it in time by ``upsample`` when
-    above 1, encode it to spikes and write the ``.dat`` plus its sidecar."""
-    video = load_video(video_path)
+def encode_to_dat(video: IntensityVideo, dat_path, cfg: EncoderConfig,
+                  upsample: int, seed: int | None) -> SpikeStream:
+    """Upsample an intensity video in time by ``upsample`` when above 1,
+    encode it to spikes and write the ``.dat`` plus its sidecar."""
     if upsample > 1:
         video = upsample_temporal(video, upsample)
     stream = encode_video(video, cfg, seed=seed)
@@ -183,30 +184,59 @@ def encode_file(video_path, dat_path, cfg: EncoderConfig, upsample: int,
     return stream
 
 
-def train_fewshot_head(entries: list[dict], prompts: list[str], shots: int,
-                       rng: np.random.Generator, epochs: int, lr: float,
-                       seed: int) -> tuple[AlignmentHead, list[float]]:
-    """Few-shot protocol: draw ``shots`` support rows per class label with
-    ``rng``, build a head seeded from ``rng`` and fine-tune it.
+def encode_file(video_path, dat_path, cfg: EncoderConfig, upsample: int,
+                seed: int | None) -> SpikeStream:
+    """``encode_to_dat`` of the intensity video stored at ``video_path``."""
+    return encode_to_dat(load_video(video_path), dat_path, cfg, upsample, seed)
 
-    Class ``label`` is paired with ``prompts[label]``; ``seed`` drives the
-    fine-tune's per-epoch shuffling.
+
+def _encode_synth_clip(spec: SyntheticDatasetSpec, label: int,
+                       rng: np.random.Generator, dat_path, cfg: EncoderConfig,
+                       upsample: int, seed: int | None) -> None:
+    """Render one dataset clip and encode it as ``encode_file`` would its
+    PGM frames: each frame is quantized to 8 bits as it is rendered, and
+    ``/ 255`` reads the pixels back as ``read_pgm`` does. No float copy of
+    the rendered clip is ever held."""
+    pixels = np.empty((spec.frames, spec.height, spec.width), dtype=np.uint8)
+    for t, frame in enumerate(render_frames(spec.classes[label], spec.frames,
+                                            spec.height, spec.width, rng)):
+        pixels[t] = quantize_u8(frame)
+    encode_to_dat(IntensityVideo(pixels / 255.0), dat_path, cfg, upsample,
+                  seed)
+
+
+def train_fewshot_head(entries: list[dict], prompts: list[str], shots: int,
+                       rngs: list[np.random.Generator], epochs: int, lr: float,
+                       seeds: list[int]
+                       ) -> list[tuple[AlignmentHead, list[float]]]:
+    """Few-shot protocol for a batch of heads that share ``shots``: per
+    head, draw ``shots`` support rows per class label with that head's
+    generator in ``rngs``, build the head seeded from the same generator,
+    then fine-tune every head in one lockstep ``finetune_head`` call.
+
+    Class ``label`` is paired with ``prompts[label]``; ``seeds[i]`` drives
+    head ``i``'s per-epoch shuffling. Returns (head, loss trace) per head.
     """
-    support = []
-    for label, prompt in enumerate(prompts):
+    by_label = []
+    for label in range(len(prompts)):
         rows = [e for e in entries if e.get("label") == label]
         if not 1 <= shots <= len(rows):
             raise PreconditionError(
                 f"shots={shots} must lie in [1, {len(rows)}], the embeddings "
                 f"of class {label}")
-        picks = rng.choice(len(rows), size=shots, replace=False)
-        support.extend((np.array(rows[int(i)]["vector"]), prompt)
-                       for i in picks)
-    d_in = len(support[0][0])
-    head = AlignmentHead.create(d_in, min(d_in, 32),
-                                seed=int(rng.integers(2 ** 31)))
-    return finetune_head(support, shots=shots, epochs=epochs, lr=lr,
-                         seed=seed, head=head)
+        by_label.append(rows)
+    supports, heads = [], []
+    for rng in rngs:
+        support = []
+        for prompt, rows in zip(prompts, by_label):
+            picks = rng.choice(len(rows), size=shots, replace=False)
+            support.extend((np.array(rows[int(i)]["vector"]), prompt)
+                           for i in picks)
+        d_in = len(support[0][0])
+        heads.append(AlignmentHead.create(d_in, min(d_in, 32),
+                                          seed=int(rng.integers(2 ** 31))))
+        supports.append(support)
+    return finetune_head(supports, shots, epochs, lr, seeds, heads)
 
 
 def evaluate_head(head: AlignmentHead, prompts: list[str], vectors: np.ndarray,
@@ -230,32 +260,39 @@ def evaluate_head(head: AlignmentHead, prompts: list[str], vectors: np.ndarray,
 def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     """Execute all stages; returns the final metrics dict.
 
-    Artifacts land under out_dir: dataset/, spikes/, embeddings_train.json,
-    embeddings_test.json, head_s{shots}_seed{seed}.json, metrics.json, and
-    (when run_snn) ledger.json + energy_report.json.
+    Artifacts land under out_dir: dataset/ (manifest.json and prompts.txt
+    only), spikes/, embeddings_train.json, embeddings_test.json,
+    head_s{shots}_seed{seed}.json, metrics.json, and (when run_snn)
+    ledger.json + energy_report.json.
+
+    Clips are rendered and encoded in memory, with the same bytes as
+    ``spikekit synth`` followed by ``spikekit encode``; ``spikekit synth``
+    is the way to get the PGM frames. The heads of one shot count train
+    together in one lockstep batch, and ``spikekit train-head`` runs the
+    same trainer on a batch of one.
     """
     os.makedirs(out_dir, exist_ok=True)
 
-    # Stage 1: synthesize.
-    dataset_dir = os.path.join(out_dir, "dataset")
+    # Stages 1 + 2: synthesize every clip and encode it to .dat.
     spec = SyntheticDatasetSpec(classes=config.classes,
                                 clips_per_class=config.clips_per_class,
                                 frames=config.frames, height=config.height,
                                 width=config.width, seed=config.seed)
-    manifest = synth_dataset(spec, dataset_dir)
-
-    # Stage 2: encode every clip to .dat.
     spikes_dir = os.path.join(out_dir, "spikes")
     os.makedirs(spikes_dir, exist_ok=True)
     enc_cfg = EncoderConfig(theta=config.theta,
                             noise_amplitude=config.noise_amplitude)
     dat_paths: dict[str, str] = {}
-    for clip in manifest["clips"]:
-        dat_path = os.path.join(spikes_dir, clip["name"] + ".dat")
-        encode_file(os.path.join(dataset_dir, clip["path"]), dat_path, enc_cfg,
-                    config.upsample,
-                    config.seed if config.noise_amplitude > 0 else None)
-        dat_paths[clip["name"]] = dat_path
+    clips = []
+    for label, name, rng in dataset_clips(spec):
+        dat_paths[name] = os.path.join(spikes_dir, name + ".dat")
+        _encode_synth_clip(spec, label, rng, dat_paths[name], enc_cfg,
+                           config.upsample,
+                           config.seed if config.noise_amplitude > 0 else None)
+        clips.append({"name": name, "class": spec.classes[label],
+                      "label": label})
+    manifest = write_dataset_index(spec, os.path.join(out_dir, "dataset"),
+                                   clips)
 
     # Stage 3: featurize with seeded frozen weights.
     block_spec = config.block_spec()
@@ -295,12 +332,13 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                              "shots": list(config.shots),
                              "eval_seeds": list(config.eval_seeds)})}
     for shots in config.shots:
+        rngs = [np.random.default_rng([config.seed, 3, shots, eval_seed])
+                for eval_seed in config.eval_seeds]
+        trained = train_fewshot_head(train_pool, prompts, shots, rngs,
+                                     config.epochs, config.lr,
+                                     list(config.eval_seeds))
         per_seed: dict[str, dict] = {}
-        for eval_seed in config.eval_seeds:
-            rng = np.random.default_rng([config.seed, 3, shots, eval_seed])
-            head, trace = train_fewshot_head(
-                train_pool, prompts, shots, rng, config.epochs, config.lr,
-                eval_seed)
+        for eval_seed, (head, trace) in zip(config.eval_seeds, trained):
             head_path = os.path.join(out_dir,
                                      f"head_s{shots}_seed{eval_seed}.json")
             write_json({"head": head.to_json_dict(), "prompts": prompts,

@@ -9,15 +9,16 @@ following a class-specific motion archetype with per-clip seeded jitter:
 * punch: fast horizontal thrusts with a slow recoil
 * throw: a single rising-then-falling arc across the frame
 
-Clips are written as directories of numbered 8-bit PGM frames plus a
-``prompts.txt`` (one class prompt per line, line index = label) and a
-``manifest.json`` listing every clip with its label.
+``synth_dataset`` writes clips as directories of numbered 8-bit PGM frames
+plus a ``prompts.txt`` (one class prompt per line, line index = label) and
+a ``manifest.json`` listing every clip with its label.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,17 @@ def _blob(grid_y, grid_x, cy, cx, sigma, amp):
 def render_clip(class_name: str, frames: int, height: int, width: int,
                 rng: np.random.Generator) -> IntensityVideo:
     """Render one clip of the given archetype with seeded jitter."""
+    out = np.empty((frames, height, width), dtype=np.float64)
+    for t, frame in enumerate(render_frames(class_name, frames, height,
+                                            width, rng)):
+        out[t] = frame
+    return IntensityVideo(out)
+
+
+def render_frames(class_name: str, frames: int, height: int, width: int,
+                  rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The frames of ``render_clip``, one [height, width] array at a time,
+    so a caller that keeps them in another form holds no float clip."""
     if class_name not in CLASS_PROMPTS:
         raise PreconditionError(f"unknown class {class_name!r}")
     gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -83,7 +95,6 @@ def render_clip(class_name: str, frames: int, height: int, width: int,
         rng.uniform(2.2, 3.0)
     strikes = int(rng.integers(2, 4))
 
-    out = np.empty((frames, height, width), dtype=np.float64)
     for t in range(frames):
         s = t / (frames - 1)
         frame = np.full((height, width), background)
@@ -108,44 +119,56 @@ def render_clip(class_name: str, frames: int, height: int, width: int,
             frame += _blob(gy, gx, y, x, sigma * 0.8, amp)
             frame += _blob(gy, gx, height * 0.75, 0.2 * width,
                            sigma * 1.3, amp * 0.5)
-        out[t] = np.clip(frame, 0.0, 1.0)
-    return IntensityVideo(out)
+        yield np.clip(frame, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Dataset generation
 # ---------------------------------------------------------------------------
 
-def synth_dataset(spec: SyntheticDatasetSpec, out_dir) -> dict:
-    """Render the dataset to disk; returns the manifest dict.
+def dataset_clips(spec: SyntheticDatasetSpec):
+    """(label, name, generator) of every clip, in render order. A clip's
+    generator is seeded from (spec.seed, label, index within the class), so
+    regenerating with the same spec is bit-identical."""
+    for label, class_name in enumerate(spec.classes):
+        for index in range(spec.clips_per_class):
+            yield (label, f"{class_name}_{index:03d}",
+                   np.random.default_rng([spec.seed, label, index]))
 
-    Layout: ``clips/<class>_<idx>/frame_*.pgm``, ``prompts.txt`` with one
-    prompt per class (line index = label), ``manifest.json``. Clip seeds
-    derive from (spec.seed, class index, clip index), so regenerating with
-    the same spec is bit-identical.
-    """
-    clips_root = os.path.join(out_dir, "clips")
-    os.makedirs(clips_root, exist_ok=True)
+
+def write_dataset_index(spec: SyntheticDatasetSpec, out_dir,
+                        clips: list[dict]) -> dict:
+    """Write ``prompts.txt`` with one prompt per class (line index = label)
+    and ``manifest.json`` listing ``clips``; returns the manifest dict."""
+    os.makedirs(out_dir, exist_ok=True)
     manifest = {"classes": list(spec.classes),
                 "frames": spec.frames,
                 "height": spec.height, "width": spec.width,
-                "seed": spec.seed, "clips": []}
-    for label, class_name in enumerate(spec.classes):
-        for idx in range(spec.clips_per_class):
-            rng = np.random.default_rng([spec.seed, label, idx])
-            video = render_clip(class_name, spec.frames, spec.height,
-                                spec.width, rng)
-            name = f"{class_name}_{idx:03d}"
-            write_pgm_clip(video, os.path.join(clips_root, name))
-            manifest["clips"].append({"name": name,
-                                      "path": f"clips/{name}",
-                                      "class": class_name, "label": label})
+                "seed": spec.seed, "clips": clips}
     with open(os.path.join(out_dir, "prompts.txt"), "w",
               encoding="utf-8") as fh:
         for class_name in spec.classes:
             fh.write(CLASS_PROMPTS[class_name] + "\n")
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest
+
+
+def synth_dataset(spec: SyntheticDatasetSpec, out_dir) -> dict:
+    """Render the dataset to disk; returns the manifest dict.
+
+    Layout: ``clips/<class>_<idx>/frame_*.pgm``, ``prompts.txt`` and
+    ``manifest.json`` (see ``write_dataset_index``).
+    """
+    clips_root = os.path.join(out_dir, "clips")
+    os.makedirs(clips_root, exist_ok=True)
+    clips = []
+    for label, name, rng in dataset_clips(spec):
+        write_pgm_clip(render_clip(spec.classes[label], spec.frames,
+                                   spec.height, spec.width, rng),
+                       os.path.join(clips_root, name))
+        clips.append({"name": name, "path": f"clips/{name}",
+                      "class": spec.classes[label], "label": label})
+    return write_dataset_index(spec, out_dir, clips)
 
 
 def brightness_centroid(frame: np.ndarray) -> tuple[float, float]:

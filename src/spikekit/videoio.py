@@ -17,8 +17,14 @@ from .errors import DataIOError
 from .jsonio import read_json, write_json
 
 
+def quantize_u8(frame: np.ndarray) -> np.ndarray:
+    """The 8-bit pixels a PGM frame stores for [0, 1] intensities;
+    ``read_pgm`` reads them back as ``pixels / 255``."""
+    return np.round(255.0 * np.clip(frame, 0.0, 1.0)).astype(np.uint8)
+
+
 def write_pgm_frame(frame: np.ndarray, path) -> None:
-    pixels = np.round(255.0 * np.clip(frame, 0.0, 1.0)).astype(np.uint8)
+    pixels = quantize_u8(frame)
     header = f"P5\n{frame.shape[1]} {frame.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spikekit.align import (AlignmentHead, Temperature, alignment_loss,
+from spikekit.align import (AlignmentHead, Temperature,
                             alignment_loss_and_grads, contrastive_loss)
 from spikekit.camera import (EncoderConfig, IntensityVideo, PixelModel,
                              encode_video, simulate_pixel)
@@ -323,21 +323,21 @@ def test_criterion_08_gradient_gate():
                     hp, hm = head.copy(), head.copy()
                     hp.projection[i, j] += h
                     hm.projection[i, j] -= h
-                    fd = (alignment_loss(v, t, hp)
-                          - alignment_loss(v, t, hm)) / (2 * h)
+                    fd = (alignment_loss_and_grads(v, t, hp)[0]
+                          - alignment_loss_and_grads(v, t, hm)[0]) / (2 * h)
                     check(grads.projection[i, j], fd)
             for j in range(d_out):
                 hp, hm = head.copy(), head.copy()
                 hp.bias[j] += h
                 hm.bias[j] -= h
-                fd = (alignment_loss(v, t, hp)
-                      - alignment_loss(v, t, hm)) / (2 * h)
+                fd = (alignment_loss_and_grads(v, t, hp)[0]
+                      - alignment_loss_and_grads(v, t, hm)[0]) / (2 * h)
                 check(grads.bias[j], fd)
             hp, hm = head.copy(), head.copy()
             hp.temperature.log_inv_tau += h
             hm.temperature.log_inv_tau -= h
-            fd = (alignment_loss(v, t, hp)
-                  - alignment_loss(v, t, hm)) / (2 * h)
+            fd = (alignment_loss_and_grads(v, t, hp)[0]
+                  - alignment_loss_and_grads(v, t, hm)[0]) / (2 * h)
             check(grads.log_inv_tau, fd)
 
 

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from spikekit.align import (AlignmentHead, Temperature,
-                            alignment_loss, contrastive_loss,
+                            alignment_loss_and_grads, contrastive_loss,
                             cosine_similarity, embed_text, evaluate_topk,
-                            finetune_head, head_gradient, text_features,
-                            tokenize)
+                            finetune_head, text_features, tokenize)
 from spikekit.errors import PreconditionError
 from spikekit.jsonio import read_json, write_json
 from spikekit.synth import CLASS_PROMPTS
@@ -24,26 +23,26 @@ UNIT_TAU = Temperature(log_inv_tau=0.0)
 
 def fd_gradients(v_feat, t_feat, head, h=1e-5):
     """Central-difference oracle over every head parameter."""
+    def loss(hd):
+        return alignment_loss_and_grads(v_feat, t_feat, hd)[0]
+
     proj = np.zeros_like(head.projection)
     for i in range(proj.shape[0]):
         for j in range(proj.shape[1]):
             hp, hm = head.copy(), head.copy()
             hp.projection[i, j] += h
             hm.projection[i, j] -= h
-            proj[i, j] = (alignment_loss(v_feat, t_feat, hp)
-                          - alignment_loss(v_feat, t_feat, hm)) / (2 * h)
+            proj[i, j] = (loss(hp) - loss(hm)) / (2 * h)
     bias = np.zeros_like(head.bias)
     for j in range(bias.size):
         hp, hm = head.copy(), head.copy()
         hp.bias[j] += h
         hm.bias[j] -= h
-        bias[j] = (alignment_loss(v_feat, t_feat, hp)
-                   - alignment_loss(v_feat, t_feat, hm)) / (2 * h)
+        bias[j] = (loss(hp) - loss(hm)) / (2 * h)
     hp, hm = head.copy(), head.copy()
     hp.temperature.log_inv_tau += h
     hm.temperature.log_inv_tau -= h
-    temp = (alignment_loss(v_feat, t_feat, hp)
-            - alignment_loss(v_feat, t_feat, hm)) / (2 * h)
+    temp = (loss(hp) - loss(hm)) / (2 * h)
     return proj, bias, temp
 
 
@@ -178,7 +177,7 @@ def test_gradients_match_finite_differences_100_instances():
         t = rng.normal(size=(b, d_in))
         head = AlignmentHead.create(d_in, d_out,
                                     seed=int(rng.integers(2 ** 31)))
-        grads = head_gradient(v, t, head)
+        grads = alignment_loss_and_grads(v, t, head)[1]
         fd_proj, fd_bias, fd_temp = fd_gradients(v, t, head)
         assert_close_grads(grads.projection, fd_proj, "projection")
         assert_close_grads(grads.bias, fd_bias, "bias")
@@ -194,7 +193,7 @@ def test_gradients_hold_across_temperature_grid():
     for log_inv_tau in (-1.0, 0.0, 1.0, 2.0, 3.0, math.log(99.0)):
         head = AlignmentHead.create(10, 8, seed=126)
         head.temperature.log_inv_tau = log_inv_tau
-        grads = head_gradient(v, t, head)
+        grads = alignment_loss_and_grads(v, t, head)[1]
         fd_proj, fd_bias, fd_temp = fd_gradients(v, t, head, h=1e-6)
         for analytic, numeric in ((grads.projection, fd_proj),
                                   (grads.bias, fd_bias),
@@ -211,7 +210,7 @@ def test_gradient_near_zero_at_sharp_symmetric_optimum():
     head = AlignmentHead.create(12, 8, seed=116)
     head.temperature.log_inv_tau = math.log(200.0)     # clamps at 100
     assert head.temperature.inv_tau == 100.0
-    grads = head_gradient(feats, feats, head)
+    grads = alignment_loss_and_grads(feats, feats, head)[1]
     assert np.linalg.norm(grads.projection) < 1e-3
 
 
@@ -221,7 +220,7 @@ def test_temperature_gradient_zero_for_equal_logits():
     v = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
     head = AlignmentHead(projection=np.eye(3), bias=np.zeros(3),
                          temperature=Temperature(log_inv_tau=0.5))
-    grads = head_gradient(v, v.copy(), head)
+    grads = alignment_loss_and_grads(v, v.copy(), head)[1]
     assert grads.log_inv_tau == pytest.approx(0.0, abs=1e-12)
 
 
@@ -231,7 +230,7 @@ def test_clamped_temperature_has_zero_gradient():
     t = rng.normal(size=(3, 4))
     head = AlignmentHead.create(4, 4, seed=117)
     head.temperature.log_inv_tau = math.log(150.0)
-    grads = head_gradient(v, t, head)
+    grads = alignment_loss_and_grads(v, t, head)[1]
     assert grads.log_inv_tau == 0.0
 
 
@@ -245,8 +244,8 @@ def test_finetune_single_class_is_noop():
                for _ in range(4)]
     head = AlignmentHead.create(8, 4, seed=118)
     before = head.copy()
-    trained, trace = finetune_head(support, shots=4, epochs=10, lr=0.1,
-                                   seed=0, head=head)
+    (trained, trace), = finetune_head([support], shots=4, epochs=10, lr=0.1,
+                                      seeds=[0], heads=[head])
     assert trace == pytest.approx([0.0] * 10, abs=1e-12)
     assert np.array_equal(trained.projection, before.projection)
     assert np.array_equal(trained.bias, before.bias)
@@ -262,8 +261,9 @@ def test_finetune_reduces_loss_on_separable_features():
         for _ in range(8):
             support.append((center + 0.1 * rng.normal(size=16),
                             prompts[label]))
-    head, trace = finetune_head(support, shots=8, epochs=100, lr=0.05,
-                                seed=7)
+    (head, trace), = finetune_head([support], shots=8, epochs=100, lr=0.05,
+                                   seeds=[7],
+                                   heads=[AlignmentHead.create(16, 16, 7)])
     assert trace[-1] < trace[0]
 
 
@@ -271,8 +271,11 @@ def test_finetune_is_bit_deterministic():
     rng = np.random.default_rng(120)
     prompts = list(CLASS_PROMPTS.values())[:2]
     support = [(rng.normal(size=8), prompts[i % 2]) for i in range(8)]
-    a, trace_a = finetune_head(support, shots=4, epochs=30, lr=0.05, seed=3)
-    b, trace_b = finetune_head(support, shots=4, epochs=30, lr=0.05, seed=3)
+    head = AlignmentHead.create(8, 8, seed=3)
+    (a, trace_a), = finetune_head([support], shots=4, epochs=30, lr=0.05,
+                                  seeds=[3], heads=[head])
+    (b, trace_b), = finetune_head([support], shots=4, epochs=30, lr=0.05,
+                                  seeds=[3], heads=[head])
     assert np.array_equal(a.projection, b.projection)
     assert np.array_equal(a.bias, b.bias)
     assert a.temperature.log_inv_tau == b.temperature.log_inv_tau
@@ -283,12 +286,56 @@ def test_finetune_requires_enough_shots():
     support = [(np.ones(4), "a person waving one hand"),
                (np.ones(4), "a person punching forward")]
     with pytest.raises(PreconditionError):
-        finetune_head(support, shots=2, epochs=1, lr=0.1, seed=0)
+        finetune_head([support], shots=2, epochs=1, lr=0.1, seeds=[0],
+                      heads=[AlignmentHead.create(4, 4, seed=0)])
 
 
 def test_finetune_empty_support():
     with pytest.raises(PreconditionError):
-        finetune_head([], shots=1, epochs=1, lr=0.1, seed=0)
+        finetune_head([[]], shots=1, epochs=1, lr=0.1, seeds=[0],
+                      heads=[AlignmentHead.create(4, 4, seed=0)])
+
+
+def _lockstep_batch(seed, n_heads=4, d_in=12, shots=3):
+    """Support sets, shuffle seeds and heads for a lockstep batch; the last
+    head starts with its temperature at the clamp."""
+    rng = np.random.default_rng(seed)
+    prompts = list(CLASS_PROMPTS.values())
+    supports = [[(rng.normal(size=d_in), prompt)
+                 for prompt in prompts for _ in range(shots + 1)]
+                for _ in range(n_heads)]
+    seeds = [int(s) for s in rng.integers(2 ** 31, size=n_heads)]
+    heads = [AlignmentHead.create(d_in, 8, seed=int(rng.integers(2 ** 31)))
+             for _ in range(n_heads)]
+    heads[-1].temperature.log_inv_tau = math.log(150.0)
+    return supports, seeds, heads
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_heads_equal_heads_trained_alone(seed):
+    supports, seeds, heads = _lockstep_batch(seed)
+    together = finetune_head(supports, 3, 25, 0.05, seeds, heads)
+    assert len(together) == len(heads)
+    for i, (head, trace) in enumerate(together):
+        (alone, alone_trace), = finetune_head([supports[i]], 3, 25, 0.05,
+                                              [seeds[i]], [heads[i]])
+        assert head.projection.tobytes() == alone.projection.tobytes()
+        assert head.bias.tobytes() == alone.bias.tobytes()
+        assert head.temperature.log_inv_tau == \
+            alone.temperature.log_inv_tau
+        assert np.array(trace).tobytes() == np.array(alone_trace).tobytes()
+        assert not np.array_equal(head.projection, heads[i].projection)
+
+
+def test_lockstep_batch_shape_errors():
+    supports, seeds, heads = _lockstep_batch(3)
+    with pytest.raises(PreconditionError, match="one seed per head"):
+        finetune_head(supports, 3, 1, 0.05, seeds[:-1], heads)
+    with pytest.raises(PreconditionError, match="one seed per head"):
+        finetune_head([], 3, 1, 0.05, [], [])
+    supports[0] = supports[0][4:]         # drop one of the four classes
+    with pytest.raises(PreconditionError, match="one shape"):
+        finetune_head(supports, 1, 1, 0.05, seeds, heads)
 
 
 # ---------------------------------------------------------------------------

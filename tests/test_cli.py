@@ -347,6 +347,98 @@ def test_pipeline_config_bad_field_type_exits_2(config, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_pipeline_dat_bytes_equal_synth_then_encode(tmp_path):
+    # The pipeline encodes its clips in memory; the file route through
+    # PGM frames must give the same bytes, noise and upsampling included.
+    config = {"seed": 5, "classes": ["wave", "throw"], "clips_per_class": 2,
+              "test_per_class": 1, "frames": 50, "upsample": 2,
+              "noise_amplitude": 0.3, "r_win": 10, "step": 20, "n_blocks": 4,
+              "channel_step": 8, "shots": [1], "eval_seeds": [0],
+              "epochs": 2, "run_snn": False}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(run)]) == 0
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--classes",
+                 "wave,throw", "--clips-per-class", "2", "--frames", "50",
+                 "--seed", "5"]) == 0
+    synth_manifest = json.loads((tmp_path / "synth/manifest.json").read_text())
+    names = [clip["name"] for clip in synth_manifest["clips"]]
+    assert len(names) == 4
+    for name in names:
+        dat = tmp_path / "enc" / f"{name}.dat"
+        dat.parent.mkdir(exist_ok=True)
+        assert main(["encode", str(tmp_path / "synth/clips" / name), str(dat),
+                     "--noise", "0.3", "--seed", "5", "--upsample", "2"]) == 0
+        for suffix in (".dat", ".meta.json"):
+            assert ((tmp_path / "enc" / f"{name}{suffix}").read_bytes()
+                    == (run / "spikes" / f"{name}{suffix}").read_bytes()), name
+
+    # The pipeline's dataset/ holds no frames, and its manifest is the
+    # synth manifest without the clip paths.
+    assert sorted(p.name for p in (run / "dataset").iterdir()) == [
+        "manifest.json", "prompts.txt"]
+    for clip in synth_manifest["clips"]:
+        del clip["path"]
+    assert json.loads((run / "dataset/manifest.json").read_text()) \
+        == synth_manifest
+    assert ((run / "dataset/prompts.txt").read_bytes()
+            == (tmp_path / "synth/prompts.txt").read_bytes())
+
+
+def _weight_archive(tmp_path, command):
+    """A seeded archive saved by ``command`` and the argv that loads it."""
+    from spikekit.stream import SpikeStream, write_dat
+    rng = np.random.default_rng(146)
+    stream = SpikeStream(rng.integers(0, 2, size=(100, 64, 64),
+                                      dtype=np.uint8))
+    dat = tmp_path / "s.dat"
+    write_dat(stream, StreamMeta.for_stream(stream), dat)
+    if command == "featurize":
+        argv = ["featurize", str(dat), "--r-win", "10", "--step", "20",
+                "--n-blocks", "4", "--channel-step", "8",
+                "--out", str(tmp_path / "e.json")]
+    else:
+        argv = ["snn-forward", str(dat), "--channels", "4",
+                "--ledger", str(tmp_path / "ledger.json")]
+    assert main(argv + ["--seed", "0",
+                        "--save-weights", str(tmp_path / "w")]) == 0
+    return argv + ["--weights", str(tmp_path / "w")]
+
+
+@pytest.mark.parametrize("command,name", [
+    ("featurize", "hsfe.branch1.mask"),
+    ("featurize", "hsfe.branch1.conv.w"),
+    ("snn-forward", "fsve.sdsa.q.w"),
+    ("snn-forward", "fsve.stem1.conv.w"),
+])
+@pytest.mark.parametrize("damage", ["intact", "missing", "reshaped",
+                                    "extra"])
+def test_weight_archive_must_fit_the_model(command, name, damage, tmp_path,
+                                           capsys):
+    argv = _weight_archive(tmp_path, command)
+    manifest_path = tmp_path / "w" / "manifest.json"
+    records = json.loads(manifest_path.read_text())
+    record = next(r for r in records if r["name"] == name)
+    if damage == "missing":
+        records.remove(record)
+    elif damage == "reshaped":
+        record["shape"] = [int(np.prod(record["shape"]))] \
+            if len(record["shape"]) > 1 else [1, record["shape"][0]]
+    elif damage == "extra":
+        records.append({**record, "name": "extra.w"})
+        (tmp_path / "w" / "extra.w.bin").write_bytes(
+            (tmp_path / "w" / f"{name}.bin").read_bytes())
+    manifest_path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(argv) == (0 if damage == "intact" else 3)
+    if damage != "intact":
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("extra.w" if damage == "extra" else name) in err
+
+
 def test_featurize_directory_with_manifest(tmp_path):
     # Two short random streams featurized in one call.
     from spikekit.stream import SpikeStream, write_dat

@@ -1,6 +1,7 @@
 """Source guards: the JSON artifact format, the shared helpers, the one
-binary check, the one conv kernel, the SOP count and the few-shot stages
-each live in one place, so hand-copied duplicates cannot creep back in."""
+binary check, the one conv kernel, the SOP count, the loss and gradient,
+the PGM clip I/O and the few-shot stages each live in one place, so
+hand-copied duplicates cannot creep back in."""
 
 import ast
 import pathlib
@@ -71,12 +72,39 @@ def _calls(callee: str):
 @pytest.mark.parametrize("callee,home,caller", [
     ("AlignmentHead.create", "align.py", "pipeline.py:train_fewshot_head"),
     ("evaluate_topk", "align.py", "pipeline.py:evaluate_head"),
-    ("encode_video", "camera.py", "pipeline.py:encode_file"),
+    ("encode_video", "camera.py", "pipeline.py:encode_to_dat"),
+    ("finetune_head", "align.py", "pipeline.py:train_fewshot_head"),
 ])
 def test_fewshot_stages_have_one_caller(callee, home, caller):
     outside = [name for name in _functions(_calls(callee))
                if not name.startswith(home + ":")]
     assert outside == [caller]
+
+
+def test_loss_and_gradient_live_only_in_align():
+    assert sorted(_functions(lambda fn: fn.name in (
+        "_log_softmax", "_forward_backward"))) == [
+        "align.py:_forward_backward", "align.py:_log_softmax"]
+    assert _functions(_calls("_forward_backward")) == [
+        "align.py:alignment_loss_and_grads", "align.py:finetune_head"]
+    # The backward pass through the unit normalization, and the log-sum-exp.
+    users = [name for name, text in _sources().items()
+             if re.search(r"d_v_hat|np\.log\(np\.sum\(np\.exp", text)]
+    assert users == ["align.py"]
+
+
+def test_pgm_clips_stay_in_videoio_and_synth():
+    # The pipeline renders and encodes clips in memory; PGM clips are
+    # written only by `spikekit synth` and read only through load_video,
+    # which only the file route of `spikekit encode` calls.
+    assert _functions(_calls("write_pgm_clip")) == ["synth.py:synth_dataset"]
+    assert [name for name in _functions(_calls("read_pgm"))
+            + _functions(_calls("read_pgm_clip"))
+            if not name.startswith("videoio.py:")] == []
+    assert [name for name in _functions(_calls("load_video"))
+            if not name.startswith("videoio.py:")] == [
+        "pipeline.py:encode_file"]
+    assert "pipeline.py:run_pipeline" not in _functions(_calls("encode_file"))
 
 
 def test_conv_sops_counted_once_per_spiking_stage():

@@ -6,7 +6,8 @@ import pytest
 from spikekit.errors import PreconditionError
 from spikekit.synth import (CLASS_PROMPTS, SyntheticDatasetSpec,
                             brightness_centroid, render_clip, synth_dataset)
-from spikekit.videoio import read_pgm_clip
+from spikekit.videoio import (quantize_u8, read_pgm, read_pgm_clip,
+                              write_pgm_frame)
 
 
 def test_dataset_layout_and_counts(tmp_path):
@@ -75,3 +76,17 @@ def test_render_all_archetypes_in_range():
         video = render_clip(name, frames=10, height=64, width=64, rng=rng)
         assert video.frames.min() >= 0.0
         assert video.frames.max() <= 1.0
+
+
+def test_quantized_frames_read_back_as_their_pgm_files(tmp_path):
+    # The in-memory route of run_pipeline relies on this equality.
+    rng = np.random.default_rng(147)
+    frames = [render_clip(name, 3, 64, 64, rng).frames[1]
+              for name in CLASS_PROMPTS]
+    frames.append(rng.uniform(-0.2, 1.2, size=(16, 16)))
+    frames.append((np.arange(256.0).reshape(16, 16) + 0.5) / 255.0)
+    for i, frame in enumerate(frames):
+        path = tmp_path / f"f{i}.pgm"
+        write_pgm_frame(frame, path)
+        assert (quantize_u8(frame) / 255.0).tobytes() == \
+            read_pgm(path).tobytes()
