@@ -1,4 +1,5 @@
-"""The JSON artifact format: one reader and one writer for every module.
+"""The JSON artifact format: one reader and one writer for every module,
+and the atomic file writer that every artifact goes through.
 
 Artifacts are UTF-8 JSON with 2-space indent and a trailing newline, and
 are written atomically.
@@ -15,20 +16,24 @@ import os
 from .errors import DataIOError
 
 
-def write_json(obj, path) -> None:
-    """Write ``obj`` whole or not at all: it is serialized first, then
-    written to a temporary file beside ``path`` that replaces it, so a
-    failure leaves any previous file as it was."""
-    text = json.dumps(obj, indent=2) + "\n"
+def write_bytes(data: bytes, path) -> None:
+    """Write ``data`` to ``path`` whole or not at all: into a temporary file
+    beside ``path`` that then replaces it, so a failure leaves any previous
+    file as it was and no temporary file behind."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise DataIOError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(obj, path) -> None:
+    """Serialize ``obj`` first, then ``write_bytes`` it to ``path``."""
+    write_bytes((json.dumps(obj, indent=2) + "\n").encode("utf-8"), path)
 
 
 def read_json(path):

@@ -267,9 +267,12 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
 
     Clips are rendered and encoded in memory, with the same bytes as
     ``spikekit synth`` followed by ``spikekit encode``; ``spikekit synth``
-    is the way to get the PGM frames. The heads of one shot count train
-    together in one lockstep batch, and ``spikekit train-head`` runs the
-    same trainer on a batch of one.
+    is the way to get the PGM frames. With ``noise_amplitude`` above 0,
+    clip ``index`` of class ``label`` is encoded with noise seed
+    ``default_rng([seed, 5, label, index]).integers(2 ** 31)``, the
+    ``--seed`` that ``spikekit encode`` needs for its bytes. The heads of
+    one shot count train together in one lockstep batch, and ``spikekit
+    train-head`` runs the same trainer on a batch of one.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -284,11 +287,13 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                             noise_amplitude=config.noise_amplitude)
     dat_paths: dict[str, str] = {}
     clips = []
-    for label, name, rng in dataset_clips(spec):
+    for label, index, name, rng in dataset_clips(spec):
         dat_paths[name] = os.path.join(spikes_dir, name + ".dat")
+        noise_seed = int(np.random.default_rng([config.seed, 5, label, index])
+                         .integers(2 ** 31))
         _encode_synth_clip(spec, label, rng, dat_paths[name], enc_cfg,
                            config.upsample,
-                           config.seed if config.noise_amplitude > 0 else None)
+                           noise_seed if config.noise_amplitude > 0 else None)
         clips.append({"name": name, "class": spec.classes[label],
                       "label": label})
     manifest = write_dataset_index(spec, os.path.join(out_dir, "dataset"),

@@ -32,6 +32,54 @@ class TfiConfig:
             raise PreconditionError("default_value must lie in [0, 1]")
 
 
+def _tfi_frames(data: np.ndarray, ts, cfg: TfiConfig) -> np.ndarray:
+    """TFI frames [len(ts), H, W] of the binary stream ``data`` [t_len, H, W]
+    at the ascending time steps ``ts``.
+
+    A forward sweep keeps, per pixel, the latest spike at or before t and
+    records it at each sampled t; a backward sweep keeps the earliest spike
+    after t. Each sweep reads a frame at most once, and only the frames
+    within cfg.delta_t_max of some sampled step. Besides the output, it
+    holds two running [H, W] arrays and one time per pixel per sampled step.
+    """
+    t_len, h, w = data.shape
+    reach = min(cfg.delta_t_max, t_len)
+    # Spike times are kept as 1 + t (forward) and t_len - t (backward), so
+    # that 0 means "none yet", a newer spike is a maximum, and the smallest
+    # unsigned type that holds t_len serves: the sweeps are memory-bound.
+    dtype = np.min_scalar_type(t_len)
+    hit = np.empty((h, w), dtype=dtype)
+    latest = np.zeros((h, w), dtype=dtype)
+    befores = np.empty((len(ts), h, w), dtype=dtype)
+    todo = 0                                # first frame not yet read
+    for k, t in enumerate(ts):
+        for u in range(max(todo, t - reach), t + 1):
+            np.multiply(data[u], dtype.type(u + 1), out=hit)
+            np.maximum(latest, hit, out=latest)
+        todo = t + 1
+        befores[k] = latest
+
+    out = np.full((len(ts), h, w), cfg.default_value, dtype=np.float64)
+    earliest = np.zeros((h, w), dtype=dtype)
+    todo = t_len - 1                        # last frame not yet read
+    for k in reversed(range(len(ts))):
+        t = ts[k]
+        for u in range(min(todo, t + reach), t, -1):
+            np.multiply(data[u], dtype.type(t_len - u), out=hit)
+            np.maximum(earliest, hit, out=earliest)
+        todo = t
+        # A spike read for an earlier sampled step, or none (-1 and t_len),
+        # falls outside [lo, hi) and leaves the pixel at default_value.
+        t_before = befores[k].astype(np.int64) - 1
+        t_after = t_len - earliest.astype(np.int64)
+        both = ((t_before >= max(0, t - reach))
+                & (t_after < min(t_len, t + reach + 1)))
+        isi = (t_after - t_before).astype(np.float64)
+        np.copyto(out[k], np.minimum(1.0, cfg.theta / np.maximum(isi, 1.0)),
+                  where=both)
+    return out
+
+
 def tfi_reconstruct(stream: SpikeStream, t: int,
                     cfg: TfiConfig = TfiConfig()) -> np.ndarray:
     """Reconstruct the H x W intensity frame around time step ``t``.
@@ -45,39 +93,14 @@ def tfi_reconstruct(stream: SpikeStream, t: int,
     if not 0 <= t < stream.t_len:
         raise PreconditionError(
             f"t={t} out of range for stream of {stream.t_len} steps")
-    data = stream.data
-    h, w = stream.height, stream.width
-
-    # Nearest spike at or before t: scan the window backward and take the
-    # first hit via argmax on the reversed slice.
-    lo = max(0, t - cfg.delta_t_max)
-    before_window = data[lo:t + 1][::-1]          # index 0 == time t
-    has_before = before_window.any(axis=0)
-    back_offset = before_window.argmax(axis=0)    # steps back from t
-    t_before = t - back_offset
-
-    hi = min(stream.t_len, t + cfg.delta_t_max + 1)
-    after_window = data[t + 1:hi]
-    if after_window.shape[0] == 0:
-        has_after = np.zeros((h, w), dtype=bool)
-        t_after = np.zeros((h, w), dtype=np.int64)
-    else:
-        has_after = after_window.any(axis=0)
-        t_after = t + 1 + after_window.argmax(axis=0)
-
-    out = np.full((h, w), cfg.default_value, dtype=np.float64)
-    both = has_before & has_after
-    isi = (t_after - t_before).astype(np.float64)
-    np.copyto(out, np.minimum(1.0, cfg.theta / np.maximum(isi, 1.0)),
-              where=both)
-    return out
+    return _tfi_frames(stream.data, [t], cfg)[0]
 
 
 def tfi_video(stream: SpikeStream, stride: int,
               cfg: TfiConfig = TfiConfig()) -> IntensityVideo:
-    """Apply tfi_reconstruct at t = 0, stride, 2*stride, ... < t_len."""
+    """Apply tfi_reconstruct at t = 0, stride, 2*stride, ... < t_len, in
+    one forward and one backward sweep over the stream."""
     if stride < 1:
         raise PreconditionError("stride must be >= 1")
-    frames = [tfi_reconstruct(stream, t, cfg)
-              for t in range(0, stream.t_len, stride)]
-    return IntensityVideo(np.stack(frames))
+    return IntensityVideo(_tfi_frames(stream.data,
+                                      range(0, stream.t_len, stride), cfg))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
-from .jsonio import read_json, write_json
+from .jsonio import read_json, write_bytes, write_json
 
 META_SUFFIX = ".meta.json"
 
@@ -178,18 +178,15 @@ def write_dat(stream: SpikeStream, meta: StreamMeta, path,
     """Write the packed bitstream to ``path`` (plus optional meta sidecar).
 
     The file body is exactly the pack_spikes output; read_dat(write_dat(s))
-    is the identity.
+    is the identity. Body and sidecar are each written whole or not at all
+    (``jsonio.write_bytes``).
     """
     if (meta.t_len, meta.height, meta.width) != (
             stream.t_len, stream.height, stream.width):
         raise PreconditionError(
             f"meta dimensions {meta.t_len}x{meta.height}x{meta.width} do not "
             f"match stream {stream.t_len}x{stream.height}x{stream.width}")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(pack_spikes(stream))
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}") from exc
+    write_bytes(pack_spikes(stream), path)
     if sidecar:
         write_meta(meta, sidecar_path(path))
 

@@ -84,7 +84,10 @@ def render_frames(class_name: str, frames: int, height: int, width: int,
     so a caller that keeps them in another form holds no float clip."""
     if class_name not in CLASS_PROMPTS:
         raise PreconditionError(f"unknown class {class_name!r}")
-    gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
+    # A blob's squared distance is summed from a [H, 1] and a [1, W] term,
+    # the same floating-point operations per pixel as on a full grid.
+    gy = np.arange(height, dtype=np.float64)[:, None]
+    gx = np.arange(width, dtype=np.float64)[None, :]
     background = 0.05
     sigma = (min(height, width) / 12.0) * rng.uniform(0.85, 1.15)
     amp = rng.uniform(0.8, 1.0)
@@ -94,6 +97,12 @@ def render_frames(class_name: str, frames: int, height: int, width: int,
     freq = rng.uniform(1.8, 2.4) if class_name == "clap" else \
         rng.uniform(2.2, 3.0)
     strikes = int(rng.integers(2, 4))
+    # The second blob of wave, punch and throw does not move.
+    still = {"wave": (height * 0.8, cx, sigma * 1.4),
+             "punch": (cy, 0.15 * width, sigma * 1.3),
+             "throw": (height * 0.75, 0.2 * width, sigma * 1.3)}
+    if class_name in still:
+        still_blob = _blob(gy, gx, *still[class_name], amp * 0.5)
 
     for t in range(frames):
         s = t / (frames - 1)
@@ -105,20 +114,19 @@ def render_frames(class_name: str, frames: int, height: int, width: int,
         elif class_name == "wave":
             x = cx + 0.32 * width * math.sin(2.0 * math.pi * freq * s + phase)
             frame += _blob(gy, gx, cy * 0.7, x, sigma, amp)
-            frame += _blob(gy, gx, height * 0.8, cx, sigma * 1.4, amp * 0.5)
+            frame += still_blob
         elif class_name == "punch":
             phase_s = (s * strikes) % 1.0
             reach = min(1.0, phase_s / 0.25) if phase_s < 0.25 else \
                 max(0.0, 1.0 - (phase_s - 0.25) / 0.75)
             x = 0.2 * width + 0.6 * width * reach
             frame += _blob(gy, gx, cy, x, sigma, amp)
-            frame += _blob(gy, gx, cy, 0.15 * width, sigma * 1.3, amp * 0.5)
+            frame += still_blob
         else:  # throw
             x = 0.15 * width + 0.7 * width * s
             y = cy - 0.35 * height * 4.0 * s * (1.0 - s)
             frame += _blob(gy, gx, y, x, sigma * 0.8, amp)
-            frame += _blob(gy, gx, height * 0.75, 0.2 * width,
-                           sigma * 1.3, amp * 0.5)
+            frame += still_blob
         yield np.clip(frame, 0.0, 1.0)
 
 
@@ -127,12 +135,12 @@ def render_frames(class_name: str, frames: int, height: int, width: int,
 # ---------------------------------------------------------------------------
 
 def dataset_clips(spec: SyntheticDatasetSpec):
-    """(label, name, generator) of every clip, in render order. A clip's
-    generator is seeded from (spec.seed, label, index within the class), so
-    regenerating with the same spec is bit-identical."""
+    """(label, index within the class, name, generator) of every clip, in
+    render order. A clip's generator is seeded from (spec.seed, label,
+    index), so regenerating with the same spec is bit-identical."""
     for label, class_name in enumerate(spec.classes):
         for index in range(spec.clips_per_class):
-            yield (label, f"{class_name}_{index:03d}",
+            yield (label, index, f"{class_name}_{index:03d}",
                    np.random.default_rng([spec.seed, label, index]))
 
 
@@ -162,7 +170,7 @@ def synth_dataset(spec: SyntheticDatasetSpec, out_dir) -> dict:
     clips_root = os.path.join(out_dir, "clips")
     os.makedirs(clips_root, exist_ok=True)
     clips = []
-    for label, name, rng in dataset_clips(spec):
+    for label, _, name, rng in dataset_clips(spec):
         write_pgm_clip(render_clip(spec.classes[label], spec.frames,
                                    spec.height, spec.width, rng),
                        os.path.join(clips_root, name))

@@ -3,7 +3,8 @@
 A directory holds ``manifest.json``, a list of {name, dtype, shape}
 records, plus one ``<name>.bin`` file per tensor. Tensors are loaded
 back as float64 for numerically tight forward passes; the on-disk dtype
-stays f32.
+stays f32. Each file is written whole or not at all
+(``jsonio.write_bytes``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import numpy as np
 
 from .errors import DataIOError
-from .jsonio import read_json, write_json
+from .jsonio import read_json, write_bytes, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -23,11 +24,7 @@ def save_weights(weights: dict[str, np.ndarray], directory) -> None:
     manifest = []
     for name in sorted(weights):
         arr = np.asarray(weights[name], dtype="<f4")
-        blob = os.path.join(directory, name + ".bin")
-        try:
-            arr.tofile(blob)
-        except OSError as exc:
-            raise DataIOError(f"cannot write {blob}: {exc}") from exc
+        write_bytes(arr.tobytes(), os.path.join(directory, name + ".bin"))
         manifest.append({"name": name, "dtype": "f32",
                          "shape": list(arr.shape)})
     write_json(manifest, os.path.join(directory, MANIFEST_NAME))

@@ -364,13 +364,17 @@ def test_pipeline_dat_bytes_equal_synth_then_encode(tmp_path):
                  "wave,throw", "--clips-per-class", "2", "--frames", "50",
                  "--seed", "5"]) == 0
     synth_manifest = json.loads((tmp_path / "synth/manifest.json").read_text())
-    names = [clip["name"] for clip in synth_manifest["clips"]]
-    assert len(names) == 4
-    for name in names:
+    assert len(synth_manifest["clips"]) == 4
+    for clip in synth_manifest["clips"]:
+        # Each clip's noise seed, by the rule the README states.
+        name, label = clip["name"], clip["label"]
+        index = int(name.rsplit("_", 1)[1])
+        seed = np.random.default_rng([5, 5, label, index]).integers(2 ** 31)
         dat = tmp_path / "enc" / f"{name}.dat"
         dat.parent.mkdir(exist_ok=True)
         assert main(["encode", str(tmp_path / "synth/clips" / name), str(dat),
-                     "--noise", "0.3", "--seed", "5", "--upsample", "2"]) == 0
+                     "--noise", "0.3", "--seed", str(seed),
+                     "--upsample", "2"]) == 0
         for suffix in (".dat", ".meta.json"):
             assert ((tmp_path / "enc" / f"{name}{suffix}").read_bytes()
                     == (run / "spikes" / f"{name}{suffix}").read_bytes()), name
@@ -385,6 +389,38 @@ def test_pipeline_dat_bytes_equal_synth_then_encode(tmp_path):
         == synth_manifest
     assert ((run / "dataset/prompts.txt").read_bytes()
             == (tmp_path / "synth/prompts.txt").read_bytes())
+
+
+def test_pipeline_clips_get_their_own_noise_seeds(tmp_path, monkeypatch):
+    # Stages 1 + 2 only: record the seed each clip is encoded with, then
+    # stop the run where the dataset index is written.
+    from spikekit import pipeline
+
+    class StopAfterEncode(Exception):
+        pass
+
+    def stop(*args):
+        raise StopAfterEncode
+
+    seeds = []
+    encode = pipeline.encode_video
+
+    def recording_encode(video, cfg, seed):
+        seeds.append(seed)
+        return encode(video, cfg, seed=seed)
+
+    monkeypatch.setattr(pipeline, "encode_video", recording_encode)
+    monkeypatch.setattr(pipeline, "write_dataset_index", stop)
+    config = pipeline.PipelineConfig(
+        seed=3, classes=("wave", "throw"), clips_per_class=3,
+        test_per_class=1, frames=50, upsample=2, noise_amplitude=0.2,
+        r_win=10, step=20, n_blocks=4, channel_step=8, shots=(1,))
+    with pytest.raises(StopAfterEncode):
+        pipeline.run_pipeline(config, tmp_path)
+    assert seeds == [int(np.random.default_rng([3, 5, label, index])
+                         .integers(2 ** 31))
+                     for label in range(2) for index in range(3)]
+    assert len(set(seeds)) == 6
 
 
 def _weight_archive(tmp_path, command):

@@ -1,10 +1,17 @@
-"""The JSON artifact writer replaces a file whole or not at all."""
+"""The atomic writer replaces a file whole or not at all, and the JSON,
+``.dat`` and weight-blob writers all go through it."""
+
+import builtins
+import errno
+import os
 
 import numpy as np
 import pytest
 
 from spikekit.errors import DataIOError
-from spikekit.jsonio import read_json, write_json
+from spikekit.jsonio import read_json, write_bytes, write_json
+from spikekit.stream import SpikeStream, StreamMeta, write_dat
+from spikekit.weights import save_weights
 
 
 def test_failed_serialization_keeps_the_old_file(tmp_path):
@@ -25,3 +32,53 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
         write_json({"a": 1}, target)
     assert [p.name for p in tmp_path.iterdir()] == ["dir.json"]
     assert list(target.iterdir()) == []
+
+
+class _FullDisk:
+    """A file opened for writing whose every write fails, as on a full
+    disk; opening it has already created or truncated it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _full_disk_open(real_open):
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode else fh
+    return open_
+
+
+def _write_stream(directory, value):
+    stream = SpikeStream(np.full((3, 4, 5), value, dtype=np.uint8))
+    write_dat(stream, StreamMeta.for_stream(stream), directory / "s.dat")
+
+
+def _write_weights(directory, value):
+    save_weights({"a": np.full((2, 3), value), "b": np.arange(4.0) * value},
+                 directory)
+
+
+@pytest.mark.parametrize("write", [
+    lambda d, v: write_bytes(bytes([v]) * 7, d / "raw.bin"),
+    lambda d, v: write_json({"v": v}, d / "a.json"),
+    _write_stream,
+    _write_weights,
+], ids=["write_bytes", "write_json", "write_dat", "save_weights"])
+def test_failed_write_keeps_the_old_bytes(write, tmp_path, monkeypatch):
+    write(tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", _full_disk_open(builtins.open))
+        with pytest.raises(DataIOError, match="cannot write"):
+            write(tmp_path, 0)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -1,5 +1,7 @@
 """Texture-from-interval reconstruction tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,74 @@ def periodic_stream(period: int, t_len: int, offset: int = 0) -> SpikeStream:
     data = np.zeros((t_len, 1, 1), dtype=np.uint8)
     data[offset::period] = 1
     return SpikeStream(data)
+
+
+def argmax_tfi_reconstruct(stream: SpikeStream, t: int,
+                           cfg: TfiConfig) -> np.ndarray:
+    """Reference TFI frame: each window scanned on its own with argmax."""
+    data = stream.data
+    h, w = stream.height, stream.width
+    lo = max(0, t - cfg.delta_t_max)
+    before_window = data[lo:t + 1][::-1]          # index 0 == time t
+    has_before = before_window.any(axis=0)
+    t_before = t - before_window.argmax(axis=0)
+    hi = min(stream.t_len, t + cfg.delta_t_max + 1)
+    after_window = data[t + 1:hi]
+    if after_window.shape[0] == 0:
+        has_after = np.zeros((h, w), dtype=bool)
+        t_after = np.zeros((h, w), dtype=np.int64)
+    else:
+        has_after = after_window.any(axis=0)
+        t_after = t + 1 + after_window.argmax(axis=0)
+    out = np.full((h, w), cfg.default_value, dtype=np.float64)
+    both = has_before & has_after
+    isi = (t_after - t_before).astype(np.float64)
+    np.copyto(out, np.minimum(1.0, cfg.theta / np.maximum(isi, 1.0)),
+              where=both)
+    return out
+
+
+def _test_streams():
+    """(name, stream): random streams over spike rates and lengths, plus
+    all-zero and all-one streams. t_len 300 needs two-byte spike times."""
+    rng = np.random.default_rng(41)
+    for rate, t_len in itertools.product((0.01, 0.1, 0.3), (1, 2, 37, 100)):
+        yield (f"rate{rate}-t{t_len}",
+               SpikeStream(rng.random((t_len, 3, 5)) < rate))
+    yield "rate0.05-t300", SpikeStream(rng.random((300, 2, 3)) < 0.05)
+    for t_len in (1, 37):
+        yield f"zeros-t{t_len}", SpikeStream(np.zeros((t_len, 2, 2), np.uint8))
+        yield f"ones-t{t_len}", SpikeStream(np.ones((t_len, 2, 2), np.uint8))
+
+
+# delta_t_max 3 with stride 25: windows that do not overlap. 500: the
+# windows reach past both ends of every stream.
+@pytest.mark.parametrize("delta_t_max", [3, 40, 500])
+@pytest.mark.parametrize("default_value", [0.0, 0.2])
+def test_sweep_equals_argmax_oracle(delta_t_max, default_value):
+    cfg = TfiConfig(delta_t_max=delta_t_max, theta=5.0,
+                    default_value=default_value)
+    for name, stream in _test_streams():
+        t_len = stream.t_len
+        for t in sorted({0, t_len // 2, t_len - 1}):
+            assert tfi_reconstruct(stream, t, cfg).tobytes() == \
+                argmax_tfi_reconstruct(stream, t, cfg).tobytes(), (name, t)
+        for stride in (1, 7, 25, t_len + 1):
+            want = np.stack([argmax_tfi_reconstruct(stream, t, cfg)
+                             for t in range(0, t_len, stride)])
+            got = tfi_video(stream, stride, cfg).frames
+            assert got.tobytes() == want.tobytes(), (name, stride)
+
+
+def test_tfi_video_frame_k_is_tfi_reconstruct_at_k_stride():
+    rng = np.random.default_rng(42)
+    stream = SpikeStream(rng.random((90, 4, 4)) < 0.15)
+    cfg = TfiConfig(delta_t_max=9, theta=4.0, default_value=0.1)
+    video = tfi_video(stream, 11, cfg)
+    assert video.n_frames == 9
+    for k, frame in enumerate(video.frames):
+        assert frame.tobytes() == \
+            tfi_reconstruct(stream, k * 11, cfg).tobytes(), k
 
 
 def test_period_five_reconstructs_full_brightness():

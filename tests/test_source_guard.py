@@ -1,6 +1,6 @@
 """Source guards: the JSON artifact format, the shared helpers, the one
 binary check, the one conv kernel, the SOP count, the loss and gradient,
-the PGM clip I/O and the few-shot stages each live in one place, so
+the PGM clip I/O, TFI and the few-shot stages each live in one place, so
 hand-copied duplicates cannot creep back in."""
 
 import ast
@@ -105,6 +105,31 @@ def test_pgm_clips_stay_in_videoio_and_synth():
             if not name.startswith("videoio.py:")] == [
         "pipeline.py:encode_file"]
     assert "pipeline.py:run_pipeline" not in _functions(_calls("encode_file"))
+
+
+def _reads_stream_frames(fn: ast.FunctionDef) -> bool:
+    """The function indexes ``data``, or takes some ``.data`` for anything
+    other than passing it straight to ``_tfi_frames``."""
+    passed = {id(arg) for node in ast.walk(fn)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "_tfi_frames"
+              for arg in node.args}
+    return any((isinstance(node, ast.Attribute) and node.attr == "data"
+                and id(node) not in passed)
+               or (isinstance(node, ast.Subscript)
+                   and ast.unparse(node.value) == "data")
+               for node in ast.walk(fn))
+
+
+def test_one_tfi_implementation():
+    # tfi_reconstruct and tfi_video are both the one sweep, _tfi_frames:
+    # no per-window argmax scan, and no other function reads the frames.
+    assert "argmax" not in _sources()["reconstruct.py"]
+    assert _functions(_calls("_tfi_frames")) == [
+        "reconstruct.py:tfi_reconstruct", "reconstruct.py:tfi_video"]
+    assert [name for name in _functions(_reads_stream_frames)
+            if name.startswith("reconstruct.py:")] == [
+        "reconstruct.py:_tfi_frames"]
 
 
 def test_conv_sops_counted_once_per_spiking_stage():

@@ -1,11 +1,14 @@
 """Synthetic-dataset generator tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spikekit.errors import PreconditionError
 from spikekit.synth import (CLASS_PROMPTS, SyntheticDatasetSpec,
-                            brightness_centroid, render_clip, synth_dataset)
+                            brightness_centroid, render_clip, render_frames,
+                            synth_dataset)
 from spikekit.videoio import (quantize_u8, read_pgm, read_pgm_clip,
                               write_pgm_frame)
 
@@ -90,3 +93,58 @@ def test_quantized_frames_read_back_as_their_pgm_files(tmp_path):
         write_pgm_frame(frame, path)
         assert (quantize_u8(frame) / 255.0).tobytes() == \
             read_pgm(path).tobytes()
+
+
+def grid_render(class_name, frames, height, width, rng):
+    """Reference renderer: every blob, still ones included, evaluated on a
+    full [height, width] coordinate grid for every frame."""
+    gy, gx = np.mgrid[0:height, 0:width].astype(np.float64)
+
+    def blob(cy, cx, sigma, amp):
+        return amp * np.exp(-((gy - cy) ** 2 + (gx - cx) ** 2)
+                            / (2.0 * sigma ** 2))
+
+    sigma = (min(height, width) / 12.0) * rng.uniform(0.85, 1.15)
+    amp = rng.uniform(0.8, 1.0)
+    cy = height * rng.uniform(0.42, 0.58)
+    cx = width * rng.uniform(0.45, 0.55)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    freq = rng.uniform(1.8, 2.4) if class_name == "clap" else \
+        rng.uniform(2.2, 3.0)
+    strikes = int(rng.integers(2, 4))
+    for t in range(frames):
+        s = t / (frames - 1)
+        frame = np.full((height, width), 0.05)
+        if class_name == "clap":
+            gap = 0.30 * width * abs(math.cos(math.pi * freq * s + phase))
+            frame += blob(cy, cx - gap - 2, sigma, amp)
+            frame += blob(cy, cx + gap + 2, sigma, amp)
+        elif class_name == "wave":
+            x = cx + 0.32 * width * math.sin(2.0 * math.pi * freq * s + phase)
+            frame += blob(cy * 0.7, x, sigma, amp)
+            frame += blob(height * 0.8, cx, sigma * 1.4, amp * 0.5)
+        elif class_name == "punch":
+            phase_s = (s * strikes) % 1.0
+            reach = min(1.0, phase_s / 0.25) if phase_s < 0.25 else \
+                max(0.0, 1.0 - (phase_s - 0.25) / 0.75)
+            frame += blob(cy, 0.2 * width + 0.6 * width * reach, sigma, amp)
+            frame += blob(cy, 0.15 * width, sigma * 1.3, amp * 0.5)
+        else:
+            x = 0.15 * width + 0.7 * width * s
+            y = cy - 0.35 * height * 4.0 * s * (1.0 - s)
+            frame += blob(y, x, sigma * 0.8, amp)
+            frame += blob(height * 0.75, 0.2 * width, sigma * 1.3, amp * 0.5)
+        yield np.clip(frame, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("class_name", sorted(CLASS_PROMPTS))
+@pytest.mark.parametrize("height,width", [(64, 64), (64, 96), (96, 64)])
+def test_render_frames_equal_full_grid_formula(class_name, height, width):
+    for seed in range(3):
+        got = list(render_frames(class_name, 30, height, width,
+                                 np.random.default_rng(seed)))
+        want = list(grid_render(class_name, 30, height, width,
+                                np.random.default_rng(seed)))
+        assert len(got) == len(want) == 30
+        for t, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), (seed, t)
