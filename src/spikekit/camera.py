@@ -93,6 +93,19 @@ class EncoderConfig:
 # Continuous simulation
 # ---------------------------------------------------------------------------
 
+def _sample(intensity: Callable[[float], float],
+            times: np.ndarray) -> np.ndarray:
+    """``intensity`` at every time in ``times``: in one call when it maps
+    the array to an array of its shape, else one point at a time."""
+    try:
+        values = np.asarray(intensity(times), dtype=np.float64)
+        if values.shape != times.shape:
+            raise ValueError
+    except (TypeError, ValueError):
+        values = np.array([float(intensity(t)) for t in times])
+    return values
+
+
 def simulate_pixel(intensity: Callable[[float], float], model: PixelModel,
                    duration: float, dt: float,
                    record_charge: bool = False):
@@ -122,13 +135,8 @@ def simulate_pixel(intensity: Callable[[float], float], model: PixelModel,
     dt_eff = model.tick / steps_per_poll
 
     # Midpoint sampling: exact for linear intensity ramps.
-    mids = (np.arange(n_polls * steps_per_poll, dtype=np.float64) + 0.5) * dt_eff
-    try:
-        values = np.asarray(intensity(mids), dtype=np.float64)
-        if values.shape != mids.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        values = np.array([float(intensity(t)) for t in mids])
+    values = _sample(intensity, (np.arange(n_polls * steps_per_poll,
+                                           dtype=np.float64) + 0.5) * dt_eff)
     if np.any(values < 0):
         raise PreconditionError("intensity must be >= 0 everywhere")
     increments = model.alpha * values * dt_eff
@@ -160,13 +168,7 @@ def continuous_spike_count(intensity: Callable[[float], float],
                            dt: float) -> int:
     """Floor of the integrated charge over theta: the ideal crossing count."""
     mids = (np.arange(int(math.ceil(duration / dt)), dtype=np.float64) + 0.5) * dt
-    mids = mids[mids < duration]
-    try:
-        values = np.asarray(intensity(mids), dtype=np.float64)
-        if values.shape != mids.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        values = np.array([float(intensity(t)) for t in mids])
+    values = _sample(intensity, mids[mids < duration])
     total = float(np.sum(model.alpha * values * dt))
     return int(total // model.theta)
 

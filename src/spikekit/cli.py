@@ -10,6 +10,7 @@ there are no wall-clock defaults anywhere.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import replace
@@ -21,17 +22,18 @@ from .camera import EncoderConfig
 from .energy import EnergyLedger, energy_report, format_report
 from .errors import DataIOError, PreconditionError, SpikeKitError
 from .hsfe import BlockSpec, BranchSpec
-from .jsonio import read_json, write_json
-from .pipeline import (PipelineConfig, build_feature_weights, encode_file,
+from .jsonio import read_json, read_text, write_bytes, write_json
+from .pipeline import (PipelineConfig, build_feature_weights, encode_to_dat,
                        evaluate_head, featurize_stream, provenance,
                        run_pipeline, train_fewshot_head)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig
-from .stream import (ClipWindowSpec, StreamMeta, read_dat, read_meta,
-                     sidecar_path, slice_clips, subsample_temporal, write_dat)
+from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, read_dat,
+                     read_meta, sidecar_path, slice_clips, subsample_temporal,
+                     write_dat)
 from .synth import CLASS_PROMPTS, SyntheticDatasetSpec, synth_dataset
-from .videoio import write_pgm_frame
+from .videoio import load_video, write_pgm_frame
 from .weights import load_weights, save_weights
 
 
@@ -43,6 +45,13 @@ def _resolve_meta(dat_path: str, meta_arg: str | None) -> StreamMeta:
         return read_meta(sidecar)
     raise PreconditionError(
         f"no --meta given and no sidecar {sidecar} found for {dat_path}")
+
+
+def _read_stream(dat_path: str,
+                 meta_arg: str | None) -> tuple[SpikeStream, StreamMeta]:
+    """The stream at ``dat_path`` and its meta, from --meta or the sidecar."""
+    meta = _resolve_meta(dat_path, meta_arg)
+    return read_dat(dat_path, meta), meta
 
 
 def _load_embeddings(path) -> list[dict]:
@@ -99,17 +108,19 @@ def cmd_encode(args) -> int:
     cfg = EncoderConfig(theta=args.theta, noise_amplitude=args.noise)
     if cfg.noise_amplitude > 0 and args.seed is None:
         raise PreconditionError("--seed is required when --noise > 0")
-    stream = encode_file(args.input, args.out, cfg, args.upsample, args.seed)
+    stream = encode_to_dat(load_video(args.input), args.out, cfg,
+                           args.upsample, args.seed)
     print(f"encoded {stream.t_len}x{stream.height}x{stream.width} "
           f"({stream.spike_count()} spikes) -> {args.out}")
     return 0
 
 
 def cmd_decode(args) -> int:
-    meta = _resolve_meta(args.input, args.meta)
-    stream = read_dat(args.input, meta)
+    stream, meta = _read_stream(args.input, args.meta)
     if args.out.endswith(".npy"):
-        np.save(args.out, stream.data)
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, stream.data)
+        write_bytes(buf.getvalue(), args.out)
     elif args.out.endswith(".dat"):
         write_dat(stream, meta, args.out)
     else:
@@ -119,8 +130,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    meta = _resolve_meta(args.input, args.meta)
-    stream = read_dat(args.input, meta)
+    stream, meta = _read_stream(args.input, args.meta)
     theta = args.theta if args.theta is not None else meta.threshold_theta
     cfg = TfiConfig(delta_t_max=args.dtmax, theta=theta,
                     default_value=args.default_value)
@@ -138,29 +148,21 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    meta = _resolve_meta(args.input, args.meta)
-    stream = read_dat(args.input, meta)
+    stream, meta = _read_stream(args.input, args.meta)
     clips = slice_clips(stream, ClipWindowSpec(args.window, args.stride))
     os.makedirs(args.out, exist_ok=True)
     base = os.path.splitext(os.path.basename(args.input))[0]
     for k, clip in enumerate(clips):
-        clip_meta = StreamMeta.for_stream(clip,
-                                          threshold_theta=meta.threshold_theta,
-                                          tick_seconds=meta.tick_seconds)
-        write_dat(clip, clip_meta,
+        write_dat(clip, replace(meta, t_len=clip.t_len),
                   os.path.join(args.out, f"{base}_clip{k:04d}.dat"))
     print(f"wrote {len(clips)} clip(s) to {args.out}")
     return 0
 
 
 def cmd_subsample(args) -> int:
-    meta = _resolve_meta(args.input, args.meta)
-    stream = read_dat(args.input, meta)
+    stream, meta = _read_stream(args.input, args.meta)
     out_stream = subsample_temporal(stream, args.target)
-    out_meta = StreamMeta.for_stream(out_stream,
-                                     threshold_theta=meta.threshold_theta,
-                                     tick_seconds=meta.tick_seconds)
-    write_dat(out_stream, out_meta, args.out)
+    write_dat(out_stream, replace(meta, t_len=out_stream.t_len), args.out)
     print(f"subsampled {stream.t_len} -> {out_stream.t_len} frames: {args.out}")
     return 0
 
@@ -213,10 +215,8 @@ def cmd_featurize(args) -> int:
 
     entries = []
     for path in paths:
-        meta = _resolve_meta(path, args.meta)
-        stream = read_dat(path, meta)
-        vector = featurize_stream(stream, block_spec, branches, star_cfg,
-                                  weights)
+        stream, _ = _read_stream(path, args.meta)
+        vector = featurize_stream(stream, block_spec, branches, weights)
         name = os.path.splitext(os.path.basename(path))[0]
         entry = {"id": name, "vector": vector.tolist()}
         if name in labels:
@@ -230,8 +230,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_snn_forward(args) -> int:
-    meta = _resolve_meta(args.input, args.meta)
-    stream = read_dat(args.input, meta)
+    stream, _ = _read_stream(args.input, args.meta)
     cfg = FsveConfig(channels=args.channels, timesteps=args.timesteps)
 
     def init(seed, archive):
@@ -265,8 +264,8 @@ def cmd_energy(args) -> int:
 
 def cmd_train_head(args) -> int:
     entries = _load_embeddings(args.embeddings)
-    with open(args.prompts, "r", encoding="utf-8") as fh:
-        prompts = [line.strip() for line in fh if line.strip()]
+    prompts = [line.strip() for line in read_text(args.prompts).split("\n")
+               if line.strip()]
     if not prompts:
         raise PreconditionError(f"{args.prompts}: no prompts")
     (head, trace), = train_fewshot_head(

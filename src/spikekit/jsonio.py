@@ -1,5 +1,6 @@
 """The JSON artifact format: one reader and one writer for every module,
-and the atomic file writer that every artifact goes through.
+the one text reader, and the atomic file writer that every artifact goes
+through.
 
 Artifacts are UTF-8 JSON with 2-space indent and a trailing newline, and
 are written atomically.
@@ -36,11 +37,20 @@ def write_json(obj, path) -> None:
     write_bytes((json.dumps(obj, indent=2) + "\n").encode("utf-8"), path)
 
 
-def read_json(path):
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``, with newlines read as ``\\n``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataIOError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_json(path):
+    text = read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataIOError(f"{path} is not valid JSON: {exc}") from exc

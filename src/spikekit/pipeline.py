@@ -27,10 +27,10 @@ from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
 from .jsonio import read_json, write_json
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
-from .stream import SpikeStream, StreamMeta, read_dat, write_dat
+from .stream import SpikeStream, StreamMeta, write_dat
 from .synth import (CLASS_PROMPTS, SyntheticDatasetSpec, dataset_clips,
                     render_frames, write_dataset_index)
-from .videoio import load_video, quantize_u8
+from .videoio import quantize_u8
 
 
 @dataclass
@@ -162,10 +162,10 @@ def build_feature_weights(block_len: int, branches: BranchSpec,
 
 
 def featurize_stream(stream: SpikeStream, block_spec: BlockSpec,
-                     branches: BranchSpec, star_cfg: MiniMapResNetConfig,
+                     branches: BranchSpec,
                      weights: dict[str, np.ndarray]) -> np.ndarray:
     estimates = hsfe_forward(stream, block_spec, branches, weights)
-    return star_net_forward(estimates, star_cfg, weights)
+    return star_net_forward(estimates, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +184,19 @@ def encode_to_dat(video: IntensityVideo, dat_path, cfg: EncoderConfig,
     return stream
 
 
-def encode_file(video_path, dat_path, cfg: EncoderConfig, upsample: int,
-                seed: int | None) -> SpikeStream:
-    """``encode_to_dat`` of the intensity video stored at ``video_path``."""
-    return encode_to_dat(load_video(video_path), dat_path, cfg, upsample, seed)
-
-
 def _encode_synth_clip(spec: SyntheticDatasetSpec, label: int,
                        rng: np.random.Generator, dat_path, cfg: EncoderConfig,
-                       upsample: int, seed: int | None) -> None:
-    """Render one dataset clip and encode it as ``encode_file`` would its
-    PGM frames: each frame is quantized to 8 bits as it is rendered, and
-    ``/ 255`` reads the pixels back as ``read_pgm`` does. No float copy of
-    the rendered clip is ever held."""
+                       upsample: int, seed: int | None) -> SpikeStream:
+    """Render one dataset clip and encode it as ``spikekit encode`` would
+    its PGM frames: each frame is quantized to 8 bits as it is rendered,
+    and ``/ 255`` reads the pixels back as ``read_pgm`` does. No float copy
+    of the rendered clip is ever held."""
     pixels = np.empty((spec.frames, spec.height, spec.width), dtype=np.uint8)
     for t, frame in enumerate(render_frames(spec.classes[label], spec.frames,
                                             spec.height, spec.width, rng)):
         pixels[t] = quantize_u8(frame)
-    encode_to_dat(IntensityVideo(pixels / 255.0), dat_path, cfg, upsample,
-                  seed)
+    return encode_to_dat(IntensityVideo(pixels / 255.0), dat_path, cfg,
+                         upsample, seed)
 
 
 def train_fewshot_head(entries: list[dict], prompts: list[str], shots: int,
@@ -265,9 +259,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     head_s{shots}_seed{seed}.json, metrics.json, and (when run_snn)
     ledger.json + energy_report.json.
 
-    Clips are rendered and encoded in memory, with the same bytes as
-    ``spikekit synth`` followed by ``spikekit encode``; ``spikekit synth``
-    is the way to get the PGM frames. With ``noise_amplitude`` above 0,
+    Each clip is rendered, encoded, written to its ``.dat`` and
+    featurized in one pass, from the stream in memory; no stream is read
+    back. The ``.dat`` files have the bytes of ``spikekit synth`` followed
+    by ``spikekit encode``; ``spikekit synth`` is the way to get the PGM
+    frames. With ``noise_amplitude`` above 0,
     clip ``index`` of class ``label`` is encoded with noise seed
     ``default_rng([seed, 5, label, index]).integers(2 ** 31)``, the
     ``--seed`` that ``spikekit encode`` needs for its bytes. The heads of
@@ -275,8 +271,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     train-head`` runs the same trainer on a batch of one.
     """
     os.makedirs(out_dir, exist_ok=True)
-
-    # Stages 1 + 2: synthesize every clip and encode it to .dat.
     spec = SyntheticDatasetSpec(classes=config.classes,
                                 clips_per_class=config.clips_per_class,
                                 frames=config.frames, height=config.height,
@@ -285,41 +279,35 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     os.makedirs(spikes_dir, exist_ok=True)
     enc_cfg = EncoderConfig(theta=config.theta,
                             noise_amplitude=config.noise_amplitude)
+    block_spec = config.block_spec()
+    branches = config.branch_spec()
+    weights = build_feature_weights(block_spec.block_len, branches,
+                                    config.star_config(),
+                                    (config.height, config.width), config.seed)
+    prompts = [CLASS_PROMPTS[c] for c in config.classes]
+    support_per_class = config.clips_per_class - config.test_per_class
+
+    # Stages 1-3, one clip at a time: synthesize, encode to .dat, and
+    # featurize the stream in hand with seeded frozen weights.
     dat_paths: dict[str, str] = {}
-    clips = []
+    clips, train_pool, test_set = [], [], []
+    first_stream = None
     for label, index, name, rng in dataset_clips(spec):
         dat_paths[name] = os.path.join(spikes_dir, name + ".dat")
         noise_seed = int(np.random.default_rng([config.seed, 5, label, index])
                          .integers(2 ** 31))
-        _encode_synth_clip(spec, label, rng, dat_paths[name], enc_cfg,
-                           config.upsample,
-                           noise_seed if config.noise_amplitude > 0 else None)
+        stream = _encode_synth_clip(
+            spec, label, rng, dat_paths[name], enc_cfg, config.upsample,
+            noise_seed if config.noise_amplitude > 0 else None)
+        if first_stream is None:
+            first_stream = stream
         clips.append({"name": name, "class": spec.classes[label],
                       "label": label})
-    manifest = write_dataset_index(spec, os.path.join(out_dir, "dataset"),
-                                   clips)
-
-    # Stage 3: featurize with seeded frozen weights.
-    block_spec = config.block_spec()
-    branches = config.branch_spec()
-    star_cfg = config.star_config()
-    weights = build_feature_weights(block_spec.block_len, branches, star_cfg,
-                                    (config.height, config.width), config.seed)
-    prompts = [CLASS_PROMPTS[c] for c in config.classes]
-    meta = StreamMeta(height=config.height, width=config.width,
-                      t_len=config.t_len,
-                      threshold_theta=config.theta)
-    train_pool, test_set = [], []
-    support_per_class = config.clips_per_class - config.test_per_class
-    for clip in manifest["clips"]:
-        stream = read_dat(dat_paths[clip["name"]], meta)
-        vector = featurize_stream(stream, block_spec, branches, star_cfg,
-                                  weights)
-        entry = {"id": clip["name"], "label": clip["label"],
-                 "prompt": prompts[clip["label"]],
-                 "vector": vector.tolist()}
-        clip_index = int(clip["name"].rsplit("_", 1)[1])
-        (train_pool if clip_index < support_per_class else test_set).append(entry)
+        vector = featurize_stream(stream, block_spec, branches, weights)
+        (train_pool if index < support_per_class else test_set).append(
+            {"id": name, "label": label, "prompt": prompts[label],
+             "vector": vector.tolist()})
+    write_dataset_index(spec, os.path.join(out_dir, "dataset"), clips)
 
     emb_prov = provenance(config.seed,
                           inputs={name: path
@@ -360,19 +348,17 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
 
     # Stage 6: spiking forward + energy on the first clip.
     if config.run_snn:
-        first = manifest["clips"][0]["name"]
-        stream = read_dat(dat_paths[first], meta)
         fsve_cfg = FsveConfig(channels=config.snn_channels,
                               timesteps=config.timesteps)
         fsve_weights = init_fsve_weights(
             fsve_cfg, seed=int(np.random.default_rng([config.seed, 4])
                                .integers(2 ** 31)))
         ledger = EnergyLedger()
-        fsve_forward(stream, fsve_weights, fsve_cfg, ledger)
+        fsve_forward(first_stream, fsve_weights, fsve_cfg, ledger)
         ledger.save(os.path.join(out_dir, "ledger.json"))
         report = energy_report(ledger)
         report["provenance"] = provenance(
-            config.seed, inputs={"stream": dat_paths[first]})
+            config.seed, inputs={"stream": dat_paths[clips[0]["name"]]})
         write_json(report, os.path.join(out_dir, "energy_report.json"))
         metrics["energy"] = {"e_snn_joules": report["e_snn_joules"]}
 

@@ -11,7 +11,6 @@ operation; the Heaviside convention here is that the boundary fires
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,8 @@ from .energy import (EnergyLedger, count_conv_sops, dense_conv_macs,
 from .errors import InvariantError, PreconditionError
 from .nnops import conv2d, he_init, linear
 from .stream import SpikeStream, is_binary, subsample_temporal
+
+TDBN_EPS = 1e-5     # added to the pooled variance before the square root
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def surrogate_grad(u, p: LifParams):
     return out
 
 
-def tdbn(x: np.ndarray, gamma, beta, eps: float = 1e-5) -> np.ndarray:
+def tdbn(x: np.ndarray, gamma, beta) -> np.ndarray:
     """Batch normalization with statistics pooled over merged time, batch,
     and spatial axes (channel axis is axis 2 of [T, B, C, ...]).
 
@@ -104,7 +105,7 @@ def tdbn(x: np.ndarray, gamma, beta, eps: float = 1e-5) -> np.ndarray:
                        (1, 1, -1) + (1,) * (x.ndim - 3))
     beta = np.reshape(np.asarray(beta, dtype=np.float64),
                       (1, 1, -1) + (1,) * (x.ndim - 3))
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    return (x - mean) / np.sqrt(var + TDBN_EPS) * gamma + beta
 
 
 def _conv_tdbn(s: np.ndarray, weights: dict[str, np.ndarray], prefix: str,
@@ -169,19 +170,21 @@ def sn_threshold(x: np.ndarray, alpha_sn: float = 1.0
 
 
 def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
-                  ledger: EnergyLedger | None = None,
-                  prefix: str = "fsve.sdsa"):
+                  ledger: EnergyLedger | None = None):
     """Spike-driven self-attention over [tokens, d_model].
 
     Q/K/V are spike-normalized linear projections (binary) whose width d
-    is the q projection's output width. The raw correlation
-    Q_S K_S^T / sqrt(d) is never multiplied by the scale factor
-    1/sqrt(d); instead the spike-normalization threshold is
-    reparameterized to V_th / scale, which is algebraically identical and
-    numerically stabler. The binary attention map gates V_S and a final
-    linear layer produces the output. All SN stage spike counts go to the
-    ledger. Returns the output and a dict of the binary stages.
+    is the q projection's output width. Binary Q_S and K_S make every
+    correlation c = Q_S K_S^T an integer, and their sum
+    S = colsum(Q_S) . colsum(K_S) an exact one. Spike normalization of the
+    scaled map c / d fires where it reaches its mean; for N tokens that is
+    where c * N^2 >= S, so the threshold is decided by an exact integer
+    test, and entries equal to the mean fire (Theta(0) = 1). The binary
+    attention map gates V_S and a final linear layer produces the output.
+    All SN stage spike counts go to the ledger. Returns the output and a
+    dict of the binary stages.
     """
+    prefix = "fsve.sdsa"
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise PreconditionError(f"tokens must be [n, d], got shape {u.shape}")
@@ -203,20 +206,18 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
                           element_count=u.size)
     q_s, k_s, v_s = projections["q"], projections["k"], projections["v"]
 
-    d = q_s.shape[1]
-    scale = 1.0 / math.sqrt(d)
-    corr = (q_s.astype(np.float64) @ k_s.T.astype(np.float64)) / math.sqrt(d)
-    _, v_th_attn = sn_threshold(corr * scale)
-    v_th_reparam = v_th_attn / scale
-    attn_spikes = (corr >= v_th_reparam).astype(np.uint8)
+    # Sums of binary products are exact in float64, and so is their N^2
+    # multiple. S is also the correlation's SOP count: a product
+    # accumulates only where both operands spike.
+    corr = q_s.astype(np.float64) @ k_s.T.astype(np.float64)
+    corr_sops = int((q_s.sum(axis=0).astype(np.int64)
+                     * k_s.sum(axis=0).astype(np.int64)).sum())
+    attn_spikes = (corr * (n_tokens * n_tokens) >= corr_sops).astype(np.uint8)
 
     gated = attn_spikes.astype(np.float64) @ v_s.astype(np.float64)
     out = linear(gated, w[f"{prefix}.out.w"], w[f"{prefix}.out.b"])
 
     if ledger is not None:
-        # Binary x binary matmuls accumulate only where both operands spike.
-        corr_sops = int((q_s.sum(axis=0).astype(np.int64)
-                         * k_s.sum(axis=0).astype(np.int64)).sum())
         ledger.record(f"{prefix}.attn_corr",
                       spike_count=int(q_s.sum()) + int(k_s.sum()),
                       fan_out=n_tokens, actual_sops=corr_sops,

@@ -21,29 +21,22 @@ from .errors import PreconditionError
 from .nnops import conv2d, he_init, linear, relu, softmax
 
 
+# The backbone's fixed shape. The stem halves the map three times (/8);
+# each group is (width, residual blocks, stride of its first block), and
+# groups 2 and 3 halve it once more each, for /32 in all.
+STEM_CHANNELS = 16
+GROUPS = ((16, 2, 1), (32, 2, 2), (64, 2, 2), (128, 2, 1))
+HEADS = 8
+FFN_DIM = 128
+
+
 @dataclass(frozen=True)
 class MiniMapResNetConfig:
-    stem_channels: int = 16
-    group_widths: tuple[int, int, int, int] = (16, 32, 64, 128)
-    blocks_per_group: tuple[int, int, int, int] = (2, 2, 2, 2)
-    heads: int = 8
     embed_dim: int = 64
-    ffn_dim: int = 128
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
+        if self.embed_dim % HEADS != 0:
             raise PreconditionError("embed_dim must be divisible by heads")
-        if self.group_widths[-1] % self.heads != 0:
-            raise PreconditionError(
-                "final group width must be divisible by heads")
-        if any(w < 1 for w in self.group_widths):
-            raise PreconditionError("group widths must be positive")
-        if any(b < a for a, b in zip(self.group_widths, self.group_widths[1:])):
-            raise PreconditionError("group widths must be non-decreasing")
-
-    # Stride plan: stem /8, then groups 2 and 3 halve once each -> /32.
-    def group_stride(self, g: int) -> int:
-        return 2 if g in (1, 2) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +66,35 @@ def _residual_block(x: np.ndarray, prefix: str, stride: int, out_ch: int,
     return relu(y + shortcut)
 
 
+def _attend(queries: np.ndarray, seq: np.ndarray,
+            weights: dict[str, np.ndarray], prefix: str,
+            heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head scaled dot-product attention of ``queries`` [Q, C] over
+    ``seq`` [N, C] through the ``{prefix}.q/k/v/out`` projections.
+
+    Returns the out-projected context [Q, D] and the attention weights
+    [heads, Q, N], each row summing to one.
+    """
+    c = seq.shape[1]
+    if c % heads != 0:
+        raise PreconditionError(
+            f"width {c} must be divisible by {heads} heads")
+    dh = c // heads
+    w = weights
+    q = linear(queries, w[f"{prefix}.q.w"], w[f"{prefix}.q.b"])
+    k = linear(seq, w[f"{prefix}.k.w"], w[f"{prefix}.k.b"])
+    v = linear(seq, w[f"{prefix}.v.w"], w[f"{prefix}.v.b"])
+    qh = q.reshape(len(queries), heads, dh)
+    kh = k.reshape(-1, heads, dh)
+    vh = v.reshape(-1, heads, dh)
+    scores = np.einsum("qhd,nhd->hqn", qh, kh) / np.sqrt(dh)
+    attn = softmax(scores, axis=-1)
+    ctx = np.einsum("hqn,nhd->qhd", attn, vh).reshape(len(queries), c)
+    return linear(ctx, w[f"{prefix}.out.w"], w[f"{prefix}.out.b"]), attn
+
+
 def attention_pool(tokens: np.ndarray, weights: dict[str, np.ndarray],
-                   heads: int, prefix: str = "star.attnpool",
-                   return_attention: bool = False):
+                   heads: int, return_attention: bool = False):
     """Multi-head attention pooling over [N, C] tokens.
 
     The query is the mean token; mean and tokens each get a learnable
@@ -85,35 +104,20 @@ def attention_pool(tokens: np.ndarray, weights: dict[str, np.ndarray],
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2:
         raise PreconditionError(f"tokens must be [n, c], got {tokens.shape}")
-    pos = weights[f"{prefix}.pos"]
+    pos = weights["star.attnpool.pos"]
     seq = np.concatenate([tokens.mean(axis=0, keepdims=True), tokens], axis=0)
     if pos.shape != seq.shape:
         raise PreconditionError(
             f"positional codes {pos.shape} do not match token sequence "
             f"{seq.shape} (grid size mismatch)")
     seq = seq + pos
-
-    c = seq.shape[1]
-    if c % heads != 0:
-        raise PreconditionError("token width must be divisible by heads")
-    dh = c // heads
-    q = linear(seq[:1], weights[f"{prefix}.q.w"], weights[f"{prefix}.q.b"])
-    k = linear(seq, weights[f"{prefix}.k.w"], weights[f"{prefix}.k.b"])
-    v = linear(seq, weights[f"{prefix}.v.w"], weights[f"{prefix}.v.b"])
-    qh = q.reshape(1, heads, dh)
-    kh = k.reshape(-1, heads, dh)
-    vh = v.reshape(-1, heads, dh)
-    scores = np.einsum("qhd,nhd->hqn", qh, kh) / np.sqrt(dh)   # [h, 1, N+1]
-    attn = softmax(scores, axis=-1)
-    ctx = np.einsum("hqn,nhd->qhd", attn, vh).reshape(1, c)
-    pooled = linear(ctx, weights[f"{prefix}.out.w"],
-                    weights[f"{prefix}.out.b"])[0]
+    pooled, attn = _attend(seq[:1], seq, weights, "star.attnpool", heads)
     if return_attention:
-        return pooled, attn.reshape(heads, -1)
-    return pooled
+        return pooled[0], attn.reshape(heads, -1)
+    return pooled[0]
 
 
-def mini_mapresnet_forward(estimate: np.ndarray, cfg: MiniMapResNetConfig,
+def mini_mapresnet_forward(estimate: np.ndarray,
                            weights: dict[str, np.ndarray]) -> np.ndarray:
     """Map one coarse estimate [C, H, W] to an embedding vector [D]."""
     x = np.asarray(estimate, dtype=np.float64)
@@ -127,23 +131,20 @@ def mini_mapresnet_forward(estimate: np.ndarray, cfg: MiniMapResNetConfig,
     for i in (1, 2, 3):
         x = relu(conv2d(x, weights[f"star.stem.conv{i}.w"],
                         weights[f"star.stem.conv{i}.b"], stride=2, padding=1))
-    for g, (width, n_blocks) in enumerate(zip(cfg.group_widths,
-                                              cfg.blocks_per_group)):
+    for g, (width, n_blocks, stride) in enumerate(GROUPS):
         for b in range(n_blocks):
-            stride = cfg.group_stride(g) if b == 0 else 1
-            x = _residual_block(x, f"star.group{g + 1}.block{b}", stride,
-                                width, weights)
+            x = _residual_block(x, f"star.group{g + 1}.block{b}",
+                                stride if b == 0 else 1, width, weights)
     c = x.shape[0]
     tokens = x.reshape(c, -1).T            # [N, C]
-    return attention_pool(tokens, weights, cfg.heads)
+    return attention_pool(tokens, weights, HEADS)
 
 
 # ---------------------------------------------------------------------------
 # Temporal fusion
 # ---------------------------------------------------------------------------
 
-def temporal_attention(seq, weights: dict[str, np.ndarray], heads: int = 8,
-                       prefix: str = "star.temporal",
+def temporal_attention(seq, weights: dict[str, np.ndarray], heads: int = HEADS,
                        return_attention: bool = False):
     """One encoder layer over the time axis of a [T, B, D] sequence.
 
@@ -154,30 +155,17 @@ def temporal_attention(seq, weights: dict[str, np.ndarray], heads: int = 8,
     x = np.asarray(seq, dtype=np.float64)
     if x.ndim != 3:
         raise PreconditionError(f"sequence must be [t, b, d], got {x.shape}")
-    t_len, batch, dim = x.shape
-    if dim % heads != 0:
-        raise PreconditionError("embedding dim must be divisible by heads")
-    dh = dim // heads
+    t_len, batch, _ = x.shape
     w = weights
     out = np.empty_like(x)
     attn_all = np.empty((batch, heads, t_len, t_len))
     for b in range(batch):
         xb = x[:, b, :]
-        q = linear(xb, w[f"{prefix}.attn.q.w"], w[f"{prefix}.attn.q.b"])
-        k = linear(xb, w[f"{prefix}.attn.k.w"], w[f"{prefix}.attn.k.b"])
-        v = linear(xb, w[f"{prefix}.attn.v.w"], w[f"{prefix}.attn.v.b"])
-        qh = q.reshape(t_len, heads, dh)
-        kh = k.reshape(t_len, heads, dh)
-        vh = v.reshape(t_len, heads, dh)
-        scores = np.einsum("ihd,jhd->hij", qh, kh) / np.sqrt(dh)
-        attn = softmax(scores, axis=-1)
-        attn_all[b] = attn
-        ctx = np.einsum("hij,jhd->ihd", attn, vh).reshape(t_len, dim)
-        y1 = xb + linear(ctx, w[f"{prefix}.attn.out.w"],
-                         w[f"{prefix}.attn.out.b"])
-        ffn = linear(relu(linear(y1, w[f"{prefix}.ffn.fc1.w"],
-                                 w[f"{prefix}.ffn.fc1.b"])),
-                     w[f"{prefix}.ffn.fc2.w"], w[f"{prefix}.ffn.fc2.b"])
+        ctx, attn_all[b] = _attend(xb, xb, w, "star.temporal.attn", heads)
+        y1 = xb + ctx
+        ffn = linear(relu(linear(y1, w["star.temporal.ffn.fc1.w"],
+                                 w["star.temporal.ffn.fc1.b"])),
+                     w["star.temporal.ffn.fc2.w"], w["star.temporal.ffn.fc2.b"])
         out[:, b, :] = y1 + ffn
     if return_attention:
         return out, attn_all
@@ -198,17 +186,17 @@ def temporal_pool(seq) -> np.ndarray:
     return acc / x.shape[0]
 
 
-def star_net_forward(estimates: list[np.ndarray], cfg: MiniMapResNetConfig,
+def star_net_forward(estimates: list[np.ndarray],
                      weights: dict[str, np.ndarray]) -> np.ndarray:
     """Full path: per-estimate backbone, temporal attention, mean pool.
 
-    Returns one clip embedding of length cfg.embed_dim.
+    Returns one clip embedding, as wide as the weights' embedding.
     """
     if not estimates:
         raise PreconditionError("star_net_forward needs at least one estimate")
-    vectors = [mini_mapresnet_forward(e, cfg, weights) for e in estimates]
+    vectors = [mini_mapresnet_forward(e, weights) for e in estimates]
     seq = np.stack(vectors)[:, None, :]           # [T, 1, D]
-    fused = temporal_attention(seq, weights, heads=cfg.heads)
+    fused = temporal_attention(seq, weights)
     return temporal_pool(fused)[0]
 
 
@@ -237,15 +225,14 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
 
     c_in = in_channels
     for i in (1, 2, 3):
-        conv(f"star.stem.conv{i}", cfg.stem_channels, c_in, 3)
-        c_in = cfg.stem_channels
+        conv(f"star.stem.conv{i}", STEM_CHANNELS, c_in, 3)
+        c_in = STEM_CHANNELS
 
-    for g, (width, n_blocks) in enumerate(zip(cfg.group_widths,
-                                              cfg.blocks_per_group)):
+    for g, (width, n_blocks, first_stride) in enumerate(GROUPS):
         for b in range(n_blocks):
-            stride = cfg.group_stride(g) if b == 0 else 1
+            stride = first_stride if b == 0 else 1
             prefix = f"star.group{g + 1}.block{b}"
-            mid = max(1, width // 4)
+            mid = width // 4
             conv(f"{prefix}.conv1", mid, c_in, 1)
             conv(f"{prefix}.conv2", mid, mid, 3)
             conv(f"{prefix}.conv3", width, mid, 1)
@@ -254,7 +241,7 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
                     rng, (width, c_in, 1, 1), fan_in=c_in)
             c_in = width
 
-    c = cfg.group_widths[-1]
+    c = GROUPS[-1][0]
     n_tokens = (h // 32) * (w // 32)
     weights["star.attnpool.pos"] = rng.normal(0.0, 0.02, (n_tokens + 1, c))
     for name in ("q", "k", "v"):
@@ -267,9 +254,9 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
     for name in ("q", "k", "v", "out"):
         weights[f"star.temporal.attn.{name}.w"] = he_init(rng, (d, d), fan_in=d)
         weights[f"star.temporal.attn.{name}.b"] = np.zeros(d)
-    weights["star.temporal.ffn.fc1.w"] = he_init(rng, (d, cfg.ffn_dim), fan_in=d)
-    weights["star.temporal.ffn.fc1.b"] = np.zeros(cfg.ffn_dim)
-    weights["star.temporal.ffn.fc2.w"] = he_init(rng, (cfg.ffn_dim, d),
-                                                 fan_in=cfg.ffn_dim)
+    weights["star.temporal.ffn.fc1.w"] = he_init(rng, (d, FFN_DIM), fan_in=d)
+    weights["star.temporal.ffn.fc1.b"] = np.zeros(FFN_DIM)
+    weights["star.temporal.ffn.fc2.w"] = he_init(rng, (FFN_DIM, d),
+                                                 fan_in=FFN_DIM)
     weights["star.temporal.ffn.fc2.b"] = np.zeros(d)
     return weights

@@ -4,7 +4,7 @@ A spike stream is a binary tensor S(t, y, x) of per-pixel, per-poll spike
 flags. On disk it is a headerless packed bitstream: elements flattened in
 (t, y, x) order with x fastest, 8 spikes per byte, MSB first, a single
 zero-padded byte at the end. Dimensions travel separately in a
-``StreamMeta`` (optionally persisted as a ``.meta.json`` sidecar).
+``StreamMeta``, which ``write_dat`` persists as a ``.meta.json`` sidecar.
 """
 
 from __future__ import annotations
@@ -173,9 +173,8 @@ def unpack_spikes(buf: bytes, meta: StreamMeta) -> SpikeStream:
     return SpikeStream(bits.reshape(meta.t_len, meta.height, meta.width))
 
 
-def write_dat(stream: SpikeStream, meta: StreamMeta, path,
-              sidecar: bool = True) -> None:
-    """Write the packed bitstream to ``path`` (plus optional meta sidecar).
+def write_dat(stream: SpikeStream, meta: StreamMeta, path) -> None:
+    """Write the packed bitstream to ``path`` and ``meta`` to its sidecar.
 
     The file body is exactly the pack_spikes output; read_dat(write_dat(s))
     is the identity. Body and sidecar are each written whole or not at all
@@ -187,8 +186,7 @@ def write_dat(stream: SpikeStream, meta: StreamMeta, path,
             f"meta dimensions {meta.t_len}x{meta.height}x{meta.width} do not "
             f"match stream {stream.t_len}x{stream.height}x{stream.width}")
     write_bytes(pack_spikes(stream), path)
-    if sidecar:
-        write_meta(meta, sidecar_path(path))
+    write_meta(meta, sidecar_path(path))
 
 
 def read_dat(path, meta: StreamMeta) -> SpikeStream:

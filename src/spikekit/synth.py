@@ -25,7 +25,7 @@ import numpy as np
 
 from .camera import IntensityVideo
 from .errors import PreconditionError
-from .jsonio import write_json
+from .jsonio import write_bytes, write_json
 from .videoio import write_pgm_clip
 
 CLASS_PROMPTS = {
@@ -153,10 +153,9 @@ def write_dataset_index(spec: SyntheticDatasetSpec, out_dir,
                 "frames": spec.frames,
                 "height": spec.height, "width": spec.width,
                 "seed": spec.seed, "clips": clips}
-    with open(os.path.join(out_dir, "prompts.txt"), "w",
-              encoding="utf-8") as fh:
-        for class_name in spec.classes:
-            fh.write(CLASS_PROMPTS[class_name] + "\n")
+    write_bytes("".join(CLASS_PROMPTS[c] + "\n"
+                        for c in spec.classes).encode("utf-8"),
+                os.path.join(out_dir, "prompts.txt"))
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest
 

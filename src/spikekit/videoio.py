@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
-from .camera import IntensityVideo
+from .camera import IntensityVideo, to_grayscale
 from .errors import DataIOError
-from .jsonio import read_json, write_json
+from .jsonio import read_json, write_bytes, write_json
 
 
 def quantize_u8(frame: np.ndarray) -> np.ndarray:
@@ -26,9 +26,7 @@ def quantize_u8(frame: np.ndarray) -> np.ndarray:
 def write_pgm_frame(frame: np.ndarray, path) -> None:
     pixels = quantize_u8(frame)
     header = f"P5\n{frame.shape[1]} {frame.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
+    write_bytes(header + pixels.tobytes(), path)
 
 
 def write_pgm_clip(video: IntensityVideo, clip_dir) -> None:
@@ -64,7 +62,10 @@ def read_pgm(path) -> np.ndarray:
     if fields[0] not in (b"P5", b"P6"):
         raise DataIOError(f"{path}: not a binary PGM/PPM file")
     channels = 3 if fields[0] == b"P6" else 1
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        width, height, maxval = (int(f) for f in fields[1:])
+    except ValueError as exc:
+        raise DataIOError(f"{path}: malformed PGM/PPM header ({exc})") from exc
     if maxval != 255:
         raise DataIOError(f"{path}: only 8-bit PGM/PPM supported")
     pos += 1
@@ -73,7 +74,6 @@ def read_pgm(path) -> np.ndarray:
         raise DataIOError(f"{path}: truncated PGM/PPM body")
     body = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     if channels == 3:
-        from .camera import to_grayscale
         rgb = body.reshape(height, width, 3).astype(np.float64) / 255.0
         return to_grayscale(rgb)
     return body.reshape(height, width).astype(np.float64) / 255.0
@@ -90,7 +90,7 @@ def read_pgm_clip(clip_dir) -> IntensityVideo:
 
 def write_video_raw(video: IntensityVideo, path) -> None:
     """Raw planar little-endian float32 body plus a .meta.json sidecar."""
-    video.frames.astype("<f4").tofile(path)
+    write_bytes(video.frames.astype("<f4").tobytes(), path)
     write_json({"t_len": video.n_frames, "height": video.height,
                 "width": video.width, "dtype": "f32"},
                os.fspath(path) + ".meta.json")
@@ -124,10 +124,9 @@ def load_video(path) -> IntensityVideo:
     if path_str.endswith(".npy"):
         try:
             arr = np.load(path_str)
-        except OSError as exc:
+        except (OSError, ValueError, EOFError) as exc:
             raise DataIOError(f"cannot read {path_str}: {exc}") from exc
         if arr.ndim == 4 and arr.shape[3] == 3:
-            from .camera import to_grayscale
             arr = np.stack([to_grayscale(f) for f in arr])
         return IntensityVideo(np.asarray(arr, dtype=np.float64))
     if os.path.exists(path_str + ".meta.json"):

@@ -43,6 +43,10 @@ def load_weights(directory) -> dict[str, np.ndarray]:
         except (KeyError, TypeError) as exc:
             raise DataIOError(
                 f"{manifest_path}: bad tensor record {entry!r}") from exc
+        if not (isinstance(entry["shape"], list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise DataIOError(f"{manifest_path}: {name}: shape must be a "
+                              f"list of non-negative integers")
         if entry.get("dtype", "f32") != "f32":
             raise DataIOError(f"{name}: unsupported dtype {entry['dtype']}")
         blob = os.path.join(directory, name + ".bin")

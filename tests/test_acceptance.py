@@ -24,9 +24,9 @@ from spikekit.pipeline import PipelineConfig, run_pipeline
 from spikekit.reconstruct import TfiConfig, tfi_reconstruct
 from spikekit.snn import (FsveConfig, LifParams, fsve_forward,
                           init_fsve_weights, sn_threshold, surrogate_grad)
-from spikekit.starnet import (MiniMapResNetConfig, attention_pool,
-                              init_starnet_weights, temporal_attention,
-                              temporal_pool)
+from spikekit.starnet import (GROUPS, HEADS, MiniMapResNetConfig,
+                              attention_pool, init_starnet_weights,
+                              temporal_attention, temporal_pool)
 from spikekit.stream import SpikeStream, StreamMeta, pack_spikes, \
     unpack_spikes, write_dat
 from spikekit.nnops import relu, softmax
@@ -63,7 +63,7 @@ def test_criterion_01_codec_roundtrip(tmp_path):
 
         big = SpikeStream(np.zeros((250, 240, 320), dtype=np.uint8))
         path = tmp_path / "big.dat"
-        write_dat(big, StreamMeta.for_stream(big), path, sidecar=False)
+        write_dat(big, StreamMeta.for_stream(big), path)
         assert path.stat().st_size == 2_400_000
 
 
@@ -201,12 +201,12 @@ def test_criterion_06_attention_against_loop_oracles():
         weights = init_starnet_weights(cfg, 4, (64, 64), seed=1006)
         rng = np.random.default_rng(1006)
         w = weights
-        dh = cfg.embed_dim // cfg.heads
+        dh = cfg.embed_dim // HEADS
 
         for _ in range(100):
             t_len = int(rng.integers(1, 7))
             x = rng.normal(size=(t_len, 1, cfg.embed_dim))
-            out, attn = temporal_attention(x, w, heads=cfg.heads,
+            out, attn = temporal_attention(x, w, heads=HEADS,
                                            return_attention=True)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
             xb = x[:, 0, :]
@@ -214,7 +214,7 @@ def test_criterion_06_attention_against_loop_oracles():
             k = xb @ w["star.temporal.attn.k.w"] + w["star.temporal.attn.k.b"]
             v = xb @ w["star.temporal.attn.v.w"] + w["star.temporal.attn.v.b"]
             ctx = np.zeros_like(xb)
-            for h in range(cfg.heads):
+            for h in range(HEADS):
                 sl = slice(h * dh, (h + 1) * dh)
                 for i in range(t_len):
                     scores = np.array([q[i, sl] @ k[j, sl]
@@ -230,11 +230,11 @@ def test_criterion_06_attention_against_loop_oracles():
             np.testing.assert_allclose(out[:, 0, :], y1 + ffn,
                                        rtol=1e-5, atol=1e-10)
 
-        c = cfg.group_widths[-1]
-        dh_pool = c // cfg.heads
+        c = GROUPS[-1][0]
+        dh_pool = c // HEADS
         for _ in range(100):
             tokens = rng.normal(size=(4, c))
-            pooled, attn = attention_pool(tokens, w, cfg.heads,
+            pooled, attn = attention_pool(tokens, w, HEADS,
                                           return_attention=True)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
             seq = np.concatenate([tokens.mean(axis=0, keepdims=True),
@@ -243,7 +243,7 @@ def test_criterion_06_attention_against_loop_oracles():
             k = seq @ w["star.attnpool.k.w"] + w["star.attnpool.k.b"]
             v = seq @ w["star.attnpool.v.w"] + w["star.attnpool.v.b"]
             ctx = np.zeros(c)
-            for h in range(cfg.heads):
+            for h in range(HEADS):
                 sl = slice(h * dh_pool, (h + 1) * dh_pool)
                 scores = np.array([q[sl] @ k[j, sl] for j in range(5)])
                 probs = softmax(scores / np.sqrt(dh_pool))

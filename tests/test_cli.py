@@ -392,8 +392,8 @@ def test_pipeline_dat_bytes_equal_synth_then_encode(tmp_path):
 
 
 def test_pipeline_clips_get_their_own_noise_seeds(tmp_path, monkeypatch):
-    # Stages 1 + 2 only: record the seed each clip is encoded with, then
-    # stop the run where the dataset index is written.
+    # Record the seed each clip is encoded with, then stop the run where
+    # the dataset index is written, after the last clip.
     from spikekit import pipeline
 
     class StopAfterEncode(Exception):
@@ -588,6 +588,35 @@ def _malformed_featurize_manifest(tmp_path, encoded_dat):
         "--out", str(tmp_path / "e.json")]
 
 
+def _malformed_prompts(tmp_path, encoded_dat):
+    (tmp_path / "e.json").write_text(
+        json.dumps([{"id": "a", "label": 0, "vector": [1.0]}]))
+    return tmp_path / "p.txt", [
+        "train-head", str(tmp_path / "e.json"), str(tmp_path / "p.txt"),
+        "--shots", "1", "--seed", "0", "--epochs", "2",
+        "--out", str(tmp_path / "h.json")]
+
+
+def _malformed_pgm_frame(tmp_path, encoded_dat):
+    (tmp_path / "frames").mkdir()
+    return tmp_path / "frames" / "frame_00000.pgm", [
+        "encode", str(tmp_path / "frames"), str(tmp_path / "v.dat")]
+
+
+def _malformed_saved_manifest(tmp_path, encoded_dat):
+    argv = ["snn-forward", str(encoded_dat), "--ledger",
+            str(tmp_path / "ledger.json")]
+    assert main(argv + ["--seed", "0",
+                        "--save-weights", str(tmp_path / "w")]) == 0
+    return tmp_path / "w" / "manifest.json", argv + [
+        "--weights", str(tmp_path / "w")]
+
+
+def _malformed_npy(tmp_path, encoded_dat):
+    return tmp_path / "v.npy", ["encode", str(tmp_path / "v.npy"),
+                                str(tmp_path / "v.dat")]
+
+
 @pytest.mark.parametrize("setup,text", [
     pytest.param(_malformed_ledger, '[{"layer_name": "a"}]',
                  id="ledger-missing-field"),
@@ -659,6 +688,22 @@ def _malformed_featurize_manifest(tmp_path, encoded_dat):
     pytest.param(_malformed_featurize_manifest,
                  '{"clips": [{"name": "x", "label": "0"}]}',
                  id="featurize-manifest-clip-label-string"),
+    pytest.param(_malformed_stream_sidecar, b'{"height": 8\xff}',
+                 id="stream-sidecar-not-utf8"),
+    pytest.param(_malformed_embeddings_train, b'[\xff]',
+                 id="embeddings-not-utf8-train-head"),
+    pytest.param(_malformed_prompts, b'a person \xff waving\n',
+                 id="prompts-not-utf8"),
+    pytest.param(_malformed_pgm_frame, "P5\nx 8\n255\n" + "\0" * 64,
+                 id="pgm-width-not-a-number"),
+    pytest.param(_malformed_npy, "not an npy file", id="npy-not-npy"),
+    pytest.param(_malformed_npy, "", id="npy-empty"),
+    pytest.param(_malformed_saved_manifest,
+                 '[{"name": "fsve.stem1.conv.w", "dtype": "f32", '
+                 '"shape": ["8", 1, 3, 3]}]', id="manifest-shape-strings"),
+    pytest.param(_malformed_saved_manifest,
+                 '[{"name": "fsve.stem1.conv.w", "dtype": "f32", '
+                 '"shape": "8133"}]', id="manifest-shape-string"),
 ] + [pytest.param(setup, text, id=f"embeddings-{name}-{command}")
      for text, name in _BAD_EMBEDDINGS
      for setup, command in ((_malformed_embeddings_train, "train-head"),
@@ -666,7 +711,7 @@ def _malformed_featurize_manifest(tmp_path, encoded_dat):
 def test_malformed_json_artifact_exits_3(setup, text, encoded_dat, tmp_path,
                                          capsys):
     path, argv = setup(tmp_path, encoded_dat)
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")

@@ -64,7 +64,7 @@ def pipeline_conv_shapes():
         weights = build_feature_weights(block_spec.block_len, branches,
                                         star_cfg, (cfg.height, cfg.width),
                                         cfg.seed)
-        featurize_stream(stream, block_spec, branches, star_cfg, weights)
+        featurize_stream(stream, block_spec, branches, weights)
         fsve_cfg = snn.FsveConfig(channels=cfg.snn_channels,
                                   timesteps=cfg.timesteps)
         snn.fsve_forward(stream, snn.init_fsve_weights(fsve_cfg, seed=1),

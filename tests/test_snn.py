@@ -1,6 +1,8 @@
 """Spiking-runtime tests: LIF recurrence, surrogate gradient, TDBN moments,
 residual blocks, spike normalization, and spike-driven attention."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -249,9 +251,9 @@ def sdsa_weights(d, seed):
 
 def test_esdsa_zero_input_hand_trace():
     # U = 0 with zero biases: all projections are 0, every SN threshold is
-    # 0, so Q/K/V are all-ones. The correlation is the constant 2/sqrt(2)
-    # matrix, which sits exactly at its own threshold and fires
-    # everywhere; the gated value sums two all-ones rows.
+    # 0, so Q/K/V are all-ones. The correlation is the constant matrix 2,
+    # which sits exactly at its own mean and fires everywhere; the gated
+    # value sums two all-ones rows.
     w = sdsa_weights(2, seed=86)
     out, internals = esdsa_forward(np.zeros((2, 2)), w)
     assert internals["q_s"].tolist() == [[1, 1], [1, 1]]
@@ -262,16 +264,36 @@ def test_esdsa_zero_input_hand_trace():
     np.testing.assert_allclose(out, np.stack([expected_row] * 2))
 
 
-def test_esdsa_reparameterization_identity_power_of_two_scales():
-    rng = np.random.default_rng(87)
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        corr = rng.normal(size=(n, n))
-        v_th = float(rng.uniform(0.1, 2.0))
-        scale = float(2.0 ** rng.integers(-3, 4))
-        scaled_then_threshold = (corr * scale >= v_th)
-        reparam_threshold = (corr >= v_th / scale)
-        assert np.array_equal(scaled_then_threshold, reparam_threshold)
+def test_esdsa_fires_at_exact_ties():
+    # Identity projections of all-ones tokens: Q, K and V are all ones, so
+    # every correlation is 13, exactly the mean, and Theta(0) = 1 fires
+    # all four attention spikes.
+    w = {}
+    for name in ("q", "k", "v", "out"):
+        w[f"fsve.sdsa.{name}.w"] = np.eye(13)
+        w[f"fsve.sdsa.{name}.b"] = np.zeros(13)
+    _, internals = esdsa_forward(np.ones((2, 13)), w)
+    assert internals["attn_spikes"].tolist() == [[1, 1], [1, 1]]
+
+
+def test_esdsa_attention_fires_at_or_above_the_exact_mean():
+    # Rational oracle: attention spike (i, j) fires iff the integer
+    # correlation c_ij reaches mean(c), in exact arithmetic. Identity
+    # projections of binary tokens (every other case) give many ties.
+    rng = np.random.default_rng(90)
+    for case in range(300):
+        n, d = int(rng.integers(2, 12)), int(rng.integers(2, 17))
+        u = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+        w = sdsa_weights(d, int(rng.integers(99)))
+        if case % 2:
+            w.update({f"fsve.sdsa.{name}.w": np.eye(d) for name in "qkv"})
+        _, internals = esdsa_forward(u, w)
+        q = internals["q_s"].astype(np.int64)
+        k = internals["k_s"].astype(np.int64)
+        corr = q @ k.T
+        mean = Fraction(int(corr.sum()), n * n)
+        expected = [[int(c >= mean) for c in row] for row in corr.tolist()]
+        assert internals["attn_spikes"].tolist() == expected
 
 
 def test_esdsa_stages_binary_for_random_input():

@@ -1,7 +1,8 @@
-"""Source guards: the JSON artifact format, the shared helpers, the one
-binary check, the one conv kernel, the SOP count, the loss and gradient,
-the PGM clip I/O, TFI and the few-shot stages each live in one place, so
-hand-copied duplicates cannot creep back in."""
+"""Source guards: the JSON artifact format, the file writer, the shared
+helpers, the one binary check, the one conv kernel, the attention core,
+the SOP count, the loss and gradient, the PGM clip I/O, TFI and the
+few-shot stages each live in one place, so hand-copied duplicates cannot
+creep back in."""
 
 import ast
 import pathlib
@@ -96,15 +97,60 @@ def test_loss_and_gradient_live_only_in_align():
 def test_pgm_clips_stay_in_videoio_and_synth():
     # The pipeline renders and encodes clips in memory; PGM clips are
     # written only by `spikekit synth` and read only through load_video,
-    # which only the file route of `spikekit encode` calls.
+    # which only `spikekit encode` calls.
     assert _functions(_calls("write_pgm_clip")) == ["synth.py:synth_dataset"]
     assert [name for name in _functions(_calls("read_pgm"))
             + _functions(_calls("read_pgm_clip"))
             if not name.startswith("videoio.py:")] == []
     assert [name for name in _functions(_calls("load_video"))
-            if not name.startswith("videoio.py:")] == [
-        "pipeline.py:encode_file"]
-    assert "pipeline.py:run_pipeline" not in _functions(_calls("encode_file"))
+            if not name.startswith("videoio.py:")] == ["cli.py:cmd_encode"]
+
+
+def test_run_pipeline_reads_no_stream_back():
+    # Each clip is featurized from the stream its encode returned.
+    assert [name for name in _functions(_calls("read_dat"))
+            if name.startswith("pipeline.py:")] == []
+
+
+def test_one_attention_core():
+    # The q/k/v projection, scaled dot product and softmax of both the
+    # attention pool and the temporal encoder are _attend's.
+    users = [name for name in _functions(
+        lambda fn: any(isinstance(node, ast.Call)
+                       and ast.unparse(node.func) in ("softmax", "np.einsum",
+                                                      "np.sqrt")
+                       for node in ast.walk(fn)))
+        if name.startswith("starnet.py:")]
+    assert users == ["starnet.py:_attend"]
+    assert [name for name in _functions(_calls("_attend"))] == [
+        "starnet.py:attention_pool", "starnet.py:temporal_attention"]
+
+
+def test_backbone_config_has_one_field():
+    from dataclasses import fields
+
+    from spikekit.starnet import MiniMapResNetConfig
+    assert [f.name for f in fields(MiniMapResNetConfig)] == ["embed_dim"]
+
+
+def _writes_a_file(node: ast.AST) -> bool:
+    """An ``open`` in a writing mode, a ``.tofile`` or an ``np.save*``."""
+    if not isinstance(node, ast.Call):
+        return False
+    callee = ast.unparse(node.func)
+    if callee == "open":
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        mode = (node.args[1:2] or modes or [ast.Constant("r")])[0]
+        return not (isinstance(mode, ast.Constant)
+                    and not set("wax+") & set(mode.value))
+    return callee.endswith(".tofile") or callee.startswith("np.save")
+
+
+def test_files_are_written_only_through_jsonio():
+    # jsonio.write_bytes is the one writer: whole or not at all.
+    writers = [name for name in _functions(
+        lambda fn: any(_writes_a_file(node) for node in ast.walk(fn)))]
+    assert writers == ["jsonio.py:write_bytes"]
 
 
 def _reads_stream_frames(fn: ast.FunctionDef) -> bool:

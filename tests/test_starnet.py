@@ -9,10 +9,10 @@ import pytest
 
 from spikekit.errors import PreconditionError
 from spikekit.nnops import relu, softmax
-from spikekit.starnet import (MiniMapResNetConfig, attention_pool,
-                              init_starnet_weights, mini_mapresnet_forward,
-                              star_net_forward, temporal_attention,
-                              temporal_pool)
+from spikekit.starnet import (GROUPS, HEADS, MiniMapResNetConfig,
+                              attention_pool, init_starnet_weights,
+                              mini_mapresnet_forward, star_net_forward,
+                              temporal_attention, temporal_pool)
 
 CFG = MiniMapResNetConfig()
 
@@ -46,7 +46,7 @@ def naive_multihead_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
 def test_forward_shapes_and_token_grid():
     weights = make_weights()
     rng = np.random.default_rng(60)
-    out = mini_mapresnet_forward(rng.normal(size=(6, 64, 64)), CFG, weights)
+    out = mini_mapresnet_forward(rng.normal(size=(6, 64, 64)), weights)
     assert out.shape == (CFG.embed_dim,)
     # 64/32 = 2 tokens per side: positional table has 2*2 + 1 rows.
     assert weights["star.attnpool.pos"].shape[0] == 5
@@ -55,42 +55,42 @@ def test_forward_shapes_and_token_grid():
 def test_spatial_too_small_raises():
     weights = make_weights()
     with pytest.raises(PreconditionError):
-        mini_mapresnet_forward(np.zeros((6, 16, 16)), CFG, weights)
+        mini_mapresnet_forward(np.zeros((6, 16, 16)), weights)
 
 
 def test_zero_input_zero_biases_gives_zero_embedding():
     weights = make_weights(seed=61)
     weights["star.attnpool.pos"] = np.zeros_like(weights["star.attnpool.pos"])
-    out = mini_mapresnet_forward(np.zeros((6, 64, 64)), CFG, weights)
+    out = mini_mapresnet_forward(np.zeros((6, 64, 64)), weights)
     assert out == pytest.approx(np.zeros(CFG.embed_dim))
 
 
 def test_attention_pool_rows_sum_to_one():
     weights = make_weights(seed=62)
     rng = np.random.default_rng(62)
-    tokens = rng.normal(size=(4, CFG.group_widths[-1]))
-    pooled, attn = attention_pool(tokens, weights, CFG.heads,
+    tokens = rng.normal(size=(4, GROUPS[-1][0]))
+    pooled, attn = attention_pool(tokens, weights, HEADS,
                                   return_attention=True)
     assert pooled.shape == (CFG.embed_dim,)
-    assert attn.shape == (CFG.heads, 5)
+    assert attn.shape == (HEADS, 5)
     np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_attention_pool_matches_loop_oracle():
     weights = make_weights(seed=63)
     rng = np.random.default_rng(63)
-    c = CFG.group_widths[-1]
+    c = GROUPS[-1][0]
     tokens = rng.normal(size=(4, c))
-    pooled = attention_pool(tokens, weights, CFG.heads)
+    pooled = attention_pool(tokens, weights, HEADS)
 
     seq = np.concatenate([tokens.mean(axis=0, keepdims=True), tokens])
     seq = seq + weights["star.attnpool.pos"]
     q = seq[0] @ weights["star.attnpool.q.w"] + weights["star.attnpool.q.b"]
     k = seq @ weights["star.attnpool.k.w"] + weights["star.attnpool.k.b"]
     v = seq @ weights["star.attnpool.v.w"] + weights["star.attnpool.v.b"]
-    dh = c // CFG.heads
+    dh = c // HEADS
     ctx = np.zeros(c)
-    for h in range(CFG.heads):
+    for h in range(HEADS):
         sl = slice(h * dh, (h + 1) * dh)
         scores = np.array([q[sl] @ k[j, sl] for j in range(5)])
         w = softmax(scores / np.sqrt(dh))
@@ -108,7 +108,7 @@ def test_temporal_attention_singleton_time_axis():
     weights = make_weights(seed=65)
     rng = np.random.default_rng(65)
     x = rng.normal(size=(1, 2, CFG.embed_dim))
-    out, attn = temporal_attention(x, weights, heads=CFG.heads,
+    out, attn = temporal_attention(x, weights, heads=HEADS,
                                    return_attention=True)
     assert out.shape == x.shape
     assert attn == pytest.approx(np.ones_like(attn))
@@ -119,7 +119,7 @@ def test_temporal_attention_identical_frames_stay_identical():
     rng = np.random.default_rng(66)
     frame = rng.normal(size=(2, CFG.embed_dim))
     x = np.repeat(frame[None], 5, axis=0)
-    out = temporal_attention(x, weights, heads=CFG.heads)
+    out = temporal_attention(x, weights, heads=HEADS)
     for t in range(1, 5):
         np.testing.assert_allclose(out[t], out[0], rtol=1e-12, atol=1e-12)
 
@@ -132,7 +132,7 @@ def test_temporal_attention_matches_naive_oracle():
         t_len = int(rng.integers(1, 7))
         batch = int(rng.integers(1, 3))
         x = rng.normal(size=(t_len, batch, CFG.embed_dim))
-        out, attn = temporal_attention(x, w, heads=CFG.heads,
+        out, attn = temporal_attention(x, w, heads=HEADS,
                                        return_attention=True)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
         for b in range(batch):
@@ -141,7 +141,7 @@ def test_temporal_attention_matches_naive_oracle():
                 w["star.temporal.attn.q.b"], w["star.temporal.attn.k.w"],
                 w["star.temporal.attn.k.b"], w["star.temporal.attn.v.w"],
                 w["star.temporal.attn.v.b"], w["star.temporal.attn.out.w"],
-                w["star.temporal.attn.out.b"], CFG.heads)
+                w["star.temporal.attn.out.b"], HEADS)
             y1 = x[:, b, :] + ctx
             ffn = relu(y1 @ w["star.temporal.ffn.fc1.w"]
                        + w["star.temporal.ffn.fc1.b"]) \
@@ -155,8 +155,8 @@ def test_temporal_attention_batch_permutation_equivariance():
     rng = np.random.default_rng(68)
     x = rng.normal(size=(4, 5, CFG.embed_dim))
     perm = rng.permutation(5)
-    out = temporal_attention(x, weights, heads=CFG.heads)
-    out_perm = temporal_attention(x[:, perm, :], weights, heads=CFG.heads)
+    out = temporal_attention(x, weights, heads=HEADS)
+    out_perm = temporal_attention(x[:, perm, :], weights, heads=HEADS)
     np.testing.assert_array_equal(out[:, perm, :], out_perm)
 
 
@@ -207,11 +207,11 @@ def test_star_forward_equals_manual_composition():
     weights = make_weights(in_channels=4, seed=74)
     rng = np.random.default_rng(74)
     estimates = [rng.normal(size=(4, 64, 64)) for _ in range(5)]
-    emb = star_net_forward(estimates, CFG, weights)
-    vectors = [mini_mapresnet_forward(e, CFG, weights) for e in estimates]
+    emb = star_net_forward(estimates, weights)
+    vectors = [mini_mapresnet_forward(e, weights) for e in estimates]
     seq = np.stack(vectors)[:, None, :]
     manual = temporal_pool(temporal_attention(seq, weights,
-                                              heads=CFG.heads))[0]
+                                              heads=HEADS))[0]
     np.testing.assert_array_equal(emb, manual)
     assert emb.shape == (CFG.embed_dim,)
 
@@ -220,15 +220,15 @@ def test_star_forward_identical_estimates_collapse_to_single():
     weights = make_weights(in_channels=4, seed=75)
     rng = np.random.default_rng(75)
     estimate = rng.normal(size=(4, 64, 64))
-    five = star_net_forward([estimate] * 5, CFG, weights)
-    one = star_net_forward([estimate], CFG, weights)
+    five = star_net_forward([estimate] * 5, weights)
+    one = star_net_forward([estimate], weights)
     np.testing.assert_allclose(five, one, rtol=1e-9, atol=1e-12)
 
 
 def test_star_forward_zero_estimates_zero_embedding():
     weights = make_weights(in_channels=4, seed=76)
     weights["star.attnpool.pos"] = np.zeros_like(weights["star.attnpool.pos"])
-    emb = star_net_forward([np.zeros((4, 64, 64))] * 5, CFG, weights)
+    emb = star_net_forward([np.zeros((4, 64, 64))] * 5, weights)
     assert emb == pytest.approx(np.zeros(CFG.embed_dim))
 
 
@@ -236,13 +236,11 @@ def test_star_forward_is_bit_deterministic():
     weights = make_weights(in_channels=4, seed=77)
     rng = np.random.default_rng(77)
     estimates = [rng.normal(size=(4, 64, 64)) for _ in range(3)]
-    a = star_net_forward(estimates, CFG, weights)
-    b = star_net_forward(estimates, CFG, weights)
+    a = star_net_forward(estimates, weights)
+    b = star_net_forward(estimates, weights)
     assert np.array_equal(a, b)
 
 
 def test_config_invariants():
     with pytest.raises(PreconditionError):
         MiniMapResNetConfig(embed_dim=30)                 # not divisible by 8
-    with pytest.raises(PreconditionError):
-        MiniMapResNetConfig(group_widths=(32, 16, 64, 128))
