@@ -147,25 +147,19 @@ def token_table(dim: int) -> np.ndarray:
     return _TABLE_CACHE[dim]
 
 
-def text_features(text_or_tokens, dim: int) -> np.ndarray:
+def text_features(text: str, dim: int) -> np.ndarray:
     """Raw (pre-projection) bag-of-tokens feature: mean of hashed token
-    vectors. Order-independent and vocabulary-free."""
-    if isinstance(text_or_tokens, str):
-        tokens = tokenize(text_or_tokens)
-    else:
-        tokens = [t.lower() for t in text_or_tokens]
-        if not tokens:
-            raise PreconditionError("token sequence is empty")
+    vectors. Order-independent, case-blind and vocabulary-free."""
     table = token_table(dim)
     # Canonical summation order makes the bag mean bit-identical under
     # token permutation.
-    idx = sorted(fnv1a_64(tok) % TABLE_SIZE for tok in tokens)
+    idx = sorted(fnv1a_64(tok) % TABLE_SIZE for tok in tokenize(text))
     return table[idx].mean(axis=0)
 
 
-def embed_text(text_or_tokens, head: AlignmentHead) -> np.ndarray:
+def embed_text(text: str, head: AlignmentHead) -> np.ndarray:
     """Hashed bag-of-tokens feature pushed through the trainable head."""
-    return head.project(text_features(text_or_tokens, head.d_in))
+    return head.project(text_features(text, head.d_in))
 
 
 # ---------------------------------------------------------------------------
@@ -315,51 +309,45 @@ def _forward_backward(v_feat, t_feat, projection: np.ndarray,
 # Few-shot fine-tuning
 # ---------------------------------------------------------------------------
 
-def finetune_head(supports, shots: int, epochs: int, lr: float, seeds,
-                  heads: list[AlignmentHead]
+def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
+                  heads: list[AlignmentHead], prompts: list[str]
                   ) -> list[tuple[AlignmentHead, list[float]]]:
     """Plain gradient descent on the contrastive loss, for a batch of heads
     trained in lockstep.
 
-    Head ``i`` starts from ``heads[i]`` and trains on ``supports[i]``, a
-    sequence of (raw feature vector, class prompt) pairs; the first
-    ``shots`` items of each class (in sequence order) are used. Every batch
-    pairs one sample per class with its prompt feature, so the diagonal
-    pairing of the loss holds. ``seeds[i]`` drives only head ``i``'s
+    ``feats`` is [S, classes, n, d_in]: head ``i`` starts from ``heads[i]``
+    and trains on the first ``shots`` rows ``feats[i, c, :shots]`` of each
+    class ``c``, whose prompt is ``prompts[c]``. Every batch pairs one
+    sample per class with its prompt feature, so the diagonal pairing of
+    the loss holds; prompts with equal text features (the same tokens in
+    any case or order) are rejected. ``seeds[i]`` drives only head ``i``'s
     per-epoch shuffling of samples within each class. The heads share
     ``shots``, ``epochs`` and ``lr``, and each ends bit-identical to
     training it alone (a batch of one). Returns, per head, the trained copy
     and its per-epoch mean loss trace.
     """
-    if shots < 1:
-        raise PreconditionError("shots must be >= 1")
     if epochs < 1:
         raise PreconditionError("epochs must be >= 1")
-    if not heads or not len(supports) == len(seeds) == len(heads):
+    if not heads or not len(feats) == len(seeds) == len(heads):
         raise PreconditionError(
             "need one support set and one seed per head, and a head")
-    feats, text_feats = [], []
-    for support in supports:
-        by_class: dict[str, list[np.ndarray]] = {}
-        for vector, prompt in support:
-            by_class.setdefault(prompt, []).append(
-                np.asarray(vector, dtype=np.float64))
-        if not by_class:
-            raise PreconditionError("support set is empty")
-        for prompt, rows in by_class.items():
-            if len(rows) < shots:
-                raise PreconditionError(
-                    f"class {prompt!r} has {len(rows)} samples, "
-                    f"needs >= {shots}")
-        feats.append(np.array([rows[:shots] for rows in by_class.values()]))
-        text_feats.append(np.stack([text_features(p, feats[-1].shape[-1])
-                                    for p in by_class]))
-    if len({f.shape for f in feats}) != 1 \
+    feats = np.asarray(feats, dtype=np.float64)
+    d_in = heads[0].d_in
+    if not prompts or feats.ndim != 4 or feats.shape[1] != len(prompts) \
+            or not 1 <= shots <= feats.shape[2] or feats.shape[3] != d_in \
             or len({head.projection.shape for head in heads}) != 1:
         raise PreconditionError(
-            "heads trained together need support sets and heads of one shape")
-    feats = np.stack(feats)                 # [S, classes, shots, d_in]
-    text_feats = np.stack(text_feats)       # [S, classes, d_in]
+            f"heads trained together need one shape: support features "
+            f"{feats.shape} must be [{len(heads)} heads, {len(prompts)} >= 1 "
+            f"classes, n >= {shots} = shots >= 1, d_in={d_in} of every head]")
+    text_feats = np.stack([text_features(p, d_in) for p in prompts])
+    _, first = np.unique(text_feats, axis=0, return_index=True)
+    if len(first) < len(prompts):
+        dup = prompts[min(set(range(len(prompts))) - set(first.tolist()))]
+        raise PreconditionError(f"prompt {dup!r} has the tokens of an earlier "
+                                f"prompt in some case or order")
+    feats = feats[:, :, :shots]
+    text_feats = np.repeat(text_feats[None], len(heads), axis=0)
 
     trained = [head.copy() for head in heads]
     projection = np.stack([head.projection for head in trained])

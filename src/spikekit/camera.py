@@ -44,6 +44,12 @@ class PixelModel:
             raise PreconditionError("tick must be > 0")
 
 
+def _check_unit_range(arr: np.ndarray, what: str) -> None:
+    """Raise unless every value lies in [0, 1]; NaN fails both tests."""
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise PreconditionError(f"{what} must be finite and lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class IntensityVideo:
     """Sequence of H x W grayscale frames with values in [0, 1]."""
@@ -52,13 +58,10 @@ class IntensityVideo:
 
     def __post_init__(self):
         arr = np.array(self.frames, dtype=np.float64)   # private snapshot
-        if arr.ndim != 3:
-            raise PreconditionError(
-                f"intensity video must be [n, h, w], got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise PreconditionError("intensity video needs at least one frame")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise PreconditionError("intensity values must lie in [0, 1]")
+        if arr.ndim != 3 or arr.size == 0:
+            raise PreconditionError(f"intensity video must be a non-empty "
+                                    f"[n, h, w] array, got shape {arr.shape}")
+        _check_unit_range(arr, "intensity values")
         arr.flags.writeable = False
         object.__setattr__(self, "frames", arr)
 
@@ -210,14 +213,14 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
     return SpikeStream(out)
 
 
-def to_grayscale(rgb_frame: np.ndarray) -> np.ndarray:
-    """ITU-R 601 luma conversion of an H x W x 3 frame in [0, 1]."""
-    arr = np.asarray(rgb_frame, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
+def to_grayscale(rgb: np.ndarray) -> np.ndarray:
+    """ITU-R 601 luma conversion of an H x W x 3 frame, or of a
+    T x H x W x 3 stack of frames, in [0, 1]."""
+    arr = np.asarray(rgb, dtype=np.float64)
+    if arr.ndim not in (3, 4) or arr.shape[-1] != 3:
         raise PreconditionError(
-            f"expected an H x W x 3 frame, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise PreconditionError("RGB values must lie in [0, 1]")
+            f"expected [T x] H x W x 3 frames, got shape {arr.shape}")
+    _check_unit_range(arr, "RGB values")
     gray = (GRAY_WEIGHTS[0] * arr[..., 0] + GRAY_WEIGHTS[1] * arr[..., 1]
             + GRAY_WEIGHTS[2] * arr[..., 2])
     return np.clip(gray, 0.0, 1.0)

@@ -54,9 +54,9 @@ def _read_stream(dat_path: str,
     return read_dat(dat_path, meta), meta
 
 
-def _load_embeddings(path) -> list[dict]:
-    """Entries with equal-length numeric "vector" lists and, where given,
-    an integer "label"."""
+def _load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
+    """The [n, d] "vector"s and [n] integer "label"s of an embeddings file
+    whose every entry is labelled."""
     obj = read_json(path)
     entries = obj.get("embeddings") if isinstance(obj, dict) else obj
     if not isinstance(entries, list):
@@ -72,7 +72,11 @@ def _load_embeddings(path) -> list[dict]:
             raise DataIOError(
                 f"{path}: embedding {i} needs a numeric \"vector\" as long "
                 f"as the first one and, if labelled, an integer \"label\"")
-    return entries
+    missing = [e.get("id") for e in entries if "label" not in e]
+    if missing:
+        raise PreconditionError(f"{path}: unlabelled embeddings {missing[:5]}")
+    return (np.array([e["vector"] for e in entries], dtype=np.float64),
+            np.array([e["label"] for e in entries]))
 
 
 def _load_manifest_labels(path) -> dict[str, int]:
@@ -263,14 +267,14 @@ def cmd_energy(args) -> int:
 
 
 def cmd_train_head(args) -> int:
-    entries = _load_embeddings(args.embeddings)
+    vectors, labels = _load_embeddings(args.embeddings)
     prompts = [line.strip() for line in read_text(args.prompts).split("\n")
                if line.strip()]
     if not prompts:
         raise PreconditionError(f"{args.prompts}: no prompts")
     (head, trace), = train_fewshot_head(
-        entries, prompts, args.shots, [np.random.default_rng(args.seed)],
-        args.epochs, args.lr, [args.seed])
+        vectors, labels, prompts, args.shots,
+        [np.random.default_rng(args.seed)], args.epochs, args.lr, [args.seed])
     write_json({"head": head.to_json_dict(), "prompts": prompts,
                 "loss_trace": [trace[0], trace[-1]],
                 "provenance": provenance(
@@ -284,23 +288,17 @@ def cmd_train_head(args) -> int:
 
 def cmd_eval(args) -> int:
     head, prompts = _load_head(args.head)
-    entries = _load_embeddings(args.embeddings)
-    missing = [e.get("id") for e in entries if "label" not in e]
-    if missing:
-        raise PreconditionError(
-            f"embeddings without labels cannot be evaluated: {missing[:5]}")
+    vectors, labels = _load_embeddings(args.embeddings)
     try:
         ks = [int(k) for k in args.topk.split(",")]
     except ValueError as exc:
         raise PreconditionError(
             f"--topk must be comma-separated integers, got {args.topk!r}"
         ) from exc
-    results = evaluate_head(head, prompts,
-                            np.array([e["vector"] for e in entries]),
-                            np.array([e["label"] for e in entries]), ks)
+    results = evaluate_head(head, prompts, vectors, labels, ks)
     for k in ks:
         print(f"top-{k} accuracy: {results[f'top{k}']:.4f}  "
-              f"({len(entries)} videos, {len(prompts)} classes)")
+              f"({len(labels)} videos, {len(prompts)} classes)")
     if args.out:
         write_json({"accuracy": results,
                     "provenance": provenance(

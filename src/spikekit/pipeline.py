@@ -199,38 +199,39 @@ def _encode_synth_clip(spec: SyntheticDatasetSpec, label: int,
                          upsample, seed)
 
 
-def train_fewshot_head(entries: list[dict], prompts: list[str], shots: int,
+def train_fewshot_head(vectors: np.ndarray, labels: np.ndarray,
+                       prompts: list[str], shots: int,
                        rngs: list[np.random.Generator], epochs: int, lr: float,
                        seeds: list[int]
                        ) -> list[tuple[AlignmentHead, list[float]]]:
     """Few-shot protocol for a batch of heads that share ``shots``: per
-    head, draw ``shots`` support rows per class label with that head's
-    generator in ``rngs``, build the head seeded from the same generator,
-    then fine-tune every head in one lockstep ``finetune_head`` call.
+    head, draw ``shots`` rows of ``vectors`` [n, d_in] per class label with
+    that head's generator in ``rngs``, build the head seeded from the same
+    generator, then fine-tune every head in one lockstep ``finetune_head``
+    call.
 
-    Class ``label`` is paired with ``prompts[label]``; ``seeds[i]`` drives
-    head ``i``'s per-epoch shuffling. Returns (head, loss trace) per head.
+    Class ``label`` is paired with ``prompts[label]``, and every one of the
+    n ``labels`` must have a prompt; ``seeds[i]`` drives head ``i``'s
+    per-epoch shuffling. Returns (head, loss trace) per head.
     """
-    by_label = []
-    for label in range(len(prompts)):
-        rows = [e for e in entries if e.get("label") == label]
+    by_label = [np.flatnonzero(labels == label)
+                for label in range(len(prompts))]
+    if sum(map(len, by_label)) != len(labels):
+        raise PreconditionError(f"labels must lie in [0, {len(prompts)})")
+    for label, rows in enumerate(by_label):
         if not 1 <= shots <= len(rows):
             raise PreconditionError(
                 f"shots={shots} must lie in [1, {len(rows)}], the embeddings "
                 f"of class {label}")
-        by_label.append(rows)
-    supports, heads = [], []
+    d_in = vectors.shape[1]
+    picks, heads = [], []
     for rng in rngs:
-        support = []
-        for prompt, rows in zip(prompts, by_label):
-            picks = rng.choice(len(rows), size=shots, replace=False)
-            support.extend((np.array(rows[int(i)]["vector"]), prompt)
-                           for i in picks)
-        d_in = len(support[0][0])
+        picks.append([rows[rng.choice(len(rows), size=shots, replace=False)]
+                      for rows in by_label])
         heads.append(AlignmentHead.create(d_in, min(d_in, 32),
                                           seed=int(rng.integers(2 ** 31))))
-        supports.append(support)
-    return finetune_head(supports, shots, epochs, lr, seeds, heads)
+    return finetune_head(vectors[np.array(picks)], shots, epochs, lr, seeds,
+                         heads, prompts)
 
 
 def evaluate_head(head: AlignmentHead, prompts: list[str], vectors: np.ndarray,
@@ -318,6 +319,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                os.path.join(out_dir, "embeddings_test.json"))
 
     # Stage 4 + 5: few-shot training and evaluation.
+    train_vectors = np.array([e["vector"] for e in train_pool])
+    train_labels = np.array([e["label"] for e in train_pool])
     test_vectors = np.array([e["vector"] for e in test_set])
     test_labels = np.array([e["label"] for e in test_set])
     metrics: dict = {"shots": {}, "provenance": provenance(
@@ -327,8 +330,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     for shots in config.shots:
         rngs = [np.random.default_rng([config.seed, 3, shots, eval_seed])
                 for eval_seed in config.eval_seeds]
-        trained = train_fewshot_head(train_pool, prompts, shots, rngs,
-                                     config.epochs, config.lr,
+        trained = train_fewshot_head(train_vectors, train_labels, prompts,
+                                     shots, rngs, config.epochs, config.lr,
                                      list(config.eval_seeds))
         per_seed: dict[str, dict] = {}
         for eval_seed, (head, trace) in zip(config.eval_seeds, trained):

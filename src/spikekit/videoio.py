@@ -66,8 +66,9 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = (int(f) for f in fields[1:])
     except ValueError as exc:
         raise DataIOError(f"{path}: malformed PGM/PPM header ({exc})") from exc
-    if maxval != 255:
-        raise DataIOError(f"{path}: only 8-bit PGM/PPM supported")
+    if width < 1 or height < 1 or maxval != 255:
+        raise DataIOError(f"{path}: only 8-bit PGM/PPM of positive size "
+                          f"supported, got {width}x{height}, maxval {maxval}")
     pos += 1
     count = height * width * channels
     if len(data) - pos < count:
@@ -84,8 +85,10 @@ def read_pgm_clip(clip_dir) -> IntensityVideo:
                    if n.endswith((".pgm", ".ppm")))
     if not names:
         raise DataIOError(f"{clip_dir}: no .pgm/.ppm frames found")
-    frames = np.stack([read_pgm(os.path.join(clip_dir, n)) for n in names])
-    return IntensityVideo(frames)
+    frames = [read_pgm(os.path.join(clip_dir, n)) for n in names]
+    if len({f.shape for f in frames}) != 1:
+        raise DataIOError(f"{clip_dir}: frames differ in size")
+    return IntensityVideo(np.stack(frames))
 
 
 def write_video_raw(video: IntensityVideo, path) -> None:
@@ -126,8 +129,11 @@ def load_video(path) -> IntensityVideo:
             arr = np.load(path_str)
         except (OSError, ValueError, EOFError) as exc:
             raise DataIOError(f"cannot read {path_str}: {exc}") from exc
+        if arr.dtype.kind not in "biuf":
+            raise DataIOError(f"{path_str}: video dtype {arr.dtype} is not "
+                              f"bool, integer or float")
         if arr.ndim == 4 and arr.shape[3] == 3:
-            arr = np.stack([to_grayscale(f) for f in arr])
+            arr = to_grayscale(arr)
         return IntensityVideo(np.asarray(arr, dtype=np.float64))
     if os.path.exists(path_str + ".meta.json"):
         return read_video_raw(path_str)

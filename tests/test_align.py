@@ -240,12 +240,12 @@ def test_clamped_temperature_has_zero_gradient():
 
 def test_finetune_single_class_is_noop():
     rng = np.random.default_rng(118)
-    support = [(rng.normal(size=8), "a person waving one hand")
-               for _ in range(4)]
+    support = rng.normal(size=(1, 1, 4, 8))
     head = AlignmentHead.create(8, 4, seed=118)
     before = head.copy()
-    (trained, trace), = finetune_head([support], shots=4, epochs=10, lr=0.1,
-                                      seeds=[0], heads=[head])
+    (trained, trace), = finetune_head(support, shots=4, epochs=10, lr=0.1,
+                                      seeds=[0], heads=[head],
+                                      prompts=["a person waving one hand"])
     assert trace == pytest.approx([0.0] * 10, abs=1e-12)
     assert np.array_equal(trained.projection, before.projection)
     assert np.array_equal(trained.bias, before.bias)
@@ -254,28 +254,28 @@ def test_finetune_single_class_is_noop():
 def test_finetune_reduces_loss_on_separable_features():
     rng = np.random.default_rng(119)
     prompts = list(CLASS_PROMPTS.values())
-    support = []
+    support = np.empty((1, 4, 8, 16))
     for label in range(4):
         center = np.zeros(16)
         center[label * 4:(label + 1) * 4] = 2.0
-        for _ in range(8):
-            support.append((center + 0.1 * rng.normal(size=16),
-                            prompts[label]))
-    (head, trace), = finetune_head([support], shots=8, epochs=100, lr=0.05,
+        for i in range(8):
+            support[0, label, i] = center + 0.1 * rng.normal(size=16)
+    (head, trace), = finetune_head(support, shots=8, epochs=100, lr=0.05,
                                    seeds=[7],
-                                   heads=[AlignmentHead.create(16, 16, 7)])
+                                   heads=[AlignmentHead.create(16, 16, 7)],
+                                   prompts=prompts)
     assert trace[-1] < trace[0]
 
 
 def test_finetune_is_bit_deterministic():
     rng = np.random.default_rng(120)
     prompts = list(CLASS_PROMPTS.values())[:2]
-    support = [(rng.normal(size=8), prompts[i % 2]) for i in range(8)]
+    support = rng.normal(size=(1, 4, 2, 8)).swapaxes(1, 2)
     head = AlignmentHead.create(8, 8, seed=3)
-    (a, trace_a), = finetune_head([support], shots=4, epochs=30, lr=0.05,
-                                  seeds=[3], heads=[head])
-    (b, trace_b), = finetune_head([support], shots=4, epochs=30, lr=0.05,
-                                  seeds=[3], heads=[head])
+    (a, trace_a), = finetune_head(support, shots=4, epochs=30, lr=0.05,
+                                  seeds=[3], heads=[head], prompts=prompts)
+    (b, trace_b), = finetune_head(support, shots=4, epochs=30, lr=0.05,
+                                  seeds=[3], heads=[head], prompts=prompts)
     assert np.array_equal(a.projection, b.projection)
     assert np.array_equal(a.bias, b.bias)
     assert a.temperature.log_inv_tau == b.temperature.log_inv_tau
@@ -283,27 +283,26 @@ def test_finetune_is_bit_deterministic():
 
 
 def test_finetune_requires_enough_shots():
-    support = [(np.ones(4), "a person waving one hand"),
-               (np.ones(4), "a person punching forward")]
+    support = np.ones((1, 2, 1, 4))
     with pytest.raises(PreconditionError):
-        finetune_head([support], shots=2, epochs=1, lr=0.1, seeds=[0],
-                      heads=[AlignmentHead.create(4, 4, seed=0)])
+        finetune_head(support, shots=2, epochs=1, lr=0.1, seeds=[0],
+                      heads=[AlignmentHead.create(4, 4, seed=0)],
+                      prompts=["a person waving one hand",
+                               "a person punching forward"])
 
 
 def test_finetune_empty_support():
     with pytest.raises(PreconditionError):
-        finetune_head([[]], shots=1, epochs=1, lr=0.1, seeds=[0],
-                      heads=[AlignmentHead.create(4, 4, seed=0)])
+        finetune_head(np.zeros((1, 0, 1, 4)), shots=1, epochs=1, lr=0.1,
+                      seeds=[0], heads=[AlignmentHead.create(4, 4, seed=0)],
+                      prompts=[])
 
 
 def _lockstep_batch(seed, n_heads=4, d_in=12, shots=3):
-    """Support sets, shuffle seeds and heads for a lockstep batch; the last
-    head starts with its temperature at the clamp."""
+    """Support features, shuffle seeds and heads for a lockstep batch; the
+    last head starts with its temperature at the clamp."""
     rng = np.random.default_rng(seed)
-    prompts = list(CLASS_PROMPTS.values())
-    supports = [[(rng.normal(size=d_in), prompt)
-                 for prompt in prompts for _ in range(shots + 1)]
-                for _ in range(n_heads)]
+    supports = rng.normal(size=(n_heads, len(CLASS_PROMPTS), shots + 1, d_in))
     seeds = [int(s) for s in rng.integers(2 ** 31, size=n_heads)]
     heads = [AlignmentHead.create(d_in, 8, seed=int(rng.integers(2 ** 31)))
              for _ in range(n_heads)]
@@ -314,11 +313,12 @@ def _lockstep_batch(seed, n_heads=4, d_in=12, shots=3):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_heads_equal_heads_trained_alone(seed):
     supports, seeds, heads = _lockstep_batch(seed)
-    together = finetune_head(supports, 3, 25, 0.05, seeds, heads)
+    prompts = list(CLASS_PROMPTS.values())
+    together = finetune_head(supports, 3, 25, 0.05, seeds, heads, prompts)
     assert len(together) == len(heads)
     for i, (head, trace) in enumerate(together):
-        (alone, alone_trace), = finetune_head([supports[i]], 3, 25, 0.05,
-                                              [seeds[i]], [heads[i]])
+        (alone, alone_trace), = finetune_head(supports[i:i + 1], 3, 25, 0.05,
+                                              [seeds[i]], [heads[i]], prompts)
         assert head.projection.tobytes() == alone.projection.tobytes()
         assert head.bias.tobytes() == alone.bias.tobytes()
         assert head.temperature.log_inv_tau == \
@@ -329,13 +329,14 @@ def test_lockstep_heads_equal_heads_trained_alone(seed):
 
 def test_lockstep_batch_shape_errors():
     supports, seeds, heads = _lockstep_batch(3)
+    prompts = list(CLASS_PROMPTS.values())
     with pytest.raises(PreconditionError, match="one seed per head"):
-        finetune_head(supports, 3, 1, 0.05, seeds[:-1], heads)
+        finetune_head(supports, 3, 1, 0.05, seeds[:-1], heads, prompts)
     with pytest.raises(PreconditionError, match="one seed per head"):
-        finetune_head([], 3, 1, 0.05, [], [])
-    supports[0] = supports[0][4:]         # drop one of the four classes
+        finetune_head([], 3, 1, 0.05, [], [], prompts)
+    supports = supports[:, 1:]            # drop one of the four classes
     with pytest.raises(PreconditionError, match="one shape"):
-        finetune_head(supports, 1, 1, 0.05, seeds, heads)
+        finetune_head(supports, 1, 1, 0.05, seeds, heads, prompts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 sidecar discovery, and artifact determinism."""
 
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -231,6 +232,35 @@ def test_train_head_needs_a_positive_shot_count(shots, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_WAVE, _PUNCH = "a person waving one hand", "a person punching forward"
+
+
+@pytest.mark.parametrize("prompts,labels", [
+    pytest.param([_WAVE, _WAVE], [0, 1], id="prompt-repeated"),
+    pytest.param([_WAVE, _WAVE.upper()], [0, 1], id="prompt-case-variant"),
+    pytest.param([_WAVE, "one hand waving a person"], [0, 1],
+                 id="prompt-token-order-variant"),
+    pytest.param([_WAVE, _PUNCH], [0, 1, 2], id="label-without-prompt"),
+    pytest.param([_WAVE, _PUNCH], [0, 1, -1], id="label-negative"),
+    pytest.param([_WAVE, _PUNCH], [0, 1, None], id="embedding-unlabelled"),
+])
+def test_train_head_bad_support_exits_2(prompts, labels, tmp_path, capsys):
+    rng = np.random.default_rng(145)
+    entries = []
+    for i, label in enumerate(labels * 2):
+        entry = {"id": f"e{i}", "vector": rng.normal(size=4).tolist()}
+        if label is not None:
+            entry["label"] = label
+        entries.append(entry)
+    (tmp_path / "e.json").write_text(json.dumps({"embeddings": entries}))
+    (tmp_path / "p.txt").write_text("\n".join(prompts) + "\n")
+    assert main(["train-head", str(tmp_path / "e.json"),
+                 str(tmp_path / "p.txt"), "--shots", "2", "--seed", "0",
+                 "--epochs", "2", "--out", str(tmp_path / "h.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "h.json").exists()
+
+
 def _write_eval_inputs(tmp_path, width):
     head = tmp_path / "h.json"
     head.write_text(json.dumps({
@@ -267,6 +297,26 @@ def test_encode_accepts_rgb_ppm_frames(tmp_path):
     assert main(["encode", str(clip_dir), str(dat), "--theta", "2.0"]) == 0
     meta = read_meta(str(dat)[:-4] + ".meta.json")
     assert (meta.t_len, meta.height, meta.width) == (12, 8, 8)
+
+
+def _grey_but_last(value, shape=(2, 4, 4)):
+    frames = np.full(shape, 0.5)
+    frames.flat[-1] = value
+    return frames
+
+
+@pytest.mark.parametrize("frames", [
+    pytest.param(np.full((3, 4, 4), np.nan), id="all-nan"),
+    pytest.param(_grey_but_last(np.nan), id="one-nan"),
+    pytest.param(_grey_but_last(np.inf), id="one-inf"),
+    pytest.param(_grey_but_last(np.nan, (2, 4, 4, 3)), id="rgb-one-nan"),
+])
+def test_encode_non_finite_npy_exits_2(frames, tmp_path, capsys):
+    np.save(tmp_path / "v.npy", frames)
+    assert main(["encode", str(tmp_path / "v.npy"),
+                 str(tmp_path / "v.dat")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "v.dat").exists()
 
 
 def test_pipeline_command_runs_all_stages(tmp_path):
@@ -603,6 +653,12 @@ def _malformed_pgm_frame(tmp_path, encoded_dat):
         "encode", str(tmp_path / "frames"), str(tmp_path / "v.dat")]
 
 
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 def _malformed_saved_manifest(tmp_path, encoded_dat):
     argv = ["snn-forward", str(encoded_dat), "--ledger",
             str(tmp_path / "ledger.json")]
@@ -696,7 +752,11 @@ def _malformed_npy(tmp_path, encoded_dat):
                  id="prompts-not-utf8"),
     pytest.param(_malformed_pgm_frame, "P5\nx 8\n255\n" + "\0" * 64,
                  id="pgm-width-not-a-number"),
+    pytest.param(_malformed_pgm_frame, "P5\n-8 8\n255\n" + "\0" * 64,
+                 id="pgm-negative-width"),
     pytest.param(_malformed_npy, "not an npy file", id="npy-not-npy"),
+    pytest.param(_malformed_npy, _npy_bytes(np.array(["a", "b"])),
+                 id="npy-strings"),
     pytest.param(_malformed_npy, "", id="npy-empty"),
     pytest.param(_malformed_saved_manifest,
                  '[{"name": "fsve.stem1.conv.w", "dtype": "f32", '
