@@ -12,6 +12,7 @@ against central finite differences in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,8 @@ class AlignmentHead:
         if self.bias.shape != (self.projection.shape[1],):
             raise PreconditionError("bias must match projection output dim")
         if not (np.all(np.isfinite(self.projection))
-                and np.all(np.isfinite(self.bias))):
+                and np.all(np.isfinite(self.bias))
+                and math.isfinite(self.temperature.log_inv_tau)):
             raise PreconditionError("head parameters must be finite")
 
     @property
@@ -104,7 +106,7 @@ class AlignmentHead:
                                                float(obj.get("clamp_max", 100.0))))
         except KeyError as exc:
             raise DataIOError(f"head JSON is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataIOError(f"head JSON has a bad value: {exc}") from exc
 
 
@@ -323,11 +325,13 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
     any case or order) are rejected. ``seeds[i]`` drives only head ``i``'s
     per-epoch shuffling of samples within each class. The heads share
     ``shots``, ``epochs`` and ``lr``, and each ends bit-identical to
-    training it alone (a batch of one). Returns, per head, the trained copy
-    and its per-epoch mean loss trace.
+    training it alone (a batch of one). ``lr`` must be finite and
+    positive, and a head whose trained parameters are not finite raises.
+    Returns, per head, the trained copy and its per-epoch mean loss trace.
     """
-    if epochs < 1:
-        raise PreconditionError("epochs must be >= 1")
+    if epochs < 1 or not 0 < lr <= sys.float_info.max:
+        raise PreconditionError(
+            f"epochs must be >= 1 and lr finite and > 0, got {epochs}, {lr}")
     if not heads or not len(feats) == len(seeds) == len(heads):
         raise PreconditionError(
             "need one support set and one seed per head, and a head")
@@ -349,16 +353,15 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
     feats = feats[:, :, :shots]
     text_feats = np.repeat(text_feats[None], len(heads), axis=0)
 
-    trained = [head.copy() for head in heads]
-    projection = np.stack([head.projection for head in trained])
-    bias = np.stack([head.bias for head in trained])
-    temps = [head.temperature for head in trained]
+    projection = np.stack([head.projection for head in heads])
+    bias = np.stack([head.bias for head in heads])
+    temps = [head.temperature.copy() for head in heads]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n_heads, n_classes = feats.shape[:2]
     head_idx = np.arange(n_heads)[:, None]
     class_idx = np.arange(n_classes)[None, :]
     losses = np.empty((n_heads, shots))
-    traces: list[list[float]] = [[] for _ in trained]
+    traces: list[list[float]] = [[] for _ in heads]
     for _ in range(epochs):
         order = np.array([[rng.permutation(shots) for _ in range(n_classes)]
                           for rng in rngs])
@@ -372,9 +375,8 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
                 temp.log_inv_tau -= lr * d
         for trace, epoch_losses in zip(traces, losses):
             trace.append(float(np.mean(epoch_losses)))
-    for i, head in enumerate(trained):
-        head.projection, head.bias = projection[i].copy(), bias[i].copy()
-    return list(zip(trained, traces))
+    return [(AlignmentHead(p, b, temp), trace)
+            for p, b, temp, trace in zip(projection, bias, temps, traces)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig
 from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, read_dat,
-                     read_meta, sidecar_path, slice_clips, subsample_temporal,
-                     write_dat)
+                     read_meta, sidecar_path, slice_clips, subsample_indices,
+                     subsample_temporal, write_dat)
 from .synth import CLASS_PROMPTS, SyntheticDatasetSpec, synth_dataset
 from .videoio import load_video, write_pgm_frame
 from .weights import load_weights, save_weights
@@ -64,14 +64,17 @@ def _load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
     if not entries:
         raise PreconditionError(f"{path}: no embeddings found")
     for i, entry in enumerate(entries):
-        vector = entry.get("vector") if isinstance(entry, dict) else None
+        entry = entry if isinstance(entry, dict) else {}
+        vector, label = entry.get("vector"), entry.get("label", 0)
         if not (isinstance(vector, list) and vector
-                and all(type(x) in (int, float) for x in vector)
+                and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                        for x in vector)
                 and len(vector) == len(entries[0]["vector"])
-                and type(entry.get("label", 0)) is int):
+                and type(label) is int and abs(label) < 2 ** 63):
             raise DataIOError(
-                f"{path}: embedding {i} needs a numeric \"vector\" as long "
-                f"as the first one and, if labelled, an integer \"label\"")
+                f"{path}: embedding {i} needs a \"vector\" of finite floats "
+                f"as long as the first one and, if labelled, a 64-bit "
+                f"integer \"label\"")
     missing = [e.get("id") for e in entries if "label" not in e]
     if missing:
         raise PreconditionError(f"{path}: unlabelled embeddings {missing[:5]}")
@@ -156,10 +159,10 @@ def cmd_slice(args) -> int:
     clips = slice_clips(stream, ClipWindowSpec(args.window, args.stride))
     os.makedirs(args.out, exist_ok=True)
     base = os.path.splitext(os.path.basename(args.input))[0]
-    for k, clip in enumerate(clips):
+    for k, clip in enumerate(clips):    # at least one
         write_dat(clip, replace(meta, t_len=clip.t_len),
                   os.path.join(args.out, f"{base}_clip{k:04d}.dat"))
-    print(f"wrote {len(clips)} clip(s) to {args.out}")
+    print(f"wrote {k + 1} clip(s) to {args.out}")
     return 0
 
 
@@ -220,7 +223,7 @@ def cmd_featurize(args) -> int:
     entries = []
     for path in paths:
         stream, _ = _read_stream(path, args.meta)
-        vector = featurize_stream(stream, block_spec, branches, weights)
+        vector = featurize_stream(stream, block_spec, weights)
         name = os.path.splitext(os.path.basename(path))[0]
         entry = {"id": name, "vector": vector.tolist()}
         if name in labels:
@@ -235,7 +238,8 @@ def cmd_featurize(args) -> int:
 
 def cmd_snn_forward(args) -> int:
     stream, _ = _read_stream(args.input, args.meta)
-    cfg = FsveConfig(channels=args.channels, timesteps=args.timesteps)
+    subsample_indices(stream.t_len, args.timesteps)    # fail before any write
+    cfg = FsveConfig(channels=args.channels)
 
     def init(seed, archive):
         # An archive's own width wins over --channels.
@@ -246,7 +250,7 @@ def cmd_snn_forward(args) -> int:
 
     weights = _weights(args, init)
     ledger = EnergyLedger()
-    embedding, _ = fsve_forward(stream, weights, cfg, ledger)
+    embedding, _ = fsve_forward(stream, weights, args.timesteps, ledger)
     ledger.save(args.ledger)
     if args.out:
         write_json({"embedding": embedding.tolist(),

@@ -53,13 +53,9 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class BranchSpec:
-    """Filtering-branch layout: branch count, channel decrement, output width.
-
-    Per-branch input channel counts k_i and the learnable temporal masks
-    are derived/stored elsewhere: k_i comes from :func:`allocate_channels`
-    against the block length, masks live in the weight set under
-    ``hsfe.branch{i}.mask``.
-    """
+    """Filtering-branch layout: branch count, channel decrement, output
+    width. It sizes the weights (:func:`init_hsfe_weights`); the forwards
+    read the layout back from the masks and kernels."""
 
     m: int = 3
     channel_step: int = 20
@@ -134,35 +130,33 @@ def _branch_slice(block_len: int, k: int) -> slice:
     return slice(start, start + k)
 
 
-def mtf_forward(block: np.ndarray, branches: BranchSpec,
+def mtf_forward(block: np.ndarray,
                 weights: dict[str, np.ndarray]) -> list[np.ndarray]:
     """Multi-scale temporal filtering of one block.
 
-    Per branch: take the central k_i frames, weight them with the branch's
-    temporal mask, average over the paired window width, then run a 3x3
-    (padding 1) convolution from k_i input channels to c_out output maps.
+    The branch count is the spatial-attention kernel's output width, and
+    branch i's channel count k_i is the length of its temporal mask. Per
+    branch: take the central k_i frames, weight them with the mask,
+    average over round(block_len / k_i) frames, then run a 3x3 (padding 1)
+    convolution of the k_i channels with the branch kernel. Branch 0 spans
+    the block, so these are the widths of :func:`allocate_channels`.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 3:
         raise PreconditionError(f"block must be [len, h, w], got {block.shape}")
     block_len = block.shape[0]
-    allocs = allocate_channels(block_len, branches.m, branches.channel_step)
-
+    masks = [np.asarray(weights[f"hsfe.branch{i}.mask"], dtype=np.float64)
+             for i in range(weights["hsfe.sa.conv.w"].shape[0])]
+    if not (masks and all(mask.ndim == 1 and 1 <= len(mask) <= block_len
+                          for mask in masks) and len(masks[0]) == block_len):
+        raise PreconditionError(
+            f"branch masks of shapes {[mask.shape for mask in masks]} must "
+            f"be 1-D, of 1 to {block_len} frames, the first of {block_len}")
     outputs = []
-    for i, alloc in enumerate(allocs):
-        mask = np.asarray(weights[f"hsfe.branch{i}.mask"], dtype=np.float64)
+    for i, mask in enumerate(masks):
+        sub = block[_branch_slice(block_len, len(mask))] * mask[:, None, None]
+        sub = moving_average_same(sub, int(round(block_len / len(mask))))
         kernel = np.asarray(weights[f"hsfe.branch{i}.conv.w"], dtype=np.float64)
-        if mask.shape != (alloc.channels,):
-            raise PreconditionError(
-                f"branch {i} mask has shape {mask.shape}, expected "
-                f"({alloc.channels},)")
-        if kernel.shape != (branches.c_out, alloc.channels, 3, 3):
-            raise PreconditionError(
-                f"branch {i} kernel has shape {kernel.shape}, expected "
-                f"({branches.c_out}, {alloc.channels}, 3, 3)")
-        sub = block[_branch_slice(block_len, alloc.channels)]
-        sub = sub * mask[:, None, None]
-        sub = moving_average_same(sub, alloc.avg_width)
         outputs.append(conv2d(sub, kernel, bias=None, stride=1, padding=1))
     return outputs
 
@@ -200,13 +194,13 @@ def spatial_attention(features: list[np.ndarray],
     return out
 
 
-def hsfe_forward(stream: SpikeStream, spec: BlockSpec, branches: BranchSpec,
+def hsfe_forward(stream: SpikeStream, spec: BlockSpec,
                  weights: dict[str, np.ndarray]) -> list[np.ndarray]:
     """Full extractor: slice blocks, filter, gate; one coarse intensity
     estimate per block, in temporal order."""
     estimates = []
     for block in slice_blocks(stream, spec):
-        feats = mtf_forward(block, branches, weights)
+        feats = mtf_forward(block, weights)
         est = spatial_attention(feats, weights)
         if not np.all(np.isfinite(est)):
             raise PreconditionError("non-finite values in coarse estimate")

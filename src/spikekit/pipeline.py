@@ -162,10 +162,8 @@ def build_feature_weights(block_len: int, branches: BranchSpec,
 
 
 def featurize_stream(stream: SpikeStream, block_spec: BlockSpec,
-                     branches: BranchSpec,
                      weights: dict[str, np.ndarray]) -> np.ndarray:
-    estimates = hsfe_forward(stream, block_spec, branches, weights)
-    return star_net_forward(estimates, weights)
+    return star_net_forward(hsfe_forward(stream, block_spec, weights), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +279,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     enc_cfg = EncoderConfig(theta=config.theta,
                             noise_amplitude=config.noise_amplitude)
     block_spec = config.block_spec()
-    branches = config.branch_spec()
-    weights = build_feature_weights(block_spec.block_len, branches,
+    weights = build_feature_weights(block_spec.block_len, config.branch_spec(),
                                     config.star_config(),
                                     (config.height, config.width), config.seed)
     prompts = [CLASS_PROMPTS[c] for c in config.classes]
@@ -304,7 +301,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             first_stream = stream
         clips.append({"name": name, "class": spec.classes[label],
                       "label": label})
-        vector = featurize_stream(stream, block_spec, branches, weights)
+        vector = featurize_stream(stream, block_spec, weights)
         (train_pool if index < support_per_class else test_set).append(
             {"id": name, "label": label, "prompt": prompts[label],
              "vector": vector.tolist()})
@@ -351,13 +348,11 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
 
     # Stage 6: spiking forward + energy on the first clip.
     if config.run_snn:
-        fsve_cfg = FsveConfig(channels=config.snn_channels,
-                              timesteps=config.timesteps)
         fsve_weights = init_fsve_weights(
-            fsve_cfg, seed=int(np.random.default_rng([config.seed, 4])
-                               .integers(2 ** 31)))
+            FsveConfig(channels=config.snn_channels),
+            seed=int(np.random.default_rng([config.seed, 4]).integers(2 ** 31)))
         ledger = EnergyLedger()
-        fsve_forward(first_stream, fsve_weights, fsve_cfg, ledger)
+        fsve_forward(first_stream, fsve_weights, config.timesteps, ledger)
         ledger.save(os.path.join(out_dir, "ledger.json"))
         report = energy_report(ledger)
         report["provenance"] = provenance(

@@ -84,60 +84,58 @@ def surrogate_grad(u, p: LifParams):
 
 
 def tdbn(x: np.ndarray, gamma, beta) -> np.ndarray:
-    """Batch normalization with statistics pooled over merged time, batch,
-    and spatial axes (channel axis is axis 2 of [T, B, C, ...]).
+    """Batch normalization with statistics pooled over the time and
+    spatial axes (channel axis is axis 1 of [T, C, ...]).
 
     Pooling over time is what distinguishes this from plain batch norm;
-    per channel the output has mean ~= beta and variance ~= gamma^2.
+    per channel the output has mean ~= beta and variance ~= gamma^2. The
+    spiking path runs one sample, so tdBN's pooling over time, batch and
+    space is this pooling over time and space.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 3:
+    if x.ndim < 2:
         raise PreconditionError(
-            f"tdbn input must be [t, b, c, ...], got shape {x.shape}")
-    reduce_axes = (0, 1) + tuple(range(3, x.ndim))
-    per_channel = x.size // x.shape[2]
-    if per_channel < 2:
+            f"tdbn input must be [t, c, ...], got shape {x.shape}")
+    reduce_axes = (0,) + tuple(range(2, x.ndim))
+    if x.size // x.shape[1] < 2:
         raise PreconditionError(
             "tdbn needs at least 2 pooled elements per channel")
     mean = x.mean(axis=reduce_axes, keepdims=True)
     var = x.var(axis=reduce_axes, keepdims=True)
-    gamma = np.reshape(np.asarray(gamma, dtype=np.float64),
-                       (1, 1, -1) + (1,) * (x.ndim - 3))
-    beta = np.reshape(np.asarray(beta, dtype=np.float64),
-                      (1, 1, -1) + (1,) * (x.ndim - 3))
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    gamma = np.reshape(np.asarray(gamma, dtype=np.float64), shape)
+    beta = np.reshape(np.asarray(beta, dtype=np.float64), shape)
     return (x - mean) / np.sqrt(var + TDBN_EPS) * gamma + beta
 
 
 def _conv_tdbn(s: np.ndarray, weights: dict[str, np.ndarray], prefix: str,
-               stride: int, ledger: EnergyLedger | None) -> np.ndarray:
-    """One spiking conv stage up to the membrane input: a 3x3 conv of every
-    binary [t, b] map, then TDBN. Records the stage's SOPs in the ledger,
-    with one neuron update per normalized output element."""
+               stride: int, ledger: EnergyLedger) -> np.ndarray:
+    """One spiking conv stage up to the membrane input: a 3x3 conv of the
+    binary [C, H, W] maps of every time step of ``s`` [T, C, H, W], then
+    TDBN. Records the stage's SOPs in the ledger, with one neuron update
+    per normalized output element."""
     kernel = weights[f"{prefix}.conv.w"]
-    t_len, batch = s.shape[:2]
-    conv_out = np.array([[conv2d(s[t, b].astype(np.float64), kernel, None,
-                                 stride=stride, padding=1)
-                          for b in range(batch)] for t in range(t_len)])
+    conv_out = np.array([conv2d(frame.astype(np.float64), kernel, None,
+                                stride=stride, padding=1) for frame in s])
     normed = tdbn(conv_out, weights[f"{prefix}.tdbn.gamma"],
                   weights[f"{prefix}.tdbn.beta"])
-    if ledger is not None:
-        c_out = kernel.shape[0]
-        actual = count_conv_sops(s, c_out, stride=stride)
-        dense = dense_conv_macs(s.shape[2:], c_out,
-                                stride=stride) * t_len * batch
-        ledger.record(f"{prefix}.conv", spike_count=int(s.sum()),
-                      fan_out=9 * c_out, actual_sops=actual,
-                      neuron_ops=normed.size, max_sops=dense,
-                      element_count=s.size)
+    c_out = kernel.shape[0]
+    ledger.record(f"{prefix}.conv", spike_count=int(s.sum()),
+                  fan_out=9 * c_out,
+                  actual_sops=count_conv_sops(s, c_out, stride=stride),
+                  neuron_ops=normed.size,
+                  max_sops=dense_conv_macs(s.shape[1:], c_out,
+                                           stride=stride) * len(s),
+                  element_count=s.size)
     return normed
 
 
 def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
-                           p: LifParams, prefix: str = "fsve.block",
-                           ledger: EnergyLedger | None = None) -> np.ndarray:
-    """Spiking residual unit: conv, TDBN, add the binary identity, spike.
+                           p: LifParams, ledger: EnergyLedger) -> np.ndarray:
+    """Spiking residual unit: conv, TDBN, add the binary identity, spike,
+    with the ``fsve.block`` weights.
 
-    Input and output are binary [T, B, C, H, W] tensors. With zero conv
+    Input and output are binary [T, C, H, W] tensors. With zero conv
     weights and beta 0, any position carrying an input spike contributes
     potential 1 >= thresh (for thresh <= 1), so the block passes the
     identity through.
@@ -145,10 +143,10 @@ def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
     s = np.asarray(s)
     if not is_binary(s):
         raise PreconditionError("residual block input must be binary (0/1)")
-    if s.ndim != 5:
+    if s.ndim != 4:
         raise PreconditionError(
-            f"residual block input must be [t, b, c, h, w], got {s.shape}")
-    normed = _conv_tdbn(s, weights, prefix, 1, ledger)
+            f"residual block input must be [t, c, h, w], got {s.shape}")
+    normed = _conv_tdbn(s, weights, "fsve.block", 1, ledger)
     return (normed + s >= p.thresh).astype(np.uint8)
 
 
@@ -170,7 +168,7 @@ def sn_threshold(x: np.ndarray, alpha_sn: float = 1.0
 
 
 def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
-                  ledger: EnergyLedger | None = None):
+                  ledger: EnergyLedger):
     """Spike-driven self-attention over [tokens, d_model].
 
     Q/K/V are spike-normalized linear projections (binary) whose width d
@@ -181,8 +179,9 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
     where c * N^2 >= S, so the threshold is decided by an exact integer
     test, and entries equal to the mean fire (Theta(0) = 1). The binary
     attention map gates V_S and a final linear layer produces the output.
-    All SN stage spike counts go to the ledger. Returns the output and a
-    dict of the binary stages.
+    All SN stage spike counts go to the ledger; a non-binary input is
+    priced dense, with its nonzero entries as its spike count. Returns the
+    output and a dict of the binary stages.
     """
     prefix = "fsve.sdsa"
     u = np.asarray(u, dtype=np.float64)
@@ -191,19 +190,19 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
     n_tokens, d_model = u.shape
     w = weights
     input_binary = is_binary(u)
+    events = int(np.count_nonzero(u))     # the spike count of binary input
 
     projections = {}
     for name in ("q", "k", "v"):
         raw = linear(u, w[f"{prefix}.{name}.w"], w[f"{prefix}.{name}.b"])
         projections[name], _ = sn_threshold(raw)
-        if ledger is not None:
-            d_out = raw.shape[1]
-            dense = dense_linear_macs(n_tokens, d_model, d_out)
-            actual = int(u.sum()) * d_out if input_binary else dense
-            ledger.record(f"{prefix}.{name}_proj", spike_count=int(u.sum()),
-                          fan_out=d_out, actual_sops=actual,
-                          neuron_ops=raw.size, max_sops=dense,
-                          element_count=u.size)
+        d_out = raw.shape[1]
+        dense = dense_linear_macs(n_tokens, d_model, d_out)
+        actual = events * d_out if input_binary else dense
+        ledger.record(f"{prefix}.{name}_proj", spike_count=events,
+                      fan_out=d_out, actual_sops=actual,
+                      neuron_ops=raw.size, max_sops=dense,
+                      element_count=u.size)
     q_s, k_s, v_s = projections["q"], projections["k"], projections["v"]
 
     # Sums of binary products are exact in float64, and so is their N^2
@@ -217,25 +216,24 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
     gated = attn_spikes.astype(np.float64) @ v_s.astype(np.float64)
     out = linear(gated, w[f"{prefix}.out.w"], w[f"{prefix}.out.b"])
 
-    if ledger is not None:
-        ledger.record(f"{prefix}.attn_corr",
-                      spike_count=int(q_s.sum()) + int(k_s.sum()),
-                      fan_out=n_tokens, actual_sops=corr_sops,
-                      neuron_ops=corr.size,
-                      max_sops=n_tokens * n_tokens * q_s.shape[1],
-                      element_count=q_s.size + k_s.size)
-        apply_sops = int((attn_spikes.sum(axis=0).astype(np.int64)
-                          * v_s.sum(axis=1).astype(np.int64)).sum())
-        ledger.record(f"{prefix}.attn_apply",
-                      spike_count=int(attn_spikes.sum()),
-                      fan_out=v_s.shape[1], actual_sops=apply_sops,
-                      neuron_ops=0,
-                      max_sops=n_tokens * n_tokens * v_s.shape[1],
-                      element_count=attn_spikes.size)
-        dense = dense_linear_macs(n_tokens, gated.shape[1], out.shape[1])
-        ledger.record(f"{prefix}.out_proj", spike_count=0,
-                      fan_out=out.shape[1], actual_sops=dense,
-                      neuron_ops=0, max_sops=dense)
+    ledger.record(f"{prefix}.attn_corr",
+                  spike_count=int(q_s.sum()) + int(k_s.sum()),
+                  fan_out=n_tokens, actual_sops=corr_sops,
+                  neuron_ops=corr.size,
+                  max_sops=n_tokens * n_tokens * q_s.shape[1],
+                  element_count=q_s.size + k_s.size)
+    apply_sops = int((attn_spikes.sum(axis=0).astype(np.int64)
+                      * v_s.sum(axis=1).astype(np.int64)).sum())
+    ledger.record(f"{prefix}.attn_apply",
+                  spike_count=int(attn_spikes.sum()),
+                  fan_out=v_s.shape[1], actual_sops=apply_sops,
+                  neuron_ops=0,
+                  max_sops=n_tokens * n_tokens * v_s.shape[1],
+                  element_count=attn_spikes.size)
+    dense = dense_linear_macs(n_tokens, gated.shape[1], out.shape[1])
+    ledger.record(f"{prefix}.out_proj", spike_count=0,
+                  fan_out=out.shape[1], actual_sops=dense,
+                  neuron_ops=0, max_sops=dense)
 
     return out, {"q_s": q_s, "k_s": k_s, "v_s": v_s,
                  "attn_spikes": attn_spikes}
@@ -247,14 +245,13 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
 
 @dataclass(frozen=True)
 class FsveConfig:
+    """The width of ``init_fsve_weights``; the forward reads it back."""
+
     channels: int = 8
-    timesteps: int = 2
 
     def __post_init__(self):
         if self.channels < 1:
             raise PreconditionError("channels must be >= 1")
-        if self.timesteps < 1:
-            raise PreconditionError("timesteps must be >= 1")
 
 
 def init_fsve_weights(cfg: FsveConfig, seed: int) -> dict[str, np.ndarray]:
@@ -274,7 +271,7 @@ def init_fsve_weights(cfg: FsveConfig, seed: int) -> dict[str, np.ndarray]:
 
 def _spiking_stem(s: np.ndarray, weights: dict[str, np.ndarray],
                   p: LifParams, prefix: str,
-                  ledger: EnergyLedger | None) -> np.ndarray:
+                  ledger: EnergyLedger) -> np.ndarray:
     """Stride-2 spiking convolution stage: conv, TDBN, stateful LIF."""
     normed = _conv_tdbn(s, weights, prefix, 2, ledger)
     u = np.zeros(normed.shape[1:])
@@ -285,17 +282,17 @@ def _spiking_stem(s: np.ndarray, weights: dict[str, np.ndarray],
 
 
 def fsve_forward(stream: SpikeStream, weights: dict[str, np.ndarray],
-                 cfg: FsveConfig, ledger: EnergyLedger | None = None):
+                 timesteps: int, ledger: EnergyLedger):
     """Run the desk-scale full-spiking path over a stream.
 
-    The stream is subsampled to cfg.timesteps frames, passed through two
+    The stream is subsampled to ``timesteps`` frames, passed through two
     stride-2 spiking stem stages, a spiking residual block, and per-step
-    spike-driven attention over the spatial token grid. Returns the mean
+    spike-driven attention over the spatial token grid. Every stage is
+    [T, C, H, W] and records its counts in ``ledger``. Returns the mean
     spike-rate embedding plus a dict of every binary stage for
     invariant scanning.
     """
-    sub = subsample_temporal(stream, cfg.timesteps)
-    x = sub.data[:, None, None, :, :].astype(np.uint8)    # [T, 1, 1, H, W]
+    x = subsample_temporal(stream, timesteps).data[:, None]    # [T, 1, H, W]
     stages: dict[str, np.ndarray] = {"input": x}
 
     lif = LifParams()
@@ -303,18 +300,16 @@ def fsve_forward(stream: SpikeStream, weights: dict[str, np.ndarray],
     stages["stem1"] = s1
     s2 = _spiking_stem(s1, weights, lif, "fsve.stem2", ledger)
     stages["stem2"] = s2
-    s3 = spiking_residual_block(s2, weights, lif, "fsve.block", ledger)
+    s3 = spiking_residual_block(s2, weights, lif, ledger)
     stages["resblock"] = s3
 
-    t_len, batch, c = s3.shape[:3]
     outputs = []
-    for t in range(t_len):
-        for b in range(batch):
-            tokens = s3[t, b].reshape(c, -1).T          # [N, C]
-            out, internals = esdsa_forward(tokens, weights, ledger=ledger)
-            outputs.append(out)
-            stages.update({f"sdsa.t{t}.{key}": value
-                           for key, value in internals.items()})
+    for t, maps in enumerate(s3):
+        tokens = maps.reshape(len(maps), -1).T          # [N, C]
+        out, internals = esdsa_forward(tokens, weights, ledger)
+        outputs.append(out)
+        stages.update({f"sdsa.t{t}.{key}": value
+                       for key, value in internals.items()})
 
     for key, value in stages.items():
         if not is_binary(value):

@@ -67,26 +67,26 @@ def _residual_block(x: np.ndarray, prefix: str, stride: int, out_ch: int,
 
 
 def _attend(queries: np.ndarray, seq: np.ndarray,
-            weights: dict[str, np.ndarray], prefix: str,
-            heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head scaled dot-product attention of ``queries`` [Q, C] over
-    ``seq`` [N, C] through the ``{prefix}.q/k/v/out`` projections.
+            weights: dict[str, np.ndarray],
+            prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """``HEADS``-head scaled dot-product attention of ``queries`` [Q, C]
+    over ``seq`` [N, C] through the ``{prefix}.q/k/v/out`` projections.
 
     Returns the out-projected context [Q, D] and the attention weights
-    [heads, Q, N], each row summing to one.
+    [HEADS, Q, N], each row summing to one.
     """
     c = seq.shape[1]
-    if c % heads != 0:
+    if c % HEADS != 0:
         raise PreconditionError(
-            f"width {c} must be divisible by {heads} heads")
-    dh = c // heads
+            f"width {c} must be divisible by {HEADS} heads")
+    dh = c // HEADS
     w = weights
     q = linear(queries, w[f"{prefix}.q.w"], w[f"{prefix}.q.b"])
     k = linear(seq, w[f"{prefix}.k.w"], w[f"{prefix}.k.b"])
     v = linear(seq, w[f"{prefix}.v.w"], w[f"{prefix}.v.b"])
-    qh = q.reshape(len(queries), heads, dh)
-    kh = k.reshape(-1, heads, dh)
-    vh = v.reshape(-1, heads, dh)
+    qh = q.reshape(len(queries), HEADS, dh)
+    kh = k.reshape(-1, HEADS, dh)
+    vh = v.reshape(-1, HEADS, dh)
     scores = np.einsum("qhd,nhd->hqn", qh, kh) / np.sqrt(dh)
     attn = softmax(scores, axis=-1)
     ctx = np.einsum("hqn,nhd->qhd", attn, vh).reshape(len(queries), c)
@@ -94,7 +94,7 @@ def _attend(queries: np.ndarray, seq: np.ndarray,
 
 
 def attention_pool(tokens: np.ndarray, weights: dict[str, np.ndarray],
-                   heads: int, return_attention: bool = False):
+                   return_attention: bool = False):
     """Multi-head attention pooling over [N, C] tokens.
 
     The query is the mean token; mean and tokens each get a learnable
@@ -111,9 +111,9 @@ def attention_pool(tokens: np.ndarray, weights: dict[str, np.ndarray],
             f"positional codes {pos.shape} do not match token sequence "
             f"{seq.shape} (grid size mismatch)")
     seq = seq + pos
-    pooled, attn = _attend(seq[:1], seq, weights, "star.attnpool", heads)
+    pooled, attn = _attend(seq[:1], seq, weights, "star.attnpool")
     if return_attention:
-        return pooled[0], attn.reshape(heads, -1)
+        return pooled[0], attn[:, 0]
     return pooled[0]
 
 
@@ -137,47 +137,41 @@ def mini_mapresnet_forward(estimate: np.ndarray,
                                 stride if b == 0 else 1, width, weights)
     c = x.shape[0]
     tokens = x.reshape(c, -1).T            # [N, C]
-    return attention_pool(tokens, weights, HEADS)
+    return attention_pool(tokens, weights)
 
 
 # ---------------------------------------------------------------------------
 # Temporal fusion
 # ---------------------------------------------------------------------------
 
-def temporal_attention(seq, weights: dict[str, np.ndarray], heads: int = HEADS,
+def temporal_attention(seq, weights: dict[str, np.ndarray],
                        return_attention: bool = False):
-    """One encoder layer over the time axis of a [T, B, D] sequence.
+    """One encoder layer over the time axis of a [T, D] sequence.
 
-    Multi-head self-attention runs independently per batch element,
-    followed by a position-wise feed-forward, both with residual
-    connections. Shape is preserved.
+    Multi-head self-attention, followed by a position-wise feed-forward,
+    both with residual connections. Shape is preserved; the attention
+    weights are [HEADS, T, T].
     """
     x = np.asarray(seq, dtype=np.float64)
-    if x.ndim != 3:
-        raise PreconditionError(f"sequence must be [t, b, d], got {x.shape}")
-    t_len, batch, _ = x.shape
+    if x.ndim != 2:
+        raise PreconditionError(f"sequence must be [t, d], got {x.shape}")
     w = weights
-    out = np.empty_like(x)
-    attn_all = np.empty((batch, heads, t_len, t_len))
-    for b in range(batch):
-        xb = x[:, b, :]
-        ctx, attn_all[b] = _attend(xb, xb, w, "star.temporal.attn", heads)
-        y1 = xb + ctx
-        ffn = linear(relu(linear(y1, w["star.temporal.ffn.fc1.w"],
-                                 w["star.temporal.ffn.fc1.b"])),
-                     w["star.temporal.ffn.fc2.w"], w["star.temporal.ffn.fc2.b"])
-        out[:, b, :] = y1 + ffn
+    ctx, attn = _attend(x, x, w, "star.temporal.attn")
+    y1 = x + ctx
+    ffn = linear(relu(linear(y1, w["star.temporal.ffn.fc1.w"],
+                             w["star.temporal.ffn.fc1.b"])),
+                 w["star.temporal.ffn.fc2.w"], w["star.temporal.ffn.fc2.b"])
     if return_attention:
-        return out, attn_all
-    return out
+        return y1 + ffn, attn
+    return y1 + ffn
 
 
 def temporal_pool(seq) -> np.ndarray:
-    """Arithmetic mean over the time axis, accumulated strictly left to
-    right so two runs bit-compare equal."""
+    """Arithmetic mean of a [T, D] sequence over time, accumulated
+    strictly left to right so two runs bit-compare equal."""
     x = np.asarray(seq, dtype=np.float64)
-    if x.ndim != 3:
-        raise PreconditionError(f"sequence must be [t, b, d], got {x.shape}")
+    if x.ndim != 2:
+        raise PreconditionError(f"sequence must be [t, d], got {x.shape}")
     if x.shape[0] < 1:
         raise PreconditionError("cannot pool an empty time axis")
     acc = x[0].copy()
@@ -195,9 +189,7 @@ def star_net_forward(estimates: list[np.ndarray],
     if not estimates:
         raise PreconditionError("star_net_forward needs at least one estimate")
     vectors = [mini_mapresnet_forward(e, weights) for e in estimates]
-    seq = np.stack(vectors)[:, None, :]           # [T, 1, D]
-    fused = temporal_attention(seq, weights)
-    return temporal_pool(fused)[0]
+    return temporal_pool(temporal_attention(np.stack(vectors), weights))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ zero-padded byte at the end. Dimensions travel separately in a
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,16 +228,18 @@ def clip_count(t_len: int, spec: ClipWindowSpec) -> int:
     return (t_len - spec.window_len) // spec.stride + 1
 
 
-def slice_clips(stream: SpikeStream, spec: ClipWindowSpec) -> list[SpikeStream]:
-    """Cut a stream into overlapping clips.
+def slice_clips(stream: SpikeStream,
+                spec: ClipWindowSpec) -> Iterator[SpikeStream]:
+    """Cut a stream into overlapping clips, made one at a time as they are
+    iterated; a stream shorter than one window raises at the call.
 
     Clip k covers [k*stride, k*stride + window_len); the clip count is
     floor((T - window_len) / stride) + 1. Each clip owns its storage.
     """
     n = clip_count(stream.t_len, spec)
-    return [SpikeStream(stream.data[k * spec.stride:
+    return (SpikeStream(stream.data[k * spec.stride:
                                     k * spec.stride + spec.window_len])
-            for k in range(n)]
+            for k in range(n))
 
 
 def subsample_indices(t_len: int, target_len: int) -> np.ndarray:

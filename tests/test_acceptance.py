@@ -205,11 +205,9 @@ def test_criterion_06_attention_against_loop_oracles():
 
         for _ in range(100):
             t_len = int(rng.integers(1, 7))
-            x = rng.normal(size=(t_len, 1, cfg.embed_dim))
-            out, attn = temporal_attention(x, w, heads=HEADS,
-                                           return_attention=True)
+            xb = rng.normal(size=(t_len, cfg.embed_dim))
+            out, attn = temporal_attention(xb, w, return_attention=True)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
-            xb = x[:, 0, :]
             q = xb @ w["star.temporal.attn.q.w"] + w["star.temporal.attn.q.b"]
             k = xb @ w["star.temporal.attn.k.w"] + w["star.temporal.attn.k.b"]
             v = xb @ w["star.temporal.attn.v.w"] + w["star.temporal.attn.v.b"]
@@ -227,15 +225,14 @@ def test_criterion_06_attention_against_loop_oracles():
             ffn = relu(y1 @ w["star.temporal.ffn.fc1.w"]
                        + w["star.temporal.ffn.fc1.b"]) \
                 @ w["star.temporal.ffn.fc2.w"] + w["star.temporal.ffn.fc2.b"]
-            np.testing.assert_allclose(out[:, 0, :], y1 + ffn,
+            np.testing.assert_allclose(out, y1 + ffn,
                                        rtol=1e-5, atol=1e-10)
 
         c = GROUPS[-1][0]
         dh_pool = c // HEADS
         for _ in range(100):
             tokens = rng.normal(size=(4, c))
-            pooled, attn = attention_pool(tokens, w, HEADS,
-                                          return_attention=True)
+            pooled, attn = attention_pool(tokens, w, return_attention=True)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
             seq = np.concatenate([tokens.mean(axis=0, keepdims=True),
                                   tokens]) + w["star.attnpool.pos"]
@@ -253,7 +250,7 @@ def test_criterion_06_attention_against_loop_oracles():
             np.testing.assert_allclose(pooled, expected, rtol=1e-5,
                                        atol=1e-10)
 
-        x = rng.normal(size=(5, 3, cfg.embed_dim))
+        x = rng.normal(size=(5, 3 * cfg.embed_dim))
         acc = x[0].copy()
         for t in range(1, 5):
             acc = acc + x[t]
@@ -350,10 +347,9 @@ def test_criterion_09_snn_semantics():
         rng = np.random.default_rng(1009)
         stream = SpikeStream(rng.integers(0, 2, size=(16, 32, 32),
                                           dtype=np.uint8))
-        cfg = FsveConfig(channels=4, timesteps=2)
-        weights = init_fsve_weights(cfg, seed=1009)
+        weights = init_fsve_weights(FsveConfig(channels=4), seed=1009)
         ledger = EnergyLedger()
-        _, stages = fsve_forward(stream, weights, cfg, ledger)
+        _, stages = fsve_forward(stream, weights, 2, ledger)
         binary_stages = 0
         for name, tensor in stages.items():
             if np.asarray(tensor).dtype == np.uint8:

@@ -150,6 +150,23 @@ def test_snn_forward_then_energy_report(tmp_path):
         + sum(r["neuron_ops"] for r in ledger) * 0.9e-12
 
 
+@pytest.mark.parametrize("timesteps", ["0", "9"])
+def test_snn_forward_bad_timesteps_writes_nothing(timesteps, tmp_path,
+                                                  capsys):
+    # 0 steps, or more than the stream's 8, exit 2 before the weights are
+    # saved.
+    from spikekit.stream import SpikeStream, write_dat
+    stream = SpikeStream(np.ones((8, 32, 32), dtype=np.uint8))
+    dat = tmp_path / "s.dat"
+    write_dat(stream, StreamMeta.for_stream(stream), dat)
+    assert main(["snn-forward", str(dat), "--seed", "3", "--timesteps",
+                 timesteps, "--save-weights", str(tmp_path / "w"),
+                 "--ledger", str(tmp_path / "l.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "w").exists()
+    assert not (tmp_path / "l.json").exists()
+
+
 def test_snn_forward_width_comes_from_the_weight_archive(tmp_path):
     rng = np.random.default_rng(145)
     from spikekit.stream import SpikeStream, write_dat
@@ -219,6 +236,23 @@ def test_eval_topk_above_class_count_exits_2(tmp_path):
     assert main(["train-head", str(emb), str(prompts), "--shots", "1",
                  "--seed", "0", "--epochs", "2", "--out", str(head)]) == 0
     assert main(["eval", str(head), str(emb), "--topk", "5"]) == 2
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.05", "1e308"])
+def test_train_head_needs_a_finite_positive_lr(lr, tmp_path, capsys):
+    # 1e308 is finite and positive, but the head diverges: a head whose
+    # trained parameters are not finite is rejected too.
+    prompts = tmp_path / "p.txt"
+    prompts.write_text("a person waving one hand\n"
+                       "a person punching forward\n")
+    emb = tmp_path / "e.json"
+    emb.write_text(json.dumps([{"id": "a", "label": 0, "vector": [1.0, 0.0]},
+                               {"id": "b", "label": 1, "vector": [0.0, 1.0]}]))
+    assert main(["train-head", str(emb), str(prompts), "--shots", "1",
+                 "--seed", "0", "--lr", lr,
+                 "--out", str(tmp_path / "h.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "h.json").exists()
 
 
 @pytest.mark.parametrize("shots", ["0", "-1"])
@@ -377,6 +411,21 @@ def test_pipeline_config_validation(tmp_path):
         assert main(["pipeline", "--config", str(path),
                      "--out", str(tmp_path / "x")]) == 2, fields
         assert not (tmp_path / "x").exists(), fields
+
+
+def test_pipeline_config_lr_nan_exits_2(tmp_path, capsys):
+    config = {"seed": 3, "classes": ["wave", "throw"], "clips_per_class": 2,
+              "test_per_class": 1, "frames": 50, "r_win": 10, "step": 10,
+              "n_blocks": 2, "channel_step": 8, "shots": [1],
+              "eval_seeds": [0], "epochs": 5, "lr": float("nan"),
+              "run_snn": False}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run" / "head_s1_seed0.json").exists()
 
 
 @pytest.mark.parametrize("config", [
@@ -618,6 +667,11 @@ _BAD_EMBEDDINGS = [
     ('[{"id": "a", "label": 0, "vector": [[1.0]]}]', "vector-nested"),
     ('[{"id": "a", "label": "x", "vector": [1.0]}]', "label-string"),
     ('[{"id": "a", "label": 0.5, "vector": [1.0]}]', "label-float"),
+    ('[{"id": "a", "label": 0, "vector": [NaN]}]', "nan"),
+    ('[{"id": "a", "label": 0, "vector": [Infinity]}]', "infinity"),
+    ('[{"id": "a", "label": 0, "vector": [1%s]}]' % ("0" * 400), "huge-int"),
+    ('[{"id": "a", "label": 1%s, "vector": [1.0]}]' % ("0" * 400),
+     "huge-int-label"),
 ]
 
 

@@ -59,16 +59,14 @@ def pipeline_conv_shapes():
         for module in (hsfe, starnet, snn):
             mp.setattr(module, "conv2d", recording_conv2d)
         block_spec = cfg.block_spec()
-        branches = cfg.branch_spec()
         star_cfg = cfg.star_config()
-        weights = build_feature_weights(block_spec.block_len, branches,
-                                        star_cfg, (cfg.height, cfg.width),
-                                        cfg.seed)
-        featurize_stream(stream, block_spec, branches, weights)
-        fsve_cfg = snn.FsveConfig(channels=cfg.snn_channels,
-                                  timesteps=cfg.timesteps)
+        weights = build_feature_weights(block_spec.block_len,
+                                        cfg.branch_spec(), star_cfg,
+                                        (cfg.height, cfg.width), cfg.seed)
+        featurize_stream(stream, block_spec, weights)
+        fsve_cfg = snn.FsveConfig(channels=cfg.snn_channels)
         snn.fsve_forward(stream, snn.init_fsve_weights(fsve_cfg, seed=1),
-                         fsve_cfg, EnergyLedger())
+                         cfg.timesteps, EnergyLedger())
     return sorted(seen)
 
 

@@ -130,13 +130,13 @@ def test_photon_conservation_bound_500_configs():
 def test_mtf_identity_construction_passes_frame_through():
     # Single branch, all-one mask, kernel = 1 at the center tap of one
     # input channel: the output must be exactly that (central) frame.
-    branches = BranchSpec(m=1, channel_step=0, c_out=1)
     rng = np.random.default_rng(44)
     block = rng.integers(0, 2, size=(9, 6, 6)).astype(np.float64)
     weights = {"hsfe.branch0.mask": np.ones(9),
-               "hsfe.branch0.conv.w": np.zeros((1, 9, 3, 3))}
+               "hsfe.branch0.conv.w": np.zeros((1, 9, 3, 3)),
+               "hsfe.sa.conv.w": np.zeros((1, 1, 3, 3))}
     weights["hsfe.branch0.conv.w"][0, 4, 1, 1] = 1.0
-    outs = mtf_forward(block, branches, weights)
+    outs = mtf_forward(block, weights)
     assert len(outs) == 1
     assert outs[0][0] == pytest.approx(block[4])
 
@@ -148,7 +148,7 @@ def test_mtf_zero_mask_zero_output():
     weights = init_hsfe_weights(11, branches, seed=0)
     weights["hsfe.branch0.mask"] = np.zeros(11)
     weights["hsfe.branch1.mask"] = np.zeros(8)
-    outs = mtf_forward(block, branches, weights)
+    outs = mtf_forward(block, weights)
     for out in outs:
         assert out == pytest.approx(np.zeros_like(out))
 
@@ -160,7 +160,7 @@ def test_mtf_matches_dense_loop_oracle():
     weights = init_hsfe_weights(9, branches, seed=1)
     for i, mask_len in enumerate((9, 7, 5)):
         weights[f"hsfe.branch{i}.mask"] = rng.normal(size=mask_len)
-    outs = mtf_forward(block, branches, weights)
+    outs = mtf_forward(block, weights)
     allocs = allocate_channels(9, 3, 2)
     for i, alloc in enumerate(allocs):
         start = (9 - alloc.channels) // 2
@@ -197,20 +197,20 @@ def test_mtf_is_linear_in_input():
         x = rng.normal(size=(13, 4, 4))
         y = rng.normal(size=(13, 4, 4))
         a, b = rng.normal(size=2)
-        mixed = mtf_forward(a * x + b * y, branches, weights)
-        xs = mtf_forward(x, branches, weights)
-        ys = mtf_forward(y, branches, weights)
+        mixed = mtf_forward(a * x + b * y, weights)
+        xs = mtf_forward(x, weights)
+        ys = mtf_forward(y, weights)
         for m_out, x_out, y_out in zip(mixed, xs, ys):
             np.testing.assert_allclose(m_out, a * x_out + b * y_out,
                                        rtol=1e-5, atol=1e-10)
 
 
 def test_mtf_shape_mismatch_errors():
-    branches = BranchSpec(m=1, channel_step=0, c_out=2)
     weights = {"hsfe.branch0.mask": np.ones(5),
-               "hsfe.branch0.conv.w": np.zeros((2, 5, 3, 3))}
+               "hsfe.branch0.conv.w": np.zeros((2, 5, 3, 3)),
+               "hsfe.sa.conv.w": np.zeros((1, 2, 3, 3))}
     with pytest.raises(PreconditionError):
-        mtf_forward(np.zeros((7, 4, 4)), branches, weights)
+        mtf_forward(np.zeros((7, 4, 4)), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +257,8 @@ def test_attention_shape_mismatch():
 
 def test_forward_zero_stream_gives_zero_estimates():
     stream = SpikeStream(np.zeros((250, 8, 8), dtype=np.uint8))
-    branches = BranchSpec()
-    weights = init_hsfe_weights(61, branches, seed=4)
-    for est in hsfe_forward(stream, BlockSpec(), branches, weights):
+    weights = init_hsfe_weights(61, BranchSpec(), seed=4)
+    for est in hsfe_forward(stream, BlockSpec(), weights):
         assert est == pytest.approx(np.zeros_like(est))
 
 
@@ -269,7 +268,7 @@ def test_forward_time_constant_stream_gives_equal_estimates():
     stream = SpikeStream(np.broadcast_to(frame, (250, 6, 6)).copy())
     branches = BranchSpec(m=2, channel_step=10, c_out=3)
     weights = init_hsfe_weights(61, branches, seed=5)
-    estimates = hsfe_forward(stream, BlockSpec(), branches, weights)
+    estimates = hsfe_forward(stream, BlockSpec(), weights)
     for est in estimates[1:]:
         np.testing.assert_allclose(est, estimates[0], rtol=1e-12, atol=1e-12)
 
@@ -280,9 +279,8 @@ def test_forward_equals_manual_composition():
     spec = BlockSpec(r_win=5, step=10, n_blocks=3)
     branches = BranchSpec(m=2, channel_step=4, c_out=2)
     weights = init_hsfe_weights(spec.block_len, branches, seed=6)
-    estimates = hsfe_forward(stream, spec, branches, weights)
+    estimates = hsfe_forward(stream, spec, weights)
     assert len(estimates) == spec.n_blocks
     for block, est in zip(slice_blocks(stream, spec), estimates):
-        manual = spatial_attention(mtf_forward(block, branches, weights),
-                                   weights)
+        manual = spatial_attention(mtf_forward(block, weights), weights)
         np.testing.assert_array_equal(est, manual)

@@ -123,28 +123,29 @@ def test_surrogate_vectorized():
 # ---------------------------------------------------------------------------
 
 def test_tdbn_constant_channel_maps_to_beta():
-    x = np.full((3, 2, 4, 5, 5), 7.0)
+    x = np.full((6, 4, 5, 5), 7.0)
     out = tdbn(x, gamma=1.0, beta=np.array([1.0, 2.0, 3.0, 4.0]))
     for c in range(4):
-        assert out[:, :, c] == pytest.approx(np.full((3, 2, 5, 5), c + 1.0),
-                                             abs=1e-6)
+        assert out[:, c] == pytest.approx(np.full((6, 5, 5), c + 1.0),
+                                          abs=1e-6)
 
 
 def test_tdbn_moment_oracle():
     rng = np.random.default_rng(81)
-    x = rng.normal(3.0, 2.5, size=(4, 5, 3, 20, 30))   # 12,000 per channel
+    x = rng.normal(3.0, 2.5, size=(20, 3, 20, 30))   # 12,000 per channel
     out = tdbn(x, gamma=1.0, beta=0.0)
     for c in range(3):
-        channel = out[:, :, c]
+        channel = out[:, c]
         assert abs(channel.mean()) < 1e-6
         assert channel.var() == pytest.approx(1.0, abs=1e-3)
 
 
 def test_tdbn_statistics_pool_over_time_and_batch():
-    # A channel constant inside each (t, b) slice but varying across time
+    # A channel constant inside each time slice but varying across time
     # still normalizes: plain per-slice normalization would divide by zero.
-    x = np.arange(8, dtype=np.float64).reshape(8, 1, 1, 1, 1) \
-        * np.ones((8, 1, 1, 2, 2))
+    # (With one sample, tdBN's time-and-batch pooling is pooling over time.)
+    x = np.arange(8, dtype=np.float64).reshape(8, 1, 1, 1) \
+        * np.ones((8, 1, 2, 2))
     out = tdbn(x, gamma=1.0, beta=0.0)
     assert abs(out.mean()) < 1e-12
     assert out.var() == pytest.approx(1.0, abs=1e-4)
@@ -152,17 +153,17 @@ def test_tdbn_statistics_pool_over_time_and_batch():
 
 def test_tdbn_single_element_per_channel_rejected():
     with pytest.raises(PreconditionError):
-        tdbn(np.zeros((1, 1, 4)), gamma=1.0, beta=0.0)
+        tdbn(np.zeros((1, 4)), gamma=1.0, beta=0.0)
 
 
 def test_tdbn_affine_parameters():
     rng = np.random.default_rng(82)
-    x = rng.normal(size=(3, 4, 2, 6, 6))
+    x = rng.normal(size=(12, 2, 6, 6))
     out = tdbn(x, gamma=np.array([2.0, 0.5]), beta=np.array([1.0, -1.0]))
-    assert out[:, :, 0].mean() == pytest.approx(1.0, abs=1e-9)
-    assert out[:, :, 0].var() == pytest.approx(4.0, abs=1e-2)
-    assert out[:, :, 1].mean() == pytest.approx(-1.0, abs=1e-9)
-    assert out[:, :, 1].var() == pytest.approx(0.25, abs=1e-2)
+    assert out[:, 0].mean() == pytest.approx(1.0, abs=1e-9)
+    assert out[:, 0].var() == pytest.approx(4.0, abs=1e-2)
+    assert out[:, 1].mean() == pytest.approx(-1.0, abs=1e-9)
+    assert out[:, 1].var() == pytest.approx(0.25, abs=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +177,17 @@ def zero_block_weights(c):
 
 
 def test_block_zero_everything_zero_output():
-    s = np.zeros((2, 1, 3, 4, 4), dtype=np.uint8)
-    out = spiking_residual_block(s, zero_block_weights(3), LifParams())
+    s = np.zeros((2, 3, 4, 4), dtype=np.uint8)
+    out = spiking_residual_block(s, zero_block_weights(3), LifParams(),
+                                 EnergyLedger())
     assert out.sum() == 0
 
 
 def test_block_identity_path_passes_spikes():
     rng = np.random.default_rng(83)
-    s = rng.integers(0, 2, size=(2, 1, 3, 5, 5)).astype(np.uint8)
+    s = rng.integers(0, 2, size=(2, 3, 5, 5)).astype(np.uint8)
     out = spiking_residual_block(s, zero_block_weights(3),
-                                 LifParams(thresh=0.5))
+                                 LifParams(thresh=0.5), EnergyLedger())
     assert np.array_equal(out, s)
 
 
@@ -194,15 +196,16 @@ def test_block_output_binary_for_random_inputs():
     cfg = FsveConfig(channels=4)
     weights = init_fsve_weights(cfg, seed=84)
     for _ in range(5):
-        s = rng.integers(0, 2, size=(2, 1, 4, 6, 6)).astype(np.uint8)
-        out = spiking_residual_block(s, weights, LifParams())
+        s = rng.integers(0, 2, size=(2, 4, 6, 6)).astype(np.uint8)
+        out = spiking_residual_block(s, weights, LifParams(), EnergyLedger())
         assert set(np.unique(out)).issubset({0, 1})
 
 
 def test_block_rejects_non_binary_input():
     with pytest.raises(PreconditionError):
-        spiking_residual_block(np.full((1, 1, 2, 4, 4), 0.5),
-                               zero_block_weights(2), LifParams())
+        spiking_residual_block(np.full((1, 2, 4, 4), 0.5),
+                               zero_block_weights(2), LifParams(),
+                               EnergyLedger())
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +258,7 @@ def test_esdsa_zero_input_hand_trace():
     # which sits exactly at its own mean and fires everywhere; the gated
     # value sums two all-ones rows.
     w = sdsa_weights(2, seed=86)
-    out, internals = esdsa_forward(np.zeros((2, 2)), w)
+    out, internals = esdsa_forward(np.zeros((2, 2)), w, EnergyLedger())
     assert internals["q_s"].tolist() == [[1, 1], [1, 1]]
     assert internals["k_s"].tolist() == [[1, 1], [1, 1]]
     assert internals["v_s"].tolist() == [[1, 1], [1, 1]]
@@ -272,7 +275,7 @@ def test_esdsa_fires_at_exact_ties():
     for name in ("q", "k", "v", "out"):
         w[f"fsve.sdsa.{name}.w"] = np.eye(13)
         w[f"fsve.sdsa.{name}.b"] = np.zeros(13)
-    _, internals = esdsa_forward(np.ones((2, 13)), w)
+    _, internals = esdsa_forward(np.ones((2, 13)), w, EnergyLedger())
     assert internals["attn_spikes"].tolist() == [[1, 1], [1, 1]]
 
 
@@ -287,7 +290,7 @@ def test_esdsa_attention_fires_at_or_above_the_exact_mean():
         w = sdsa_weights(d, int(rng.integers(99)))
         if case % 2:
             w.update({f"fsve.sdsa.{name}.w": np.eye(d) for name in "qkv"})
-        _, internals = esdsa_forward(u, w)
+        _, internals = esdsa_forward(u, w, EnergyLedger())
         q = internals["q_s"].astype(np.int64)
         k = internals["k_s"].astype(np.int64)
         corr = q @ k.T
@@ -301,7 +304,7 @@ def test_esdsa_stages_binary_for_random_input():
     rng = np.random.default_rng(88)
     for _ in range(10):
         u = rng.normal(size=(9, 6))
-        _, internals = esdsa_forward(u, w)
+        _, internals = esdsa_forward(u, w, EnergyLedger())
         for key in ("q_s", "k_s", "v_s", "attn_spikes"):
             assert set(np.unique(internals[key])).issubset({0, 1}), key
 
@@ -311,7 +314,7 @@ def test_esdsa_records_spike_counts():
     rng = np.random.default_rng(89)
     ledger = EnergyLedger()
     u = rng.integers(0, 2, size=(8, 4)).astype(np.float64)
-    _, internals = esdsa_forward(u, w, ledger=ledger)
+    _, internals = esdsa_forward(u, w, ledger)
     names = [rec.layer_name for rec in ledger.layers]
     assert {"fsve.sdsa.q_proj", "fsve.sdsa.attn_corr",
             "fsve.sdsa.attn_apply", "fsve.sdsa.out_proj"} <= set(names)
@@ -333,10 +336,9 @@ def test_fsve_forward_all_stages_binary_and_ledger_consistent():
     rng = np.random.default_rng(90)
     stream = SpikeStream(rng.integers(0, 2, size=(20, 32, 32),
                                       dtype=np.uint8))
-    cfg = FsveConfig(channels=4, timesteps=2)
-    weights = init_fsve_weights(cfg, seed=90)
+    weights = init_fsve_weights(FsveConfig(channels=4), seed=90)
     ledger = EnergyLedger()
-    embedding, stages = fsve_forward(stream, weights, cfg, ledger)
+    embedding, stages = fsve_forward(stream, weights, 2, ledger)
     assert embedding.shape == (4,)
     for name, tensor in stages.items():
         if np.asarray(tensor).dtype == np.uint8:

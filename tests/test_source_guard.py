@@ -133,6 +133,43 @@ def test_backbone_config_has_one_field():
     assert [f.name for f in fields(MiniMapResNetConfig)] == ["embed_dim"]
 
 
+def _parameters(qualified: str) -> list[str]:
+    """The parameter names of the function '<file>:<name>'."""
+    file, name = qualified.split(":")
+    fn, = [node for node in ast.walk(ast.parse(_sources()[file]))
+           if isinstance(node, ast.FunctionDef) and node.name == name]
+    return [arg.arg for arg in fn.args.args + fn.args.kwonlyargs]
+
+
+def test_forwards_read_their_layout_from_their_weights():
+    # The branch layout and the head count live in the weights; BranchSpec
+    # and FsveConfig only size weights at init.
+    from dataclasses import fields
+
+    from spikekit.snn import FsveConfig
+    for fn in ("hsfe.py:mtf_forward", "hsfe.py:hsfe_forward",
+               "pipeline.py:featurize_stream"):
+        assert "branches" not in _parameters(fn), fn
+    for fn in ("starnet.py:_attend", "starnet.py:attention_pool",
+               "starnet.py:temporal_attention"):
+        assert "heads" not in _parameters(fn), fn
+    assert [f.name for f in fields(FsveConfig)] == ["channels"]
+
+
+@pytest.mark.parametrize("file", ["snn.py", "starnet.py"])
+def test_no_batch_axis_or_optional_ledger(file):
+    # The spiking and temporal forwards run one sample, [T, ...], and every
+    # spiking stage records into the ledger it is given.
+    text = _sources()[file]
+    assert "ledger is not None" not in text
+    assert "EnergyLedger | None" not in text
+    names = {node.id if isinstance(node, ast.Name) else node.arg
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, (ast.Name, ast.arg))}
+    assert [name for name in names if "batch" in name] == []
+    assert not re.search(r"\[t, b\b", text)
+
+
 def _writes_a_file(node: ast.AST) -> bool:
     """An ``open`` in a writing mode, a ``.tofile`` or an ``np.save*``."""
     if not isinstance(node, ast.Call):

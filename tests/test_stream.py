@@ -1,5 +1,7 @@
 """Codec, .dat I/O, and windowing tests for the stream module."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,7 +170,7 @@ def test_write_dat_meta_mismatch():
 
 def test_slice_single_window():
     s = SpikeStream(np.zeros((800, 2, 2), dtype=np.uint8))
-    clips = slice_clips(s, ClipWindowSpec(800, 200))
+    clips = list(slice_clips(s, ClipWindowSpec(800, 200)))
     assert len(clips) == 1
 
 
@@ -176,11 +178,25 @@ def test_slice_starts_enumeration():
     rng = np.random.default_rng(5)
     s = random_stream(rng, 1400, 2, 3)
     spec = ClipWindowSpec(800, 200)
-    clips = slice_clips(s, spec)
+    clips = list(slice_clips(s, spec))
     assert len(clips) == 4
     starts = [0, 200, 400, 600]
     for clip, start in zip(clips, starts):
         assert np.array_equal(clip.data, s.data[start:start + 800])
+
+
+def test_slice_makes_one_clip_at_a_time():
+    # 91 windows of 6,400 bytes: taking the first must not build them all.
+    s = SpikeStream(np.zeros((1000, 8, 8), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        clips = slice_clips(s, ClipWindowSpec(100, 10))
+        assert np.array_equal(next(clips).data, s.data[:100])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 6400
+    assert len(list(clips)) == 90
 
 
 def test_slice_too_short_raises():
@@ -204,7 +220,7 @@ def test_clip_count_matches_bruteforce_enumeration():
 
 def test_clips_own_their_storage_and_values_are_frozen():
     s = SpikeStream(np.zeros((10, 1, 1), dtype=np.uint8))
-    clips = slice_clips(s, ClipWindowSpec(5, 5))
+    clips = list(slice_clips(s, ClipWindowSpec(5, 5)))
     for clip in clips:
         assert not np.shares_memory(clip.data, s.data)
     # values are immutable after construction
