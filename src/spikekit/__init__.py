@@ -15,8 +15,8 @@ from .errors import (DataIOError, InvariantError, PreconditionError,
 from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, pack_spikes,
                      read_dat, slice_clips, subsample_temporal, unpack_spikes,
                      write_dat)
-from .camera import (EncoderConfig, IntensityVideo, PixelModel, encode_video,
-                     simulate_pixel, to_grayscale, upsample_temporal)
+from .camera import (EncoderConfig, IntensityVideo, encode_video,
+                     to_grayscale, upsample_temporal)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .hsfe import (BlockSpec, BranchAllocation, BranchSpec, allocate_channels,
                    hsfe_forward, init_hsfe_weights, mtf_forward, slice_blocks,
@@ -24,14 +24,12 @@ from .hsfe import (BlockSpec, BranchAllocation, BranchSpec, allocate_channels,
 from .starnet import (MiniMapResNetConfig, attention_pool,
                       init_starnet_weights, mini_mapresnet_forward,
                       star_net_forward, temporal_attention, temporal_pool)
-from .snn import (FsveConfig, LifParams, esdsa_forward, fsve_forward,
-                  init_fsve_weights, lif_step, sn_threshold,
-                  spiking_residual_block, surrogate_grad, tdbn)
+from .snn import (FsveConfig, esdsa_forward, fsve_forward, init_fsve_weights,
+                  lif_step, sn_threshold, spiking_residual_block, tdbn)
 from .energy import (EnergyLedger, LayerEnergy, count_conv_sops,
                      energy_report, estimate_ann_energy, estimate_snn_energy)
-from .align import (AlignmentHead, Temperature, alignment_loss_and_grads,
-                    contrastive_loss, cosine_similarity, embed_text,
-                    evaluate_topk, finetune_head, text_features)
+from .align import (AlignmentHead, Temperature, evaluate_topk, finetune_head,
+                    text_features)
 from .synth import SyntheticDatasetSpec, synth_dataset
 from .pipeline import PipelineConfig, run_pipeline
 from .weights import load_weights, save_weights
@@ -42,8 +40,8 @@ __all__ = [
     "SpikeStream", "StreamMeta", "ClipWindowSpec", "pack_spikes",
     "unpack_spikes", "write_dat", "read_dat", "slice_clips",
     "subsample_temporal",
-    "PixelModel", "IntensityVideo", "EncoderConfig", "simulate_pixel",
-    "encode_video", "to_grayscale", "upsample_temporal",
+    "IntensityVideo", "EncoderConfig", "encode_video", "to_grayscale",
+    "upsample_temporal",
     "TfiConfig", "tfi_reconstruct", "tfi_video",
     "BlockSpec", "BranchSpec", "BranchAllocation", "slice_blocks",
     "allocate_channels", "mtf_forward", "spatial_attention", "hsfe_forward",
@@ -51,14 +49,12 @@ __all__ = [
     "MiniMapResNetConfig", "mini_mapresnet_forward",
     "attention_pool", "temporal_attention", "temporal_pool",
     "star_net_forward", "init_starnet_weights",
-    "LifParams", "FsveConfig", "lif_step",
-    "surrogate_grad", "tdbn", "spiking_residual_block", "sn_threshold",
-    "esdsa_forward", "fsve_forward", "init_fsve_weights",
+    "FsveConfig", "lif_step", "tdbn", "spiking_residual_block",
+    "sn_threshold", "esdsa_forward", "fsve_forward", "init_fsve_weights",
     "EnergyLedger", "LayerEnergy", "count_conv_sops",
     "estimate_snn_energy", "estimate_ann_energy", "energy_report",
-    "Temperature", "AlignmentHead", "embed_text",
-    "text_features", "cosine_similarity", "contrastive_loss",
-    "alignment_loss_and_grads", "finetune_head", "evaluate_topk",
+    "Temperature", "AlignmentHead", "text_features", "finetune_head",
+    "evaluate_topk",
     "SyntheticDatasetSpec", "synth_dataset",
     "PipelineConfig", "run_pipeline",
     "save_weights", "load_weights",

@@ -39,11 +39,14 @@ class Temperature:
 
     @property
     def inv_tau(self) -> float:
-        return min(math.exp(self.log_inv_tau), self.clamp_max)
+        return self.clamp_max if self.clamped else math.exp(self.log_inv_tau)
 
     @property
     def clamped(self) -> bool:
-        return math.exp(self.log_inv_tau) >= self.clamp_max
+        try:
+            return math.exp(self.log_inv_tau) >= self.clamp_max
+        except OverflowError:       # e^x beyond float range tops any clamp
+            return True
 
     def copy(self) -> "Temperature":
         return Temperature(self.log_inv_tau, self.clamp_max)
@@ -73,19 +76,11 @@ class AlignmentHead:
     def d_in(self) -> int:
         return self.projection.shape[0]
 
-    @property
-    def d_out(self) -> int:
-        return self.projection.shape[1]
-
     @classmethod
     def create(cls, d_in: int, d_out: int, seed: int) -> "AlignmentHead":
         rng = np.random.default_rng(seed)
         proj = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out))
         return cls(projection=proj, bias=np.zeros(d_out))
-
-    def copy(self) -> "AlignmentHead":
-        return AlignmentHead(self.projection.copy(), self.bias.copy(),
-                             self.temperature.copy())
 
     def project(self, feats: np.ndarray) -> np.ndarray:
         feats = np.asarray(feats, dtype=np.float64)
@@ -108,13 +103,6 @@ class AlignmentHead:
             raise DataIOError(f"head JSON is missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataIOError(f"head JSON has a bad value: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class HeadGradients:
-    projection: np.ndarray
-    bias: np.ndarray
-    log_inv_tau: float
 
 
 # ---------------------------------------------------------------------------
@@ -159,111 +147,35 @@ def text_features(text: str, dim: int) -> np.ndarray:
     return table[idx].mean(axis=0)
 
 
-def embed_text(text: str, head: AlignmentHead) -> np.ndarray:
-    """Hashed bag-of-tokens feature pushed through the trainable head."""
-    return head.project(text_features(text, head.d_in))
-
-
 # ---------------------------------------------------------------------------
-# Similarity and loss
+# Loss and analytic head gradients
 # ---------------------------------------------------------------------------
-
-def cosine_similarity(v: np.ndarray, t: np.ndarray) -> float:
-    v = np.asarray(v, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    nv, nt = np.linalg.norm(v), np.linalg.norm(t)
-    if nv == 0.0 or nt == 0.0:
-        raise PreconditionError("cosine similarity of a zero vector is undefined")
-    return float(v @ t / (nv * nt))
-
-
-def _rows(batch) -> np.ndarray:
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2:
-        raise PreconditionError(f"expected [b, d] embeddings, got {arr.shape}")
-    return arr
-
-
-def _normalize_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise PreconditionError(f"{what} contains a zero vector")
-    return rows / norms
-
-
-def contrastive_loss(video, text, temp: Temperature) -> float:
-    """Symmetric InfoNCE over the cosine-similarity matrix.
-
-    logits[i, j] = sim(v_i, t_j) / tau; the loss averages, over the
-    batch, the negative log softmax probability of the matched text per
-    video (row-wise) plus that of the matched video per text
-    (column-wise). Non-negative; zero only when every softmax is a point
-    mass on the diagonal.
-    """
-    v = _rows(video)
-    t = _rows(text)
-    if v.shape[0] != t.shape[0]:
-        raise PreconditionError(
-            f"batch sizes differ: {v.shape[0]} videos vs {t.shape[0]} texts")
-    v_hat = _normalize_rows(v, "video batch")
-    t_hat = _normalize_rows(t, "text batch")
-    logits = (v_hat @ t_hat.T) * temp.inv_tau
-    return float(_loss_from_logits(logits)[0])
-
 
 def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def _loss_from_logits(logits: np.ndarray):
-    """Loss of [..., b, b] logits, plus the row- and column-wise log
-    softmax it is made of."""
-    b = logits.shape[-1]
-    row_lp = _log_softmax(logits, axis=-1)
-    col_lp = _log_softmax(logits, axis=-2)
-    diag = np.arange(b)
-    loss = -(row_lp[..., diag, diag] + col_lp[..., diag, diag]).sum(axis=-1) / b
-    return loss, row_lp, col_lp
-
-
-# ---------------------------------------------------------------------------
-# Analytic head gradients
-# ---------------------------------------------------------------------------
-
-def alignment_loss_and_grads(v_feat, t_feat, head: AlignmentHead
-                             ) -> tuple[float, HeadGradients]:
-    """Contrastive loss of raw (pre-projection) features pushed through the
-    head, and its exact gradient w.r.t. projection, bias and log
-    inverse-temperature, diagonal pairing assumed.
-
-    The chain includes the unit normalization of the projected features;
-    the temperature gradient is zero while the inverse temperature sits at
-    its clamp ceiling. One head is a batch of one of ``_forward_backward``.
-    """
-    loss, d_proj, d_bias, d_log_inv_tau = _forward_backward(
-        v_feat, t_feat, head.projection[None], head.bias[None],
-        [head.temperature])
-    return float(loss[0]), HeadGradients(d_proj[0], d_bias[0],
-                                         d_log_inv_tau[0])
-
-
 def _forward_backward(v_feat, t_feat, projection: np.ndarray,
                       bias: np.ndarray, temps: list[Temperature]):
-    """Loss and gradients of S heads at once.
+    """Symmetric InfoNCE loss of S heads at once, and its exact gradients.
 
-    Features are [S, b, d_in] (a 2-D input is a batch of one), the
-    parameters [S, d_in, d_out] and [S, d_out], and ``temps`` holds the S
-    temperatures. Returns the S losses, the projection and bias gradients
-    and the S log inverse-temperature gradients as Python floats.
+    Per head, the loss averages over the batch the negative log softmax of
+    the matched text per video (row-wise) plus that of the matched video
+    per text (column-wise), over the cosine similarities of the projected
+    features over tau; row i of ``v_feat`` pairs with row i of ``t_feat``.
+    The temperature gradient is zero while 1/tau sits at its clamp.
+
+    Features are [S, b, d_in], the parameters [S, d_in, d_out] and
+    [S, d_out], and ``temps`` holds the S temperatures. Returns the S
+    losses, the projection and bias gradients and the S log
+    inverse-temperature gradients as Python floats.
 
     Every product is one BLAS call per head and every reduction runs
     within one head, so each head gets the bits it would get alone.
     """
     v_feat = np.asarray(v_feat, dtype=np.float64)
     t_feat = np.asarray(t_feat, dtype=np.float64)
-    if v_feat.ndim == 2 and t_feat.ndim == 2:
-        v_feat, t_feat = v_feat[None], t_feat[None]
     n_heads, d_in = projection.shape[:2]
     if v_feat.ndim != 3 or v_feat.shape != t_feat.shape \
             or v_feat.shape[0] != n_heads or v_feat.shape[2] != d_in:
@@ -285,7 +197,11 @@ def _forward_backward(v_feat, t_feat, projection: np.ndarray,
     # math.exp per head, as Temperature computes it: np.exp may round
     # differently from libm.
     inv_tau = np.array([temp.inv_tau for temp in temps])[:, None, None]
-    loss, row_lp, col_lp = _loss_from_logits(sims * inv_tau)
+    logits = sims * inv_tau
+    row_lp = _log_softmax(logits, axis=-1)
+    col_lp = _log_softmax(logits, axis=-2)
+    diag = np.arange(b)
+    loss = -(row_lp[:, diag, diag] + col_lp[:, diag, diag]).sum(axis=-1) / b
 
     eye = np.eye(b)
     d_logits = (np.exp(row_lp) - eye) / b + (np.exp(col_lp) - eye) / b
@@ -326,7 +242,8 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
     per-epoch shuffling of samples within each class. The heads share
     ``shots``, ``epochs`` and ``lr``, and each ends bit-identical to
     training it alone (a batch of one). ``lr`` must be finite and
-    positive, and a head whose trained parameters are not finite raises.
+    positive, and training raises at the first step that leaves a
+    parameter of some head not finite.
     Returns, per head, the trained copy and its per-epoch mean loss trace.
     """
     if epochs < 1 or not 0 < lr <= sys.float_info.max:
@@ -362,17 +279,26 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
     class_idx = np.arange(n_classes)[None, :]
     losses = np.empty((n_heads, shots))
     traces: list[list[float]] = [[] for _ in heads]
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = np.array([[rng.permutation(shots) for _ in range(n_classes)]
                           for rng in rngs])
         for j in range(shots):
             v_batch = feats[head_idx, class_idx, order[:, :, j]]
-            losses[:, j], d_proj, d_bias, d_log_inv_tau = _forward_backward(
-                v_batch, text_feats, projection, bias, temps)
-            projection -= lr * d_proj
-            bias -= lr * d_bias
+            # A step that overflows is caught by the check below, not
+            # reported by numpy.
+            with np.errstate(over="ignore", invalid="ignore"):
+                losses[:, j], d_proj, d_bias, d_log_inv_tau = \
+                    _forward_backward(v_batch, text_feats, projection, bias,
+                                      temps)
+                projection -= lr * d_proj
+                bias -= lr * d_bias
             for temp, d in zip(temps, d_log_inv_tau):
                 temp.log_inv_tau -= lr * d
+            if not (np.isfinite(projection).all() and np.isfinite(bias).all()
+                    and all(math.isfinite(t.log_inv_tau) for t in temps)):
+                raise PreconditionError(
+                    f"training diverged at epoch {epoch}, step {j}: a head "
+                    f"parameter left float range (lr={lr})")
         for trace, epoch_losses in zip(traces, losses):
             trace.append(float(np.mean(epoch_losses)))
     return [(AlignmentHead(p, b, temp), trace)
@@ -382,6 +308,24 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
 # ---------------------------------------------------------------------------
 # Retrieval metrics
 # ---------------------------------------------------------------------------
+
+def _rows(batch) -> np.ndarray:
+    arr = np.asarray(batch, dtype=np.float64)
+    if arr.ndim != 2:
+        raise PreconditionError(f"expected [b, d] embeddings, got {arr.shape}")
+    return arr
+
+
+def _normalize_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """Unit rows; a zero row, or one whose norm is not finite (NaN,
+    infinite or beyond float range), raises."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if not np.all((norms > 0.0) & (norms <= sys.float_info.max)):
+        raise PreconditionError(
+            f"{what} contains a zero or non-finite vector")
+    return rows / norms
+
 
 def evaluate_topk(video_embs, class_text_embs, labels, k: int) -> float:
     """Top-k classification accuracy under cosine ranking.

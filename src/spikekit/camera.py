@@ -1,17 +1,15 @@
-"""Integrate-and-fire pixel simulation and the video-to-spike encoder.
+"""The integrate-and-fire video-to-spike encoder.
 
-Two unit conventions coexist deliberately. The continuous pixel model
-integrates charge alpha * I(t) over wall-clock time and is polled at a
-fixed tick; the discrete encoder accumulates per-frame intensities in
-[0, 1] against a threshold theta (default 5.0). The toolkit does not
-assert a canonical alpha bridging the two.
+The encoder accumulates per-frame intensities in [0, 1] against a
+threshold theta (default 5.0). The continuous pixel model it
+discretizes, charge alpha * I(t) integrated over wall-clock time and
+polled at a fixed tick, is the test suite's reference
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,23 +23,6 @@ from .stream import SpikeStream
 _THRESH_RTOL = 1e-9
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
-
-
-@dataclass(frozen=True)
-class PixelModel:
-    """Continuous integrate-and-fire pixel: charge rate, threshold, poll tick."""
-
-    alpha: float = 1.0
-    theta: float = 5.0
-    tick: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise PreconditionError("alpha must be > 0")
-        if self.theta <= 0:
-            raise PreconditionError("theta must be > 0")
-        if self.tick <= 0:
-            raise PreconditionError("tick must be > 0")
 
 
 def _check_unit_range(arr: np.ndarray, what: str) -> None:
@@ -90,90 +71,6 @@ class EncoderConfig:
             raise PreconditionError("theta must be > 0")
         if self.noise_amplitude < 0:
             raise PreconditionError("noise_amplitude must be >= 0")
-
-
-# ---------------------------------------------------------------------------
-# Continuous simulation
-# ---------------------------------------------------------------------------
-
-def _sample(intensity: Callable[[float], float],
-            times: np.ndarray) -> np.ndarray:
-    """``intensity`` at every time in ``times``: in one call when it maps
-    the array to an array of its shape, else one point at a time."""
-    try:
-        values = np.asarray(intensity(times), dtype=np.float64)
-        if values.shape != times.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        values = np.array([float(intensity(t)) for t in times])
-    return values
-
-
-def simulate_pixel(intensity: Callable[[float], float], model: PixelModel,
-                   duration: float, dt: float,
-                   record_charge: bool = False):
-    """Simulate one pixel and return its discrete spike train S(n).
-
-    Charge accumulates as alpha * I(t) integrated with midpoint steps of
-    (at most) ``dt``; every crossing of theta subtracts theta and sets a
-    pending flag. At each poll instant n*tick the flag is emitted as
-    S(n) in {0, 1} and cleared, so at most one spike is reported per poll
-    even if several crossings occurred. Residual charge stays in
-    [0, theta) throughout.
-
-    With ``record_charge`` the per-step residual trace is returned as a
-    second value.
-    """
-    if duration <= 0:
-        raise PreconditionError("duration must be > 0")
-    if dt > model.tick:
-        raise PreconditionError(
-            f"integration step dt={dt} must not exceed tick={model.tick}")
-    if dt <= 0:
-        raise PreconditionError("dt must be > 0")
-
-    n_polls = int(math.floor(duration / model.tick + 1e-12))
-    # Refine dt so an integer number of steps lands exactly on each poll.
-    steps_per_poll = max(1, int(math.ceil(model.tick / dt - 1e-12)))
-    dt_eff = model.tick / steps_per_poll
-
-    # Midpoint sampling: exact for linear intensity ramps.
-    values = _sample(intensity, (np.arange(n_polls * steps_per_poll,
-                                           dtype=np.float64) + 0.5) * dt_eff)
-    if np.any(values < 0):
-        raise PreconditionError("intensity must be >= 0 everywhere")
-    increments = model.alpha * values * dt_eff
-
-    spikes = np.zeros(n_polls, dtype=np.uint8)
-    charge_trace = np.empty(increments.size) if record_charge else None
-    charge = 0.0
-    pending = False
-    step = 0
-    for n in range(n_polls):
-        for _ in range(steps_per_poll):
-            charge += increments[step]
-            while charge >= model.theta:
-                charge -= model.theta
-                pending = True
-            if record_charge:
-                charge_trace[step] = charge
-            step += 1
-        if pending:
-            spikes[n] = 1
-            pending = False
-    if record_charge:
-        return spikes, charge_trace
-    return spikes
-
-
-def continuous_spike_count(intensity: Callable[[float], float],
-                           model: PixelModel, duration: float,
-                           dt: float) -> int:
-    """Floor of the integrated charge over theta: the ideal crossing count."""
-    mids = (np.arange(int(math.ceil(duration / dt)), dtype=np.float64) + 0.5) * dt
-    values = _sample(intensity, mids[mids < duration])
-    total = float(np.sum(model.alpha * values * dt))
-    return int(total // model.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +131,6 @@ def upsample_temporal(video: IntensityVideo, factor: int) -> IntensityVideo:
     """
     if factor < 1:
         raise PreconditionError("upsampling factor must be >= 1")
-    if factor == 1 or video.n_frames == 1:
-        return IntensityVideo(video.frames)
     frames = video.frames
     n = frames.shape[0]
     out = np.empty(((n - 1) * factor + 1,) + frames.shape[1:], dtype=np.float64)

@@ -129,21 +129,21 @@ class EnergyLedger:
 # SOP counting
 # ---------------------------------------------------------------------------
 
-def _reach_counts(n_in: int, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """How many conv output positions each input position reaches (1-D)."""
-    n_out = (n_in + 2 * padding - kernel) // stride + 1
+def _reach_counts(n_in: int, stride: int) -> np.ndarray:
+    """How many 3x3, padding-1 conv outputs each input position reaches."""
+    n_out = (n_in - 1) // stride + 1
     pos = np.arange(n_in)
-    lo = np.ceil((pos - kernel + 1 + padding) / stride).astype(np.int64)
-    hi = np.floor((pos + padding) / stride).astype(np.int64)
+    lo = np.ceil((pos - 1) / stride).astype(np.int64)
+    hi = np.floor((pos + 1) / stride).astype(np.int64)
     lo = np.maximum(lo, 0)
     hi = np.minimum(hi, n_out - 1)
     return np.maximum(0, hi - lo + 1)
 
 
 def count_conv_sops(spikes_in: np.ndarray, out_channels: int,
-                    kernel: int = 3, stride: int = 1, padding: int = 1) -> int:
-    """SOPs of a 2-D convolution driven by binary [..., C, H, W] input
-    maps, summed over every leading axis: each spike reaches its
+                    stride: int = 1) -> int:
+    """SOPs of a 3x3, padding-1 convolution driven by binary [..., C, H, W]
+    input maps, summed over every leading axis: each spike reaches its
     border-clipped set of output positions in every output channel."""
     spikes = np.asarray(spikes_in)
     if not is_binary(spikes):
@@ -153,18 +153,17 @@ def count_conv_sops(spikes_in: np.ndarray, out_channels: int,
             f"conv spikes must be [..., c, h, w], got shape {spikes.shape}")
     h, w = spikes.shape[-2:]
     per_position = spikes.reshape(-1, h, w).sum(axis=0, dtype=np.int64)
-    reach = np.outer(_reach_counts(h, kernel, stride, padding),
-                     _reach_counts(w, kernel, stride, padding))
+    reach = np.outer(_reach_counts(h, stride), _reach_counts(w, stride))
     return int((per_position * reach).sum()) * out_channels
 
 
 def dense_conv_macs(in_shape: tuple[int, int, int], out_channels: int,
-                    kernel: int = 3, stride: int = 1, padding: int = 1) -> int:
-    """Multiply-accumulate count of the dense convolution baseline."""
+                    stride: int = 1) -> int:
+    """Multiply-accumulate count of the dense 3x3, padding-1 baseline."""
     c_in, h, w = in_shape
-    h_out = (h + 2 * padding - kernel) // stride + 1
-    w_out = (w + 2 * padding - kernel) // stride + 1
-    return h_out * w_out * out_channels * kernel * kernel * c_in
+    h_out = (h - 1) // stride + 1
+    w_out = (w - 1) // stride + 1
+    return h_out * w_out * out_channels * 9 * c_in
 
 
 def dense_linear_macs(n_rows: int, in_features: int, out_features: int) -> int:

@@ -98,15 +98,21 @@ def slice_blocks(stream: SpikeStream, spec: BlockSpec) -> list[np.ndarray]:
     return blocks
 
 
+def _avg_width(total_channels: int, k: int) -> int:
+    """The averaging width of k of total_channels input channels: the one
+    width rule of :func:`allocate_channels` and :func:`mtf_forward`."""
+    return int(round(total_channels / k))
+
+
 def allocate_channels(total_channels: int, m: int,
                       channel_step: int) -> list[BranchAllocation]:
     """Split a block's time steps across branches, photon-conserving.
 
     Branch i gets k_i = total_channels - i*channel_step input channels
     (branch 0 is the finest) and an averaging window w_i = round(K / k_i)
-    with K = max k, so k_i * w_i is constant across branches within
-    rounding. channel_step = 0 degenerates to identical branches (the
-    no-slicing ablation configuration).
+    with K = max k = total_channels, so k_i * w_i is constant across
+    branches within rounding. channel_step = 0 degenerates to identical
+    branches (the no-slicing ablation configuration).
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -120,9 +126,7 @@ def allocate_channels(total_channels: int, m: int,
         raise PreconditionError(
             f"channel_step={channel_step} drives branch {m - 1} to "
             f"{ks[-1]} channels (< 1)")
-    top = ks[0]
-    return [BranchAllocation(channels=k, avg_width=int(round(top / k)))
-            for k in ks]
+    return [BranchAllocation(k, _avg_width(total_channels, k)) for k in ks]
 
 
 def _branch_slice(block_len: int, k: int) -> slice:
@@ -155,15 +159,14 @@ def mtf_forward(block: np.ndarray,
     outputs = []
     for i, mask in enumerate(masks):
         sub = block[_branch_slice(block_len, len(mask))] * mask[:, None, None]
-        sub = moving_average_same(sub, int(round(block_len / len(mask))))
+        sub = moving_average_same(sub, _avg_width(block_len, len(mask)))
         kernel = np.asarray(weights[f"hsfe.branch{i}.conv.w"], dtype=np.float64)
         outputs.append(conv2d(sub, kernel, bias=None, stride=1, padding=1))
     return outputs
 
 
 def spatial_attention(features: list[np.ndarray],
-                      weights: dict[str, np.ndarray],
-                      return_gates: bool = False):
+                      weights: dict[str, np.ndarray]) -> np.ndarray:
     """Gate each branch per pixel and stack the weighted maps.
 
     A 3x3 convolution over the channel-concatenated branches produces one
@@ -187,11 +190,8 @@ def spatial_attention(features: list[np.ndarray],
             f"sa kernel has shape {kernel.shape}, expected "
             f"({m}, {stacked.shape[0]}, 3, 3)")
     gates = sigmoid(conv2d(stacked, kernel, bias, stride=1, padding=1))
-    out = np.concatenate([gates[i:i + 1] * features[i] for i in range(m)],
-                         axis=0)
-    if return_gates:
-        return out, gates
-    return out
+    return np.concatenate([gates[i:i + 1] * features[i] for i in range(m)],
+                          axis=0)
 
 
 def hsfe_forward(stream: SpikeStream, spec: BlockSpec,

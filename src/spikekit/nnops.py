@@ -52,15 +52,12 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise affine map: x @ w (+ b). Shapes [..., d_in] x [d_in, d_out]."""
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise affine map: x @ w + b. Shapes [..., d_in] x [d_in, d_out]."""
     if x.shape[-1] != w.shape[0]:
         raise PreconditionError(
             f"linear: input dim {x.shape[-1]} does not match weight {w.shape}")
-    y = x @ w
-    if b is not None:
-        y = y + b
-    return y
+    return x @ w + b
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
 from .jsonio import read_json, write_json
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
-from .stream import SpikeStream, StreamMeta, write_dat
+from .stream import SpikeStream, StreamMeta, subsample_indices, write_dat
 from .synth import (CLASS_PROMPTS, SyntheticDatasetSpec, dataset_clips,
                     render_frames, write_dataset_index)
 from .videoio import quantize_u8
@@ -64,6 +65,26 @@ class PipelineConfig:
     run_snn: bool = True
 
     def __post_init__(self):
+        # The type and range of every field, before any clip is rendered.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            is_list = f.type.startswith("tuple[")
+            kind = f.type.removeprefix("tuple[").split(",")[0]
+            items = value if is_list else (value,)
+            low = _AT_LEAST.get(f.name)
+            if not (isinstance(items, tuple) and items and all(
+                    _is_a(kind, v) and (low is None or v >= low)
+                    for v in items)):
+                bound = "" if low is None else f" >= {low}"
+                raise PreconditionError(
+                    f"config field {f.name!r} must be "
+                    f"{f.type.replace('tuple', 'list')}{bound}, got {value!r}")
+        if not self.lr > 0:
+            raise PreconditionError(f"lr must be > 0, got {self.lr}")
+        if max(self.topk) > len(self.classes):
+            raise PreconditionError(
+                f"top-k of {max(self.topk)} exceeds the {len(self.classes)} "
+                f"classes")
         if self.test_per_class >= self.clips_per_class:
             raise PreconditionError(
                 "test_per_class must leave at least one support clip per class")
@@ -72,13 +93,16 @@ class PipelineConfig:
             raise PreconditionError(
                 f"largest shot count {max(self.shots)} exceeds support pool "
                 f"of {pool} clips per class")
-        # Fail before rendering anything, not in the featurize stage.
         blocks, branches = self.block_spec(), self.branch_spec()
         allocate_channels(blocks.block_len, branches.m, branches.channel_step)
         if self.t_len < blocks.required_t_len:
             raise PreconditionError(
                 f"streams of {self.t_len} steps are too short for "
                 f"{blocks.n_blocks} blocks (need {blocks.required_t_len})")
+        # The spiking stage runs last, after every clip was rendered.
+        if self.run_snn:
+            FsveConfig(channels=self.snn_channels)
+            subsample_indices(self.t_len, self.timesteps)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PipelineConfig":
@@ -90,15 +114,8 @@ class PipelineConfig:
             raise PreconditionError(f"unknown config fields: {sorted(unknown)}")
         if "seed" not in obj:
             raise PreconditionError("config must carry an explicit seed")
-        coerced = dict(obj)
-        for name in ("classes", "shots", "eval_seeds", "topk"):
-            if name in coerced:
-                if not isinstance(coerced[name], list) or not coerced[name]:
-                    raise PreconditionError(
-                        f"config field {name!r} must be a non-empty list, "
-                        f"got {coerced[name]!r}")
-                coerced[name] = tuple(coerced[name])
-        return cls(**coerced)
+        return cls(**{name: tuple(value) if isinstance(value, list) else value
+                      for name, value in obj.items()})
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
@@ -116,6 +133,20 @@ class PipelineConfig:
 
     def star_config(self) -> MiniMapResNetConfig:
         return MiniMapResNetConfig(embed_dim=self.embed_dim)
+
+
+# Lower bounds of the fields that no stage's own config checks.
+_AT_LEAST = {"seed": 0, "eval_seeds": 0, "shots": 1, "topk": 1,
+             "upsample": 1, "epochs": 1, "timesteps": 1}
+
+
+def _is_a(kind: str, value) -> bool:
+    """Whether a JSON value is of the annotated ``kind``: a bool is no
+    number, 2.5 is no int, an int is a float, and a number is finite."""
+    if kind in ("bool", "str") or isinstance(value, bool):
+        return type(value).__name__ == kind
+    return isinstance(value, int if kind == "int" else (int, float)) \
+        and abs(value) <= sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +271,12 @@ def evaluate_head(head: AlignmentHead, prompts: list[str], vectors: np.ndarray,
         raise PreconditionError(
             f"embeddings of shape {vectors.shape} do not match head "
             f"d_in={head.d_in}")
-    video = head.project(vectors)
-    text = head.project(np.stack([text_features(p, head.d_in)
-                                  for p in prompts]))
+    # A projection beyond float range fails the norm check of
+    # evaluate_topk, not numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        video = head.project(vectors)
+        text = head.project(np.stack([text_features(p, head.d_in)
+                                      for p in prompts]))
     return {f"top{k}": evaluate_topk(video, text, labels, k) for k in ks}
 
 
@@ -269,19 +303,19 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     one shot count train together in one lockstep batch, and ``spikekit
     train-head`` runs the same trainer on a batch of one.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    # Every stage config checks its fields before anything is written.
     spec = SyntheticDatasetSpec(classes=config.classes,
                                 clips_per_class=config.clips_per_class,
                                 frames=config.frames, height=config.height,
                                 width=config.width, seed=config.seed)
-    spikes_dir = os.path.join(out_dir, "spikes")
-    os.makedirs(spikes_dir, exist_ok=True)
     enc_cfg = EncoderConfig(theta=config.theta,
                             noise_amplitude=config.noise_amplitude)
     block_spec = config.block_spec()
     weights = build_feature_weights(block_spec.block_len, config.branch_spec(),
                                     config.star_config(),
                                     (config.height, config.width), config.seed)
+    spikes_dir = os.path.join(out_dir, "spikes")
+    os.makedirs(spikes_dir, exist_ok=True)
     prompts = [CLASS_PROMPTS[c] for c in config.classes]
     support_per_class = config.clips_per_class - config.test_per_class
 

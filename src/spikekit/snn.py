@@ -1,12 +1,12 @@
 """Full-spiking components: LIF neurons, time-pooled batch normalization,
 spiking residual blocks, and spike-driven self-attention.
 
-Everything is forward-only with spike-count instrumentation; the
-rectangular surrogate gradient is exposed as a value for unit testing and
-head-side experiments, but no backpropagation through this module is
-implemented. Spike-valued tensors contain only {0, 1} after every
-operation; the Heaviside convention here is that the boundary fires
-(Theta(0) = 1, matching the >= in the firing rule).
+Everything is forward-only with spike-count instrumentation: the spiking
+path runs for its energy ledger, and nothing backpropagates through it.
+The LIF neurons share one threshold and one leak and reset hard.
+Spike-valued tensors contain only {0, 1} after every operation; the
+Heaviside convention here is that the boundary fires (Theta(0) = 1,
+matching the >= in the firing rule).
 """
 
 from __future__ import annotations
@@ -22,65 +22,29 @@ from .nnops import conv2d, he_init, linear
 from .stream import SpikeStream, is_binary, subsample_temporal
 
 TDBN_EPS = 1e-5     # added to the pooled variance before the square root
+LIF_THRESH = 0.5    # firing threshold of every LIF neuron
+LIF_DECAY = 0.5     # membrane leak per time step
 
 
-@dataclass(frozen=True)
-class LifParams:
-    """Leaky integrate-and-fire settings.
+def lif_step(u: np.ndarray,
+             inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LIF update of the potentials ``u``: u <- LIF_DECAY*u + input,
+    fire where u >= LIF_THRESH. Returns the spikes and the new potentials.
 
-    ``soft_reset`` switches the post-spike reset from hard (u <- 0) to
-    subtract-threshold, which makes the neuron reproduce the discrete
-    video encoder when decay = 1.
-    """
-
-    thresh: float = 0.5
-    decay: float = 0.5
-    lens: float = 0.5
-    soft_reset: bool = False
-
-    def __post_init__(self):
-        if self.thresh <= 0:
-            raise PreconditionError("thresh must be > 0")
-        if not 0.0 < self.decay <= 1.0:
-            raise PreconditionError("decay must lie in (0, 1]")
-        if self.lens <= 0:
-            raise PreconditionError("lens must be > 0")
-
-
-def lif_step(u: np.ndarray, inputs: np.ndarray,
-             p: LifParams) -> tuple[np.ndarray, np.ndarray]:
-    """One LIF update of the potentials ``u``: u <- decay*u + input, fire
-    where u >= thresh. Returns the spikes and the new potentials.
-
-    Fired neurons reset (hard to 0, or minus thresh in soft mode); the
-    rest keep their potential.
+    Fired neurons reset to 0; the rest keep their potential.
     """
     u = np.asarray(u, dtype=np.float64)
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape != u.shape:
         raise PreconditionError(
             f"input shape {inputs.shape} does not match membrane {u.shape}")
-    u = p.decay * u + inputs
+    u = LIF_DECAY * u + inputs
     if not np.all(np.isfinite(u)):
         raise PreconditionError(
             "membrane potentials and inputs must be finite")
-    fired = u >= p.thresh
-    if p.soft_reset:
-        u[fired] -= p.thresh
-    else:
-        u[fired] = 0.0
+    fired = u >= LIF_THRESH
+    u[fired] = 0.0
     return fired.astype(np.uint8), u
-
-
-def surrogate_grad(u, p: LifParams):
-    """Rectangular surrogate of dS/du: 1/(2*lens) inside
-    |u - thresh| <= lens (boundary included), 0 outside."""
-    u = np.asarray(u, dtype=np.float64)
-    value = 1.0 / (2.0 * p.lens)
-    out = np.where(np.abs(u - p.thresh) <= p.lens, value, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def tdbn(x: np.ndarray, gamma, beta) -> np.ndarray:
@@ -131,14 +95,13 @@ def _conv_tdbn(s: np.ndarray, weights: dict[str, np.ndarray], prefix: str,
 
 
 def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
-                           p: LifParams, ledger: EnergyLedger) -> np.ndarray:
+                           ledger: EnergyLedger) -> np.ndarray:
     """Spiking residual unit: conv, TDBN, add the binary identity, spike,
     with the ``fsve.block`` weights.
 
     Input and output are binary [T, C, H, W] tensors. With zero conv
     weights and beta 0, any position carrying an input spike contributes
-    potential 1 >= thresh (for thresh <= 1), so the block passes the
-    identity through.
+    potential 1 >= LIF_THRESH, so the block passes the identity through.
     """
     s = np.asarray(s)
     if not is_binary(s):
@@ -147,13 +110,12 @@ def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
         raise PreconditionError(
             f"residual block input must be [t, c, h, w], got {s.shape}")
     normed = _conv_tdbn(s, weights, "fsve.block", 1, ledger)
-    return (normed + s >= p.thresh).astype(np.uint8)
+    return (normed + s >= LIF_THRESH).astype(np.uint8)
 
 
-def sn_threshold(x: np.ndarray, alpha_sn: float = 1.0
-                 ) -> tuple[np.ndarray, float]:
-    """Spike normalization: fire where x >= V_th with V_th = alpha_sn
-    times the mean absolute value of the whole tensor.
+def sn_threshold(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Spike normalization: fire where x >= V_th with V_th the mean
+    absolute value of the whole tensor.
 
     An all-zero input gives V_th = 0 and every position fires, per the
     Theta(0) = 1 boundary convention.
@@ -161,9 +123,7 @@ def sn_threshold(x: np.ndarray, alpha_sn: float = 1.0
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise PreconditionError("sn_threshold needs a non-empty array")
-    if alpha_sn <= 0:
-        raise PreconditionError("alpha_sn must be > 0")
-    v_th = float(alpha_sn * np.abs(x).mean())
+    v_th = float(np.abs(x).mean())
     return (x >= v_th).astype(np.uint8), v_th
 
 
@@ -270,14 +230,13 @@ def init_fsve_weights(cfg: FsveConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def _spiking_stem(s: np.ndarray, weights: dict[str, np.ndarray],
-                  p: LifParams, prefix: str,
-                  ledger: EnergyLedger) -> np.ndarray:
+                  prefix: str, ledger: EnergyLedger) -> np.ndarray:
     """Stride-2 spiking convolution stage: conv, TDBN, stateful LIF."""
     normed = _conv_tdbn(s, weights, prefix, 2, ledger)
     u = np.zeros(normed.shape[1:])
     spikes = np.empty(normed.shape, dtype=np.uint8)
     for t in range(normed.shape[0]):
-        spikes[t], u = lif_step(u, normed[t], p)
+        spikes[t], u = lif_step(u, normed[t])
     return spikes
 
 
@@ -295,12 +254,11 @@ def fsve_forward(stream: SpikeStream, weights: dict[str, np.ndarray],
     x = subsample_temporal(stream, timesteps).data[:, None]    # [T, 1, H, W]
     stages: dict[str, np.ndarray] = {"input": x}
 
-    lif = LifParams()
-    s1 = _spiking_stem(x, weights, lif, "fsve.stem1", ledger)
+    s1 = _spiking_stem(x, weights, "fsve.stem1", ledger)
     stages["stem1"] = s1
-    s2 = _spiking_stem(s1, weights, lif, "fsve.stem2", ledger)
+    s2 = _spiking_stem(s1, weights, "fsve.stem2", ledger)
     stages["stem2"] = s2
-    s3 = spiking_residual_block(s2, weights, lif, ledger)
+    s3 = spiking_residual_block(s2, weights, ledger)
     stages["resblock"] = s3
 
     outputs = []

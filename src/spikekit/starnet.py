@@ -93,8 +93,8 @@ def _attend(queries: np.ndarray, seq: np.ndarray,
     return linear(ctx, w[f"{prefix}.out.w"], w[f"{prefix}.out.b"]), attn
 
 
-def attention_pool(tokens: np.ndarray, weights: dict[str, np.ndarray],
-                   return_attention: bool = False):
+def attention_pool(tokens: np.ndarray,
+                   weights: dict[str, np.ndarray]) -> np.ndarray:
     """Multi-head attention pooling over [N, C] tokens.
 
     The query is the mean token; mean and tokens each get a learnable
@@ -111,10 +111,7 @@ def attention_pool(tokens: np.ndarray, weights: dict[str, np.ndarray],
             f"positional codes {pos.shape} do not match token sequence "
             f"{seq.shape} (grid size mismatch)")
     seq = seq + pos
-    pooled, attn = _attend(seq[:1], seq, weights, "star.attnpool")
-    if return_attention:
-        return pooled[0], attn[:, 0]
-    return pooled[0]
+    return _attend(seq[:1], seq, weights, "star.attnpool")[0][0]
 
 
 def mini_mapresnet_forward(estimate: np.ndarray,
@@ -144,25 +141,21 @@ def mini_mapresnet_forward(estimate: np.ndarray,
 # Temporal fusion
 # ---------------------------------------------------------------------------
 
-def temporal_attention(seq, weights: dict[str, np.ndarray],
-                       return_attention: bool = False):
+def temporal_attention(seq, weights: dict[str, np.ndarray]) -> np.ndarray:
     """One encoder layer over the time axis of a [T, D] sequence.
 
     Multi-head self-attention, followed by a position-wise feed-forward,
-    both with residual connections. Shape is preserved; the attention
-    weights are [HEADS, T, T].
+    both with residual connections. Shape is preserved.
     """
     x = np.asarray(seq, dtype=np.float64)
     if x.ndim != 2:
         raise PreconditionError(f"sequence must be [t, d], got {x.shape}")
     w = weights
-    ctx, attn = _attend(x, x, w, "star.temporal.attn")
+    ctx, _ = _attend(x, x, w, "star.temporal.attn")
     y1 = x + ctx
     ffn = linear(relu(linear(y1, w["star.temporal.ffn.fc1.w"],
                              w["star.temporal.ffn.fc1.b"])),
                  w["star.temporal.ffn.fc2.w"], w["star.temporal.ffn.fc2.b"])
-    if return_attention:
-        return y1 + ffn, attn
     return y1 + ffn
 
 

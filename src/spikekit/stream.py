@@ -108,11 +108,10 @@ class StreamMeta:
         return (self.n_elements + 7) // 8
 
     @classmethod
-    def for_stream(cls, stream: SpikeStream, threshold_theta: float = 5.0,
-                   tick_seconds: float | None = None) -> "StreamMeta":
+    def for_stream(cls, stream: SpikeStream,
+                   threshold_theta: float = 5.0) -> "StreamMeta":
         return cls(height=stream.height, width=stream.width,
-                   t_len=stream.t_len, threshold_theta=threshold_theta,
-                   tick_seconds=tick_seconds)
+                   t_len=stream.t_len, threshold_theta=threshold_theta)
 
     def to_json_dict(self) -> dict:
         out = {"height": self.height, "width": self.width, "t_len": self.t_len,

@@ -177,11 +177,3 @@ def synth_dataset(spec: SyntheticDatasetSpec, out_dir) -> dict:
                       "class": spec.classes[label], "label": label})
     return write_dataset_index(spec, out_dir, clips)
 
-
-def brightness_centroid(frame: np.ndarray) -> tuple[float, float]:
-    """Intensity-weighted (y, x) centroid of one frame."""
-    total = frame.sum()
-    if total <= 0:
-        raise PreconditionError("frame has no brightness")
-    gy, gx = np.mgrid[0:frame.shape[0], 0:frame.shape[1]]
-    return float((gy * frame).sum() / total), float((gx * frame).sum() / total)

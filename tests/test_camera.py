@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spikekit.camera import (EncoderConfig, IntensityVideo, PixelModel,
-                             continuous_spike_count, encode_video,
-                             simulate_pixel, to_grayscale, upsample_temporal)
+from oracles import PixelModel, continuous_spike_count, simulate_pixel
+from spikekit.camera import (EncoderConfig, IntensityVideo, encode_video,
+                             to_grayscale, upsample_temporal)
 from spikekit.errors import PreconditionError
 
 

@@ -240,8 +240,8 @@ def test_eval_topk_above_class_count_exits_2(tmp_path):
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.05", "1e308"])
 def test_train_head_needs_a_finite_positive_lr(lr, tmp_path, capsys):
-    # 1e308 is finite and positive, but the head diverges: a head whose
-    # trained parameters are not finite is rejected too.
+    # 1e308 is finite and positive, but the head diverges: training stops
+    # at the first step that leaves float range, with no numpy warning.
     prompts = tmp_path / "p.txt"
     prompts.write_text("a person waving one hand\n"
                        "a person punching forward\n")
@@ -251,7 +251,8 @@ def test_train_head_needs_a_finite_positive_lr(lr, tmp_path, capsys):
     assert main(["train-head", str(emb), str(prompts), "--shots", "1",
                  "--seed", "0", "--lr", lr,
                  "--out", str(tmp_path / "h.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "h.json").exists()
 
 
@@ -295,28 +296,31 @@ def test_train_head_bad_support_exits_2(prompts, labels, tmp_path, capsys):
     assert not (tmp_path / "h.json").exists()
 
 
-def _write_eval_inputs(tmp_path, width):
+def _write_eval_inputs(tmp_path, width, scale=1.0):
     head = tmp_path / "h.json"
     head.write_text(json.dumps({
-        "head": {"projection": [[1.0], [0.0]], "bias": [0.0],
-                 "log_inv_tau": 0.0},
+        "head": {"projection": (scale * np.eye(2)[:, :1]).tolist(),
+                 "bias": [0.0], "log_inv_tau": 0.0},
         "prompts": ["a person waving one hand"]}))
     emb = tmp_path / "e.json"
     emb.write_text(json.dumps([{"id": "a", "label": 0,
-                                "vector": [1.0] * width}]))
+                                "vector": [scale] * width}]))
     return str(head), str(emb)
 
 
-@pytest.mark.parametrize("width,topk", [
-    pytest.param(2, "a", id="topk-not-integer"),
-    pytest.param(2, "1,", id="topk-empty-item"),
-    pytest.param(3, "1", id="embedding-wider-than-head"),
-    pytest.param(1, "1", id="embedding-narrower-than-head"),
+@pytest.mark.parametrize("width,topk,scale", [
+    pytest.param(2, "a", 1.0, id="topk-not-integer"),
+    pytest.param(2, "1,", 1.0, id="topk-empty-item"),
+    pytest.param(3, "1", 1.0, id="embedding-wider-than-head"),
+    pytest.param(1, "1", 1.0, id="embedding-narrower-than-head"),
+    # 1e200 * 1e200 is beyond float range: the cosines would be NaN.
+    pytest.param(2, "1", 1e200, id="projection-beyond-float-range"),
 ])
-def test_eval_bad_input_exits_2(width, topk, tmp_path, capsys):
-    head, emb = _write_eval_inputs(tmp_path, width)
+def test_eval_bad_input_exits_2(width, topk, scale, tmp_path, capsys):
+    head, emb = _write_eval_inputs(tmp_path, width, scale)
     assert main(["eval", head, emb, "--topk", topk]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_encode_accepts_rgb_ppm_frames(tmp_path):
@@ -403,10 +407,13 @@ def test_pipeline_config_validation(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
     # Streams too short for the blocks (counting the upsampling), a branch
-    # left without channels and a negative window radius all fail before
-    # the first stage writes anything.
+    # left without channels, a negative window radius, and values the
+    # encoder, the spiking stage or the seeding reject all fail before the
+    # first stage writes anything.
     for fields in ({"frames": 200}, {"frames": 120, "upsample": 2},
-                   {"channel_step": 40}, {"r_win": -1}):
+                   {"channel_step": 40}, {"r_win": -1}, {"theta": 0},
+                   {"snn_channels": 0}, {"timesteps": 300}, {"topk": [5]},
+                   {"eval_seeds": [-1]}):
         path.write_text(json.dumps({"seed": 1, **fields}))
         assert main(["pipeline", "--config", str(path),
                      "--out", str(tmp_path / "x")]) == 2, fields
@@ -435,8 +442,14 @@ def test_pipeline_config_lr_nan_exits_2(tmp_path, capsys):
     {"seed": 1, "topk": None},
     {"seed": 1, "shots": []},
     [1],
+    {"seed": 1, "lr": "0.05"},
+    {"seed": 1, "epochs": 2.5},
+    {"seed": 1, "timesteps": 0},
+    {"seed": 1, "lr": float("nan")},
+    {"seed": 1, "run_snn": 1},
 ], ids=["shots-int", "classes-str", "eval-seeds-int", "topk-null",
-        "shots-empty", "config-list"])
+        "shots-empty", "config-list", "lr-str", "epochs-float",
+        "timesteps-0", "lr-nan", "run-snn-int"])
 def test_pipeline_config_bad_field_type_exits_2(config, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -444,6 +457,7 @@ def test_pipeline_config_bad_field_type_exits_2(config, tmp_path, capsys):
     assert main(["pipeline", "--config", str(path),
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
 
 
 def test_pipeline_dat_bytes_equal_synth_then_encode(tmp_path):

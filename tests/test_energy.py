@@ -44,8 +44,7 @@ def test_exact_conv_count_matches_brute_force():
         out_ch = int(rng.integers(1, 5))
         stride = int(rng.integers(1, 3))
         spikes = rng.integers(0, 2, size=(c, h, w)).astype(np.uint8)
-        got = count_conv_sops(spikes, out_ch, kernel=3, stride=stride,
-                              padding=1)
+        got = count_conv_sops(spikes, out_ch, stride=stride)
         expected = brute_force_conv_sops(spikes, out_ch, stride=stride)
         assert got == expected, (c, h, w, out_ch, stride)
 
@@ -68,8 +67,7 @@ def test_count_conv_sops_rejects_non_binary():
 
 def test_dense_mac_helpers():
     assert dense_linear_macs(100, 64, 64) == 409_600
-    assert dense_conv_macs((3, 8, 8), 16, kernel=3, stride=1, padding=1) \
-        == 8 * 8 * 16 * 9 * 3
+    assert dense_conv_macs((3, 8, 8), 16, stride=1) == 8 * 8 * 16 * 9 * 3
 
 
 # ---------------------------------------------------------------------------

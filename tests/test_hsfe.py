@@ -11,7 +11,7 @@ from spikekit.errors import PreconditionError
 from spikekit.hsfe import (BlockSpec, BranchAllocation, BranchSpec,
                            allocate_channels, hsfe_forward, init_hsfe_weights,
                            mtf_forward, slice_blocks, spatial_attention)
-from spikekit.nnops import conv2d, moving_average_same
+from spikekit.nnops import conv2d, moving_average_same, sigmoid
 from spikekit.stream import SpikeStream
 
 
@@ -240,8 +240,14 @@ def test_attention_gates_strictly_inside_unit_interval():
     weights = init_hsfe_weights(7, branches, seed=3)
     for _ in range(10):
         feats = [rng.normal(size=(4, 6, 6)) for _ in range(3)]
-        _, gates = spatial_attention(feats, weights, return_gates=True)
+        out = spatial_attention(feats, weights)
+        # The gates are the SA conv's logits through the logistic.
+        gates = sigmoid(conv2d(np.concatenate(feats),
+                               weights["hsfe.sa.conv.w"],
+                               weights["hsfe.sa.conv.b"], stride=1, padding=1))
         assert gates.min() > 0.0 and gates.max() < 1.0
+        np.testing.assert_array_equal(
+            out, np.concatenate([gates[i:i + 1] * feats[i] for i in range(3)]))
 
 
 def test_attention_shape_mismatch():

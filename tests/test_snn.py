@@ -1,17 +1,16 @@
-"""Spiking-runtime tests: LIF recurrence, surrogate gradient, TDBN moments,
-residual blocks, spike normalization, and spike-driven attention."""
+"""Spiking-runtime tests: LIF recurrence, TDBN moments, residual blocks,
+spike normalization, and spike-driven attention."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.energy import EnergyLedger
 from spikekit.errors import PreconditionError
-from spikekit.snn import (FsveConfig, LifParams, esdsa_forward, fsve_forward,
+from spikekit.snn import (FsveConfig, esdsa_forward, fsve_forward,
                           init_fsve_weights, lif_step, sn_threshold,
-                          spiking_residual_block, surrogate_grad, tdbn)
+                          spiking_residual_block, tdbn)
 from spikekit.stream import SpikeStream
 
 
@@ -20,25 +19,22 @@ from spikekit.stream import SpikeStream
 # ---------------------------------------------------------------------------
 
 def test_lif_fires_and_hard_resets():
-    p = LifParams(thresh=0.5, decay=0.5)
-    spikes, u = lif_step(np.zeros(1), np.array([0.6]), p)
+    spikes, u = lif_step(np.zeros(1), np.array([0.6]))
     assert spikes.tolist() == [1]
     assert u.tolist() == [0.0]
 
 
 def test_lif_subthreshold_keeps_potential():
-    p = LifParams(thresh=0.5, decay=0.5)
-    spikes, u = lif_step(np.array([0.2]), np.array([0.1]), p)
+    spikes, u = lif_step(np.array([0.2]), np.array([0.1]))
     assert spikes.tolist() == [0]
     assert u == pytest.approx([0.2])
 
 
 def test_lif_matches_scalar_recurrence_oracle():
-    p = LifParams(thresh=0.5, decay=0.5)
     u = np.zeros(1)
     got = []
     for _ in range(10):
-        spikes, u = lif_step(u, np.array([0.3]), p)
+        spikes, u = lif_step(u, np.array([0.3]))
         got.append(int(spikes[0]))
     # Scalar oracle, step by step.
     u, expected = 0.0, []
@@ -52,19 +48,11 @@ def test_lif_matches_scalar_recurrence_oracle():
     assert got == expected
 
 
-def test_lif_soft_reset_subtracts_threshold():
-    p = LifParams(thresh=0.5, decay=1.0, soft_reset=True)
-    spikes, u = lif_step(np.array([0.4]), np.array([0.3]), p)
-    assert spikes.tolist() == [1]
-    assert u == pytest.approx([0.2])
-
-
 def test_lif_step_counts_and_shape_check():
-    p = LifParams()
-    _, u = lif_step(np.zeros((2, 2)), np.zeros((2, 2)), p)
+    _, u = lif_step(np.zeros((2, 2)), np.zeros((2, 2)))
     assert u.shape == (2, 2)
     with pytest.raises(PreconditionError):
-        lif_step(u, np.zeros((3,)), p)
+        lif_step(u, np.zeros((3,)))
 
 
 @pytest.mark.parametrize("u,inputs", [
@@ -76,46 +64,7 @@ def test_lif_step_counts_and_shape_check():
 ])
 def test_lif_step_rejects_non_finite_values(u, inputs):
     with pytest.raises(PreconditionError):
-        lif_step(np.array(u), np.array(inputs), LifParams())
-
-
-def test_lif_reproduces_video_encoder_with_soft_reset():
-    # decay = 1, thresh = theta, subtract reset == the discrete encoder.
-    rng = np.random.default_rng(80)
-    frames = rng.uniform(0.0, 1.0, size=(300, 3, 3))
-    stream = encode_video(IntensityVideo(frames), EncoderConfig(theta=5.0))
-    p = LifParams(thresh=5.0, decay=1.0, soft_reset=True)
-    u = np.zeros((3, 3))
-    for t in range(300):
-        spikes, u = lif_step(u, frames[t], p)
-        assert np.array_equal(spikes, stream.data[t]), f"frame {t}"
-
-
-# ---------------------------------------------------------------------------
-# Surrogate gradient
-# ---------------------------------------------------------------------------
-
-def test_surrogate_center_and_outside_values():
-    p = LifParams(thresh=0.5, lens=0.5)
-    assert surrogate_grad(0.5, p) == pytest.approx(1.0)
-    assert surrogate_grad(0.5 + 2 * 0.5, p) == 0.0
-    # boundary |u - thresh| == lens is inside
-    assert surrogate_grad(1.0, p) == pytest.approx(1.0)
-    assert surrogate_grad(0.0, p) == pytest.approx(1.0)
-
-
-def test_surrogate_integrates_to_one():
-    p = LifParams(thresh=0.3, lens=0.7)
-    u = np.linspace(p.thresh - 3 * p.lens, p.thresh + 3 * p.lens, 20001)
-    integral = np.trapezoid(surrogate_grad(u, p), u)
-    assert integral == pytest.approx(1.0, abs=1e-3)
-
-
-def test_surrogate_vectorized():
-    p = LifParams(thresh=0.5, lens=0.25)
-    u = np.array([0.5, 0.74, 0.76, 0.26, 0.24])
-    expected = [2.0, 2.0, 0.0, 2.0, 0.0]
-    assert surrogate_grad(u, p) == pytest.approx(expected)
+        lif_step(np.array(u), np.array(inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +127,14 @@ def zero_block_weights(c):
 
 def test_block_zero_everything_zero_output():
     s = np.zeros((2, 3, 4, 4), dtype=np.uint8)
-    out = spiking_residual_block(s, zero_block_weights(3), LifParams(),
-                                 EnergyLedger())
+    out = spiking_residual_block(s, zero_block_weights(3), EnergyLedger())
     assert out.sum() == 0
 
 
 def test_block_identity_path_passes_spikes():
     rng = np.random.default_rng(83)
     s = rng.integers(0, 2, size=(2, 3, 5, 5)).astype(np.uint8)
-    out = spiking_residual_block(s, zero_block_weights(3),
-                                 LifParams(thresh=0.5), EnergyLedger())
+    out = spiking_residual_block(s, zero_block_weights(3), EnergyLedger())
     assert np.array_equal(out, s)
 
 
@@ -197,15 +144,14 @@ def test_block_output_binary_for_random_inputs():
     weights = init_fsve_weights(cfg, seed=84)
     for _ in range(5):
         s = rng.integers(0, 2, size=(2, 4, 6, 6)).astype(np.uint8)
-        out = spiking_residual_block(s, weights, LifParams(), EnergyLedger())
+        out = spiking_residual_block(s, weights, EnergyLedger())
         assert set(np.unique(out)).issubset({0, 1})
 
 
 def test_block_rejects_non_binary_input():
     with pytest.raises(PreconditionError):
         spiking_residual_block(np.full((1, 2, 4, 4), 0.5),
-                               zero_block_weights(2), LifParams(),
-                               EnergyLedger())
+                               zero_block_weights(2), EnergyLedger())
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +159,9 @@ def test_block_rejects_non_binary_input():
 # ---------------------------------------------------------------------------
 
 def test_sn_threshold_worked_example():
-    spikes, v_th = sn_threshold(np.array([1.0, -1.0, 2.0, -2.0]),
-                                alpha_sn=0.5)
-    assert v_th == pytest.approx(0.75)
-    assert spikes.tolist() == [1, 0, 1, 0]
+    spikes, v_th = sn_threshold(np.array([1.0, -1.0, 2.0, -2.0]))
+    assert v_th == pytest.approx(1.5)
+    assert spikes.tolist() == [0, 0, 1, 0]
 
 
 def test_sn_threshold_all_zero_boundary_fires():
@@ -224,14 +169,6 @@ def test_sn_threshold_all_zero_boundary_fires():
     assert v_th == 0.0
     assert spikes.sum() == 9
 
-
-def test_sn_threshold_spike_count_monotone_in_alpha():
-    rng = np.random.default_rng(85)
-    for _ in range(20):
-        x = rng.normal(size=(16, 16))
-        counts = [sn_threshold(x, a)[0].sum()
-                  for a in (0.25, 0.5, 1.0, 2.0)]
-        assert all(b <= a for a, b in zip(counts, counts[1:])), counts
 
 
 def test_sn_threshold_empty_input():

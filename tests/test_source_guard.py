@@ -2,7 +2,7 @@
 helpers, the one binary check, the one conv kernel, the attention core,
 the SOP count, the loss and gradient, the PGM clip I/O, TFI and the
 few-shot stages each live in one place, so hand-copied duplicates cannot
-creep back in."""
+creep back in; and every exported name has a caller outside the tests."""
 
 import ast
 import pathlib
@@ -87,7 +87,7 @@ def test_loss_and_gradient_live_only_in_align():
         "_log_softmax", "_forward_backward"))) == [
         "align.py:_forward_backward", "align.py:_log_softmax"]
     assert _functions(_calls("_forward_backward")) == [
-        "align.py:alignment_loss_and_grads", "align.py:finetune_head"]
+        "align.py:finetune_head"]
     # The backward pass through the unit normalization, and the log-sum-exp.
     users = [name for name, text in _sources().items()
              if re.search(r"d_v_hat|np\.log\(np\.sum\(np\.exp", text)]
@@ -225,3 +225,35 @@ def test_every_export_resolves():
     import spikekit
     assert [name for name in spikekit.__all__
             if not hasattr(spikekit, name)] == []
+
+
+def _references(tree: ast.AST, skip: str = "") -> set[str]:
+    """The names a module reads, as bare names or attributes, leaving out
+    the body of its own definition of ``skip``."""
+    seen, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name == skip:
+            continue
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return seen
+
+
+def test_every_export_has_traffic():
+    # Every public name is run by a command, the pipeline or the
+    # benchmark: code in src/ outside its own definition (a re-export in
+    # __init__ does not count) or in bench/ reads it.
+    import spikekit
+    bench = SRC.parents[1] / "bench"
+    trees = [ast.parse(text) for name, text in _sources().items()
+             if name != "__init__.py"]
+    bench_names = set().union(*(_references(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in sorted(bench.glob("*.py"))))
+    assert [name for name in spikekit.__all__ if name not in bench_names
+            and not any(name in _references(tree, name)
+                        for tree in trees)] == []

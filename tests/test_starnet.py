@@ -9,7 +9,7 @@ import pytest
 
 from spikekit.errors import PreconditionError
 from spikekit.nnops import relu, softmax
-from spikekit.starnet import (GROUPS, HEADS, MiniMapResNetConfig,
+from spikekit.starnet import (GROUPS, HEADS, MiniMapResNetConfig, _attend,
                               attention_pool, init_starnet_weights,
                               mini_mapresnet_forward, star_net_forward,
                               temporal_attention, temporal_pool)
@@ -69,10 +69,13 @@ def test_attention_pool_rows_sum_to_one():
     weights = make_weights(seed=62)
     rng = np.random.default_rng(62)
     tokens = rng.normal(size=(4, GROUPS[-1][0]))
-    pooled, attn = attention_pool(tokens, weights, return_attention=True)
+    pooled = attention_pool(tokens, weights)
     assert pooled.shape == (CFG.embed_dim,)
-    assert attn.shape == (HEADS, 5)
-    np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
+    seq = np.concatenate([tokens.mean(axis=0, keepdims=True), tokens])
+    seq = seq + weights["star.attnpool.pos"]
+    _, attn = _attend(seq[:1], seq, weights, "star.attnpool")
+    assert attn.shape == (HEADS, 1, 5)
+    np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_attention_pool_matches_loop_oracle():
@@ -107,7 +110,8 @@ def test_temporal_attention_singleton_time_axis():
     weights = make_weights(seed=65)
     rng = np.random.default_rng(65)
     x = rng.normal(size=(1, CFG.embed_dim))
-    out, attn = temporal_attention(x, weights, return_attention=True)
+    out = temporal_attention(x, weights)
+    _, attn = _attend(x, x, weights, "star.temporal.attn")
     assert out.shape == x.shape
     assert attn == pytest.approx(np.ones_like(attn))
 
@@ -131,8 +135,9 @@ def test_temporal_attention_matches_naive_oracle():
         batch = int(rng.integers(1, 3))
         x = rng.normal(size=(t_len, batch, CFG.embed_dim))
         for b in range(batch):
-            out, attn = temporal_attention(x[:, b, :], w,
-                                           return_attention=True)
+            out = temporal_attention(x[:, b, :], w)
+            _, attn = _attend(x[:, b, :], x[:, b, :], w,
+                              "star.temporal.attn")
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
             ctx = naive_multihead_attention(
                 x[:, b, :], w["star.temporal.attn.q.w"],

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brightness_centroid
 from spikekit.errors import PreconditionError
-from spikekit.synth import (CLASS_PROMPTS, SyntheticDatasetSpec,
-                            brightness_centroid, render_clip, render_frames,
-                            synth_dataset)
+from spikekit.synth import (CLASS_PROMPTS, SyntheticDatasetSpec, render_clip,
+                            render_frames, synth_dataset)
 from spikekit.videoio import (quantize_u8, read_pgm, read_pgm_clip,
                               write_pgm_frame)
 
