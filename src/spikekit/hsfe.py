@@ -79,7 +79,8 @@ class BranchAllocation:
 
 
 def slice_blocks(stream: SpikeStream, spec: BlockSpec) -> list[np.ndarray]:
-    """Cut the stream into n_blocks overlapping time-blocks.
+    """Cut the stream into n_blocks overlapping time-blocks, as read-only
+    views of its frames.
 
     Block i spans [t_i - r_win, t_i + r_win] around center t_i; every
     block has 2*r_win + 1 frames. Streams too short for the last block
@@ -94,7 +95,9 @@ def slice_blocks(stream: SpikeStream, spec: BlockSpec) -> list[np.ndarray]:
     blocks = []
     for center in spec.centers():
         lo = center - spec.r_win
-        blocks.append(stream.data[lo:lo + spec.block_len].copy())
+        block = stream.data[lo:lo + spec.block_len]
+        block.flags.writeable = False
+        blocks.append(block)
     return blocks
 
 
@@ -145,7 +148,7 @@ def mtf_forward(block: np.ndarray,
     convolution of the k_i channels with the branch kernel. Branch 0 spans
     the block, so these are the widths of :func:`allocate_channels`.
     """
-    block = np.asarray(block, dtype=np.float64)
+    block = np.asarray(block)
     if block.ndim != 3:
         raise PreconditionError(f"block must be [len, h, w], got {block.shape}")
     block_len = block.shape[0]
@@ -158,8 +161,11 @@ def mtf_forward(block: np.ndarray,
             f"be 1-D, of 1 to {block_len} frames, the first of {block_len}")
     outputs = []
     for i, mask in enumerate(masks):
-        sub = block[_branch_slice(block_len, len(mask))] * mask[:, None, None]
-        sub = moving_average_same(sub, _avg_width(block_len, len(mask)))
+        sub = np.multiply(block[_branch_slice(block_len, len(mask))],
+                          mask[:, None, None], dtype=np.float64)
+        width = _avg_width(block_len, len(mask))
+        if width > 1:
+            sub = moving_average_same(sub, width)
         kernel = np.asarray(weights[f"hsfe.branch{i}.conv.w"], dtype=np.float64)
         outputs.append(conv2d(sub, kernel, bias=None, stride=1, padding=1))
     return outputs
@@ -190,8 +196,7 @@ def spatial_attention(features: list[np.ndarray],
             f"sa kernel has shape {kernel.shape}, expected "
             f"({m}, {stacked.shape[0]}, 3, 3)")
     gates = sigmoid(conv2d(stacked, kernel, bias, stride=1, padding=1))
-    return np.concatenate([gates[i:i + 1] * features[i] for i in range(m)],
-                          axis=0)
+    return (gates[:, None] * stacked.reshape(m, *shape)).reshape(stacked.shape)
 
 
 def hsfe_forward(stream: SpikeStream, spec: BlockSpec,

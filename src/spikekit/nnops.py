@@ -4,26 +4,53 @@ Everything here is plain numpy in float64 with deterministic evaluation
 order, so desk-scale forwards stay fast without any framework dependency.
 
 ``conv2d`` is the one convolution kernel. It writes the input into a
-zeroed padded buffer, takes one strided view ``[C_in, kh, kw, H', W']``
-of it and runs one GEMM, in one of two orientations:
+zeroed padded buffer (an unpadded C-contiguous float64 input is its own
+buffer), takes a strided view ``[C_in, kh, kw, H', cols]`` of it and
+multiplies by the kernel in one of two orientations:
 
+* smaller maps copy the view to pixel-major columns
+  ``[H'*W', C_in*kh*kw]`` and compute one ``cols @ kernel2d.T``.
 * output maps of at least ``TAP_MAJOR_MIN_PIXELS`` pixels (16x16) copy
-  the view to tap-major columns ``[C_in*kh*kw, H'*W']`` and compute
-  ``kernel2d @ cols``. Each copied row is a contiguous run of ``W'``
-  values, and the product already has the ``[C_out, H', W']`` layout.
-* smaller maps copy it to pixel-major columns ``[H'*W', C_in*kh*kw]`` and
-  compute ``cols @ kernel2d.T``.
+  it to tap-major columns ``[C_in*kh*kw, n]`` and compute
+  ``kernel2d @ cols``, whose product already has the ``[C_out, H', .]``
+  layout. At stride 1 the padded buffer is one flat run with ``kw - 1``
+  spare zeros at its end, and an output row spans a whole padded row of
+  ``Wp = W + 2p`` columns: tap ``(c, dy, dx)`` is the contiguous slice
+  ``flat[c*plane + dy*Wp + dx:][:n]`` with ``n = H'*Wp``, so each column
+  row is copied as one run. The last ``kw - 1`` columns of each row wrap
+  into the next padded row and are cropped. Other strides copy rows of
+  ``W'`` strided values.
 
-On large maps both orientations give the same bits, and tap-major skips
-a copy that strides ``kw`` values at a time. On small maps the BLAS picks
-other kernels for the two layouts, and several backbone shapes round
-1-2 ulp apart. The few-shot fine-tune is chaotic, and the benchmark
-checks its top-1 values for exact equality, so one ulp in an embedding
-moves results. The small-map branch keeps those bits until that check
-tolerates embedding drift.
+The tap-major GEMM runs in bands of whole output rows, about
+``BAND_BYTES`` of columns each, so only one band of columns is alive at
+a time. K keeps the ``(c, dy, dx)`` order, and every output element is
+the same dot product in the same order, so a band gives the bits of the
+whole-map GEMM as long as it takes the same BLAS kernel. Measured with
+OpenBLAS 0.3.31 (Haswell, one thread), two things switch kernels:
+
+* a GEMM of at most ``SMALL_GEMM_MACS`` (1e6) multiply-adds takes the
+  small-matrix kernel: a ``3x432`` kernel (spatial attention) gave other
+  bits at N <= 768 columns, and a ``16x549`` kernel (HSFE branch 0) at
+  N <= 112.
+* a band that is not a multiple of 8 columns ends in tail kernels: a
+  42-row band (2772 columns) of the ``21->16`` branch conv at 64 px
+  changed bytes.
+
+So a band is a multiple of 8 columns above ``SMALL_GEMM_MACS``, the
+last band takes the leftover rows, and a map with no room for two such
+bands runs as one.
+
+On large maps both orientations give the same bits. On small maps the
+BLAS picks other kernels for the two layouts, and several backbone
+shapes round 1-2 ulp apart. The few-shot fine-tune is chaotic, and the
+benchmark checks its top-1 values for exact equality, so one ulp in an
+embedding moves results. The small-map branch keeps those bits until
+that check tolerates embedding drift.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,6 +58,12 @@ from .errors import PreconditionError
 
 # Output maps with at least this many pixels use tap-major columns.
 TAP_MAJOR_MIN_PIXELS = 256
+# Tap-major GEMMs run in bands of whole output rows, each holding about
+# this many bytes of columns.
+BAND_BYTES = 4 << 20
+# OpenBLAS computes a GEMM of at most this many multiply-adds with its
+# small-matrix kernel, whose bits differ from the blocked kernel's.
+SMALL_GEMM_MACS = 1_000_000
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -60,6 +93,45 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
+def _padded(x: np.ndarray, padding: int, spare: int) -> np.ndarray:
+    """``x`` zero-padded by ``padding`` on each spatial side: a C-ordered
+    ``[C, H + 2p, W + 2p]`` view of a flat buffer that holds ``spare``
+    more zeros after it. An unpadded C-contiguous float64 ``x`` with no
+    spare is its own buffer."""
+    if (padding == 0 and spare == 0 and x.dtype == np.float64
+            and x.flags.c_contiguous):
+        return x
+    c, h, w = x.shape
+    size = c * (h + 2 * padding) * (w + 2 * padding)
+    xp = np.zeros(size + spare)[:size].reshape(c, h + 2 * padding,
+                                               w + 2 * padding)
+    xp[:, padding:padding + h, padding:padding + w] = x
+    return xp
+
+
+def _taps(xp: np.ndarray, kh: int, kw: int, rows: int, row_cols: int,
+          stride: int) -> np.ndarray:
+    """Read-only view ``[C, kh, kw, rows, row_cols]`` of ``xp``: tap
+    ``(c, dy, dx)`` at output pixel ``(y, x)`` is
+    ``xp[c, y*stride + dy, x*stride + dx]``."""
+    s_c, s_h, s_w = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (xp.shape[0], kh, kw, rows, row_cols),
+        (s_c, s_h, s_w, s_h * stride, s_w * stride), writeable=False)
+
+
+def _band_rows(k: int, c_out: int, h_out: int, row_cols: int) -> int:
+    """Output rows per tap-major band: about ``BAND_BYTES`` of columns, a
+    multiple of 8 columns, and more than ``SMALL_GEMM_MACS`` per GEMM; one
+    band of all ``h_out`` rows when no such band fits twice."""
+    step = 8 // math.gcd(row_cols, 8)
+    rows = BAND_BYTES // (8 * k * row_cols)
+    rows = max(step, rows - rows % step)
+    if 2 * rows > h_out or c_out * k * rows * row_cols <= SMALL_GEMM_MACS:
+        return h_out
+    return rows
+
+
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
            stride: int = 1, padding: int = 1) -> np.ndarray:
     """2-D convolution (cross-correlation) of [C_in, H, W] with
@@ -71,27 +143,35 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
             f"conv2d kernel {kernel.shape} does not match input {x.shape}")
     c_out, c_in, kh, kw = kernel.shape
     _, h, w = x.shape
-    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-    if xp.shape[1] < kh or xp.shape[2] < kw:
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if hp < kh or wp < kw:
         raise PreconditionError("conv2d input smaller than kernel")
-    xp[:, padding:padding + h, padding:padding + w] = x
-    h_out = (xp.shape[1] - kh) // stride + 1
-    w_out = (xp.shape[2] - kw) // stride + 1
-    s_c, s_h, s_w = xp.strides
-    taps = np.lib.stride_tricks.as_strided(
-        xp, (c_in, kh, kw, h_out, w_out),
-        (s_c, s_h, s_w, s_h * stride, s_w * stride), writeable=False)
+    h_out = (hp - kh) // stride + 1
+    w_out = (wp - kw) // stride + 1
     kernel2d = kernel.reshape(c_out, -1)
-    if h_out * w_out >= TAP_MAJOR_MIN_PIXELS:
-        out = kernel2d @ taps.reshape(kernel2d.shape[1], h_out * w_out)
+    if h_out * w_out < TAP_MAJOR_MIN_PIXELS:
+        taps = _taps(_padded(x, padding, 0), kh, kw, h_out, w_out, stride)
+        cols = taps.transpose(3, 4, 0, 1, 2).reshape(h_out * w_out, -1)
+        out = cols @ kernel2d.T                       # [H'*W', C_out]
         if bias is not None:
-            out += bias[:, None]
-        return out.reshape(c_out, h_out, w_out)
-    cols = taps.transpose(3, 4, 0, 1, 2).reshape(h_out * w_out, -1)
-    out = cols @ kernel2d.T                           # [H'*W', C_out]
-    if bias is not None:
-        out = out + bias
-    return out.T.reshape(c_out, h_out, w_out)
+            out = out + bias
+        return out.T.reshape(c_out, h_out, w_out)
+    # At stride 1 an output row spans a whole padded row, so each tap row
+    # is one contiguous run; its last kw - 1 columns wrap and are cropped.
+    row_cols = wp if stride == 1 else w_out
+    taps = _taps(_padded(x, padding, kw - 1 if stride == 1 else 0),
+                 kh, kw, h_out, row_cols, stride)
+    rows = _band_rows(kernel2d.shape[1], c_out, h_out, row_cols)
+    n_bands = h_out // rows
+    out = np.empty((c_out, h_out, w_out))
+    for i in range(n_bands):
+        lo = i * rows
+        hi = h_out if i == n_bands - 1 else lo + rows
+        band = kernel2d @ taps[:, :, :, lo:hi].reshape(kernel2d.shape[1], -1)
+        if bias is not None:
+            band += bias[:, None]
+        out[:, lo:hi] = band.reshape(c_out, hi - lo, row_cols)[:, :, :w_out]
+    return out
 
 
 def moving_average_same(x: np.ndarray, width: int) -> np.ndarray:

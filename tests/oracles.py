@@ -4,7 +4,9 @@ The continuous integrate-and-fire pixel model is the paper's camera: the
 encoder in ``spikekit.camera`` discretizes it, and the tests check both
 against it. The loss wrappers call the few-shot trainer's own loss and
 gradient, ``spikekit.align._forward_backward``, on a batch of one head,
-so the acceptance gates test the code that trains.
+so the acceptance gates test the code that trains. ``conv2d_loops`` is
+the plain-loop convolution that ``spikekit.nnops.conv2d`` is checked
+against.
 """
 
 from __future__ import annotations
@@ -153,3 +155,23 @@ def contrastive_loss(video, text, temp: Temperature) -> float:
     d = np.shape(video)[-1]
     head = AlignmentHead(np.eye(d), np.zeros(d), temp)
     return loss_and_grads(video, text, head)[0]
+
+
+def conv2d_loops(x, kernel, bias=None, stride=1, padding=1):
+    """Dense convolution oracle: plain quintuple loop."""
+    c_out, c_in, kh, kw = kernel.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    h_out = (xp.shape[1] - kh) // stride + 1
+    w_out = (xp.shape[2] - kw) // stride + 1
+    out = np.zeros((c_out, h_out, w_out))
+    for o in range(c_out):
+        for y in range(h_out):
+            for w in range(w_out):
+                acc = 0.0
+                for c in range(c_in):
+                    for i in range(kh):
+                        for j in range(kw):
+                            acc += (xp[c, y * stride + i, w * stride + j]
+                                    * kernel[o, c, i, j])
+                out[o, y, w] = acc + (bias[o] if bias is not None else 0.0)
+    return out

@@ -4,8 +4,12 @@ The few-shot fine-tune is chaotic: one ulp in an embedding can move a
 top-1 value. So every conv shape a default pipeline config runs (HSFE
 branches and spatial attention, the backbone stem and blocks, the FSVE
 stems and block) must give the reference's exact bytes, on random and on
-binary inputs.
+binary inputs; so must the HSFE convs and the first backbone stem conv
+at 128 and 256 px, where the tap-major GEMM runs in several bands.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +20,19 @@ from spikekit.nnops import TAP_MAJOR_MIN_PIXELS, conv2d
 from spikekit.pipeline import (PipelineConfig, build_feature_weights,
                                featurize_stream)
 from spikekit.stream import SpikeStream
+
+from oracles import conv2d_loops
+
+# (x.shape, kernel.shape, stride, padding, has_bias) of the default HSFE
+# branch and spatial-attention convs and the first, stride-2 backbone stem
+# conv at 128 and 256 px.
+BANDED_SHAPES = [
+    shape for n in (128, 256) for shape in (
+        ((61, n, n), (16, 61, 3, 3), 1, 1, False),
+        ((41, n, n), (16, 41, 3, 3), 1, 1, False),
+        ((21, n, n), (16, 21, 3, 3), 1, 1, False),
+        ((48, n, n), (3, 48, 3, 3), 1, 1, True),
+        ((48, n, n), (16, 48, 3, 3), 2, 1, True))]
 
 
 def reference_conv2d(x, kernel, bias=None, stride=1, padding=1):
@@ -79,11 +96,25 @@ def test_recorded_shapes_cover_both_layouts(pipeline_conv_shapes):
     assert ((48, 64, 64), (3, 48, 3, 3), 1, 1, True) in pipeline_conv_shapes
 
 
+def _bands(x_shape, k_shape, stride, padding):
+    """How many tap-major bands a conv of these shapes runs."""
+    c_out, c_in, kh, kw = k_shape
+    h_out = (x_shape[1] + 2 * padding - kh) // stride + 1
+    w_out = (x_shape[2] + 2 * padding - kw) // stride + 1
+    row_cols = x_shape[2] + 2 * padding if stride == 1 else w_out
+    return h_out // nnops._band_rows(c_in * kh * kw, c_out, h_out, row_cols)
+
+
+def test_banded_shapes_run_several_bands():
+    assert min(_bands(x, k, s, p) for x, k, s, p, _ in BANDED_SHAPES) > 1
+
+
 @pytest.mark.parametrize("binary", [False, True], ids=["random", "binary"])
 def test_conv2d_bytes_match_reference(pipeline_conv_shapes, binary):
     rng = np.random.default_rng(151 + binary)
     mismatched = []
-    for x_shape, k_shape, stride, padding, has_bias in pipeline_conv_shapes:
+    for x_shape, k_shape, stride, padding, has_bias in (
+            pipeline_conv_shapes + BANDED_SHAPES):
         if binary:
             x = (rng.random(x_shape) < 0.3).astype(np.float64)
         else:
@@ -96,3 +127,40 @@ def test_conv2d_bytes_match_reference(pipeline_conv_shapes, binary):
         if got.shape != want.shape or got.tobytes() != want.tobytes():
             mismatched.append((x_shape, k_shape, stride, padding))
     assert mismatched == []
+
+
+def test_bands_with_a_ragged_tail_match_loop_oracle():
+    # 65 output rows of 67 padded columns: 4355 columns, not a multiple of
+    # 8, run as a band of 32 rows and a last band of 33 whose GEMM ends in
+    # the BLAS tail kernels. The bytes may move there; the values may not.
+    rng = np.random.default_rng(153)
+    x = rng.normal(size=(26, 65, 65))
+    kernel = rng.normal(size=(2, 26, 3, 3))
+    bias = rng.normal(size=2)
+    assert _bands(x.shape, kernel.shape, 1, 1) == 2
+    got = conv2d(x, kernel, bias)
+    want = conv2d_loops(x, kernel, bias)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_featurize_memory_is_bounded_and_bands_keep_bytes(monkeypatch):
+    # Only one band of tap-major columns is alive at a time: a 128 px
+    # featurize peaked at 129 MiB when each conv held all its columns.
+    n = 128
+    cfg = dataclasses.replace(PipelineConfig(seed=0), height=n, width=n)
+    rng = np.random.default_rng(154)
+    stream = SpikeStream((rng.random((cfg.frames, n, n)) < 0.2)
+                         .astype(np.uint8))
+    block_spec = cfg.block_spec()
+    weights = build_feature_weights(block_spec.block_len, cfg.branch_spec(),
+                                    cfg.star_config(), (n, n), cfg.seed)
+    tracemalloc.start()
+    try:
+        banded = featurize_stream(stream, block_spec, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
+    monkeypatch.setattr(nnops, "BAND_BYTES", 2 ** 62)
+    assert banded.tobytes() == featurize_stream(stream, block_spec,
+                                                weights).tobytes()

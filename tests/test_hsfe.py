@@ -14,25 +14,7 @@ from spikekit.hsfe import (BlockSpec, BranchAllocation, BranchSpec,
 from spikekit.nnops import conv2d, moving_average_same, sigmoid
 from spikekit.stream import SpikeStream
 
-
-def conv2d_loops(x, kernel, bias=None, stride=1, padding=1):
-    """Dense convolution oracle: plain quintuple loop."""
-    c_out, c_in, kh, kw = kernel.shape
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    h_out = (xp.shape[1] - kh) // stride + 1
-    w_out = (xp.shape[2] - kw) // stride + 1
-    out = np.zeros((c_out, h_out, w_out))
-    for o in range(c_out):
-        for y in range(h_out):
-            for w in range(w_out):
-                acc = 0.0
-                for c in range(c_in):
-                    for i in range(kh):
-                        for j in range(kw):
-                            acc += (xp[c, y * stride + i, w * stride + j]
-                                    * kernel[o, c, i, j])
-                out[o, y, w] = acc + (bias[o] if bias is not None else 0.0)
-    return out
+from oracles import conv2d_loops
 
 
 def random_stream(rng, t, h, w):
