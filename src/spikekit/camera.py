@@ -9,12 +9,13 @@ polled at a fixed tick, is the test suite's reference
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .stream import SpikeStream
+from .stream import SpikeStream, owned, read_only
 
 # Relative slack on the discrete-encoder threshold comparison. Decimal frame
 # intensities (e.g. 0.6) round down in binary, so exact-arithmetic firing
@@ -33,17 +34,17 @@ def _check_unit_range(arr: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class IntensityVideo:
-    """Sequence of H x W grayscale frames with values in [0, 1]."""
+    """Sequence of H x W grayscale frames with values in [0, 1], held in a
+    read-only float64 array (see :func:`stream.owned`)."""
 
     frames: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.frames, dtype=np.float64)   # private snapshot
+        arr = owned(self.frames, np.float64)
         if arr.ndim != 3 or arr.size == 0:
             raise PreconditionError(f"intensity video must be a non-empty "
                                     f"[n, h, w] array, got shape {arr.shape}")
         _check_unit_range(arr, "intensity values")
-        arr.flags.writeable = False
         object.__setattr__(self, "frames", arr)
 
     @property
@@ -67,10 +68,12 @@ class EncoderConfig:
     noise_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise PreconditionError("theta must be > 0")
-        if self.noise_amplitude < 0:
-            raise PreconditionError("noise_amplitude must be >= 0")
+        if not 0 < self.theta < math.inf:
+            raise PreconditionError(
+                f"theta must be finite and > 0, got {self.theta}")
+        if not 0 <= self.noise_amplitude < math.inf:
+            raise PreconditionError(f"noise_amplitude must be finite and "
+                                    f">= 0, got {self.noise_amplitude}")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +110,7 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
         fired = v >= thresh
         v[fired] -= cfg.theta
         out[t] = fired
-    return SpikeStream(out)
+    return SpikeStream(read_only(out))
 
 
 def to_grayscale(rgb: np.ndarray) -> np.ndarray:
@@ -140,4 +143,4 @@ def upsample_temporal(video: IntensityVideo, factor: int) -> IntensityVideo:
             f = s / factor
             out[i * factor + s] = (1.0 - f) * frames[i] + f * frames[i + 1]
     out[-1] = frames[-1]
-    return IntensityVideo(out)
+    return IntensityVideo(read_only(out))

@@ -12,6 +12,7 @@ the gated maps are stacked into one coarse intensity estimate per block.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,18 +200,25 @@ def spatial_attention(features: list[np.ndarray],
     return (gates[:, None] * stacked.reshape(m, *shape)).reshape(stacked.shape)
 
 
+def _coarse_estimate(block: np.ndarray,
+                     weights: dict[str, np.ndarray]) -> np.ndarray:
+    est = spatial_attention(mtf_forward(block, weights), weights)
+    if not np.all(np.isfinite(est)):
+        raise PreconditionError("non-finite values in coarse estimate")
+    return est
+
+
 def hsfe_forward(stream: SpikeStream, spec: BlockSpec,
-                 weights: dict[str, np.ndarray]) -> list[np.ndarray]:
+                 weights: dict[str, np.ndarray]) -> Iterator[np.ndarray]:
     """Full extractor: slice blocks, filter, gate; one coarse intensity
-    estimate per block, in temporal order."""
-    estimates = []
-    for block in slice_blocks(stream, spec):
-        feats = mtf_forward(block, weights)
-        est = spatial_attention(feats, weights)
-        if not np.all(np.isfinite(est)):
-            raise PreconditionError("non-finite values in coarse estimate")
-        estimates.append(est)
-    return estimates
+    estimate per block, in temporal order.
+
+    Each estimate is made as it is iterated, so a consumer that keeps only
+    what it derives from one holds a single [m * c_out, H, W] estimate; a
+    stream too short for the blocks raises at the call.
+    """
+    return (_coarse_estimate(block, weights)
+            for block in slice_blocks(stream, spec))
 
 
 def init_hsfe_weights(block_len: int, branches: BranchSpec,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 
 from .errors import DataIOError
 
@@ -54,3 +55,13 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def is_a(kind: str, value) -> bool:
+    """Whether a JSON value is of ``kind`` ("int", "float", "bool" or
+    "str"): a bool is no number, 2.5 is no int, an int is a float, and a
+    number is finite."""
+    if kind in ("bool", "str") or isinstance(value, bool):
+        return type(value).__name__ == kind
+    return isinstance(value, int if kind == "int" else (int, float)) \
+        and abs(value) <= sys.float_info.max

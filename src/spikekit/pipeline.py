@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,10 +24,11 @@ from .energy import EnergyLedger, energy_report
 from .errors import PreconditionError
 from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
                    init_hsfe_weights)
-from .jsonio import read_json, write_json
+from .jsonio import is_a, read_json, write_json
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
-from .stream import SpikeStream, StreamMeta, subsample_indices, write_dat
+from .stream import (SpikeStream, StreamMeta, read_only, subsample_indices,
+                     write_dat)
 from .synth import (CLASS_PROMPTS, SyntheticDatasetSpec, dataset_clips,
                     render_frames, write_dataset_index)
 from .videoio import quantize_u8
@@ -73,7 +73,7 @@ class PipelineConfig:
             items = value if is_list else (value,)
             low = _AT_LEAST.get(f.name)
             if not (isinstance(items, tuple) and items and all(
-                    _is_a(kind, v) and (low is None or v >= low)
+                    is_a(kind, v) and (low is None or v >= low)
                     for v in items)):
                 bound = "" if low is None else f" >= {low}"
                 raise PreconditionError(
@@ -138,15 +138,6 @@ class PipelineConfig:
 # Lower bounds of the fields that no stage's own config checks.
 _AT_LEAST = {"seed": 0, "eval_seeds": 0, "shots": 1, "topk": 1,
              "upsample": 1, "epochs": 1, "timesteps": 1}
-
-
-def _is_a(kind: str, value) -> bool:
-    """Whether a JSON value is of the annotated ``kind``: a bool is no
-    number, 2.5 is no int, an int is a float, and a number is finite."""
-    if kind in ("bool", "str") or isinstance(value, bool):
-        return type(value).__name__ == kind
-    return isinstance(value, int if kind == "int" else (int, float)) \
-        and abs(value) <= sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +209,15 @@ def _encode_synth_clip(spec: SyntheticDatasetSpec, label: int,
                        upsample: int, seed: int | None) -> SpikeStream:
     """Render one dataset clip and encode it as ``spikekit encode`` would
     its PGM frames: each frame is quantized to 8 bits as it is rendered,
-    and ``/ 255`` reads the pixels back as ``read_pgm`` does. No float copy
-    of the rendered clip is ever held."""
+    and ``/ 255`` reads the pixels back as ``read_pgm`` does. The one
+    float copy of the clip held is the ``pixels / 255`` that the video
+    owns (and, when ``upsample`` is above 1, the upsampled video)."""
     pixels = np.empty((spec.frames, spec.height, spec.width), dtype=np.uint8)
     for t, frame in enumerate(render_frames(spec.classes[label], spec.frames,
                                             spec.height, spec.width, rng)):
         pixels[t] = quantize_u8(frame)
-    return encode_to_dat(IntensityVideo(pixels / 255.0), dat_path, cfg,
-                         upsample, seed)
+    return encode_to_dat(IntensityVideo(read_only(pixels / 255.0)), dat_path,
+                         cfg, upsample, seed)
 
 
 def train_fewshot_head(vectors: np.ndarray, labels: np.ndarray,

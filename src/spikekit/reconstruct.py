@@ -8,13 +8,14 @@ search window fall back to a configurable default intensity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import IntensityVideo
 from .errors import PreconditionError
-from .stream import SpikeStream
+from .stream import SpikeStream, read_only
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,9 @@ class TfiConfig:
     def __post_init__(self):
         if self.delta_t_max < 1:
             raise PreconditionError("delta_t_max must be >= 1")
-        if self.theta <= 0:
-            raise PreconditionError("theta must be > 0")
+        if not 0 < self.theta < math.inf:
+            raise PreconditionError(
+                f"theta must be finite and > 0, got {self.theta}")
         if not 0.0 <= self.default_value <= 1.0:
             raise PreconditionError("default_value must lie in [0, 1]")
 
@@ -102,5 +104,5 @@ def tfi_video(stream: SpikeStream, stride: int,
     one forward and one backward sweep over the stream."""
     if stride < 1:
         raise PreconditionError("stride must be >= 1")
-    return IntensityVideo(_tfi_frames(stream.data,
-                                      range(0, stream.t_len, stride), cfg))
+    return IntensityVideo(read_only(_tfi_frames(
+        stream.data, range(0, stream.t_len, stride), cfg)))

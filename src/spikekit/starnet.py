@@ -13,6 +13,7 @@ and 3 for /32 total, 8 attention heads).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,15 +174,19 @@ def temporal_pool(seq) -> np.ndarray:
     return acc / x.shape[0]
 
 
-def star_net_forward(estimates: list[np.ndarray],
+def star_net_forward(estimates: Iterable[np.ndarray],
                      weights: dict[str, np.ndarray]) -> np.ndarray:
     """Full path: per-estimate backbone, temporal attention, mean pool.
 
-    Returns one clip embedding, as wide as the weights' embedding.
+    ``estimates`` may be any iterable, such as the generator of
+    ``hsfe.hsfe_forward``; it is read once, and each estimate is dropped
+    before the next one is asked for. Returns one clip embedding, as wide
+    as the weights' embedding.
     """
-    if not estimates:
+    vectors = list(map(lambda e: mini_mapresnet_forward(e, weights),
+                       estimates))
+    if not vectors:
         raise PreconditionError("star_net_forward needs at least one estimate")
-    vectors = [mini_mapresnet_forward(e, weights) for e in estimates]
     return temporal_pool(temporal_attention(np.stack(vectors), weights))
 
 

@@ -9,6 +9,7 @@ zero-padded byte at the end. Dimensions travel separately in a
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
-from .jsonio import read_json, write_bytes, write_json
+from .jsonio import is_a, read_json, write_bytes, write_json
 
 META_SUFFIX = ".meta.json"
 
@@ -30,12 +31,33 @@ def is_binary(arr) -> bool:
     return bool(((arr == 0) | (arr == 1)).all())
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only and return it: how a producer hands the array
+    it just made to a ``SpikeStream`` or ``IntensityVideo`` to own."""
+    arr.flags.writeable = False
+    return arr
+
+
+def owned(raw, dtype) -> np.ndarray:
+    """The one ownership rule of ``SpikeStream`` and ``IntensityVideo``.
+
+    A read-only, C-contiguous ndarray of ``dtype`` is adopted as it is, so
+    whoever made it must not make it writable again. Anything else (a
+    writable array, another dtype, a non-contiguous array or a list) is
+    copied into a read-only array of ``dtype`` that the value owns.
+    """
+    if (type(raw) is np.ndarray and raw.dtype == dtype
+            and raw.flags.c_contiguous and not raw.flags.writeable):
+        return raw
+    return read_only(np.array(raw, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class SpikeStream:
     """Binary spatiotemporal event tensor of shape [t_len, height, width].
 
-    ``data`` holds one uint8 per logical element, each exactly 0 or 1.
-    Instances are treated as immutable; operations return new streams.
+    ``data`` holds one uint8 per logical element, each exactly 0 or 1, in
+    a read-only array (see :func:`owned`). Operations return new streams.
     """
 
     data: np.ndarray
@@ -45,14 +67,13 @@ class SpikeStream:
         # Checked before the uint8 cast, which would truncate or wrap.
         if not is_binary(raw):
             raise PreconditionError("spike stream elements must be 0 or 1")
-        arr = np.array(raw, dtype=np.uint8)     # private snapshot
+        arr = owned(raw, np.uint8)
         if arr.ndim != 3:
             raise PreconditionError(
                 f"spike stream must be 3-D [t, y, x], got shape {arr.shape}")
         if any(s < 1 for s in arr.shape):
             raise PreconditionError(
                 f"all stream dimensions must be >= 1, got {arr.shape}")
-        arr.flags.writeable = False     # safe to share across threads
         object.__setattr__(self, "data", arr)
 
     @property
@@ -96,8 +117,10 @@ class StreamMeta:
             raise PreconditionError(
                 f"stream dimensions must be positive, got "
                 f"t_len={self.t_len}, height={self.height}, width={self.width}")
-        if self.threshold_theta <= 0:
-            raise PreconditionError("threshold_theta must be > 0")
+        if not 0 < self.threshold_theta < math.inf:
+            raise PreconditionError(
+                f"threshold_theta must be finite and > 0, got "
+                f"{self.threshold_theta}")
 
     @property
     def n_elements(self) -> int:
@@ -121,17 +144,23 @@ class StreamMeta:
         return out
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "StreamMeta":
-        try:
-            return cls(height=int(obj["height"]), width=int(obj["width"]),
-                       t_len=int(obj["t_len"]),
-                       threshold_theta=float(obj.get("threshold_theta", 5.0)),
-                       tick_seconds=(float(obj["tick_seconds"])
-                                     if "tick_seconds" in obj else None))
-        except KeyError as exc:
-            raise DataIOError(f"stream meta is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataIOError(f"stream meta has a bad value: {exc}") from exc
+    def from_json_dict(cls, obj) -> "StreamMeta":
+        """The meta of a sidecar's JSON object. A missing dimension, or a
+        field that is not a finite JSON number of its kind (a bool is no
+        number, 2.5 is no int), is a ``DataIOError``."""
+        kinds = {"height": int, "width": int, "t_len": int,
+                 "threshold_theta": float, "tick_seconds": float}
+        if not isinstance(obj, dict):
+            raise DataIOError("stream meta must be a JSON object")
+        for name, kind in kinds.items():
+            if name not in obj and kind is int:
+                raise DataIOError(f"stream meta is missing field {name!r}")
+            if name in obj and not is_a(kind.__name__, obj[name]):
+                raise DataIOError(f"stream meta field {name!r} must be a "
+                                  f"finite {kind.__name__}, got "
+                                  f"{obj[name]!r}")
+        return cls(**{name: kind(obj[name]) for name, kind in kinds.items()
+                      if name in obj})
 
 
 @dataclass(frozen=True)
@@ -170,7 +199,8 @@ def unpack_spikes(buf: bytes, meta: StreamMeta) -> SpikeStream:
             f"{meta.t_len}x{meta.height}x{meta.width} requires {expected}")
     bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8),
                          count=meta.n_elements, bitorder="big")
-    return SpikeStream(bits.reshape(meta.t_len, meta.height, meta.width))
+    return SpikeStream(read_only(bits).reshape(meta.t_len, meta.height,
+                                               meta.width))
 
 
 def write_dat(stream: SpikeStream, meta: StreamMeta, path) -> None:
@@ -233,12 +263,13 @@ def slice_clips(stream: SpikeStream,
     iterated; a stream shorter than one window raises at the call.
 
     Clip k covers [k*stride, k*stride + window_len); the clip count is
-    floor((T - window_len) / stride) + 1. Each clip owns its storage.
+    floor((T - window_len) / stride) + 1. Each clip owns its storage: one
+    copy of its window of the stream.
     """
-    n = clip_count(stream.t_len, spec)
-    return (SpikeStream(stream.data[k * spec.stride:
-                                    k * spec.stride + spec.window_len])
-            for k in range(n))
+    starts = range(0, clip_count(stream.t_len, spec) * spec.stride,
+                   spec.stride)
+    return (SpikeStream(read_only(stream.data[s:s + spec.window_len].copy()))
+            for s in starts)
 
 
 def subsample_indices(t_len: int, target_len: int) -> np.ndarray:
@@ -252,10 +283,10 @@ def subsample_indices(t_len: int, target_len: int) -> np.ndarray:
 
 
 def subsample_temporal(stream: SpikeStream, target_len: int) -> SpikeStream:
-    """Select target_len uniformly spaced frames (pure view selection).
+    """Select target_len uniformly spaced frames, copied once.
 
     Binary values are preserved; no rebinning of spikes takes place, so
     spike statistics of the kept frames are untouched.
     """
     idx = subsample_indices(stream.t_len, target_len)
-    return SpikeStream(stream.data[idx])
+    return SpikeStream(read_only(stream.data[idx]))

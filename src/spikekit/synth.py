@@ -26,6 +26,7 @@ import numpy as np
 from .camera import IntensityVideo
 from .errors import PreconditionError
 from .jsonio import write_bytes, write_json
+from .stream import read_only
 from .videoio import write_pgm_clip
 
 CLASS_PROMPTS = {
@@ -75,7 +76,7 @@ def render_clip(class_name: str, frames: int, height: int, width: int,
     for t, frame in enumerate(render_frames(class_name, frames, height,
                                             width, rng)):
         out[t] = frame
-    return IntensityVideo(out)
+    return IntensityVideo(read_only(out))
 
 
 def render_frames(class_name: str, frames: int, height: int, width: int,

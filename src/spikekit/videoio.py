@@ -14,7 +14,8 @@ import numpy as np
 
 from .camera import IntensityVideo, to_grayscale
 from .errors import DataIOError
-from .jsonio import read_json, write_bytes, write_json
+from .jsonio import is_a, read_json, write_bytes, write_json
+from .stream import read_only
 
 
 def quantize_u8(frame: np.ndarray) -> np.ndarray:
@@ -88,7 +89,7 @@ def read_pgm_clip(clip_dir) -> IntensityVideo:
     frames = [read_pgm(os.path.join(clip_dir, n)) for n in names]
     if len({f.shape for f in frames}) != 1:
         raise DataIOError(f"{clip_dir}: frames differ in size")
-    return IntensityVideo(np.stack(frames))
+    return IntensityVideo(read_only(np.stack(frames)))
 
 
 def write_video_raw(video: IntensityVideo, path) -> None:
@@ -102,11 +103,13 @@ def write_video_raw(video: IntensityVideo, path) -> None:
 def read_video_raw(path) -> IntensityVideo:
     sidecar = os.fspath(path) + ".meta.json"
     meta = read_json(sidecar)
-    try:
-        shape = (int(meta["t_len"]), int(meta["height"]), int(meta["width"]))
-        dtype = meta.get("dtype", "f32")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataIOError(f"{sidecar}: bad raw-video sidecar ({exc!r})") from exc
+    dims = ("t_len", "height", "width")
+    if not (isinstance(meta, dict) and all(
+            is_a("int", meta.get(d)) and meta[d] >= 1 for d in dims)):
+        raise DataIOError(f"{sidecar}: a raw-video sidecar needs positive "
+                          f"integers {', '.join(dims)}, got {meta!r}")
+    shape = tuple(meta[d] for d in dims)
+    dtype = meta.get("dtype", "f32")
     if dtype != "f32":
         raise DataIOError(f"{sidecar}: unsupported dtype {dtype!r}")
     try:
@@ -116,7 +119,7 @@ def read_video_raw(path) -> IntensityVideo:
     if flat.size != shape[0] * shape[1] * shape[2]:
         raise DataIOError(
             f"{path}: {flat.size} values do not match sidecar shape {shape}")
-    return IntensityVideo(flat.reshape(shape).astype(np.float64))
+    return IntensityVideo(read_only(flat.reshape(shape).astype(np.float64)))
 
 
 def load_video(path) -> IntensityVideo:
@@ -134,7 +137,8 @@ def load_video(path) -> IntensityVideo:
                               f"bool, integer or float")
         if arr.ndim == 4 and arr.shape[3] == 3:
             arr = to_grayscale(arr)
-        return IntensityVideo(np.asarray(arr, dtype=np.float64))
+        # The array is fresh from the file, so the video may own it.
+        return IntensityVideo(read_only(np.asarray(arr, dtype=np.float64)))
     if os.path.exists(path_str + ".meta.json"):
         return read_video_raw(path_str)
     raise DataIOError(

@@ -357,6 +357,26 @@ def test_encode_non_finite_npy_exits_2(frames, tmp_path, capsys):
     assert not (tmp_path / "v.dat").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("reconstruct", ["--theta", "nan"]), ("reconstruct", ["--theta", "inf"]),
+    ("encode", ["--theta", "nan"]), ("encode", ["--theta", "inf"]),
+    ("encode", ["--noise", "nan", "--seed", "1"]),
+    ("encode", ["--noise", "inf", "--seed", "1"])],
+    ids=["reconstruct-theta-nan", "reconstruct-theta-inf", "encode-theta-nan",
+         "encode-theta-inf", "encode-noise-nan", "encode-noise-inf"])
+def test_non_finite_theta_or_noise_exits_2(command, flags, encoded_dat,
+                                           tiny_video_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = (["reconstruct", str(encoded_dat), "--stride", "5", "--out",
+             str(out)] if command == "reconstruct"
+            else ["encode", str(tiny_video_dir), str(out)])
+    capsys.readouterr()
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_pipeline_command_runs_all_stages(tmp_path):
     config = {"seed": 3, "classes": ["wave", "throw"], "clips_per_class": 2,
               "test_per_class": 1, "frames": 100, "r_win": 10, "step": 20,

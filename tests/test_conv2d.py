@@ -144,23 +144,28 @@ def test_bands_with_a_ragged_tail_match_loop_oracle():
 
 
 def test_featurize_memory_is_bounded_and_bands_keep_bytes(monkeypatch):
-    # Only one band of tap-major columns is alive at a time: a 128 px
-    # featurize peaked at 129 MiB when each conv held all its columns.
-    n = 128
-    cfg = dataclasses.replace(PipelineConfig(seed=0), height=n, width=n)
-    rng = np.random.default_rng(154)
-    stream = SpikeStream((rng.random((cfg.frames, n, n)) < 0.2)
-                         .astype(np.uint8))
-    block_spec = cfg.block_spec()
-    weights = build_feature_weights(block_spec.block_len, cfg.branch_spec(),
-                                    cfg.star_config(), (n, n), cfg.seed)
-    tracemalloc.start()
-    try:
-        banded = featurize_stream(stream, block_spec, weights)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 80 * 2 ** 20
+    # Only one band of tap-major columns and one HSFE estimate are alive at
+    # a time: a 128 px featurize peaked at 129 MiB when each conv held all
+    # its columns, and at 50 MiB (194 MiB at 256 px) when the five
+    # estimates were held together.
+    def inputs(n):
+        cfg = dataclasses.replace(PipelineConfig(seed=0), height=n, width=n)
+        rng = np.random.default_rng(154)
+        stream = SpikeStream((rng.random((cfg.frames, n, n)) < 0.2)
+                             .astype(np.uint8))
+        block_spec = cfg.block_spec()
+        return stream, block_spec, build_feature_weights(
+            block_spec.block_len, cfg.branch_spec(), cfg.star_config(),
+            (n, n), cfg.seed)
+
+    for n, bound_mib in ((256, 150), (128, 40)):
+        args = inputs(n)
+        tracemalloc.start()
+        try:
+            banded = featurize_stream(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20, n
     monkeypatch.setattr(nnops, "BAND_BYTES", 2 ** 62)
-    assert banded.tobytes() == featurize_stream(stream, block_spec,
-                                                weights).tobytes()
+    assert banded.tobytes() == featurize_stream(*args).tobytes()

@@ -256,9 +256,16 @@ def test_forward_time_constant_stream_gives_equal_estimates():
     stream = SpikeStream(np.broadcast_to(frame, (250, 6, 6)).copy())
     branches = BranchSpec(m=2, channel_step=10, c_out=3)
     weights = init_hsfe_weights(61, branches, seed=5)
-    estimates = hsfe_forward(stream, BlockSpec(), weights)
+    estimates = list(hsfe_forward(stream, BlockSpec(), weights))
     for est in estimates[1:]:
         np.testing.assert_allclose(est, estimates[0], rtol=1e-12, atol=1e-12)
+
+
+def test_forward_rejects_a_short_stream_at_the_call():
+    # The estimates are made as they are read, but the length check is not.
+    stream = SpikeStream(np.zeros((100, 4, 4), dtype=np.uint8))
+    with pytest.raises(PreconditionError):
+        hsfe_forward(stream, BlockSpec(), weights={})
 
 
 def test_forward_equals_manual_composition():
@@ -267,7 +274,7 @@ def test_forward_equals_manual_composition():
     spec = BlockSpec(r_win=5, step=10, n_blocks=3)
     branches = BranchSpec(m=2, channel_step=4, c_out=2)
     weights = init_hsfe_weights(spec.block_len, branches, seed=6)
-    estimates = hsfe_forward(stream, spec, weights)
+    estimates = list(hsfe_forward(stream, spec, weights))
     assert len(estimates) == spec.n_blocks
     for block, est in zip(slice_blocks(stream, spec), estimates):
         manual = spatial_attention(mtf_forward(block, weights), weights)

@@ -223,6 +223,17 @@ def test_star_forward_zero_estimates_zero_embedding():
     assert emb == pytest.approx(np.zeros(CFG.embed_dim))
 
 
+def test_star_forward_reads_any_iterable_and_needs_one_estimate():
+    weights = make_weights(in_channels=4, seed=78)
+    rng = np.random.default_rng(78)
+    estimates = [rng.normal(size=(4, 64, 64)) for _ in range(2)]
+    assert np.array_equal(star_net_forward(iter(estimates), weights),
+                          star_net_forward(estimates, weights))
+    for empty in ([], iter([])):
+        with pytest.raises(PreconditionError):
+            star_net_forward(empty, weights)
+
+
 def test_star_forward_is_bit_deterministic():
     weights = make_weights(in_channels=4, seed=77)
     rng = np.random.default_rng(77)

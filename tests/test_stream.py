@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spikekit import synth
+from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.errors import DataIOError, PreconditionError
+from spikekit.reconstruct import tfi_video
 from spikekit.stream import (ClipWindowSpec, SpikeStream, StreamMeta,
                              clip_count, pack_spikes, read_dat, read_meta,
                              sidecar_path, slice_clips, subsample_indices,
@@ -233,6 +236,80 @@ def test_clips_own_their_storage_and_values_are_frozen():
     stream = SpikeStream(source)
     source[0, 0, 0] = 1
     assert stream.data[0, 0, 0] == 0
+
+
+@pytest.mark.parametrize("value, dtype", [(SpikeStream, np.uint8),
+                                          (IntensityVideo, np.float64)])
+def test_values_adopt_read_only_arrays_and_snapshot_the_rest(value, dtype):
+    def held(arr):
+        return value(arr).data if value is SpikeStream else value(arr).frames
+
+    made = np.zeros((4, 3, 2), dtype=dtype)
+    made.flags.writeable = False
+    assert held(made) is made
+    writable = np.zeros((4, 3, 2), dtype=dtype)
+    copy = held(writable)
+    writable[0, 0, 0] = 1
+    assert copy[0, 0, 0] == 0 and not copy.flags.writeable
+    other = np.zeros((4, 3, 2), dtype=np.int16 if dtype == np.uint8 else
+                     np.float32)
+    strided = np.zeros((4, 3, 4), dtype=dtype)[:, :, ::2]
+    for source in (other, strided):
+        source.flags.writeable = False
+        copy = held(source)
+        assert not np.shares_memory(copy, source)
+        assert copy.dtype == dtype and copy.flags.c_contiguous
+    # The checks run on an adopted array too.
+    bad = np.full((4, 3, 2), 2, dtype=dtype)
+    bad.flags.writeable = False
+    with pytest.raises(PreconditionError):
+        value(bad)
+    with pytest.raises(PreconditionError):
+        value(made[0])
+
+
+def _render_clip(tmp_path):
+    rng = np.random.default_rng(3)
+    return lambda: synth.render_clip("wave", 200, 64, 64, rng)
+
+
+def _encode_video(tmp_path):
+    video = synth.render_clip("clap", 400, 64, 64, np.random.default_rng(4))
+    return lambda: encode_video(video, EncoderConfig(noise_amplitude=0.05),
+                                seed=5)
+
+
+def _read_dat(tmp_path):
+    s = random_stream(np.random.default_rng(6), 400, 64, 64)
+    meta = StreamMeta.for_stream(s)
+    write_dat(s, meta, tmp_path / "s.dat")
+    return lambda: read_dat(tmp_path / "s.dat", meta)
+
+
+def _subsample_temporal(tmp_path):
+    s = random_stream(np.random.default_rng(7), 400, 64, 64)
+    return lambda: subsample_temporal(s, 300)
+
+
+def _tfi_video(tmp_path):
+    # Under 256 steps, TFI keeps one byte per sampled pixel besides its
+    # float64 output.
+    s = random_stream(np.random.default_rng(8), 200, 32, 32)
+    return lambda: tfi_video(s, 1)
+
+
+@pytest.mark.parametrize("setup", [_render_clip, _encode_video, _read_dat,
+                                   _subsample_temporal, _tfi_video])
+def test_each_producer_holds_one_copy_of_its_output(setup, tmp_path):
+    make = setup(tmp_path)
+    tracemalloc.start()
+    try:
+        out = make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = out.data if isinstance(out, SpikeStream) else out.frames
+    assert peak <= 1.25 * held.nbytes, (peak, held.nbytes)
 
 
 # ---------------------------------------------------------------------------
