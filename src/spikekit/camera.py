@@ -71,9 +71,11 @@ class EncoderConfig:
         if not 0 < self.theta < math.inf:
             raise PreconditionError(
                 f"theta must be finite and > 0, got {self.theta}")
-        if not 0 <= self.noise_amplitude < math.inf:
-            raise PreconditionError(f"noise_amplitude must be finite and "
-                                    f">= 0, got {self.noise_amplitude}")
+        # The noise is drawn over the range 2a, which must be finite too.
+        if not 0 <= 2 * self.noise_amplitude < math.inf:
+            raise PreconditionError(
+                f"noise_amplitude must be >= 0 with a finite range 2a, "
+                f"got {self.noise_amplitude}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,31 +87,48 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
     """Encode an intensity video into a spike stream by charge accumulation.
 
     Per pixel, V accumulates frame intensities; whenever V reaches theta a
-    spike is emitted and theta is subtracted (soft reset). Optional noise is
-    drawn per frame and pixel from uniform(-a, a), added to the intensity,
-    and the result clamped back to [0, 1] before accumulation. With
+    spike is emitted and theta is subtracted (soft reset). Optional noise of
+    amplitude a is drawn per frame and pixel as ``-a + 2a * u``, with ``u``
+    from ``Generator.random`` of ``default_rng(seed)``: numpy's own
+    ``uniform(-a, a)`` formula on the same stream, so the values of
+    ``Generator.uniform(-a, a)``. It is added to the intensity, and the
+    result clamped back to [0, 1] before accumulation. The config requires
+    a finite range ``2a``, and the noise seed must be non-negative. With
     noise_amplitude 0 the output is deterministic and seed-independent.
+
+    The frame loop allocates nothing: the noisy frame and the charge
+    spent by the reset are built in reused buffers, and each frame's spikes
+    are written straight into the output.
     """
-    rng = None
-    if cfg.noise_amplitude > 0:
+    frames = video.frames
+    a = cfg.noise_amplitude
+    if a > 0:
         if seed is None:
             raise PreconditionError("noise injection requires an explicit seed")
+        if seed < 0:
+            raise PreconditionError(
+                f"the noise seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
 
     thresh = cfg.theta * (1.0 - _THRESH_RTOL)
-    frames = video.frames
     v = np.zeros(frames.shape[1:], dtype=np.float64)
+    noisy, spent = np.empty_like(v), np.empty_like(v)
     out = np.empty(frames.shape, dtype=np.uint8)
+    fired = out.view(np.bool_)
     for t in range(frames.shape[0]):
         frame = frames[t]
-        if rng is not None:
-            frame = frame + rng.uniform(-cfg.noise_amplitude,
-                                        cfg.noise_amplitude, size=frame.shape)
-            frame = np.clip(frame, 0.0, 1.0)
+        if a > 0:
+            rng.random(out=noisy)
+            noisy *= 2 * a
+            noisy += -a
+            noisy += frame
+            frame = np.clip(noisy, 0.0, 1.0, out=noisy)
         v += frame
-        fired = v >= thresh
-        v[fired] -= cfg.theta
-        out[t] = fired
+        np.greater_equal(v, thresh, out=fired[t])
+        # Subtract theta where fired and 0 elsewhere, which leaves V as it
+        # is: the same bits as a masked subtraction, and faster.
+        np.multiply(fired[t], cfg.theta, out=spent)
+        v -= spent
     return SpikeStream(read_only(out))
 
 

@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
-from .jsonio import read_json, write_json
+from .jsonio import is_a, read_json, write_json
 from .stream import is_binary
 
 E_SOP_J = 4.6e-12
 E_NEURON_J = 0.9e-12
+
+# The fields of a ledger record's JSON object, in the order it is written.
+_RECORD_FIELDS = ("layer_name", "spike_count", "fan_out", "actual_sops",
+                  "neuron_ops", "max_sops", "element_count")
+_OPTIONAL_FIELDS = ("max_sops", "element_count")
 
 
 @dataclass
@@ -34,7 +39,8 @@ class LayerEnergy:
     element_count: int | None = None
 
     def __post_init__(self):
-        optional = ("max_sops",) if self.max_sops is not None else ()
+        optional = tuple(name for name in _OPTIONAL_FIELDS
+                         if getattr(self, name) is not None)
         for name in ("spike_count", "fan_out", "actual_sops", "neuron_ops",
                      *optional):
             value = getattr(self, name)
@@ -47,8 +53,11 @@ class LayerEnergy:
             raise PreconditionError(
                 f"{self.layer_name}: actual_sops {self.actual_sops} exceeds "
                 f"max_sops {self.max_sops}")
-        if self.element_count is not None:
-            self.element_count = int(self.element_count)
+        if self.element_count is not None \
+                and self.spike_count > self.element_count:
+            raise PreconditionError(
+                f"{self.layer_name}: spike_count {self.spike_count} exceeds "
+                f"element_count {self.element_count}")
 
     def to_json_dict(self) -> dict:
         out = {"layer_name": self.layer_name, "spike_count": self.spike_count,
@@ -102,19 +111,35 @@ class EnergyLedger:
         return [rec.to_json_dict() for rec in self.layers]
 
     @classmethod
-    def from_json_list(cls, records: list[dict]) -> "EnergyLedger":
+    def from_json_list(cls, records) -> "EnergyLedger":
+        """The ledger of a JSON list of layer records. A record that is not
+        an object, lacks a required field, or holds a field that is not of
+        its JSON kind (``layer_name`` a string; every count a non-negative
+        JSON int, where a bool is no int and a number is finite) is a
+        ``DataIOError``; ``max_sops`` and ``element_count`` may be left
+        out."""
         if not isinstance(records, list):
             raise DataIOError("ledger JSON must be a list of layer records")
-        try:
-            layers = [LayerEnergy(
-                layer_name=obj["layer_name"], spike_count=obj["spike_count"],
-                fan_out=obj["fan_out"], actual_sops=obj["actual_sops"],
-                neuron_ops=obj["neuron_ops"], max_sops=obj.get("max_sops"),
-                element_count=obj.get("element_count")) for obj in records]
-        except KeyError as exc:
-            raise DataIOError(f"ledger record is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataIOError(f"ledger record has a bad value: {exc}") from exc
+        layers = []
+        for obj in records:
+            if not isinstance(obj, dict):
+                raise DataIOError("ledger record must be a JSON object")
+            for name in _RECORD_FIELDS:
+                if name not in obj:
+                    if name in _OPTIONAL_FIELDS:
+                        continue
+                    raise DataIOError(
+                        f"ledger record is missing field {name!r}")
+                value = obj[name]
+                if not (is_a("str", value) if name == "layer_name"
+                        else is_a("int", value) and value >= 0):
+                    kind = ("a string" if name == "layer_name"
+                            else "a non-negative integer")
+                    raise DataIOError(f"ledger record field {name!r} must be "
+                                      f"{kind}, got {value!r}")
+            layers.append(LayerEnergy(**{name: obj[name]
+                                         for name in _RECORD_FIELDS
+                                         if name in obj}))
         return cls(layers=layers)
 
     def save(self, path) -> None:

@@ -194,9 +194,10 @@ def featurize_stream(stream: SpikeStream, block_spec: BlockSpec,
 
 def encode_to_dat(video: IntensityVideo, dat_path, cfg: EncoderConfig,
                   upsample: int, seed: int | None) -> SpikeStream:
-    """Upsample an intensity video in time by ``upsample`` when above 1,
-    encode it to spikes and write the ``.dat`` plus its sidecar."""
-    if upsample > 1:
+    """Upsample an intensity video in time by ``upsample`` unless it is 1,
+    encode it to spikes and write the ``.dat`` plus its sidecar. A factor
+    below 1 is a ``PreconditionError`` (from ``upsample_temporal``)."""
+    if upsample != 1:
         video = upsample_temporal(video, upsample)
     stream = encode_video(video, cfg, seed=seed)
     write_dat(stream, StreamMeta.for_stream(stream, threshold_theta=cfg.theta),

@@ -6,7 +6,10 @@ against it. The loss wrappers call the few-shot trainer's own loss and
 gradient, ``spikekit.align._forward_backward``, on a batch of one head,
 so the acceptance gates test the code that trains. ``conv2d_loops`` is
 the plain-loop convolution that ``spikekit.nnops.conv2d`` is checked
-against.
+against. ``encode_video_per_frame`` is the spike encoder as it was first
+written, allocating every step of every frame and drawing its noise with
+``Generator.uniform``: ``spikekit.camera.encode_video`` must give its
+bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from typing import Callable
 import numpy as np
 
 from spikekit.align import AlignmentHead, Temperature, _forward_backward
+from spikekit.camera import _THRESH_RTOL, EncoderConfig, IntensityVideo
 from spikekit.errors import PreconditionError
+from spikekit.stream import SpikeStream
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,33 @@ def continuous_spike_count(intensity: Callable[[float], float],
     values = _sample(intensity, mids[mids < duration])
     total = float(np.sum(model.alpha * values * dt))
     return int(total // model.theta)
+
+
+# ---------------------------------------------------------------------------
+# The discrete encoder, per frame
+# ---------------------------------------------------------------------------
+
+def encode_video_per_frame(video: IntensityVideo, cfg: EncoderConfig,
+                           seed: int | None = None) -> SpikeStream:
+    """The discrete encoder one frame at a time, with fresh arrays: noise
+    from ``uniform(-a, a)``, added and clipped to [0, 1]; fire where the
+    charge reaches theta (less the relative slack), and subtract theta."""
+    rng = np.random.default_rng(seed) if cfg.noise_amplitude > 0 else None
+    thresh = cfg.theta * (1.0 - _THRESH_RTOL)
+    frames = video.frames
+    v = np.zeros(frames.shape[1:], dtype=np.float64)
+    out = np.empty(frames.shape, dtype=np.uint8)
+    for t in range(frames.shape[0]):
+        frame = frames[t]
+        if rng is not None:
+            frame = frame + rng.uniform(-cfg.noise_amplitude,
+                                        cfg.noise_amplitude, size=frame.shape)
+            frame = np.clip(frame, 0.0, 1.0)
+        v += frame
+        fired = v >= thresh
+        v[fired] -= cfg.theta
+        out[t] = fired
+    return SpikeStream(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import PixelModel, continuous_spike_count, simulate_pixel
+from oracles import (PixelModel, continuous_spike_count,
+                     encode_video_per_frame, simulate_pixel)
 from spikekit.camera import (EncoderConfig, IntensityVideo, encode_video,
                              to_grayscale, upsample_temporal)
 from spikekit.errors import PreconditionError
@@ -170,6 +171,48 @@ def test_encode_noise_requires_seed():
     with pytest.raises(PreconditionError):
         encode_video(constant_video(0.5, 8),
                      EncoderConfig(noise_amplitude=0.05), seed=None)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (33, 7, 5), (400, 64, 64)])
+@pytest.mark.parametrize("noise", [0.0, 1e-320, 0.05, 0.9, 5.0])
+def test_encode_gives_the_bytes_of_the_per_frame_encoder(shape, noise):
+    # The in-place noise draw -a + 2a*u must give the values of
+    # Generator.uniform(-a, a) from the same stream, bit for bit.
+    cfg = EncoderConfig(noise_amplitude=noise)
+    for seed in (0, 1, 7):
+        video = IntensityVideo(np.random.default_rng(seed + 100).random(shape))
+        assert encode_video(video, cfg, seed) \
+            == encode_video_per_frame(video, cfg, seed), seed
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-320, 0.05, 0.9, 5.0])
+def test_encode_of_constant_point_six_gives_the_per_frame_bytes(noise):
+    # 0.6 rounds down in binary: the threshold slack decides these frames.
+    video = IntensityVideo(np.full((120, 3, 4), 0.6))
+    cfg = EncoderConfig(theta=5.0, noise_amplitude=noise)
+    for seed in (0, 1, 7):
+        assert encode_video(video, cfg, seed) \
+            == encode_video_per_frame(video, cfg, seed), seed
+
+
+@pytest.mark.parametrize("noise", [-0.1, math.nan, math.inf, 1e308,
+                                   9e307])
+def test_encoder_config_rejects_noise_without_a_finite_range(noise):
+    with pytest.raises(PreconditionError):
+        EncoderConfig(noise_amplitude=noise)
+
+
+def test_encoder_config_accepts_the_largest_finite_noise_range():
+    noise = np.nextafter(np.finfo(np.float64).max / 2, 0)
+    cfg = EncoderConfig(noise_amplitude=float(noise))
+    stream = encode_video(constant_video(0.5, 9), cfg, seed=0)
+    assert stream.t_len == 9
+
+
+def test_encode_noise_rejects_a_negative_seed():
+    with pytest.raises(PreconditionError):
+        encode_video(constant_video(0.5, 8),
+                     EncoderConfig(noise_amplitude=0.05), seed=-1)
 
 
 def test_encode_outputs_binary_for_random_videos():

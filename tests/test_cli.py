@@ -4,10 +4,15 @@ sidecar discovery, and artifact determinism."""
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikekit
 from spikekit.cli import main
 from spikekit.stream import StreamMeta, read_dat, read_meta
 from spikekit.videoio import read_pgm, write_pgm_clip, write_video_raw
@@ -361,9 +366,11 @@ def test_encode_non_finite_npy_exits_2(frames, tmp_path, capsys):
     ("reconstruct", ["--theta", "nan"]), ("reconstruct", ["--theta", "inf"]),
     ("encode", ["--theta", "nan"]), ("encode", ["--theta", "inf"]),
     ("encode", ["--noise", "nan", "--seed", "1"]),
-    ("encode", ["--noise", "inf", "--seed", "1"])],
+    ("encode", ["--noise", "inf", "--seed", "1"]),
+    ("encode", ["--noise", "1e308", "--seed", "1"])],
     ids=["reconstruct-theta-nan", "reconstruct-theta-inf", "encode-theta-nan",
-         "encode-theta-inf", "encode-noise-nan", "encode-noise-inf"])
+         "encode-theta-inf", "encode-noise-nan", "encode-noise-inf",
+         "encode-noise-range-inf"])
 def test_non_finite_theta_or_noise_exits_2(command, flags, encoded_dat,
                                            tiny_video_dir, tmp_path, capsys):
     out = tmp_path / "out"
@@ -375,6 +382,45 @@ def test_non_finite_theta_or_noise_exits_2(command, flags, encoded_dat,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--noise", "0.1", "--seed", "-1"], ["--upsample", "0"],
+    ["--upsample", "-3"]], ids=["negative-seed", "upsample-0", "upsample-neg"])
+def test_encode_rejects_a_negative_seed_or_upsample_factor(
+        flags, tiny_video_dir, tmp_path, capsys):
+    out = tmp_path / "o.dat"
+    capsys.readouterr()
+    assert main(["encode", str(tiny_video_dir), str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_codec_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Each run is its own process, so the BLAS library reads its thread
+    # count at start-up.
+    frames = np.random.default_rng(141).uniform(0.0, 1.0, size=(60, 24, 20))
+    np.save(tmp_path / "v.npy", frames)
+    src = str(Path(spikekit.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = tmp_path / f"t{threads}"
+        run.mkdir()
+        for argv in (["encode", str(tmp_path / "v.npy"), str(run / "o.dat"),
+                      "--noise", "0.05", "--seed", "3"],
+                     ["decode", str(run / "o.dat"), "--out",
+                      str(run / "x.npy")]):
+            subprocess.run([sys.executable, "-m", "spikekit.cli", *argv],
+                           env=env, check=True, capture_output=True,
+                           timeout=120)
+        digests.append([sha256(run / name)
+                        for name in ("o.dat", "o.meta.json", "x.npy")])
+    assert digests[0] == digests[1]
+    assert np.load(tmp_path / "t1" / "x.npy").any()
 
 
 def test_pipeline_command_runs_all_stages(tmp_path):
