@@ -18,8 +18,8 @@ from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, pack_spikes,
 from .camera import (EncoderConfig, IntensityVideo, encode_video,
                      to_grayscale, upsample_temporal)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
-from .hsfe import (BlockSpec, BranchAllocation, BranchSpec, allocate_channels,
-                   hsfe_forward, init_hsfe_weights, mtf_forward, slice_blocks,
+from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
+                   init_hsfe_weights, mtf_forward, slice_blocks,
                    spatial_attention)
 from .starnet import (MiniMapResNetConfig, attention_pool,
                       init_starnet_weights, mini_mapresnet_forward,
@@ -43,7 +43,7 @@ __all__ = [
     "IntensityVideo", "EncoderConfig", "encode_video", "to_grayscale",
     "upsample_temporal",
     "TfiConfig", "tfi_reconstruct", "tfi_video",
-    "BlockSpec", "BranchSpec", "BranchAllocation", "slice_blocks",
+    "BlockSpec", "BranchSpec", "slice_blocks",
     "allocate_channels", "mtf_forward", "spatial_attention", "hsfe_forward",
     "init_hsfe_weights",
     "MiniMapResNetConfig", "mini_mapresnet_forward",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
+from .jsonio import checked
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -93,16 +94,21 @@ class AlignmentHead:
                 "clamp_max": self.temperature.clamp_max}
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "AlignmentHead":
+    def from_json_dict(cls, obj) -> "AlignmentHead":
+        """The head of a head file's "head" object. A field that is not of
+        its JSON kind (``jsonio.is_a``) or a ragged matrix is a
+        ``DataIOError``."""
+        head = checked(obj, {"projection": "[[float]]", "bias": "[float]",
+                             "log_inv_tau": "float", "clamp_max": "float?"},
+                       "head JSON")
         try:
-            return cls(projection=np.array(obj["projection"]),
-                       bias=np.array(obj["bias"]),
-                       temperature=Temperature(float(obj["log_inv_tau"]),
-                                               float(obj.get("clamp_max", 100.0))))
-        except KeyError as exc:
-            raise DataIOError(f"head JSON is missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataIOError(f"head JSON has a bad value: {exc}") from exc
+            projection = np.array(head["projection"], dtype=np.float64)
+        except ValueError as exc:
+            raise DataIOError(f"head JSON has a ragged projection: "
+                              f"{exc}") from exc
+        return cls(projection=projection, bias=head["bias"],
+                   temperature=Temperature(head["log_inv_tau"],
+                                           head.get("clamp_max", 100.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .camera import EncoderConfig
 from .energy import EnergyLedger, energy_report, format_report
 from .errors import DataIOError, PreconditionError, SpikeKitError
 from .hsfe import BlockSpec, BranchSpec
-from .jsonio import read_json, read_text, write_bytes, write_json
+from .jsonio import checked, read_json, read_text, write_bytes, write_json
 from .pipeline import (PipelineConfig, build_feature_weights, encode_to_dat,
                        evaluate_head, featurize_stream, provenance,
                        run_pipeline, train_fewshot_head)
@@ -58,53 +58,38 @@ def _load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
     """The [n, d] "vector"s and [n] integer "label"s of an embeddings file
     whose every entry is labelled."""
     obj = read_json(path)
-    entries = obj.get("embeddings") if isinstance(obj, dict) else obj
-    if not isinstance(entries, list):
-        raise DataIOError(f"{path}: needs an \"embeddings\" list")
+    entries = checked(obj if isinstance(obj, dict) else {"embeddings": obj},
+                      {"embeddings": "list"}, path)["embeddings"]
     if not entries:
         raise PreconditionError(f"{path}: no embeddings found")
-    for i, entry in enumerate(entries):
-        entry = entry if isinstance(entry, dict) else {}
-        vector, label = entry.get("vector"), entry.get("label", 0)
-        if not (isinstance(vector, list) and vector
-                and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
-                        for x in vector)
-                and len(vector) == len(entries[0]["vector"])
-                and type(label) is int and abs(label) < 2 ** 63):
-            raise DataIOError(
-                f"{path}: embedding {i} needs a \"vector\" of finite floats "
-                f"as long as the first one and, if labelled, a 64-bit "
-                f"integer \"label\"")
+    rows = [checked(entry, {"vector": "[float]", "label": "int?"},
+                    f"{path}: embedding {i}")
+            for i, entry in enumerate(entries)]
+    if not all(row["vector"] and len(row["vector"]) == len(rows[0]["vector"])
+               and abs(row.get("label", 0)) < 2 ** 63 for row in rows):
+        raise DataIOError(
+            f"{path}: every embedding needs a non-empty \"vector\" as long "
+            f"as the first one and, if labelled, a 64-bit integer \"label\"")
     missing = [e.get("id") for e in entries if "label" not in e]
     if missing:
         raise PreconditionError(f"{path}: unlabelled embeddings {missing[:5]}")
-    return (np.array([e["vector"] for e in entries], dtype=np.float64),
-            np.array([e["label"] for e in entries]))
+    return (np.array([row["vector"] for row in rows], dtype=np.float64),
+            np.array([row["label"] for row in rows]))
 
 
 def _load_manifest_labels(path) -> dict[str, int]:
     """Clip name -> integer label, from a dataset manifest's "clips"."""
-    obj = read_json(path)
-    clips = obj.get("clips") if isinstance(obj, dict) else None
-    if not (isinstance(clips, list) and all(
-            isinstance(c, dict) and isinstance(c.get("name"), str)
-            and type(c.get("label")) is int for c in clips)):
-        raise DataIOError(f"{path}: manifest needs a \"clips\" list of "
-                          f"objects with a string \"name\" and an integer "
-                          f"\"label\"")
-    return {c["name"]: c["label"] for c in clips}
+    clips = checked(read_json(path), {"clips": "list"}, path)["clips"]
+    clips = [checked(clip, {"name": "str", "label": "int"}, f"{path}: clip {i}")
+             for i, clip in enumerate(clips)]
+    return {clip["name"]: clip["label"] for clip in clips}
 
 
 def _load_head(path) -> tuple[AlignmentHead, list[str]]:
-    obj = read_json(path)
-    if not isinstance(obj, dict) or not isinstance(obj.get("head"), dict):
-        raise DataIOError(f"{path}: head file needs a \"head\" object")
-    prompts = obj.get("prompts")
-    if (not isinstance(prompts, list) or not prompts
-            or not all(isinstance(p, str) for p in prompts)):
-        raise DataIOError(
-            f"{path}: head file needs a non-empty \"prompts\" string list")
-    return AlignmentHead.from_json_dict(obj["head"]), prompts
+    obj = checked(read_json(path), {"head": "dict", "prompts": "[str]"}, path)
+    if not obj["prompts"]:
+        raise DataIOError(f"{path}: head file needs a non-empty \"prompts\"")
+    return AlignmentHead.from_json_dict(obj["head"]), obj["prompts"]
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +98,6 @@ def _load_head(path) -> tuple[AlignmentHead, list[str]]:
 
 def cmd_encode(args) -> int:
     cfg = EncoderConfig(theta=args.theta, noise_amplitude=args.noise)
-    if cfg.noise_amplitude > 0 and args.seed is None:
-        raise PreconditionError("--seed is required when --noise > 0")
     stream = encode_to_dat(load_video(args.input), args.out, cfg,
                            args.upsample, args.seed)
     print(f"encoded {stream.t_len}x{stream.height}x{stream.width} "
@@ -467,6 +450,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise PreconditionError(
+                f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except SpikeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,21 +9,22 @@ multiply-accumulate of the same layer shapes at the SOP rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
-from .jsonio import is_a, read_json, write_json
+from .jsonio import checked, read_json, write_json
 from .stream import is_binary
 
 E_SOP_J = 4.6e-12
 E_NEURON_J = 0.9e-12
 
-# The fields of a ledger record's JSON object, in the order it is written.
-_RECORD_FIELDS = ("layer_name", "spike_count", "fan_out", "actual_sops",
-                  "neuron_ops", "max_sops", "element_count")
-_OPTIONAL_FIELDS = ("max_sops", "element_count")
+# The JSON kind of each field of a ledger record, in field order.
+_RECORD_KINDS = {"layer_name": "str", "spike_count": "count",
+                 "fan_out": "count", "actual_sops": "count",
+                 "neuron_ops": "count", "max_sops": "count?",
+                 "element_count": "count?"}
 
 
 @dataclass
@@ -39,11 +40,10 @@ class LayerEnergy:
     element_count: int | None = None
 
     def __post_init__(self):
-        optional = tuple(name for name in _OPTIONAL_FIELDS
-                         if getattr(self, name) is not None)
-        for name in ("spike_count", "fan_out", "actual_sops", "neuron_ops",
-                     *optional):
+        for name, kind in _RECORD_KINDS.items():
             value = getattr(self, name)
+            if kind == "str" or (value is None and kind.endswith("?")):
+                continue
             if int(value) != value or value < 0:
                 raise PreconditionError(
                     f"{self.layer_name}: {name} must be a non-negative "
@@ -60,14 +60,7 @@ class LayerEnergy:
                 f"element_count {self.element_count}")
 
     def to_json_dict(self) -> dict:
-        out = {"layer_name": self.layer_name, "spike_count": self.spike_count,
-               "fan_out": self.fan_out, "actual_sops": self.actual_sops,
-               "neuron_ops": self.neuron_ops}
-        if self.max_sops is not None:
-            out["max_sops"] = self.max_sops
-        if self.element_count is not None:
-            out["element_count"] = self.element_count
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -112,35 +105,14 @@ class EnergyLedger:
 
     @classmethod
     def from_json_list(cls, records) -> "EnergyLedger":
-        """The ledger of a JSON list of layer records. A record that is not
-        an object, lacks a required field, or holds a field that is not of
-        its JSON kind (``layer_name`` a string; every count a non-negative
-        JSON int, where a bool is no int and a number is finite) is a
-        ``DataIOError``; ``max_sops`` and ``element_count`` may be left
-        out."""
+        """The ledger of a JSON list of layer records, whose fields are of
+        the kinds ``_RECORD_KINDS`` names (``jsonio.checked``); anything
+        else is a ``DataIOError``."""
         if not isinstance(records, list):
             raise DataIOError("ledger JSON must be a list of layer records")
-        layers = []
-        for obj in records:
-            if not isinstance(obj, dict):
-                raise DataIOError("ledger record must be a JSON object")
-            for name in _RECORD_FIELDS:
-                if name not in obj:
-                    if name in _OPTIONAL_FIELDS:
-                        continue
-                    raise DataIOError(
-                        f"ledger record is missing field {name!r}")
-                value = obj[name]
-                if not (is_a("str", value) if name == "layer_name"
-                        else is_a("int", value) and value >= 0):
-                    kind = ("a string" if name == "layer_name"
-                            else "a non-negative integer")
-                    raise DataIOError(f"ledger record field {name!r} must be "
-                                      f"{kind}, got {value!r}")
-            layers.append(LayerEnergy(**{name: obj[name]
-                                         for name in _RECORD_FIELDS
-                                         if name in obj}))
-        return cls(layers=layers)
+        return cls(layers=[LayerEnergy(**checked(obj, _RECORD_KINDS,
+                                                 "ledger record"))
+                           for obj in records])
 
     def save(self, path) -> None:
         write_json(self.to_json_list(), path)

@@ -71,14 +71,6 @@ class BranchSpec:
             raise PreconditionError("c_out must be >= 1")
 
 
-@dataclass(frozen=True)
-class BranchAllocation:
-    """One branch's share: k input channels, paired averaging width w."""
-
-    channels: int
-    avg_width: int
-
-
 def slice_blocks(stream: SpikeStream, spec: BlockSpec) -> list[np.ndarray]:
     """Cut the stream into n_blocks overlapping time-blocks, as read-only
     views of its frames.
@@ -104,19 +96,21 @@ def slice_blocks(stream: SpikeStream, spec: BlockSpec) -> list[np.ndarray]:
 
 def _avg_width(total_channels: int, k: int) -> int:
     """The averaging width of k of total_channels input channels: the one
-    width rule of :func:`allocate_channels` and :func:`mtf_forward`."""
+    width rule, which :func:`mtf_forward` applies to each branch."""
     return int(round(total_channels / k))
 
 
 def allocate_channels(total_channels: int, m: int,
-                      channel_step: int) -> list[BranchAllocation]:
-    """Split a block's time steps across branches, photon-conserving.
+                      channel_step: int) -> list[int]:
+    """Split a block's time steps across branches, photon-conserving: the
+    input channel count k_i of each branch.
 
     Branch i gets k_i = total_channels - i*channel_step input channels
-    (branch 0 is the finest) and an averaging window w_i = round(K / k_i)
-    with K = max k = total_channels, so k_i * w_i is constant across
-    branches within rounding. channel_step = 0 degenerates to identical
-    branches (the no-slicing ablation configuration).
+    (branch 0 is the finest), which the forward averages over
+    w_i = round(K / k_i) steps (:func:`_avg_width`) with K = max k =
+    total_channels, so k_i * w_i is constant across branches within
+    rounding. channel_step = 0 degenerates to identical branches (the
+    no-slicing ablation configuration).
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -130,7 +124,7 @@ def allocate_channels(total_channels: int, m: int,
         raise PreconditionError(
             f"channel_step={channel_step} drives branch {m - 1} to "
             f"{ks[-1]} channels (< 1)")
-    return [BranchAllocation(k, _avg_width(total_channels, k)) for k in ks]
+    return ks
 
 
 def _branch_slice(block_len: int, k: int) -> slice:
@@ -226,13 +220,12 @@ def init_hsfe_weights(block_len: int, branches: BranchSpec,
     """Seeded weight set: all-ones masks, He-scaled branch convolutions,
     zero-bias attention head."""
     rng = np.random.default_rng(seed)
-    allocs = allocate_channels(block_len, branches.m, branches.channel_step)
+    ks = allocate_channels(block_len, branches.m, branches.channel_step)
     weights: dict[str, np.ndarray] = {}
-    for i, alloc in enumerate(allocs):
-        weights[f"hsfe.branch{i}.mask"] = np.ones(alloc.channels)
+    for i, k in enumerate(ks):
+        weights[f"hsfe.branch{i}.mask"] = np.ones(k)
         weights[f"hsfe.branch{i}.conv.w"] = he_init(
-            rng, (branches.c_out, alloc.channels, 3, 3),
-            fan_in=alloc.channels * 9)
+            rng, (branches.c_out, k, 3, 3), fan_in=k * 9)
     total = branches.m * branches.c_out
     weights["hsfe.sa.conv.w"] = he_init(rng, (branches.m, total, 3, 3),
                                         fan_in=total * 9)

@@ -58,10 +58,39 @@ def read_json(path):
 
 
 def is_a(kind: str, value) -> bool:
-    """Whether a JSON value is of ``kind`` ("int", "float", "bool" or
-    "str"): a bool is no number, 2.5 is no int, an int is a float, and a
-    number is finite."""
-    if kind in ("bool", "str") or isinstance(value, bool):
+    """Whether a JSON value is of ``kind``: "int", "float", "bool", "str",
+    "dict", "list", "count" (an int >= 0) or "[k]" (a list of kind k, so
+    "[[float]]" is a matrix). A bool is no number, 2.5 is no int, an int
+    is a float, and a number is finite."""
+    if kind.startswith("["):
+        return isinstance(value, list) \
+            and all(is_a(kind[1:-1], item) for item in value)
+    if kind == "count":
+        return is_a("int", value) and value >= 0
+    if kind in ("bool", "str", "dict", "list") or isinstance(value, bool):
         return type(value).__name__ == kind
     return isinstance(value, int if kind == "int" else (int, float)) \
         and abs(value) <= sys.float_info.max
+
+
+def checked(obj, kinds: dict[str, str], where: str) -> dict:
+    """The fields ``kinds`` names of the JSON object ``obj``, each of its
+    kind (see :func:`is_a`), with "float" fields as Python floats. A kind
+    that ends in "?" marks a field that may be left out. Anything else is
+    a ``DataIOError`` naming ``where``, the field and the start of the bad
+    value's repr."""
+    if not isinstance(obj, dict):
+        raise DataIOError(f"{where} must be a JSON object, got {obj!r:.40}")
+    out = {}
+    for name, kind in kinds.items():
+        if name not in obj:
+            if kind.endswith("?"):
+                continue
+            raise DataIOError(f"{where} is missing field {name!r}")
+        value, kind = obj[name], kind.removesuffix("?")
+        if not is_a(kind, value):
+            raise DataIOError(f"{where} field {name!r} must be {kind}, got "
+                              f"{value!r:.40}")
+        out[name] = float(value) if kind == "float" else value
+    return out
+

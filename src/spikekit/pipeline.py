@@ -94,14 +94,15 @@ class PipelineConfig:
                 f"largest shot count {max(self.shots)} exceeds support pool "
                 f"of {pool} clips per class")
         blocks, branches = self.block_spec(), self.branch_spec()
+        self.star_config()
         allocate_channels(blocks.block_len, branches.m, branches.channel_step)
         if self.t_len < blocks.required_t_len:
             raise PreconditionError(
                 f"streams of {self.t_len} steps are too short for "
                 f"{blocks.n_blocks} blocks (need {blocks.required_t_len})")
+        FsveConfig(channels=self.snn_channels)
         # The spiking stage runs last, after every clip was rendered.
         if self.run_snn:
-            FsveConfig(channels=self.snn_channels)
             subsample_indices(self.t_len, self.timesteps)
 
     @classmethod
@@ -137,7 +138,7 @@ class PipelineConfig:
 
 # Lower bounds of the fields that no stage's own config checks.
 _AT_LEAST = {"seed": 0, "eval_seeds": 0, "shots": 1, "topk": 1,
-             "upsample": 1, "epochs": 1, "timesteps": 1}
+             "upsample": 1, "epochs": 1, "timesteps": 1, "test_per_class": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ class MiniMapResNetConfig:
     embed_dim: int = 64
 
     def __post_init__(self):
-        if self.embed_dim % HEADS != 0:
-            raise PreconditionError("embed_dim must be divisible by heads")
+        if self.embed_dim < 1 or self.embed_dim % HEADS != 0:
+            raise PreconditionError(f"embed_dim must be a positive multiple "
+                                    f"of {HEADS}, got {self.embed_dim}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataIOError, PreconditionError
-from .jsonio import is_a, read_json, write_bytes, write_json
+from .jsonio import checked, read_json, write_bytes, write_json
 
 META_SUFFIX = ".meta.json"
 
@@ -102,6 +102,11 @@ class SpikeStream:
             np.array_equal(self.data, other.data))
 
 
+# The JSON kind of each sidecar field (see ``jsonio.is_a``).
+_META_KINDS = {"height": "int", "width": "int", "t_len": "int",
+               "threshold_theta": "float?", "tick_seconds": "float?"}
+
+
 @dataclass(frozen=True)
 class StreamMeta:
     """Sidecar metadata for a headerless ``.dat`` stream file."""
@@ -137,30 +142,14 @@ class StreamMeta:
                    t_len=stream.t_len, threshold_theta=threshold_theta)
 
     def to_json_dict(self) -> dict:
-        out = {"height": self.height, "width": self.width, "t_len": self.t_len,
-               "threshold_theta": self.threshold_theta}
-        if self.tick_seconds is not None:
-            out["tick_seconds"] = self.tick_seconds
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_json_dict(cls, obj) -> "StreamMeta":
         """The meta of a sidecar's JSON object. A missing dimension, or a
-        field that is not a finite JSON number of its kind (a bool is no
-        number, 2.5 is no int), is a ``DataIOError``."""
-        kinds = {"height": int, "width": int, "t_len": int,
-                 "threshold_theta": float, "tick_seconds": float}
-        if not isinstance(obj, dict):
-            raise DataIOError("stream meta must be a JSON object")
-        for name, kind in kinds.items():
-            if name not in obj and kind is int:
-                raise DataIOError(f"stream meta is missing field {name!r}")
-            if name in obj and not is_a(kind.__name__, obj[name]):
-                raise DataIOError(f"stream meta field {name!r} must be a "
-                                  f"finite {kind.__name__}, got "
-                                  f"{obj[name]!r}")
-        return cls(**{name: kind(obj[name]) for name, kind in kinds.items()
-                      if name in obj})
+        field that is not of its JSON kind (``jsonio.is_a``), is a
+        ``DataIOError``."""
+        return cls(**checked(obj, _META_KINDS, "stream meta"))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .camera import IntensityVideo, to_grayscale
 from .errors import DataIOError
-from .jsonio import is_a, read_json, write_bytes, write_json
+from .jsonio import checked, read_json, write_bytes, write_json
 from .stream import read_only
 
 
@@ -102,16 +102,13 @@ def write_video_raw(video: IntensityVideo, path) -> None:
 
 def read_video_raw(path) -> IntensityVideo:
     sidecar = os.fspath(path) + ".meta.json"
-    meta = read_json(sidecar)
-    dims = ("t_len", "height", "width")
-    if not (isinstance(meta, dict) and all(
-            is_a("int", meta.get(d)) and meta[d] >= 1 for d in dims)):
+    meta = checked(read_json(sidecar), {"t_len": "int", "height": "int",
+                                         "width": "int", "dtype": "str?"},
+                   sidecar)
+    shape = (meta["t_len"], meta["height"], meta["width"])
+    if min(shape) < 1 or meta.get("dtype", "f32") != "f32":
         raise DataIOError(f"{sidecar}: a raw-video sidecar needs positive "
-                          f"integers {', '.join(dims)}, got {meta!r}")
-    shape = tuple(meta[d] for d in dims)
-    dtype = meta.get("dtype", "f32")
-    if dtype != "f32":
-        raise DataIOError(f"{sidecar}: unsupported dtype {dtype!r}")
+                          f"dimensions and dtype \"f32\", got {meta}")
     try:
         flat = np.fromfile(path, dtype="<f4")
     except OSError as exc:

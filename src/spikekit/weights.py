@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .errors import DataIOError
-from .jsonio import read_json, write_bytes, write_json
+from .jsonio import checked, read_json, write_bytes, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -38,17 +38,12 @@ def load_weights(directory) -> dict[str, np.ndarray]:
 
     weights = {}
     for entry in manifest:
-        try:
-            name, shape = entry["name"], tuple(entry["shape"])
-        except (KeyError, TypeError) as exc:
-            raise DataIOError(
-                f"{manifest_path}: bad tensor record {entry!r}") from exc
-        if not (isinstance(entry["shape"], list)
-                and all(type(n) is int and n >= 0 for n in shape)):
-            raise DataIOError(f"{manifest_path}: {name}: shape must be a "
-                              f"list of non-negative integers")
-        if entry.get("dtype", "f32") != "f32":
-            raise DataIOError(f"{name}: unsupported dtype {entry['dtype']}")
+        record = checked(entry, {"name": "str", "shape": "[count]",
+                                 "dtype": "str?"},
+                         f"{manifest_path}: tensor record")
+        name, shape = record["name"], tuple(record["shape"])
+        if record.get("dtype", "f32") != "f32":
+            raise DataIOError(f"{name}: unsupported dtype {record['dtype']}")
         blob = os.path.join(directory, name + ".bin")
         try:
             flat = np.fromfile(blob, dtype="<f4")

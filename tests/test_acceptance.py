@@ -20,7 +20,7 @@ from spikekit.align import AlignmentHead, Temperature
 from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.energy import (E_NEURON_J, E_SOP_J, EnergyLedger,
                              energy_report, estimate_snn_energy)
-from spikekit.hsfe import allocate_channels
+from spikekit.hsfe import _avg_width, allocate_channels
 from spikekit.pipeline import PipelineConfig, run_pipeline
 from spikekit.reconstruct import TfiConfig, tfi_reconstruct
 from spikekit.snn import FsveConfig, fsve_forward, init_fsve_weights
@@ -182,13 +182,13 @@ def test_criterion_05_photon_conservation_sweep():
             total = int(rng.integers(m, 256))
             max_step = (total - 1) // (m - 1) if m > 1 else 0
             step = int(rng.integers(0, max_step + 1))
-            allocs = allocate_channels(total, m, step)
-            prods = [(a.channels, a.channels * a.avg_width) for a in allocs]
+            prods = [(k, k * _avg_width(total, k))
+                     for k in allocate_channels(total, m, step)]
             for ki, pi in prods:
                 for kj, pj in prods:
                     assert abs(pi - pj) <= max(ki, kj)
         ablation = allocate_channels(61, 3, 0)
-        assert all(a.channels == 61 and a.avg_width == 1 for a in ablation)
+        assert all(k == 61 and _avg_width(61, k) == 1 for k in ablation)
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,51 @@ def test_encode_rejects_a_negative_seed_or_upsample_factor(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["encode", "synth", "train-head",
+                                     "featurize", "snn-forward"])
+def test_a_negative_seed_exits_2_and_writes_nothing(command, encoded_dat,
+                                                     tiny_video_dir, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out"
+    (tmp_path / "e.json").write_text(json.dumps(
+        [{"id": "a", "label": 0, "vector": [1.0]}]))
+    (tmp_path / "p.txt").write_text("a person waving one hand\n")
+    argv = {"encode": ["encode", str(tiny_video_dir), str(out / "o.dat"),
+                       "--noise", "0.1"],
+            "synth": ["synth", "--out", str(out), "--classes", "wave,clap",
+                      "--clips-per-class", "1", "--frames", "5"],
+            "train-head": ["train-head", str(tmp_path / "e.json"),
+                           str(tmp_path / "p.txt"), "--shots", "1",
+                           "--epochs", "2", "--out", str(out / "h.json")],
+            "featurize": ["featurize", str(encoded_dat),
+                          "--out", str(out / "e.json")],
+            "snn-forward": ["snn-forward", str(encoded_dat),
+                            "--ledger", str(out / "l.json")]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("embed_dim", ["0", "-8"])
+def test_featurize_needs_a_positive_embed_dim_multiple_of_8(
+        embed_dim, tmp_path, capsys):
+    from spikekit.stream import SpikeStream, write_dat
+    stream = SpikeStream(np.random.default_rng(147).integers(
+        0, 2, size=(30, 64, 64), dtype=np.uint8))
+    write_dat(stream, StreamMeta.for_stream(stream), tmp_path / "s.dat")
+    out = tmp_path / "e.json"
+    capsys.readouterr()
+    assert main(["featurize", str(tmp_path / "s.dat"), "--seed", "0",
+                 "--r-win", "5", "--step", "10", "--n-blocks", "2",
+                 "--channel-step", "4", "--embed-dim", embed_dim,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_codec_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # Each run is its own process, so the BLAS library reads its thread
     # count at start-up.
@@ -479,7 +524,8 @@ def test_pipeline_config_validation(tmp_path):
     for fields in ({"frames": 200}, {"frames": 120, "upsample": 2},
                    {"channel_step": 40}, {"r_win": -1}, {"theta": 0},
                    {"snn_channels": 0}, {"timesteps": 300}, {"topk": [5]},
-                   {"eval_seeds": [-1]}):
+                   {"eval_seeds": [-1]}, {"embed_dim": 0},
+                   {"embed_dim": -8}):
         path.write_text(json.dumps({"seed": 1, **fields}))
         assert main(["pipeline", "--config", str(path),
                      "--out", str(tmp_path / "x")]) == 2, fields
@@ -763,6 +809,17 @@ def _malformed_head(tmp_path, encoded_dat):
 
 
 _HEAD = '{"projection": [[1.0]], "bias": [0.0], "log_inv_tau": 0.0}'
+# Values that float() or np.array would coerce into a number.
+_HEAD_COERCIONS = [
+    ('"log_inv_tau": 0.0', '"log_inv_tau": "2.5"', "tau-numeric-string"),
+    ('"log_inv_tau": 0.0', '"log_inv_tau": true', "tau-bool"),
+    ('"log_inv_tau": 0.0', '"log_inv_tau": 0.0, "clamp_max": "100"',
+     "clamp-numeric-string"),
+    ('[[1.0]]', '[["1.5"]]', "projection-numeric-string"),
+    ('[[1.0]]', '[[true]]', "projection-bool"),
+    ('[0.0]', '["0"]', "bias-numeric-string"),
+    ('[0.0]', '[true]', "bias-bool"),
+]
 
 
 def _malformed_featurize_manifest(tmp_path, encoded_dat):
@@ -836,6 +893,12 @@ def _malformed_npy(tmp_path, encoded_dat):
                  id="manifest-missing-name"),
     pytest.param(_malformed_manifest, '{"name": "fsve.stem1.conv.w"}',
                  id="manifest-object"),
+    pytest.param(_malformed_manifest,
+                 '[{"name": 5, "dtype": "f32", "shape": [1]}]',
+                 id="manifest-name-number"),
+    pytest.param(_malformed_manifest,
+                 '[{"name": null, "dtype": "f32", "shape": [1]}]',
+                 id="manifest-name-null"),
     pytest.param(_malformed_manifest, '["fsve.stem1.conv.w"]',
                  id="manifest-string-record"),
     pytest.param(_malformed_head, '{"prompts": ["a"]}',
@@ -863,6 +926,9 @@ def _malformed_npy(tmp_path, encoded_dat):
                  '{"head": {"projection": [[1.0], [1.0, 2.0]], "bias": [0.0], '
                  '"log_inv_tau": 0.0}, "prompts": ["a"]}',
                  id="head-projection-ragged"),
+] + [pytest.param(_malformed_head, '{"head": %s, "prompts": ["a"]}'
+                  % _HEAD.replace(field, value), id=f"head-{name}")
+       for field, value, name in _HEAD_COERCIONS] + [
     pytest.param(_malformed_featurize_manifest, '{"a": 1}',
                  id="featurize-manifest-no-clips"),
     pytest.param(_malformed_featurize_manifest, '[1]',

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spikekit.errors import PreconditionError
-from spikekit.hsfe import (BlockSpec, BranchAllocation, BranchSpec,
+from spikekit.hsfe import (BlockSpec, BranchSpec, _avg_width,
                            allocate_channels, hsfe_forward, init_hsfe_weights,
                            mtf_forward, slice_blocks, spatial_attention)
 from spikekit.nnops import conv2d, moving_average_same, sigmoid
@@ -66,19 +66,19 @@ def test_center_spacing_is_exactly_step():
 # ---------------------------------------------------------------------------
 
 def test_allocation_default_example():
-    allocs = allocate_channels(61, 3, 20)
-    assert [a.channels for a in allocs] == [61, 41, 21]
-    assert [a.avg_width for a in allocs] == [1, 1, 3]
+    ks = allocate_channels(61, 3, 20)
+    assert ks == [61, 41, 21]
+    assert [_avg_width(61, k) for k in ks] == [1, 1, 3]
 
 
 def test_allocation_zero_step_gives_identical_branches():
-    allocs = allocate_channels(40, 4, 0)
-    assert all(a.channels == 40 and a.avg_width == 1 for a in allocs)
+    ks = allocate_channels(40, 4, 0)
+    assert all(k == 40 and _avg_width(40, k) == 1 for k in ks)
 
 
 def test_allocation_single_branch():
-    assert allocate_channels(61, 1, 20) == \
-        [BranchAllocation(channels=61, avg_width=1)]
+    assert allocate_channels(61, 1, 20) == [61]
+    assert _avg_width(61, 61) == 1
 
 
 def test_allocation_errors():
@@ -96,8 +96,8 @@ def test_photon_conservation_bound_500_configs():
         total = int(rng.integers(m, 200))
         max_step = (total - 1) // (m - 1) if m > 1 else 0
         step = int(rng.integers(0, max_step + 1))
-        allocs = allocate_channels(total, m, step)
-        products = [(a.channels, a.channels * a.avg_width) for a in allocs]
+        products = [(k, k * _avg_width(total, k))
+                    for k in allocate_channels(total, m, step)]
         for (ki, pi) in products:
             for (kj, pj) in products:
                 assert abs(pi - pj) <= max(ki, kj), \
@@ -143,12 +143,11 @@ def test_mtf_matches_dense_loop_oracle():
     for i, mask_len in enumerate((9, 7, 5)):
         weights[f"hsfe.branch{i}.mask"] = rng.normal(size=mask_len)
     outs = mtf_forward(block, weights)
-    allocs = allocate_channels(9, 3, 2)
-    for i, alloc in enumerate(allocs):
-        start = (9 - alloc.channels) // 2
-        sub = block[start:start + alloc.channels] \
+    for i, k in enumerate(allocate_channels(9, 3, 2)):
+        start = (9 - k) // 2
+        sub = block[start:start + k] \
             * weights[f"hsfe.branch{i}.mask"][:, None, None]
-        sub = moving_average_same(sub, alloc.avg_width)
+        sub = moving_average_same(sub, _avg_width(9, k))
         expected = conv2d_loops(sub, weights[f"hsfe.branch{i}.conv.w"])
         np.testing.assert_allclose(outs[i], expected, rtol=1e-6, atol=1e-12)
 

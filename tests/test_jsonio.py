@@ -1,6 +1,8 @@
 """The atomic writer replaces a file whole or not at all, and every file
 writer goes through it: JSON, ``.dat``, weight blobs, PGM frames, raw
-video, decoded ``.npy`` and the dataset's ``prompts.txt``."""
+video, decoded ``.npy`` and the dataset's ``prompts.txt``. The one JSON
+kind rule, ``is_a``, and the one field check every reader uses,
+``checked``."""
 
 import argparse
 import builtins
@@ -13,7 +15,7 @@ import pytest
 from spikekit.camera import IntensityVideo
 from spikekit.cli import cmd_decode
 from spikekit.errors import DataIOError
-from spikekit.jsonio import read_json, write_bytes, write_json
+from spikekit.jsonio import checked, is_a, read_json, write_bytes, write_json
 from spikekit.stream import SpikeStream, StreamMeta, write_dat
 from spikekit.synth import SyntheticDatasetSpec, write_dataset_index
 from spikekit.videoio import write_pgm_frame, write_video_raw
@@ -111,3 +113,40 @@ def test_failed_write_keeps_the_old_bytes(write, tmp_path, monkeypatch):
         with pytest.raises(DataIOError, match="cannot write"):
             write(tmp_path, 0)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("kind,good,bad", [
+    ("int", [0, -3, 10 ** 300], [2.5, 2.0, True, "1", None, 10 ** 400]),
+    ("float", [0, 2.5, -1e308], [float("nan"), float("inf"), False, "1.5"]),
+    ("count", [0, 7], [-1, 1.0, True]),
+    ("str", ["", "a"], [1, None, ["a"]]),
+    ("dict", [{}, {"a": 1}], [[], "a"]),
+    ("list", [[], [1, "a"]], [{}, "a", (1,)]),
+    ("[float]", [[], [1, 2.5]], [[1, "2"], [True], [float("nan")], 1.0]),
+    ("[[float]]", [[[1.0], [2, 3]], []], [[1.0], [[1.0], ["0"]]]),
+])
+def test_is_a_kinds(kind, good, bad):
+    assert all(is_a(kind, value) for value in good)
+    assert not any(is_a(kind, value) for value in bad)
+
+
+def test_checked_returns_the_named_fields_as_their_kinds():
+    kinds = {"n": "int", "x": "float", "tag": "str?"}
+    out = checked({"n": 3, "x": 5, "extra": None}, kinds, "thing")
+    assert out == {"n": 3, "x": 5.0} and type(out["x"]) is float
+    assert checked({"n": 3, "x": 5, "tag": "a"}, kinds, "thing")["tag"] == "a"
+
+
+@pytest.mark.parametrize("obj,fault", [
+    ([1], "must be a JSON object"),
+    ({"x": 1.0}, "missing field 'n'"),
+    ({"n": 1.5, "x": 1.0}, "'n' must be int, got 1.5"),
+    ({"n": 1, "x": 1.0, "tag": None}, "'tag' must be str, got None"),
+    ({"n": 1, "x": [[0.5] * 1000]}, "'x' must be float, got [[0.5, 0.5"),
+])
+def test_checked_names_the_field_and_a_short_value(obj, fault):
+    with pytest.raises(DataIOError) as info:
+        checked(obj, {"n": "int", "x": "float", "tag": "str?"}, "thing")
+    message = str(info.value)
+    assert message.startswith("thing ") and fault in message
+    assert len(message) < 100

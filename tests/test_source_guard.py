@@ -1,8 +1,9 @@
-"""Source guards: the JSON artifact format, the file writer, the shared
-helpers, the one binary check, the one conv kernel, the attention core,
-the SOP count, the loss and gradient, the PGM clip I/O, TFI and the
-few-shot stages each live in one place, so hand-copied duplicates cannot
-creep back in; and every exported name has a caller outside the tests."""
+"""Source guards: the JSON artifact format, the JSON kind check, the file
+writer, the shared helpers, the one binary check, the one conv kernel, the
+attention core, the SOP count, the loss and gradient, the PGM clip I/O,
+TFI and the few-shot stages each live in one place, so hand-copied
+duplicates cannot creep back in; and every exported name has a caller
+outside the tests."""
 
 import ast
 import pathlib
@@ -35,6 +36,21 @@ def test_json_dump_and_load_only_in_jsonio():
     users = [name for name, text in _sources().items()
              if re.search(r"\bjson\.(dump|load)", text)]
     assert users == ["jsonio.py"]
+
+
+def test_one_json_kind_check():
+    # jsonio.is_a decides what a JSON int, float, string or list is, and
+    # jsonio.checked is the one field check of every artifact reader;
+    # PipelineConfig keeps its own loop over is_a.
+    assert sorted(_functions(lambda fn: fn.name in ("is_a", "checked"))) == [
+        "jsonio.py:checked", "jsonio.py:is_a"]
+    assert sorted({name.split(":")[0] for name in _functions(_calls("is_a"))}
+                  ) == ["jsonio.py", "pipeline.py"]
+    kind_tests = re.compile(r"sys\.float_info\.max|"
+                            r"\btype\([^()]*\) (is|in) \(?int\b")
+    assert [name for name in ("cli.py", "weights.py", "stream.py",
+                              "energy.py", "videoio.py")
+            if kind_tests.search(_sources()[name])] == []
 
 
 def test_is_binary_defined_once():
