@@ -233,7 +233,7 @@ def cmd_snn_forward(args) -> int:
 
     weights = _weights(args, init)
     ledger = EnergyLedger()
-    embedding, _ = fsve_forward(stream, weights, args.timesteps, ledger)
+    embedding = fsve_forward(stream, weights, args.timesteps, ledger)
     ledger.save(args.ledger)
     if args.out:
         write_json({"embedding": embedding.tolist(),
@@ -296,8 +296,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    classes = tuple(args.classes.split(",")) if args.classes else \
-        tuple(CLASS_PROMPTS)
+    classes = tuple(args.classes.split(",")) \
+        if args.classes is not None else tuple(CLASS_PROMPTS)
     spec = SyntheticDatasetSpec(classes=classes,
                                 clips_per_class=args.clips_per_class,
                                 frames=args.frames, height=args.size,

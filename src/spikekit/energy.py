@@ -23,7 +23,7 @@ E_NEURON_J = 0.9e-12
 # The JSON kind of each field of a ledger record, in field order.
 _RECORD_KINDS = {"layer_name": "str", "spike_count": "count",
                  "fan_out": "count", "actual_sops": "count",
-                 "neuron_ops": "count", "max_sops": "count?",
+                 "neuron_ops": "count", "max_sops": "count",
                  "element_count": "count?"}
 
 
@@ -36,7 +36,7 @@ class LayerEnergy:
     fan_out: int
     actual_sops: int
     neuron_ops: int
-    max_sops: int | None = None
+    max_sops: int
     element_count: int | None = None
 
     def __post_init__(self):
@@ -49,7 +49,7 @@ class LayerEnergy:
                     f"{self.layer_name}: {name} must be a non-negative "
                     f"integer, got {value}")
             setattr(self, name, int(value))
-        if self.max_sops is not None and self.actual_sops > self.max_sops:
+        if self.actual_sops > self.max_sops:
             raise PreconditionError(
                 f"{self.layer_name}: actual_sops {self.actual_sops} exceeds "
                 f"max_sops {self.max_sops}")
@@ -78,8 +78,7 @@ class EnergyLedger:
         self._by_name = {rec.layer_name: rec for rec in self.layers}
 
     def record(self, layer_name: str, spike_count: int, fan_out: int,
-               actual_sops: int, neuron_ops: int,
-               max_sops: int | None = None,
+               actual_sops: int, neuron_ops: int, max_sops: int,
                element_count: int | None = None) -> None:
         rec = LayerEnergy(layer_name, spike_count, fan_out, actual_sops,
                           neuron_ops, max_sops, element_count)
@@ -92,11 +91,10 @@ class EnergyLedger:
         existing.actual_sops += rec.actual_sops
         existing.neuron_ops += rec.neuron_ops
         existing.fan_out = max(existing.fan_out, rec.fan_out)
-        if rec.max_sops is not None:
-            existing.max_sops = (existing.max_sops or 0) + rec.max_sops
+        existing.max_sops += rec.max_sops
         if rec.element_count is not None:
             existing.element_count = (existing.element_count or 0) + rec.element_count
-        if existing.max_sops is not None and existing.actual_sops > existing.max_sops:
+        if existing.actual_sops > existing.max_sops:
             raise PreconditionError(
                 f"{layer_name}: accumulated actual_sops exceed max_sops")
 
@@ -184,10 +182,6 @@ def estimate_ann_energy(ledger: EnergyLedger) -> float:
     """Joules of the dense baseline: max SOPs at 4.6 pJ (no neuron term)."""
     total = 0.0
     for rec in ledger.layers:
-        if rec.max_sops is None:
-            raise PreconditionError(
-                f"{rec.layer_name}: max_sops missing; populate the dense "
-                f"baseline counts first")
         total += rec.max_sops * E_SOP_J
     return total
 
@@ -225,7 +219,7 @@ def format_report(report: dict) -> str:
     for layer in report["layers"]:
         sparsity = (f"{layer['sparsity']:.3f}"
                     if layer["sparsity"] is not None else "-")
-        max_sops = layer["max_sops"] if layer["max_sops"] is not None else "-"
         lines.append(f"{layer['layer_name']:<24} {layer['spike_count']:>12} "
-                     f"{layer['actual_sops']:>14} {max_sops!s:>14} {sparsity:>9}")
+                     f"{layer['actual_sops']:>14} {layer['max_sops']:>14} "
+                     f"{sparsity:>9}")
     return "\n".join(lines)

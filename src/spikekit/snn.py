@@ -113,7 +113,7 @@ def spiking_residual_block(s: np.ndarray, weights: dict[str, np.ndarray],
     return (normed + s >= LIF_THRESH).astype(np.uint8)
 
 
-def sn_threshold(x: np.ndarray) -> tuple[np.ndarray, float]:
+def sn_threshold(x: np.ndarray) -> np.ndarray:
     """Spike normalization: fire where x >= V_th with V_th the mean
     absolute value of the whole tensor.
 
@@ -123,13 +123,12 @@ def sn_threshold(x: np.ndarray) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise PreconditionError("sn_threshold needs a non-empty array")
-    v_th = float(np.abs(x).mean())
-    return (x >= v_th).astype(np.uint8), v_th
+    return (x >= np.abs(x).mean()).astype(np.uint8)
 
 
 def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
-                  ledger: EnergyLedger):
-    """Spike-driven self-attention over [tokens, d_model].
+                  ledger: EnergyLedger) -> np.ndarray:
+    """Spike-driven self-attention over binary [tokens, d_model] spikes.
 
     Q/K/V are spike-normalized linear projections (binary) whose width d
     is the q projection's output width. Binary Q_S and K_S make every
@@ -138,30 +137,29 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
     scaled map c / d fires where it reaches its mean; for N tokens that is
     where c * N^2 >= S, so the threshold is decided by an exact integer
     test, and entries equal to the mean fire (Theta(0) = 1). The binary
-    attention map gates V_S and a final linear layer produces the output.
-    All SN stage spike counts go to the ledger; a non-binary input is
-    priced dense, with its nonzero entries as its spike count. Returns the
-    output and a dict of the binary stages.
+    attention map gates V_S and a final linear layer produces the output,
+    which is returned. All SN stage spike counts go to the ledger.
     """
     prefix = "fsve.sdsa"
-    u = np.asarray(u, dtype=np.float64)
+    u = np.asarray(u)
     if u.ndim != 2:
         raise PreconditionError(f"tokens must be [n, d], got shape {u.shape}")
+    if not is_binary(u):
+        raise PreconditionError("tokens must be binary (0/1)")
     n_tokens, d_model = u.shape
     w = weights
-    input_binary = is_binary(u)
-    events = int(np.count_nonzero(u))     # the spike count of binary input
+    events = int(np.count_nonzero(u))
+    u = np.asarray(u, dtype=np.float64)
 
     projections = {}
     for name in ("q", "k", "v"):
         raw = linear(u, w[f"{prefix}.{name}.w"], w[f"{prefix}.{name}.b"])
-        projections[name], _ = sn_threshold(raw)
+        projections[name] = sn_threshold(raw)
         d_out = raw.shape[1]
-        dense = dense_linear_macs(n_tokens, d_model, d_out)
-        actual = events * d_out if input_binary else dense
         ledger.record(f"{prefix}.{name}_proj", spike_count=events,
-                      fan_out=d_out, actual_sops=actual,
-                      neuron_ops=raw.size, max_sops=dense,
+                      fan_out=d_out, actual_sops=events * d_out,
+                      neuron_ops=raw.size,
+                      max_sops=dense_linear_macs(n_tokens, d_model, d_out),
                       element_count=u.size)
     q_s, k_s, v_s = projections["q"], projections["k"], projections["v"]
 
@@ -194,9 +192,7 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
     ledger.record(f"{prefix}.out_proj", spike_count=0,
                   fan_out=out.shape[1], actual_sops=dense,
                   neuron_ops=0, max_sops=dense)
-
-    return out, {"q_s": q_s, "k_s": k_s, "v_s": v_s,
-                 "attn_spikes": attn_spikes}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +236,28 @@ def _spiking_stem(s: np.ndarray, weights: dict[str, np.ndarray],
     return spikes
 
 
+def _binary(stage: np.ndarray, name: str) -> np.ndarray:
+    """``stage`` itself, once it is known to be binary."""
+    if not is_binary(stage):
+        raise InvariantError(f"stage {name} is not binary")
+    return stage
+
+
 def fsve_forward(stream: SpikeStream, weights: dict[str, np.ndarray],
-                 timesteps: int, ledger: EnergyLedger):
+                 timesteps: int, ledger: EnergyLedger) -> np.ndarray:
     """Run the desk-scale full-spiking path over a stream.
 
     The stream is subsampled to ``timesteps`` frames, passed through two
     stride-2 spiking stem stages, a spiking residual block, and per-step
     spike-driven attention over the spatial token grid. Every stage is
-    [T, C, H, W] and records its counts in ``ledger``. Returns the mean
-    spike-rate embedding plus a dict of every binary stage for
-    invariant scanning.
+    [T, C, H, W], is checked binary as it is made, and records its counts
+    in ``ledger``. Returns the mean spike-rate embedding.
     """
     x = subsample_temporal(stream, timesteps).data[:, None]    # [T, 1, H, W]
-    stages: dict[str, np.ndarray] = {"input": x}
-
-    s1 = _spiking_stem(x, weights, "fsve.stem1", ledger)
-    stages["stem1"] = s1
-    s2 = _spiking_stem(s1, weights, "fsve.stem2", ledger)
-    stages["stem2"] = s2
-    s3 = spiking_residual_block(s2, weights, ledger)
-    stages["resblock"] = s3
-
-    outputs = []
-    for t, maps in enumerate(s3):
-        tokens = maps.reshape(len(maps), -1).T          # [N, C]
-        out, internals = esdsa_forward(tokens, weights, ledger)
-        outputs.append(out)
-        stages.update({f"sdsa.t{t}.{key}": value
-                       for key, value in internals.items()})
-
-    for key, value in stages.items():
-        if not is_binary(value):
-            raise InvariantError(f"stage {key} is not binary")
-
-    embedding = np.mean([o.mean(axis=0) for o in outputs], axis=0)
-    return embedding, stages
+    s1 = _binary(_spiking_stem(x, weights, "fsve.stem1", ledger), "stem1")
+    s2 = _binary(_spiking_stem(s1, weights, "fsve.stem2", ledger), "stem2")
+    s3 = _binary(spiking_residual_block(s2, weights, ledger), "resblock")
+    outputs = [esdsa_forward(maps.reshape(len(maps), -1).T,    # [N, C]
+                             weights, ledger)
+               for maps in s3]
+    return np.mean([o.mean(axis=0) for o in outputs], axis=0)

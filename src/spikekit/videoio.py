@@ -14,7 +14,7 @@ import numpy as np
 
 from .camera import IntensityVideo, to_grayscale
 from .errors import DataIOError
-from .jsonio import checked, read_json, write_bytes, write_json
+from .jsonio import checked, read_json, write_bytes
 from .stream import read_only
 
 
@@ -90,14 +90,6 @@ def read_pgm_clip(clip_dir) -> IntensityVideo:
     if len({f.shape for f in frames}) != 1:
         raise DataIOError(f"{clip_dir}: frames differ in size")
     return IntensityVideo(read_only(np.stack(frames)))
-
-
-def write_video_raw(video: IntensityVideo, path) -> None:
-    """Raw planar little-endian float32 body plus a .meta.json sidecar."""
-    write_bytes(video.frames.astype("<f4").tobytes(), path)
-    write_json({"t_len": video.n_frames, "height": video.height,
-                "width": video.width, "dtype": "f32"},
-               os.fspath(path) + ".meta.json")
 
 
 def read_video_raw(path) -> IntensityVideo:

@@ -9,12 +9,23 @@ the plain-loop convolution that ``spikekit.nnops.conv2d`` is checked
 against. ``encode_video_per_frame`` is the spike encoder as it was first
 written, allocating every step of every frame and drawing its noise with
 ``Generator.uniform``: ``spikekit.camera.encode_video`` must give its
-bytes.
+bytes. ``fsve_forward_with_stages``, ``esdsa_forward_with_internals`` and
+``sn_threshold_with_level`` are the spiking forwards as they were when
+they returned every stage they made: the package's forwards return only
+their output, which must equal these bytes for bytes, with the same
+ledger, while the tests check the stages here. ``write_video_raw`` writes
+the raw-video form that ``spikekit encode`` reads, and ``run_cli`` runs
+one command as the CLI fuzz tests do.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import os
+import pathlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,8 +33,12 @@ import numpy as np
 
 from spikekit.align import AlignmentHead, Temperature, _forward_backward
 from spikekit.camera import _THRESH_RTOL, EncoderConfig, IntensityVideo
-from spikekit.errors import PreconditionError
-from spikekit.stream import SpikeStream
+from spikekit.cli import main
+from spikekit.energy import EnergyLedger, dense_linear_macs
+from spikekit.errors import InvariantError, PreconditionError
+from spikekit.nnops import linear
+from spikekit.snn import _spiking_stem, spiking_residual_block
+from spikekit.stream import SpikeStream, is_binary, subsample_temporal
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +222,132 @@ def conv2d_loops(x, kernel, bias=None, stride=1, padding=1):
                                     * kernel[o, c, i, j])
                 out[o, y, w] = acc + (bias[o] if bias is not None else 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The spiking forwards, every stage kept
+# ---------------------------------------------------------------------------
+
+def sn_threshold_with_level(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Spike normalization and its level: fire where x >= V_th, the mean
+    absolute value of the whole tensor."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise PreconditionError("sn_threshold needs a non-empty array")
+    v_th = float(np.abs(x).mean())
+    return (x >= v_th).astype(np.uint8), v_th
+
+
+def esdsa_forward_with_internals(u: np.ndarray,
+                                 weights: dict[str, np.ndarray],
+                                 ledger: EnergyLedger):
+    """Spike-driven self-attention over [tokens, d_model], returning the
+    output and a dict of its binary stages Q_S, K_S, V_S and the attention
+    spikes. A non-binary input is priced dense, with its nonzero entries
+    as its spike count."""
+    prefix = "fsve.sdsa"
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2:
+        raise PreconditionError(f"tokens must be [n, d], got shape {u.shape}")
+    n_tokens, d_model = u.shape
+    w = weights
+    input_binary = is_binary(u)
+    events = int(np.count_nonzero(u))
+
+    projections = {}
+    for name in ("q", "k", "v"):
+        raw = linear(u, w[f"{prefix}.{name}.w"], w[f"{prefix}.{name}.b"])
+        projections[name], _ = sn_threshold_with_level(raw)
+        d_out = raw.shape[1]
+        dense = dense_linear_macs(n_tokens, d_model, d_out)
+        actual = events * d_out if input_binary else dense
+        ledger.record(f"{prefix}.{name}_proj", spike_count=events,
+                      fan_out=d_out, actual_sops=actual,
+                      neuron_ops=raw.size, max_sops=dense,
+                      element_count=u.size)
+    q_s, k_s, v_s = projections["q"], projections["k"], projections["v"]
+
+    corr = q_s.astype(np.float64) @ k_s.T.astype(np.float64)
+    corr_sops = int((q_s.sum(axis=0).astype(np.int64)
+                     * k_s.sum(axis=0).astype(np.int64)).sum())
+    attn_spikes = (corr * (n_tokens * n_tokens) >= corr_sops).astype(np.uint8)
+
+    gated = attn_spikes.astype(np.float64) @ v_s.astype(np.float64)
+    out = linear(gated, w[f"{prefix}.out.w"], w[f"{prefix}.out.b"])
+
+    ledger.record(f"{prefix}.attn_corr",
+                  spike_count=int(q_s.sum()) + int(k_s.sum()),
+                  fan_out=n_tokens, actual_sops=corr_sops,
+                  neuron_ops=corr.size,
+                  max_sops=n_tokens * n_tokens * q_s.shape[1],
+                  element_count=q_s.size + k_s.size)
+    apply_sops = int((attn_spikes.sum(axis=0).astype(np.int64)
+                      * v_s.sum(axis=1).astype(np.int64)).sum())
+    ledger.record(f"{prefix}.attn_apply",
+                  spike_count=int(attn_spikes.sum()),
+                  fan_out=v_s.shape[1], actual_sops=apply_sops,
+                  neuron_ops=0,
+                  max_sops=n_tokens * n_tokens * v_s.shape[1],
+                  element_count=attn_spikes.size)
+    dense = dense_linear_macs(n_tokens, gated.shape[1], out.shape[1])
+    ledger.record(f"{prefix}.out_proj", spike_count=0,
+                  fan_out=out.shape[1], actual_sops=dense,
+                  neuron_ops=0, max_sops=dense)
+
+    return out, {"q_s": q_s, "k_s": k_s, "v_s": v_s,
+                 "attn_spikes": attn_spikes}
+
+
+def fsve_forward_with_stages(stream: SpikeStream,
+                             weights: dict[str, np.ndarray], timesteps: int,
+                             ledger: EnergyLedger):
+    """The full-spiking path over a stream: the mean spike-rate embedding
+    and a dict of every binary stage, the input, the stems, the residual
+    block and each time step's attention internals."""
+    x = subsample_temporal(stream, timesteps).data[:, None]    # [T, 1, H, W]
+    stages: dict[str, np.ndarray] = {"input": x}
+
+    s1 = _spiking_stem(x, weights, "fsve.stem1", ledger)
+    stages["stem1"] = s1
+    s2 = _spiking_stem(s1, weights, "fsve.stem2", ledger)
+    stages["stem2"] = s2
+    s3 = spiking_residual_block(s2, weights, ledger)
+    stages["resblock"] = s3
+
+    outputs = []
+    for t, maps in enumerate(s3):
+        tokens = maps.reshape(len(maps), -1).T          # [N, C]
+        out, internals = esdsa_forward_with_internals(tokens, weights, ledger)
+        outputs.append(out)
+        stages.update({f"sdsa.t{t}.{key}": value
+                       for key, value in internals.items()})
+
+    for key, value in stages.items():
+        if not is_binary(value):
+            raise InvariantError(f"stage {key} is not binary")
+
+    embedding = np.mean([o.mean(axis=0) for o in outputs], axis=0)
+    return embedding, stages
+
+
+# ---------------------------------------------------------------------------
+# CLI inputs and runs
+# ---------------------------------------------------------------------------
+
+def write_video_raw(video: IntensityVideo, path) -> None:
+    """Raw planar little-endian float32 frames at ``path``, and the
+    ``.meta.json`` sidecar beside it that names their shape."""
+    pathlib.Path(path).write_bytes(video.frames.astype("<f4").tobytes())
+    pathlib.Path(os.fspath(path) + ".meta.json").write_text(json.dumps(
+        {"t_len": video.n_frames, "height": video.height,
+         "width": video.width, "dtype": "f32"}, indent=2) + "\n")
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stderr text of ``spikekit`` run on ``argv``, with
+    its stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()

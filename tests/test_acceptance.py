@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import PixelModel, contrastive_loss, loss_and_grads, \
-    simulate_pixel
+from oracles import PixelModel, contrastive_loss, fsve_forward_with_stages, \
+    loss_and_grads, simulate_pixel
 from spikekit.align import AlignmentHead, Temperature
 from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.energy import (E_NEURON_J, E_SOP_J, EnergyLedger,
@@ -350,8 +350,12 @@ def test_criterion_09_snn_semantics():
         stream = SpikeStream(rng.integers(0, 2, size=(16, 32, 32),
                                           dtype=np.uint8))
         weights = init_fsve_weights(FsveConfig(channels=4), seed=1009)
-        ledger = EnergyLedger()
-        _, stages = fsve_forward(stream, weights, 2, ledger)
+        ledger, oracle_ledger = EnergyLedger(), EnergyLedger()
+        embedding = fsve_forward(stream, weights, 2, ledger)
+        expected, stages = fsve_forward_with_stages(stream, weights, 2,
+                                                    oracle_ledger)
+        assert embedding.tobytes() == expected.tobytes()
+        assert ledger.to_json_list() == oracle_ledger.to_json_list()
         binary_stages = 0
         for name, tensor in stages.items():
             if np.asarray(tensor).dtype == np.uint8:
@@ -376,7 +380,8 @@ def test_criterion_10_energy_model():
     with criterion(10, "Eq-level energy arithmetic and published totals"):
         ledger = EnergyLedger()
         ledger.record("model", spike_count=0, fan_out=1,
-                      actual_sops=10 ** 9, neuron_ops=10 ** 8)
+                      actual_sops=10 ** 9, neuron_ops=10 ** 8,
+                      max_sops=10 ** 9)
         assert math.isclose(estimate_snn_energy(ledger), 4.69e-3,
                             rel_tol=1e-12)
 

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 import spikekit
+from oracles import write_video_raw
 from spikekit.cli import main
 from spikekit.stream import StreamMeta, read_dat, read_meta
-from spikekit.videoio import read_pgm, write_pgm_clip, write_video_raw
+from spikekit.videoio import read_pgm, write_pgm_clip
 from spikekit.camera import IntensityVideo
 
 
 def sha256(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture()
@@ -419,6 +420,22 @@ def test_a_negative_seed_exits_2_and_writes_nothing(command, encoded_dat,
                             "--ledger", str(out / "l.json")]}[command]
     capsys.readouterr()
     assert main(argv + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", ["", "clap,"],
+                         ids=["empty", "trailing-comma"])
+def test_synth_bad_class_list_exits_2_and_writes_nothing(classes, tmp_path,
+                                                          capsys):
+    # Only a missing --classes means every class; an empty list is no
+    # list of classes.
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--classes", classes,
+                 "--clips-per-class", "1", "--frames", "5",
+                 "--seed", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
@@ -872,6 +889,9 @@ def _malformed_npy(tmp_path, encoded_dat):
     pytest.param(_malformed_ledger,
                  '[{"layer_name": "a", "spike_count": null, "fan_out": 1, '
                  '"actual_sops": 0, "neuron_ops": 0}]', id="ledger-null-count"),
+    pytest.param(_malformed_ledger,
+                 '[{"layer_name": "a", "spike_count": 0, "fan_out": 1, '
+                 '"actual_sops": 0, "neuron_ops": 0}]', id="ledger-no-max-sops"),
     pytest.param(_malformed_ledger, '{not json', id="ledger-not-json"),
     pytest.param(_malformed_raw_sidecar, '{not json', id="sidecar-not-json"),
     pytest.param(_malformed_raw_sidecar, '{"t_len": 3}',

@@ -10,7 +10,7 @@ from spikekit.energy import (E_NEURON_J, E_SOP_J, EnergyLedger, LayerEnergy,
                              dense_linear_macs, energy_report,
                              estimate_ann_energy, estimate_snn_energy,
                              format_report)
-from spikekit.errors import PreconditionError
+from spikekit.errors import DataIOError, PreconditionError
 
 
 def brute_force_conv_sops(spikes, out_channels, kernel=3, stride=1,
@@ -77,7 +77,7 @@ def test_dense_mac_helpers():
 def test_snn_energy_worked_example():
     ledger = EnergyLedger()
     ledger.record("layer", spike_count=0, fan_out=1,
-                  actual_sops=10 ** 9, neuron_ops=10 ** 8)
+                  actual_sops=10 ** 9, neuron_ops=10 ** 8, max_sops=10 ** 9)
     e = estimate_snn_energy(ledger)
     assert math.isclose(e, 4.69e-3, rel_tol=1e-12)
 
@@ -99,10 +99,15 @@ def test_two_layer_hand_sum():
 
 
 def test_ann_energy_requires_max_sops():
-    ledger = EnergyLedger()
-    ledger.record("a", spike_count=0, fan_out=1, actual_sops=0, neuron_ops=1)
-    with pytest.raises(PreconditionError):
-        estimate_ann_energy(ledger)
+    # Every record carries its dense baseline: a record without one is
+    # refused when it is made or read, not when the baseline is priced.
+    with pytest.raises(TypeError):
+        EnergyLedger().record("a", spike_count=0, fan_out=1, actual_sops=0,
+                              neuron_ops=1)
+    with pytest.raises(DataIOError, match="max_sops"):
+        EnergyLedger.from_json_list([{"layer_name": "a", "spike_count": 0,
+                                      "fan_out": 1, "actual_sops": 0,
+                                      "neuron_ops": 1}])
 
 
 def test_published_baseline_implies_max_sops():
@@ -192,10 +197,10 @@ def test_actual_cannot_exceed_max():
 def test_counts_must_be_non_negative_integers():
     with pytest.raises(PreconditionError):
         LayerEnergy("bad", spike_count=-1, fan_out=1, actual_sops=0,
-                    neuron_ops=0)
+                    neuron_ops=0, max_sops=0)
     with pytest.raises(PreconditionError):
         LayerEnergy("bad", spike_count=0.5, fan_out=1, actual_sops=0,
-                    neuron_ops=0)
+                    neuron_ops=0, max_sops=0)
 
 
 def test_snn_energy_bounded_by_ann_plus_neuron_floor():
@@ -230,7 +235,7 @@ def test_ledger_json_roundtrip(tmp_path):
     ledger.record("conv", spike_count=4, fan_out=9, actual_sops=36,
                   neuron_ops=16, max_sops=144, element_count=64)
     ledger.record("fc", spike_count=2, fan_out=8, actual_sops=16,
-                  neuron_ops=8)
+                  neuron_ops=8, max_sops=16)
     path = tmp_path / "ledger.json"
     ledger.save(path)
     back = EnergyLedger.load(path)

@@ -9,8 +9,6 @@ finite numbers only.
 
 Derandomized, so every run draws the same examples."""
 
-import contextlib
-import io
 import json
 import os
 import tempfile
@@ -18,7 +16,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikekit.cli import main
+from oracles import run_cli
 
 FUZZ = settings(derandomize=True, max_examples=100, deadline=None,
                 database=None)
@@ -89,15 +87,12 @@ def _run(files: dict[str, str], argv: list[str]) -> int:
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         out = os.path.join(tmp, "out.json")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = main([os.path.join(tmp, a) if a in files else a
-                         for a in argv] + ["--out", out])
+        code, err = run_cli([os.path.join(tmp, a) if a in files else a
+                             for a in argv] + ["--out", out])
         assert code in (0, 2, 3)
         if code:
             assert any(line.startswith(("error: ", "i/o error: "))
-                       for line in err.getvalue().splitlines())
+                       for line in err.splitlines())
             assert not os.path.exists(out)
         elif argv[0] == "train-head":
             def reject(constant):

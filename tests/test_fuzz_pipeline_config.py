@@ -6,13 +6,11 @@ exit 2 or 3 with one `error:` line and write nothing under `--out`.
 
 Every field but the seed has a default, so dropping one is no fault."""
 
-import contextlib
-import io
 import json
 
 import pytest
 
-from spikekit.cli import main
+from oracles import run_cli
 
 CONFIG = {"seed": 3, "classes": ["wave", "throw"], "clips_per_class": 2,
           "test_per_class": 1, "frames": 50, "height": 64, "width": 64,
@@ -58,12 +56,8 @@ def _faults():
 
 def _pipeline(tmp_path, config_text):
     (tmp_path / "config.json").write_text(config_text)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(["pipeline", "--config", str(tmp_path / "config.json"),
-                     "--out", str(tmp_path / "run")])
-    return code, err.getvalue()
+    return run_cli(["pipeline", "--config", str(tmp_path / "config.json"),
+                    "--out", str(tmp_path / "run")])
 
 
 @pytest.mark.parametrize("config_text", [

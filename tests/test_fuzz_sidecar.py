@@ -5,17 +5,14 @@ field, or holds a value of the wrong type, `1e400` (which `json` reads as
 infinity) or `NaN` makes the command exit 2 or 3 with one `error:` line
 and write no output file."""
 
-import contextlib
-import io
 import json
 
 import numpy as np
 import pytest
 
+from oracles import run_cli, write_video_raw
 from spikekit.camera import IntensityVideo
-from spikekit.cli import main
 from spikekit.stream import SpikeStream, StreamMeta, write_dat
-from spikekit.videoio import write_video_raw
 
 STREAM_SIDECAR = {"height": 4, "width": 4, "t_len": 6, "threshold_theta": 5.0}
 RAW_SIDECAR = {"t_len": 3, "height": 4, "width": 4, "dtype": "f32"}
@@ -74,13 +71,9 @@ def _encode_raw(tmp_path, sidecar_text):
 def test_a_damaged_sidecar_exits_2_or_3_and_writes_nothing(
         command, sidecar_text, tmp_path):
     argv, outputs = command(tmp_path, sidecar_text)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, err = run_cli(argv)
     assert code in (2, 3)
-    assert err.getvalue().startswith("error: ") \
-        and err.getvalue().count("\n") == 1, err.getvalue()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert [name for name in outputs if (tmp_path / name).exists()] == []
 
 
@@ -88,6 +81,5 @@ def test_a_damaged_sidecar_exits_2_or_3_and_writes_nothing(
                                             (_encode_raw, RAW_SIDECAR)])
 def test_the_undamaged_sidecars_are_read(command, valid, tmp_path):
     argv, outputs = command(tmp_path, _text(valid))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
+    assert run_cli(argv)[0] == 0
     assert all((tmp_path / name).exists() for name in outputs)

@@ -5,15 +5,13 @@ value of the wrong type, `1e400` (which `json` reads as infinity),
 its shape, makes the command exit 2 or 3 with one `error:` line and write
 no `--ledger` or `--out` file."""
 
-import contextlib
-import io
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from spikekit.cli import main
+from oracles import run_cli
 from spikekit.snn import FsveConfig, init_fsve_weights
 from spikekit.stream import SpikeStream, StreamMeta, write_dat
 from spikekit.weights import save_weights
@@ -76,14 +74,10 @@ def archive(tmp_path_factory):
 def _snn_forward(archive, tmp_path, manifest_text):
     shutil.copytree(archive / "w", tmp_path / "w")
     (tmp_path / "w" / "manifest.json").write_text(manifest_text)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(["snn-forward", str(archive / "s.dat"),
-                     "--weights", str(tmp_path / "w"),
-                     "--ledger", str(tmp_path / "ledger.json"),
-                     "--out", str(tmp_path / "out.json")])
-    return code, err.getvalue()
+    return run_cli(["snn-forward", str(archive / "s.dat"),
+                    "--weights", str(tmp_path / "w"),
+                    "--ledger", str(tmp_path / "ledger.json"),
+                    "--out", str(tmp_path / "out.json")])
 
 
 @pytest.mark.parametrize("manifest_text", [

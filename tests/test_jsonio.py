@@ -1,6 +1,6 @@
 """The atomic writer replaces a file whole or not at all, and every file
-writer goes through it: JSON, ``.dat``, weight blobs, PGM frames, raw
-video, decoded ``.npy`` and the dataset's ``prompts.txt``. The one JSON
+writer goes through it: JSON, ``.dat``, weight blobs, PGM frames,
+decoded ``.npy`` and the dataset's ``prompts.txt``. The one JSON
 kind rule, ``is_a``, and the one field check every reader uses,
 ``checked``."""
 
@@ -12,13 +12,12 @@ import os
 import numpy as np
 import pytest
 
-from spikekit.camera import IntensityVideo
 from spikekit.cli import cmd_decode
 from spikekit.errors import DataIOError
 from spikekit.jsonio import checked, is_a, read_json, write_bytes, write_json
 from spikekit.stream import SpikeStream, StreamMeta, write_dat
 from spikekit.synth import SyntheticDatasetSpec, write_dataset_index
-from spikekit.videoio import write_pgm_frame, write_video_raw
+from spikekit.videoio import write_pgm_frame
 from spikekit.weights import save_weights
 
 
@@ -76,11 +75,6 @@ def _write_weights(directory, value):
                  directory)
 
 
-def _write_video_raw(directory, value):
-    write_video_raw(IntensityVideo(np.full((2, 3, 4), value / 2)),
-                    directory / "v.raw")
-
-
 def _decode_to_npy(directory, value):
     # The first call writes the input stream; both decode it to .npy.
     if value:
@@ -99,11 +93,10 @@ def _write_dataset_index(directory, value):
     _write_stream,
     _write_weights,
     lambda d, v: write_pgm_frame(np.full((2, 3), v / 2), d / "f.pgm"),
-    _write_video_raw,
     _decode_to_npy,
     _write_dataset_index,
 ], ids=["write_bytes", "write_json", "write_dat", "save_weights",
-        "write_pgm_frame", "write_video_raw", "decode_npy",
+        "write_pgm_frame", "decode_npy",
         "write_dataset_index"])
 def test_failed_write_keeps_the_old_bytes(write, tmp_path, monkeypatch):
     write(tmp_path, 1)

@@ -1,13 +1,20 @@
 """Spiking-runtime tests: LIF recurrence, TDBN moments, residual blocks,
-spike normalization, and spike-driven attention."""
+spike normalization, and spike-driven attention.
+
+The forwards return only their output; ``oracles`` keeps a copy of each
+that also returns its stages. Each test runs both, checks that their
+outputs and ledgers are equal, and checks the oracle's stages."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import (esdsa_forward_with_internals, fsve_forward_with_stages,
+                     sn_threshold_with_level)
 from spikekit.energy import EnergyLedger
-from spikekit.errors import PreconditionError
+from spikekit import snn
+from spikekit.errors import InvariantError, PreconditionError
 from spikekit.snn import (FsveConfig, esdsa_forward, fsve_forward,
                           init_fsve_weights, lif_step, sn_threshold,
                           spiking_residual_block, tdbn)
@@ -158,14 +165,22 @@ def test_block_rejects_non_binary_input():
 # Spike normalization
 # ---------------------------------------------------------------------------
 
+def sn_spikes_and_level(x):
+    """The oracle's spikes and level, once the package's spikes equal its."""
+    spikes, v_th = sn_threshold_with_level(x)
+    got = sn_threshold(x)
+    assert got.dtype == spikes.dtype and got.tobytes() == spikes.tobytes()
+    return spikes, v_th
+
+
 def test_sn_threshold_worked_example():
-    spikes, v_th = sn_threshold(np.array([1.0, -1.0, 2.0, -2.0]))
+    spikes, v_th = sn_spikes_and_level(np.array([1.0, -1.0, 2.0, -2.0]))
     assert v_th == pytest.approx(1.5)
     assert spikes.tolist() == [0, 0, 1, 0]
 
 
 def test_sn_threshold_all_zero_boundary_fires():
-    spikes, v_th = sn_threshold(np.zeros((3, 3)))
+    spikes, v_th = sn_spikes_and_level(np.zeros((3, 3)))
     assert v_th == 0.0
     assert spikes.sum() == 9
 
@@ -189,13 +204,24 @@ def sdsa_weights(d, seed):
     return w
 
 
+def esdsa_both(u, w):
+    """The oracle's output, internals and ledger, once the package's
+    output bytes and ledger records equal them."""
+    ledger, oracle_ledger = EnergyLedger(), EnergyLedger()
+    got = esdsa_forward(u, w, ledger)
+    out, internals = esdsa_forward_with_internals(u, w, oracle_ledger)
+    assert got.tobytes() == out.tobytes()
+    assert ledger.to_json_list() == oracle_ledger.to_json_list()
+    return out, internals, ledger
+
+
 def test_esdsa_zero_input_hand_trace():
     # U = 0 with zero biases: all projections are 0, every SN threshold is
     # 0, so Q/K/V are all-ones. The correlation is the constant matrix 2,
     # which sits exactly at its own mean and fires everywhere; the gated
     # value sums two all-ones rows.
     w = sdsa_weights(2, seed=86)
-    out, internals = esdsa_forward(np.zeros((2, 2)), w, EnergyLedger())
+    out, internals, _ = esdsa_both(np.zeros((2, 2)), w)
     assert internals["q_s"].tolist() == [[1, 1], [1, 1]]
     assert internals["k_s"].tolist() == [[1, 1], [1, 1]]
     assert internals["v_s"].tolist() == [[1, 1], [1, 1]]
@@ -212,7 +238,7 @@ def test_esdsa_fires_at_exact_ties():
     for name in ("q", "k", "v", "out"):
         w[f"fsve.sdsa.{name}.w"] = np.eye(13)
         w[f"fsve.sdsa.{name}.b"] = np.zeros(13)
-    _, internals = esdsa_forward(np.ones((2, 13)), w, EnergyLedger())
+    _, internals, _ = esdsa_both(np.ones((2, 13)), w)
     assert internals["attn_spikes"].tolist() == [[1, 1], [1, 1]]
 
 
@@ -227,7 +253,7 @@ def test_esdsa_attention_fires_at_or_above_the_exact_mean():
         w = sdsa_weights(d, int(rng.integers(99)))
         if case % 2:
             w.update({f"fsve.sdsa.{name}.w": np.eye(d) for name in "qkv"})
-        _, internals = esdsa_forward(u, w, EnergyLedger())
+        _, internals, _ = esdsa_both(u, w)
         q = internals["q_s"].astype(np.int64)
         k = internals["k_s"].astype(np.int64)
         corr = q @ k.T
@@ -236,12 +262,25 @@ def test_esdsa_attention_fires_at_or_above_the_exact_mean():
         assert internals["attn_spikes"].tolist() == expected
 
 
-def test_esdsa_stages_binary_for_random_input():
+@pytest.mark.parametrize("tokens", [
+    np.full((3, 4), 0.5), np.array([[0.0, 2.0], [1.0, 0.0]]),
+    np.array([[0, -1], [1, 0]], dtype=np.int8),
+    np.array([[0.0, np.nan], [1.0, 0.0]]), np.zeros(4)],
+    ids=["half", "two", "minus-one", "nan", "one-dimensional"])
+def test_esdsa_rejects_tokens_that_are_not_binary_spikes(tokens):
+    w = sdsa_weights(np.shape(tokens)[-1], seed=88)
+    ledger = EnergyLedger()
+    with pytest.raises(PreconditionError):
+        esdsa_forward(tokens, w, ledger)
+    assert ledger.layers == []
+
+
+def test_esdsa_stages_binary_for_random_binary_input():
     w = sdsa_weights(6, seed=88)
     rng = np.random.default_rng(88)
     for _ in range(10):
-        u = rng.normal(size=(9, 6))
-        _, internals = esdsa_forward(u, w, EnergyLedger())
+        u = rng.integers(0, 2, size=(9, 6), dtype=np.uint8)
+        _, internals, _ = esdsa_both(u, w)
         for key in ("q_s", "k_s", "v_s", "attn_spikes"):
             assert set(np.unique(internals[key])).issubset({0, 1}), key
 
@@ -249,9 +288,8 @@ def test_esdsa_stages_binary_for_random_input():
 def test_esdsa_records_spike_counts():
     w = sdsa_weights(4, seed=89)
     rng = np.random.default_rng(89)
-    ledger = EnergyLedger()
     u = rng.integers(0, 2, size=(8, 4)).astype(np.float64)
-    _, internals = esdsa_forward(u, w, ledger)
+    _, internals, ledger = esdsa_both(u, w)
     names = [rec.layer_name for rec in ledger.layers]
     assert {"fsve.sdsa.q_proj", "fsve.sdsa.attn_corr",
             "fsve.sdsa.attn_apply", "fsve.sdsa.out_proj"} <= set(names)
@@ -263,6 +301,9 @@ def test_esdsa_records_spike_counts():
     pairwise = sum(int(q[i, j]) and int(k[l, j])
                    for i in range(8) for l in range(8) for j in range(4))
     assert corr_rec.actual_sops == pairwise
+    # a binary projection's SOPs are its input spikes times its width
+    q_rec = ledger.layers[names.index("fsve.sdsa.q_proj")]
+    assert q_rec.actual_sops == int(u.sum()) * 4
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +315,26 @@ def test_fsve_forward_all_stages_binary_and_ledger_consistent():
     stream = SpikeStream(rng.integers(0, 2, size=(20, 32, 32),
                                       dtype=np.uint8))
     weights = init_fsve_weights(FsveConfig(channels=4), seed=90)
-    ledger = EnergyLedger()
-    embedding, stages = fsve_forward(stream, weights, 2, ledger)
+    ledger, oracle_ledger = EnergyLedger(), EnergyLedger()
+    embedding = fsve_forward(stream, weights, 2, ledger)
+    expected, stages = fsve_forward_with_stages(stream, weights, 2,
+                                                oracle_ledger)
     assert embedding.shape == (4,)
+    assert embedding.tobytes() == expected.tobytes()
+    assert ledger.to_json_list() == oracle_ledger.to_json_list()
     for name, tensor in stages.items():
-        if np.asarray(tensor).dtype == np.uint8:
-            assert set(np.unique(tensor)).issubset({0, 1}), name
+        assert set(np.unique(tensor)).issubset({0, 1}), name
     for rec in ledger.layers:
-        if rec.max_sops is not None:
-            assert rec.actual_sops <= rec.max_sops, rec.layer_name
+        assert rec.actual_sops <= rec.max_sops, rec.layer_name
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("_spiking_stem", "stem1"), ("spiking_residual_block", "resblock")])
+def test_a_non_binary_stage_is_an_invariant_error(stage, name, monkeypatch):
+    # The forward checks each stage as it is made, before the next reads it.
+    real = getattr(snn, stage)
+    monkeypatch.setattr(snn, stage, lambda *args: 2 * real(*args))
+    stream = SpikeStream(np.ones((4, 8, 8), dtype=np.uint8))
+    weights = init_fsve_weights(FsveConfig(channels=2), seed=91)
+    with pytest.raises(InvariantError, match=f"stage {name} is not binary"):
+        fsve_forward(stream, weights, 2, EnergyLedger())

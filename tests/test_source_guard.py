@@ -2,8 +2,8 @@
 writer, the shared helpers, the one binary check, the one conv kernel, the
 attention core, the SOP count, the loss and gradient, the PGM clip I/O,
 TFI and the few-shot stages each live in one place, so hand-copied
-duplicates cannot creep back in; and every exported name has a caller
-outside the tests."""
+duplicates cannot creep back in; and every exported name and public
+top-level definition has a caller outside the tests."""
 
 import ast
 import pathlib
@@ -261,15 +261,20 @@ def _references(tree: ast.AST, skip: str = "") -> set[str]:
 
 
 def test_every_export_has_traffic():
-    # Every public name is run by a command, the pipeline or the
-    # benchmark: code in src/ outside its own definition (a re-export in
-    # __init__ does not count) or in bench/ reads it.
+    # Every public name, exported or defined at the top of a module, is
+    # run by a command, the pipeline or the benchmark: code in src/
+    # outside its own definition (a re-export in __init__ does not count)
+    # or in bench/ reads it.
     import spikekit
     bench = SRC.parents[1] / "bench"
     trees = [ast.parse(text) for name, text in _sources().items()
              if name != "__init__.py"]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
     bench_names = set().union(*(_references(ast.parse(path.read_text(
         encoding="utf-8"))) for path in sorted(bench.glob("*.py"))))
-    assert [name for name in spikekit.__all__ if name not in bench_names
+    assert [name for name in sorted(defined | set(spikekit.__all__))
+            if name not in bench_names
             and not any(name in _references(tree, name)
                         for tree in trees)] == []
