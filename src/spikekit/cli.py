@@ -124,13 +124,13 @@ def cmd_reconstruct(args) -> int:
     theta = args.theta if args.theta is not None else meta.threshold_theta
     cfg = TfiConfig(delta_t_max=args.dtmax, theta=theta,
                     default_value=args.default_value)
-    os.makedirs(args.out, exist_ok=True)
     if args.t is not None:
         frames = [(args.t, tfi_reconstruct(stream, args.t, cfg))]
     else:
         video = tfi_video(stream, args.stride, cfg)
         frames = [(i * args.stride, video.frames[i])
                   for i in range(video.n_frames)]
+    os.makedirs(args.out, exist_ok=True)
     for t, frame in frames:
         write_pgm_frame(frame, os.path.join(args.out, f"tfi_{t:06d}.pgm"))
     print(f"wrote {len(frames)} reconstructed frame(s) to {args.out}")
@@ -158,8 +158,8 @@ def cmd_subsample(args) -> int:
 
 
 def _weights(args, init) -> dict[str, np.ndarray]:
-    """Weights from --weights, else ``init(--seed, None)``, saved to
-    --save-weights when given.
+    """Weights from --weights, else ``init(--seed, None)``. A command
+    saves seeded weights to --save-weights only once its forward has run.
 
     A loaded archive must hold exactly the names and shapes of
     ``init(0, archive)``, the seeded weights at the sizes the archive
@@ -178,10 +178,7 @@ def _weights(args, init) -> dict[str, np.ndarray]:
         return weights
     if args.seed is None:
         raise PreconditionError("--seed is required when --weights is not given")
-    weights = init(args.seed, None)
-    if args.save_weights:
-        save_weights(weights, args.save_weights)
-    return weights
+    return init(args.seed, None)
 
 
 def cmd_featurize(args) -> int:
@@ -212,6 +209,8 @@ def cmd_featurize(args) -> int:
         if name in labels:
             entry["label"] = labels[name]
         entries.append(entry)
+    if args.save_weights and not args.weights:
+        save_weights(weights, args.save_weights)
     prov = provenance(args.seed,
                       inputs={os.path.basename(p): p for p in paths})
     write_json({"embeddings": entries, "provenance": prov}, args.out)
@@ -234,6 +233,8 @@ def cmd_snn_forward(args) -> int:
     weights = _weights(args, init)
     ledger = EnergyLedger()
     embedding = fsve_forward(stream, weights, args.timesteps, ledger)
+    if args.save_weights and not args.weights:
+        save_weights(weights, args.save_weights)
     ledger.save(args.ledger)
     if args.out:
         write_json({"embedding": embedding.tolist(),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .nnops import conv2d, he_init, moving_average_same, sigmoid
+from .nnops import conv2d, he_init, sigmoid
 from .stream import SpikeStream
 
 
@@ -88,9 +88,7 @@ def slice_blocks(stream: SpikeStream, spec: BlockSpec) -> list[np.ndarray]:
     blocks = []
     for center in spec.centers():
         lo = center - spec.r_win
-        block = stream.data[lo:lo + spec.block_len]
-        block.flags.writeable = False
-        blocks.append(block)
+        blocks.append(stream.data[lo:lo + spec.block_len])
     return blocks
 
 
@@ -127,14 +125,34 @@ def allocate_channels(total_channels: int, m: int,
     return ks
 
 
-def _branch_slice(block_len: int, k: int) -> slice:
-    start = (block_len - k) // 2
-    return slice(start, start + k)
+def _window_mean(x: np.ndarray, width: int) -> np.ndarray:
+    """Centred moving average of x along axis 0, same length.
+
+    Frame i averages frames i - (width-1)//2 .. i + width//2; the windows
+    shrink at the edges and divide by their true frame count, so the map
+    stays linear in x. Every window takes its first frame in one gather
+    and then adds its later frames in order, one window offset at a time,
+    so each is summed first to last.
+    """
+    t = x.shape[0]
+    steps = np.arange(t)
+    first = np.maximum(steps - (width - 1) // 2, 0)
+    count = np.minimum(steps + width // 2 + 1, t) - first
+    out = x[first]
+    for d in range(1, min(width, t)):
+        # count rises, holds, then falls, so the windows that reach offset
+        # d are one run of rows, added to in place.
+        rows = np.flatnonzero(count > d)
+        lo, hi = rows[0], rows[-1] + 1
+        out[lo:hi] += x[first[lo:hi] + d]
+    out /= count[:, None, None]
+    return out
 
 
 def mtf_forward(block: np.ndarray,
-                weights: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Multi-scale temporal filtering of one block.
+                weights: dict[str, np.ndarray]) -> np.ndarray:
+    """Multi-scale temporal filtering of one block: the [m * c_out, H, W]
+    branch maps, stacked in branch order.
 
     The branch count is the spatial-attention kernel's output width, and
     branch i's channel count k_i is the length of its temporal mask. Per
@@ -156,42 +174,40 @@ def mtf_forward(block: np.ndarray,
             f"be 1-D, of 1 to {block_len} frames, the first of {block_len}")
     outputs = []
     for i, mask in enumerate(masks):
-        sub = np.multiply(block[_branch_slice(block_len, len(mask))],
+        start = (block_len - len(mask)) // 2
+        sub = np.multiply(block[start:start + len(mask)],
                           mask[:, None, None], dtype=np.float64)
         width = _avg_width(block_len, len(mask))
         if width > 1:
-            sub = moving_average_same(sub, width)
+            sub = _window_mean(sub, width)
         kernel = np.asarray(weights[f"hsfe.branch{i}.conv.w"], dtype=np.float64)
         outputs.append(conv2d(sub, kernel, bias=None, stride=1, padding=1))
-    return outputs
+    return np.concatenate(outputs, axis=0)
 
 
-def spatial_attention(features: list[np.ndarray],
+def spatial_attention(features: np.ndarray,
                       weights: dict[str, np.ndarray]) -> np.ndarray:
-    """Gate each branch per pixel and stack the weighted maps.
+    """Gate each branch per pixel: features are the [m * c_out, H, W]
+    branch maps of :func:`mtf_forward`, and so is the output.
 
-    A 3x3 convolution over the channel-concatenated branches produces one
-    logit map per branch; logistic squashing turns it into gates strictly
-    inside (0, 1). Output shape is [m * c_out, H, W].
+    A 3x3 convolution over all the maps produces one logit map per branch;
+    logistic squashing turns it into gates strictly inside (0, 1), and
+    gate i scales branch i's c_out maps. The branch count m is the
+    kernel's output width.
     """
-    if not features:
-        raise PreconditionError("spatial_attention needs at least one feature map")
-    shape = features[0].shape
-    for i, feat in enumerate(features):
-        if feat.shape != shape:
-            raise PreconditionError(
-                f"feature {i} has shape {feat.shape}, expected {shape}")
-    m = len(features)
-    stacked = np.concatenate([np.asarray(f, dtype=np.float64)
-                              for f in features], axis=0)
+    features = np.asarray(features, dtype=np.float64)
     kernel = np.asarray(weights["hsfe.sa.conv.w"], dtype=np.float64)
     bias = np.asarray(weights["hsfe.sa.conv.b"], dtype=np.float64)
-    if kernel.shape != (m, stacked.shape[0], 3, 3):
+    m = kernel.shape[0] if kernel.ndim == 4 else 0
+    if not (features.ndim == 3 and m >= 1 and features.shape[0] % m == 0
+            and kernel.shape[1:] == (features.shape[0], 3, 3)):
         raise PreconditionError(
-            f"sa kernel has shape {kernel.shape}, expected "
-            f"({m}, {stacked.shape[0]}, 3, 3)")
-    gates = sigmoid(conv2d(stacked, kernel, bias, stride=1, padding=1))
-    return (gates[:, None] * stacked.reshape(m, *shape)).reshape(stacked.shape)
+            f"features of shape {features.shape} need an sa kernel of shape "
+            f"(m, C, 3, 3) with m dividing C, got {kernel.shape}")
+    c, h, w = features.shape
+    gates = sigmoid(conv2d(features, kernel, bias, stride=1, padding=1))
+    return (gates[:, None] * features.reshape(m, c // m, h, w)
+            ).reshape(features.shape)
 
 
 def _coarse_estimate(block: np.ndarray,

@@ -174,28 +174,6 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
     return out
 
 
-def moving_average_same(x: np.ndarray, width: int) -> np.ndarray:
-    """Centered moving average along axis 0 with same-length output.
-
-    Edge windows shrink to the valid range and are normalized by the
-    actual tap count, keeping the map linear in x.
-    """
-    if width < 1:
-        raise PreconditionError("averaging width must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if width == 1:
-        return x.copy()
-    t = x.shape[0]
-    half_lo = (width - 1) // 2
-    half_hi = width // 2
-    out = np.empty_like(x)
-    for i in range(t):
-        lo = max(0, i - half_lo)
-        hi = min(t, i + half_hi + 1)
-        out[i] = x[lo:hi].sum(axis=0) / (hi - lo)
-    return out
-
-
 def he_init(rng: np.random.Generator, shape: tuple[int, ...],
             fan_in: int) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)

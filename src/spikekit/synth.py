@@ -55,6 +55,10 @@ class SyntheticDatasetSpec:
             raise PreconditionError(
                 f"unknown class archetypes {unknown}; known: "
                 f"{sorted(CLASS_PROMPTS)}")
+        if len(set(self.classes)) < len(self.classes):
+            raise PreconditionError(
+                f"classes {list(self.classes)} repeat a class; each names "
+                f"its own clips")
         if self.clips_per_class < 1:
             raise PreconditionError("clips_per_class must be >= 1")
         if self.frames < 2:

@@ -6,7 +6,13 @@ against it. The loss wrappers call the few-shot trainer's own loss and
 gradient, ``spikekit.align._forward_backward``, on a batch of one head,
 so the acceptance gates test the code that trains. ``conv2d_loops`` is
 the plain-loop convolution that ``spikekit.nnops.conv2d`` is checked
-against. ``encode_video_per_frame`` is the spike encoder as it was first
+against. ``mtf_forward_branches`` and ``spatial_attention_of_branches``
+are HSFE's branch and attention stages as they were first written: a
+list of branch maps, each averaged one frame at a time by
+``moving_average_same``. ``spikekit.hsfe`` passes one stacked array and
+must give their bytes on frames of two or more pixels (on one pixel,
+numpy sums a window of 8 or more frames pairwise).
+``encode_video_per_frame`` is the spike encoder as it was first
 written, allocating every step of every frame and drawing its noise with
 ``Generator.uniform``: ``spikekit.camera.encode_video`` must give its
 bytes. ``fsve_forward_with_stages``, ``esdsa_forward_with_internals`` and
@@ -36,7 +42,7 @@ from spikekit.camera import _THRESH_RTOL, EncoderConfig, IntensityVideo
 from spikekit.cli import main
 from spikekit.energy import EnergyLedger, dense_linear_macs
 from spikekit.errors import InvariantError, PreconditionError
-from spikekit.nnops import linear
+from spikekit.nnops import conv2d, linear, sigmoid
 from spikekit.snn import _spiking_stem, spiking_residual_block
 from spikekit.stream import SpikeStream, is_binary, subsample_temporal
 
@@ -222,6 +228,60 @@ def conv2d_loops(x, kernel, bias=None, stride=1, padding=1):
                                     * kernel[o, c, i, j])
                 out[o, y, w] = acc + (bias[o] if bias is not None else 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# HSFE's branch stage, one branch at a time
+# ---------------------------------------------------------------------------
+
+def moving_average_same(x: np.ndarray, width: int) -> np.ndarray:
+    """Centered moving average along axis 0 with same-length output, one
+    numpy sum per frame. Edge windows shrink to the valid range and are
+    normalized by the actual tap count."""
+    x = np.asarray(x, dtype=np.float64)
+    if width == 1:
+        return x.copy()
+    t = x.shape[0]
+    half_lo = (width - 1) // 2
+    half_hi = width // 2
+    out = np.empty_like(x)
+    for i in range(t):
+        lo = max(0, i - half_lo)
+        hi = min(t, i + half_hi + 1)
+        out[i] = x[lo:hi].sum(axis=0) / (hi - lo)
+    return out
+
+
+def mtf_forward_branches(block: np.ndarray,
+                         weights: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Multi-scale temporal filtering as a list of per-branch [c_out, H, W]
+    maps: central k_i frames, mask, moving average, branch conv."""
+    block_len = block.shape[0]
+    outputs = []
+    for i in range(weights["hsfe.sa.conv.w"].shape[0]):
+        mask = np.asarray(weights[f"hsfe.branch{i}.mask"], dtype=np.float64)
+        start = (block_len - len(mask)) // 2
+        sub = np.multiply(block[start:start + len(mask)],
+                          mask[:, None, None], dtype=np.float64)
+        width = int(round(block_len / len(mask)))
+        if width > 1:
+            sub = moving_average_same(sub, width)
+        outputs.append(conv2d(sub, weights[f"hsfe.branch{i}.conv.w"],
+                              bias=None, stride=1, padding=1))
+    return outputs
+
+
+def spatial_attention_of_branches(features: list[np.ndarray],
+                                  weights: dict[str, np.ndarray]
+                                  ) -> np.ndarray:
+    """Spatial attention over a list of branch maps: concatenate them,
+    gate branch i with the logistic of the SA conv's logit map i."""
+    m = len(features)
+    stacked = np.concatenate(features, axis=0)
+    gates = sigmoid(conv2d(stacked, weights["hsfe.sa.conv.w"],
+                           weights["hsfe.sa.conv.b"], stride=1, padding=1))
+    return (gates[:, None] * stacked.reshape(m, *features[0].shape)
+            ).reshape(stacked.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,11 @@ def test_reconstruct_writes_pgm_frames(encoded_dat, tmp_path):
     frame = read_pgm(frames[1])
     assert frame.shape == (8, 8)
     assert frame.min() >= 0.0 and frame.max() <= 1.0
+    # A step past the stream's 40 exits 2 before the directory is made.
+    late = tmp_path / "late"
+    assert main(["reconstruct", str(encoded_dat), "--t", "999",
+                 "--out", str(late)]) == 2
+    assert not late.exists()
 
 
 def test_slice_and_subsample_commands(encoded_dat, tmp_path):
@@ -171,6 +176,25 @@ def test_snn_forward_bad_timesteps_writes_nothing(timesteps, tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "w").exists()
     assert not (tmp_path / "l.json").exists()
+
+
+@pytest.mark.parametrize("command, frames, size, flags", [
+    # 40 frames are too short for featurize's 5 default blocks.
+    ("featurize", 40, 64, ["--out", "e.json"]),
+    # One pixel leaves tdbn fewer than 2 pooled elements.
+    ("snn-forward", 8, 1, ["--timesteps", "1", "--ledger", "l.json"]),
+], ids=["featurize-short-stream", "snn-forward-one-pixel"])
+def test_a_failing_forward_saves_no_weights(command, frames, size, flags,
+                                            tmp_path, capsys, monkeypatch):
+    from spikekit.stream import SpikeStream, write_dat
+    monkeypatch.chdir(tmp_path)
+    stream = SpikeStream(np.ones((frames, size, size), dtype=np.uint8))
+    write_dat(stream, StreamMeta.for_stream(stream), "s.dat")
+    assert main([command, "s.dat", "--seed", "0", "--save-weights", "w",
+                 *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.dat",
+                                                          "s.meta.json"]
 
 
 def test_snn_forward_width_comes_from_the_weight_archive(tmp_path):
@@ -425,12 +449,12 @@ def test_a_negative_seed_exits_2_and_writes_nothing(command, encoded_dat,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("classes", ["", "clap,"],
-                         ids=["empty", "trailing-comma"])
+@pytest.mark.parametrize("classes", ["", "clap,", "wave,wave"],
+                         ids=["empty", "trailing-comma", "repeated"])
 def test_synth_bad_class_list_exits_2_and_writes_nothing(classes, tmp_path,
                                                           capsys):
     # Only a missing --classes means every class; an empty list is no
-    # list of classes.
+    # list of classes, and a repeated class would overwrite its own clips.
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["synth", "--out", str(out), "--classes", classes,
@@ -535,14 +559,14 @@ def test_pipeline_config_validation(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
     # Streams too short for the blocks (counting the upsampling), a branch
-    # left without channels, a negative window radius, and values the
-    # encoder, the spiking stage or the seeding reject all fail before the
-    # first stage writes anything.
+    # left without channels, a negative window radius, a repeated class,
+    # and values the encoder, the spiking stage or the seeding reject all
+    # fail before the first stage writes anything.
     for fields in ({"frames": 200}, {"frames": 120, "upsample": 2},
                    {"channel_step": 40}, {"r_win": -1}, {"theta": 0},
                    {"snn_channels": 0}, {"timesteps": 300}, {"topk": [5]},
                    {"eval_seeds": [-1]}, {"embed_dim": 0},
-                   {"embed_dim": -8}):
+                   {"embed_dim": -8}, {"classes": ["wave", "wave"]}):
         path.write_text(json.dumps({"seed": 1, **fields}))
         assert main(["pipeline", "--config", str(path),
                      "--out", str(tmp_path / "x")]) == 2, fields

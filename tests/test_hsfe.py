@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from spikekit.errors import PreconditionError
-from spikekit.hsfe import (BlockSpec, BranchSpec, _avg_width,
+from spikekit.hsfe import (BlockSpec, BranchSpec, _avg_width, _window_mean,
                            allocate_channels, hsfe_forward, init_hsfe_weights,
                            mtf_forward, slice_blocks, spatial_attention)
-from spikekit.nnops import conv2d, moving_average_same, sigmoid
+from spikekit.nnops import conv2d, sigmoid
 from spikekit.stream import SpikeStream
 
-from oracles import conv2d_loops
+from oracles import (conv2d_loops, moving_average_same, mtf_forward_branches,
+                     spatial_attention_of_branches)
 
 
 def random_stream(rng, t, h, w):
@@ -33,7 +34,7 @@ def test_default_block_centers_and_lengths():
     assert spec.centers() == [30, 75, 120, 165, 210]
     assert len(blocks) == 5
     for i, block in enumerate(blocks):
-        assert block.shape == (61, 4, 4)
+        assert block.shape == (61, 4, 4) and not block.flags.writeable
         center = 30 + 45 * i
         assert np.array_equal(block, stream.data[center - 30:center + 31])
 
@@ -118,9 +119,9 @@ def test_mtf_identity_construction_passes_frame_through():
                "hsfe.branch0.conv.w": np.zeros((1, 9, 3, 3)),
                "hsfe.sa.conv.w": np.zeros((1, 1, 3, 3))}
     weights["hsfe.branch0.conv.w"][0, 4, 1, 1] = 1.0
-    outs = mtf_forward(block, weights)
-    assert len(outs) == 1
-    assert outs[0][0] == pytest.approx(block[4])
+    out = mtf_forward(block, weights)
+    assert out.shape == (1, 6, 6)
+    assert out[0] == pytest.approx(block[4])
 
 
 def test_mtf_zero_mask_zero_output():
@@ -149,7 +150,54 @@ def test_mtf_matches_dense_loop_oracle():
             * weights[f"hsfe.branch{i}.mask"][:, None, None]
         sub = moving_average_same(sub, _avg_width(9, k))
         expected = conv2d_loops(sub, weights[f"hsfe.branch{i}.conv.w"])
-        np.testing.assert_allclose(outs[i], expected, rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(outs[3 * i:3 * (i + 1)], expected,
+                                   rtol=1e-6, atol=1e-12)
+
+
+# Block length 41 and these branch lengths give averaging widths 1 to 8.
+WIDTH_SWEEP_KS = (41, 20, 14, 10, 8, 7, 6, 5)
+
+
+@pytest.mark.parametrize("frame", [(1, 2), (2, 1), (5, 7), (16, 16)])
+def test_branch_and_attention_bytes_equal_the_branch_list_oracle(frame):
+    assert [_avg_width(41, k) for k in WIDTH_SWEEP_KS] == list(range(1, 9))
+    rng = np.random.default_rng([52, *frame])
+    c_out, m = 2, len(WIDTH_SWEEP_KS)
+    for _ in range(3):
+        block = rng.integers(0, 2, size=(41, *frame), dtype=np.uint8)
+        weights = {"hsfe.sa.conv.w": rng.normal(size=(m, m * c_out, 3, 3)),
+                   "hsfe.sa.conv.b": rng.normal(size=m)}
+        for i, k in enumerate(WIDTH_SWEEP_KS):
+            weights[f"hsfe.branch{i}.mask"] = rng.normal(size=k)
+            weights[f"hsfe.branch{i}.conv.w"] = rng.normal(size=(c_out, k, 3, 3))
+        stacked = mtf_forward(block, weights)
+        branches = mtf_forward_branches(block, weights)
+        assert stacked.tobytes() == np.concatenate(branches).tobytes()
+        assert spatial_attention(stacked, weights).tobytes() == \
+            spatial_attention_of_branches(branches, weights).tobytes()
+
+
+def _window_mean_left_to_right(x, width):
+    t = x.shape[0]
+    out = np.empty_like(x)
+    for i in range(t):
+        lo = max(0, i - (width - 1) // 2)
+        hi = min(t, i + width // 2 + 1)
+        acc = x[lo].copy()
+        for j in range(lo + 1, hi):
+            acc = acc + x[j]
+        out[i] = acc / (hi - lo)
+    return out
+
+
+@pytest.mark.parametrize("frame", [(1, 1), (1, 3), (4, 4)])
+def test_window_mean_sums_each_window_first_to_last(frame):
+    rng = np.random.default_rng([53, *frame])
+    for t in (*range(1, 13), 21, 41):
+        for width in range(1, 10):
+            x = rng.normal(size=(t, *frame))
+            assert _window_mean(x, width).tobytes() == \
+                _window_mean_left_to_right(x, width).tobytes()
 
 
 @pytest.mark.parametrize("size", [8, 32])
@@ -200,15 +248,15 @@ def test_mtf_shape_mismatch_errors():
 
 def test_attention_saturated_gates_pass_features_through():
     rng = np.random.default_rng(48)
-    feats = [rng.normal(size=(3, 5, 5)) for _ in range(2)]
+    feats = rng.normal(size=(6, 5, 5))
     weights = {"hsfe.sa.conv.w": np.zeros((2, 6, 3, 3)),
                "hsfe.sa.conv.b": np.full(2, 50.0)}
     out = spatial_attention(feats, weights)
-    np.testing.assert_allclose(out, np.concatenate(feats), atol=1e-4)
+    np.testing.assert_allclose(out, feats, atol=1e-4)
 
 
 def test_attention_zero_features_zero_output():
-    feats = [np.zeros((3, 4, 4)) for _ in range(3)]
+    feats = np.zeros((9, 4, 4))
     weights = {"hsfe.sa.conv.w": np.ones((3, 9, 3, 3)),
                "hsfe.sa.conv.b": np.zeros(3)}
     out = spatial_attention(feats, weights)
@@ -220,22 +268,30 @@ def test_attention_gates_strictly_inside_unit_interval():
     branches = BranchSpec(m=3, channel_step=0, c_out=4)
     weights = init_hsfe_weights(7, branches, seed=3)
     for _ in range(10):
-        feats = [rng.normal(size=(4, 6, 6)) for _ in range(3)]
+        feats = rng.normal(size=(12, 6, 6))
         out = spatial_attention(feats, weights)
-        # The gates are the SA conv's logits through the logistic.
-        gates = sigmoid(conv2d(np.concatenate(feats),
-                               weights["hsfe.sa.conv.w"],
+        # The gates are the SA conv's logits through the logistic; gate i
+        # scales branch i, the maps [4 * i, 4 * (i + 1)).
+        gates = sigmoid(conv2d(feats, weights["hsfe.sa.conv.w"],
                                weights["hsfe.sa.conv.b"], stride=1, padding=1))
         assert gates.min() > 0.0 and gates.max() < 1.0
         np.testing.assert_array_equal(
-            out, np.concatenate([gates[i:i + 1] * feats[i] for i in range(3)]))
+            out, np.concatenate([gates[i:i + 1] * feats[4 * i:4 * (i + 1)]
+                                 for i in range(3)]))
 
 
 def test_attention_shape_mismatch():
-    weights = {"hsfe.sa.conv.w": np.zeros((2, 6, 3, 3)),
-               "hsfe.sa.conv.b": np.zeros(2)}
-    with pytest.raises(PreconditionError):
-        spatial_attention([np.zeros((3, 4, 4)), np.zeros((3, 5, 5))], weights)
+    for features, kernel_shape in [
+            ((6, 4), (2, 6, 3, 3)),         # features not 3-D
+            ((5, 4, 4), (2, 6, 3, 3)),      # kernel reads 6 maps, not 5
+            ((5, 4, 4), (2, 5, 3, 3)),      # 2 branches do not divide 5 maps
+            ((6, 4, 4), (0, 6, 3, 3)),      # no branch
+            ((6, 4, 4), (2, 6, 1, 1)),      # not a 3x3 kernel
+            ((6, 4, 4), (2, 6))]:           # not a conv kernel
+        weights = {"hsfe.sa.conv.w": np.zeros(kernel_shape),
+                   "hsfe.sa.conv.b": np.zeros(2)}
+        with pytest.raises(PreconditionError):
+            spatial_attention(np.zeros(features), weights)
 
 
 # ---------------------------------------------------------------------------

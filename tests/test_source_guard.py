@@ -142,6 +142,16 @@ def test_one_attention_core():
         "starnet.py:attention_pool", "starnet.py:temporal_attention"]
 
 
+def test_hsfe_branch_stage_has_no_per_frame_helpers():
+    # HSFE averages each branch with hsfe._window_mean and slices it inline;
+    # the per-frame average and the slice helper live on only as the
+    # test oracle.
+    assert _functions(lambda fn: fn.name in ("moving_average_same",
+                                             "_branch_slice")) == []
+    assert _functions(lambda fn: fn.name == "_window_mean") == [
+        "hsfe.py:_window_mean"]
+
+
 def test_backbone_config_has_one_field():
     from dataclasses import fields
 
