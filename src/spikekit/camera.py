@@ -10,12 +10,13 @@ polled at a fixed tick, is the test suite's reference
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .stream import SpikeStream, owned, read_only
+from .stream import SpikeStream, read_only
 
 # Relative slack on the discrete-encoder threshold comparison. Decimal frame
 # intensities (e.g. 0.6) round down in binary, so exact-arithmetic firing
@@ -32,10 +33,24 @@ def _check_unit_range(arr: np.ndarray, what: str) -> None:
         raise PreconditionError(f"{what} must be finite and lie in [0, 1]")
 
 
+def owned(raw, dtype) -> np.ndarray:
+    """The ownership rule of ``IntensityVideo``.
+
+    A read-only, C-contiguous ndarray of ``dtype`` is adopted as it is, so
+    whoever made it must not make it writable again. Anything else (a
+    writable array, another dtype, a non-contiguous array or a list) is
+    copied into a read-only array of ``dtype`` that the value owns.
+    """
+    if (type(raw) is np.ndarray and raw.dtype == dtype
+            and raw.flags.c_contiguous and not raw.flags.writeable):
+        return raw
+    return read_only(np.array(raw, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class IntensityVideo:
     """Sequence of H x W grayscale frames with values in [0, 1], held in a
-    read-only float64 array (see :func:`stream.owned`)."""
+    read-only float64 array (see :func:`owned`)."""
 
     frames: np.ndarray
 
@@ -96,12 +111,13 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
     a finite range ``2a``, and the noise seed must be non-negative. With
     noise_amplitude 0 the output is deterministic and seed-independent.
 
-    The frame loop allocates nothing: the noisy frame and the charge
-    spent by the reset are built in reused buffers, and each frame's spikes
-    are written straight into the output.
+    The frame loop allocates only each chunk's packed rows: the noisy
+    frame, the charge spent by the reset and the spike flags of eight
+    frames are built in reused buffers, and the stream packs the flags
+    eight frames at a time.
     """
-    frames = video.frames
     a = cfg.noise_amplitude
+    rng = None
     if a > 0:
         if seed is None:
             raise PreconditionError("noise injection requires an explicit seed")
@@ -109,27 +125,37 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
             raise PreconditionError(
                 f"the noise seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
+    return SpikeStream.from_chunks(_fired_chunks(video.frames, cfg, rng),
+                                   video.frames.shape)
 
+
+def _fired_chunks(frames: np.ndarray, cfg: EncoderConfig,
+                  rng: np.random.Generator | None) -> Iterator[np.ndarray]:
+    """The encoder's spike flags, as views of one [8, H, W] boolean buffer
+    that holds up to eight frames and is refilled once its consumer has
+    taken them; noise is drawn from ``rng`` when there is one."""
+    a = cfg.noise_amplitude
     thresh = cfg.theta * (1.0 - _THRESH_RTOL)
     v = np.zeros(frames.shape[1:], dtype=np.float64)
     noisy, spent = np.empty_like(v), np.empty_like(v)
-    out = np.empty(frames.shape, dtype=np.uint8)
-    fired = out.view(np.bool_)
+    fired = np.empty((8,) + v.shape, dtype=np.bool_)
     for t in range(frames.shape[0]):
         frame = frames[t]
-        if a > 0:
+        if rng is not None:
             rng.random(out=noisy)
             noisy *= 2 * a
             noisy += -a
             noisy += frame
             frame = np.clip(noisy, 0.0, 1.0, out=noisy)
         v += frame
-        np.greater_equal(v, thresh, out=fired[t])
+        now = fired[t % 8]
+        np.greater_equal(v, thresh, out=now)
         # Subtract theta where fired and 0 elsewhere, which leaves V as it
         # is: the same bits as a masked subtraction, and faster.
-        np.multiply(fired[t], cfg.theta, out=spent)
+        np.multiply(now, cfg.theta, out=spent)
         v -= spent
-    return SpikeStream(read_only(out))
+        if t % 8 == 7 or t == frames.shape[0] - 1:
+            yield fired[:t % 8 + 1]
 
 
 def to_grayscale(rgb: np.ndarray) -> np.ndarray:

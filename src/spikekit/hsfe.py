@@ -71,25 +71,23 @@ class BranchSpec:
             raise PreconditionError("c_out must be >= 1")
 
 
-def slice_blocks(stream: SpikeStream, spec: BlockSpec) -> list[np.ndarray]:
-    """Cut the stream into n_blocks overlapping time-blocks, as read-only
-    views of its frames.
+def slice_blocks(stream: SpikeStream,
+                 spec: BlockSpec) -> Iterator[np.ndarray]:
+    """Cut the stream into n_blocks overlapping time-blocks, unpacked one at
+    a time as they are iterated into read-only [block_len, H, W] arrays.
 
     Block i spans [t_i - r_win, t_i + r_win] around center t_i; every
     block has 2*r_win + 1 frames. Streams too short for the last block
-    raise instead of being padded; silent zero padding would corrupt
-    spike statistics.
+    raise at the call instead of being padded; silent zero padding would
+    corrupt spike statistics.
     """
     need = spec.required_t_len
     if stream.t_len < need:
         raise PreconditionError(
             f"stream of {stream.t_len} steps is too short for {spec.n_blocks} "
             f"blocks (needs >= {need})")
-    blocks = []
-    for center in spec.centers():
-        lo = center - spec.r_win
-        blocks.append(stream.data[lo:lo + spec.block_len])
-    return blocks
+    return (stream.unpack(center - spec.r_win, center + spec.r_win + 1)
+            for center in spec.centers())
 
 
 def _avg_width(total_channels: int, k: int) -> int:

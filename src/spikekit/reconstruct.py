@@ -34,17 +34,17 @@ class TfiConfig:
             raise PreconditionError("default_value must lie in [0, 1]")
 
 
-def _tfi_frames(data: np.ndarray, ts, cfg: TfiConfig) -> np.ndarray:
-    """TFI frames [len(ts), H, W] of the binary stream ``data`` [t_len, H, W]
-    at the ascending time steps ``ts``.
+def _tfi_frames(stream: SpikeStream, ts, cfg: TfiConfig) -> np.ndarray:
+    """TFI frames [len(ts), H, W] of ``stream`` at the ascending time steps
+    ``ts``.
 
     A forward sweep keeps, per pixel, the latest spike at or before t and
     records it at each sampled t; a backward sweep keeps the earliest spike
-    after t. Each sweep reads a frame at most once, and only the frames
+    after t. Each sweep unpacks a frame at most once, and only the frames
     within cfg.delta_t_max of some sampled step. Besides the output, it
     holds two running [H, W] arrays and one time per pixel per sampled step.
     """
-    t_len, h, w = data.shape
+    t_len, h, w = stream.t_len, stream.height, stream.width
     reach = min(cfg.delta_t_max, t_len)
     # Spike times are kept as 1 + t (forward) and t_len - t (backward), so
     # that 0 means "none yet", a newer spike is a maximum, and the smallest
@@ -56,7 +56,8 @@ def _tfi_frames(data: np.ndarray, ts, cfg: TfiConfig) -> np.ndarray:
     todo = 0                                # first frame not yet read
     for k, t in enumerate(ts):
         for u in range(max(todo, t - reach), t + 1):
-            np.multiply(data[u], dtype.type(u + 1), out=hit)
+            np.multiply(stream.unpack(u, u + 1)[0], dtype.type(u + 1),
+                        out=hit)
             np.maximum(latest, hit, out=latest)
         todo = t + 1
         befores[k] = latest
@@ -67,7 +68,8 @@ def _tfi_frames(data: np.ndarray, ts, cfg: TfiConfig) -> np.ndarray:
     for k in reversed(range(len(ts))):
         t = ts[k]
         for u in range(min(todo, t + reach), t, -1):
-            np.multiply(data[u], dtype.type(t_len - u), out=hit)
+            np.multiply(stream.unpack(u, u + 1)[0], dtype.type(t_len - u),
+                        out=hit)
             np.maximum(earliest, hit, out=earliest)
         todo = t
         # A spike read for an earlier sampled step, or none (-1 and t_len),
@@ -95,7 +97,7 @@ def tfi_reconstruct(stream: SpikeStream, t: int,
     if not 0 <= t < stream.t_len:
         raise PreconditionError(
             f"t={t} out of range for stream of {stream.t_len} steps")
-    return _tfi_frames(stream.data, [t], cfg)[0]
+    return _tfi_frames(stream, [t], cfg)[0]
 
 
 def tfi_video(stream: SpikeStream, stride: int,
@@ -105,4 +107,4 @@ def tfi_video(stream: SpikeStream, stride: int,
     if stride < 1:
         raise PreconditionError("stride must be >= 1")
     return IntensityVideo(read_only(_tfi_frames(
-        stream.data, range(0, stream.t_len, stride), cfg)))
+        stream, range(0, stream.t_len, stride), cfg)))

@@ -3,15 +3,24 @@
 A spike stream is a binary tensor S(t, y, x) of per-pixel, per-poll spike
 flags. On disk it is a headerless packed bitstream: elements flattened in
 (t, y, x) order with x fastest, 8 spikes per byte, MSB first, a single
-zero-padded byte at the end. Dimensions travel separately in a
+final byte whose padding bits are zero. Dimensions travel separately in a
 ``StreamMeta``, which ``write_dat`` persists as a ``.meta.json`` sidecar.
+
+In memory a ``SpikeStream`` holds the same bits as one read-only uint8 row
+per frame: ceil(H*W/8) bytes, MSB first, padding bits zero. When H*W is a
+multiple of 8 the rows are exactly the ``.dat`` body, so the codec writes
+and keeps the bytes as they are; otherwise it converts between the rows
+and the continuous bitstream. Only this module knows the layout:
+producers hand it binary frames (``SpikeStream.from_chunks``) or whole
+rows, and consumers unpack only the frames they read
+(``SpikeStream.unpack``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,6 +29,10 @@ from .errors import DataIOError, PreconditionError
 from .jsonio import checked, read_json, write_bytes, write_json
 
 META_SUFFIX = ".meta.json"
+
+# The number of set bits of each byte value: a popcount that numpy < 2.0,
+# which has no ``np.bitwise_count``, can run.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def is_binary(arr) -> bool:
@@ -33,73 +46,106 @@ def is_binary(arr) -> bool:
 
 def read_only(arr: np.ndarray) -> np.ndarray:
     """Mark ``arr`` read-only and return it: how a producer hands the array
-    it just made to a ``SpikeStream`` or ``IntensityVideo`` to own."""
+    it just made to a value to own."""
     arr.flags.writeable = False
     return arr
 
 
-def owned(raw, dtype) -> np.ndarray:
-    """The one ownership rule of ``SpikeStream`` and ``IntensityVideo``.
-
-    A read-only, C-contiguous ndarray of ``dtype`` is adopted as it is, so
-    whoever made it must not make it writable again. Anything else (a
-    writable array, another dtype, a non-contiguous array or a list) is
-    copied into a read-only array of ``dtype`` that the value owns.
-    """
-    if (type(raw) is np.ndarray and raw.dtype == dtype
-            and raw.flags.c_contiguous and not raw.flags.writeable):
-        return raw
-    return read_only(np.array(raw, dtype=dtype))
+def _pack(frames: np.ndarray) -> np.ndarray:
+    """The packed rows [n, ceil(H*W/8)] of frames [n, H, W]; a nonzero
+    element is a spike."""
+    return np.packbits(frames.reshape(len(frames), -1), axis=1,
+                       bitorder="big")
 
 
-@dataclass(frozen=True)
 class SpikeStream:
     """Binary spatiotemporal event tensor of shape [t_len, height, width].
 
-    ``data`` holds one uint8 per logical element, each exactly 0 or 1, in
-    a read-only array (see :func:`owned`). Operations return new streams.
+    The spikes are held packed, one read-only row of ceil(H*W/8) bytes per
+    frame (see the module docstring). ``SpikeStream(array)`` checks an
+    outside array and packs a copy of it; :meth:`unpack` and :attr:`data`
+    give frames back. Operations return new streams.
     """
 
-    data: np.ndarray
+    __slots__ = ("_rows", "_shape")
 
-    def __post_init__(self):
-        raw = np.asarray(self.data)
-        # Checked before the uint8 cast, which would truncate or wrap.
+    def __init__(self, data):
+        raw = np.asarray(data)
+        # Checked before packing, which would turn 2 or 0.5 into a spike.
         if not is_binary(raw):
             raise PreconditionError("spike stream elements must be 0 or 1")
-        arr = owned(raw, np.uint8)
-        if arr.ndim != 3:
+        if raw.ndim != 3:
             raise PreconditionError(
-                f"spike stream must be 3-D [t, y, x], got shape {arr.shape}")
-        if any(s < 1 for s in arr.shape):
+                f"spike stream must be 3-D [t, y, x], got shape {raw.shape}")
+        if any(s < 1 for s in raw.shape):
             raise PreconditionError(
-                f"all stream dimensions must be >= 1, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
+                f"all stream dimensions must be >= 1, got {raw.shape}")
+        self._rows = read_only(_pack(raw.astype(np.bool_, copy=False)))
+        self._shape = raw.shape
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, height: int,
+                 width: int) -> "SpikeStream":
+        """The stream that owns ``rows``, packed rows made in this module."""
+        stream = cls.__new__(cls)
+        stream._rows = read_only(rows)
+        stream._shape = (len(rows), height, width)
+        return stream
+
+    @classmethod
+    def from_chunks(cls, chunks: Iterable[np.ndarray],
+                    shape: tuple[int, int, int]) -> "SpikeStream":
+        """The stream of ``shape`` [t_len, H, W] whose frames are, in order,
+        those of ``chunks``: boolean arrays [n, H, W] that together hold
+        t_len frames. Each chunk is packed as it arrives, so a producer may
+        refill one buffer; booleans are bits, so no binary check runs."""
+        t_len, height, width = shape
+        rows = np.empty((t_len, (height * width + 7) // 8), dtype=np.uint8)
+        t = 0
+        for chunk in chunks:
+            rows[t:t + len(chunk)] = _pack(chunk)
+            t += len(chunk)
+        return cls._of_rows(rows, height, width)
 
     @property
     def t_len(self) -> int:
-        return self.data.shape[0]
+        return self._shape[0]
 
     @property
     def height(self) -> int:
-        return self.data.shape[1]
+        return self._shape[1]
 
     @property
     def width(self) -> int:
-        return self.data.shape[2]
+        return self._shape[2]
 
     @property
     def n_elements(self) -> int:
-        return self.data.size
+        return math.prod(self._shape)
+
+    def unpack(self, start: int, stop: int) -> np.ndarray:
+        """Frames ``start`` to ``stop - 1`` as a new read-only uint8 array
+        [n, H, W] of 0s and 1s: a consumer unpacks only what it reads."""
+        _, h, w = self._shape
+        rows = self._rows[start:stop]
+        return read_only(np.unpackbits(rows, axis=1, count=h * w,
+                                       bitorder="big").reshape(-1, h, w))
+
+    @property
+    def data(self) -> np.ndarray:
+        """The whole stream unpacked, [t_len, H, W]: a new read-only uint8
+        array on each access, eight times the size of the stream."""
+        return self.unpack(0, self.t_len)
 
     def spike_count(self) -> int:
-        return int(self.data.sum())
+        return int(_POPCOUNT[self._rows].sum())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpikeStream):
             return NotImplemented
-        return self.data.shape == other.data.shape and bool(
-            np.array_equal(self.data, other.data))
+        # Padding bits are zero, so equal rows are equal spikes.
+        return self._shape == other._shape and bool(
+            np.array_equal(self._rows, other._rows))
 
 
 # The JSON kind of each sidecar field (see ``jsonio.is_a``).
@@ -170,13 +216,20 @@ class ClipWindowSpec:
 # Codec
 # ---------------------------------------------------------------------------
 
+def _whole_bytes(height: int, width: int) -> bool:
+    """True when a frame fills whole bytes, so the rows are the bitstream."""
+    return height * width % 8 == 0
+
+
 def pack_spikes(stream: SpikeStream) -> bytes:
     """Pack a stream into the continuous MSB-first bitstream.
 
     Element order is (t, y, x) with x fastest; the final byte is
     zero-padded. Output length is ceil(t*h*w / 8) exactly.
     """
-    return np.packbits(stream.data.ravel(order="C"), bitorder="big").tobytes()
+    if _whole_bytes(stream.height, stream.width):
+        return stream._rows.tobytes()
+    return np.packbits(stream.data.ravel(), bitorder="big").tobytes()
 
 
 def unpack_spikes(buf: bytes, meta: StreamMeta) -> SpikeStream:
@@ -186,10 +239,15 @@ def unpack_spikes(buf: bytes, meta: StreamMeta) -> SpikeStream:
         raise DataIOError(
             f"packed buffer has {len(buf)} bytes but meta "
             f"{meta.t_len}x{meta.height}x{meta.width} requires {expected}")
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8),
-                         count=meta.n_elements, bitorder="big")
-    return SpikeStream(read_only(bits).reshape(meta.t_len, meta.height,
-                                               meta.width))
+    # bytes(buf) is buf itself when it is bytes, else an immutable copy,
+    # so the stream can keep it.
+    body = np.frombuffer(bytes(buf), dtype=np.uint8)
+    if _whole_bytes(meta.height, meta.width):
+        rows = body.reshape(meta.t_len, -1)
+    else:
+        rows = _pack(np.unpackbits(body, count=meta.n_elements,
+                                   bitorder="big").reshape(meta.t_len, -1))
+    return SpikeStream._of_rows(rows, meta.height, meta.width)
 
 
 def write_dat(stream: SpikeStream, meta: StreamMeta, path) -> None:
@@ -209,16 +267,27 @@ def write_dat(stream: SpikeStream, meta: StreamMeta, path) -> None:
 
 
 def read_dat(path, meta: StreamMeta) -> SpikeStream:
-    """Read a headerless ``.dat`` file using externally supplied meta."""
+    """Read a headerless ``.dat`` file using externally supplied meta.
+
+    The file's size must be the meta's packed size, which is checked
+    before anything is read, and the padding bits of its final byte must
+    be zero; anything else is a ``DataIOError``.
+    """
+    expected = meta.packed_size
     try:
         with open(path, "rb") as fh:
-            buf = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            buf = fh.read(expected) if size == expected else b""
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    if len(buf) != meta.packed_size:
+    if len(buf) != expected:
         raise DataIOError(
-            f"{path}: file has {len(buf)} bytes, expected {meta.packed_size} "
+            f"{path}: file has {size} bytes, expected {expected} "
             f"for {meta.t_len}x{meta.height}x{meta.width} (truncated or wrong meta)")
+    pad = 8 * expected - meta.n_elements
+    if buf[-1] & ((1 << pad) - 1):
+        raise DataIOError(f"{path}: the {pad} padding bit(s) of the final "
+                          f"byte must be zero")
     return unpack_spikes(buf, meta)
 
 
@@ -257,7 +326,8 @@ def slice_clips(stream: SpikeStream,
     """
     starts = range(0, clip_count(stream.t_len, spec) * spec.stride,
                    spec.stride)
-    return (SpikeStream(read_only(stream.data[s:s + spec.window_len].copy()))
+    return (SpikeStream._of_rows(stream._rows[s:s + spec.window_len].copy(),
+                                 stream.height, stream.width)
             for s in starts)
 
 
@@ -278,4 +348,5 @@ def subsample_temporal(stream: SpikeStream, target_len: int) -> SpikeStream:
     spike statistics of the kept frames are untouched.
     """
     idx = subsample_indices(stream.t_len, target_len)
-    return SpikeStream(read_only(stream.data[idx]))
+    return SpikeStream._of_rows(stream._rows[idx], stream.height,
+                                stream.width)

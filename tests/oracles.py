@@ -13,10 +13,14 @@ list of branch maps, each averaged one frame at a time by
 must give their bytes on frames of two or more pixels (on one pixel,
 numpy sums a window of 8 or more frames pairwise).
 ``encode_video_per_frame`` is the spike encoder as it was first
-written, allocating every step of every frame and drawing its noise with
-``Generator.uniform``: ``spikekit.camera.encode_video`` must give its
-bytes. ``fsve_forward_with_stages``, ``esdsa_forward_with_internals`` and
-``sn_threshold_with_level`` are the spiking forwards as they were when
+written, allocating every step of every frame, drawing its noise with
+``Generator.uniform`` and returning unpacked flags:
+``spikekit.camera.encode_video`` must give its bits. ``pack_bits``,
+``slice_clips_unpacked``, ``subsample_unpacked`` and
+``tfi_frames_unpacked`` are the codec, windowing and TFI as they were
+while a stream held one uint8 per spike: the packed ``SpikeStream`` must
+give their bytes on frames of every size. ``fsve_forward_with_stages``,
+``esdsa_forward_with_internals`` and ``sn_threshold_with_level`` are the spiking forwards as they were when
 they returned every stage they made: the package's forwards return only
 their output, which must equal these bytes for bytes, with the same
 ledger, while the tests check the stages here. ``write_video_raw`` writes
@@ -43,8 +47,10 @@ from spikekit.cli import main
 from spikekit.energy import EnergyLedger, dense_linear_macs
 from spikekit.errors import InvariantError, PreconditionError
 from spikekit.nnops import conv2d, linear, sigmoid
+from spikekit.reconstruct import TfiConfig
 from spikekit.snn import _spiking_stem, spiking_residual_block
-from spikekit.stream import SpikeStream, is_binary, subsample_temporal
+from spikekit.stream import (ClipWindowSpec, SpikeStream, clip_count,
+                             is_binary, subsample_indices, subsample_temporal)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +159,11 @@ def continuous_spike_count(intensity: Callable[[float], float],
 # ---------------------------------------------------------------------------
 
 def encode_video_per_frame(video: IntensityVideo, cfg: EncoderConfig,
-                           seed: int | None = None) -> SpikeStream:
+                           seed: int | None = None) -> np.ndarray:
     """The discrete encoder one frame at a time, with fresh arrays: noise
     from ``uniform(-a, a)``, added and clipped to [0, 1]; fire where the
-    charge reaches theta (less the relative slack), and subtract theta."""
+    charge reaches theta (less the relative slack), and subtract theta.
+    Returns the unpacked uint8 spike flags [t, H, W]."""
     rng = np.random.default_rng(seed) if cfg.noise_amplitude > 0 else None
     thresh = cfg.theta * (1.0 - _THRESH_RTOL)
     frames = video.frames
@@ -172,7 +179,66 @@ def encode_video_per_frame(video: IntensityVideo, cfg: EncoderConfig,
         fired = v >= thresh
         v[fired] -= cfg.theta
         out[t] = fired
-    return SpikeStream(out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The unpacked stream
+# ---------------------------------------------------------------------------
+
+def pack_bits(bits: np.ndarray) -> bytes:
+    """The ``.dat`` body of the uint8 spike flags ``bits`` [t, H, W]: the
+    elements in (t, y, x) order, 8 per byte, MSB first, zero-padded."""
+    return np.packbits(bits.ravel(), bitorder="big").tobytes()
+
+
+def slice_clips_unpacked(bits: np.ndarray,
+                         spec: ClipWindowSpec) -> list[np.ndarray]:
+    """Clip k of ``bits``: frames k*stride .. k*stride + window_len - 1."""
+    return [bits[s:s + spec.window_len]
+            for s in range(0, clip_count(len(bits), spec) * spec.stride,
+                           spec.stride)]
+
+
+def subsample_unpacked(bits: np.ndarray, target_len: int) -> np.ndarray:
+    return bits[subsample_indices(len(bits), target_len)]
+
+
+def tfi_frames_unpacked(data: np.ndarray, ts, cfg: TfiConfig) -> np.ndarray:
+    """TFI frames [len(ts), H, W] of the uint8 spike flags ``data``
+    [t_len, H, W] at the ascending time steps ``ts``: the forward and
+    backward sweeps of ``spikekit.reconstruct``, indexing whole frames."""
+    t_len, h, w = data.shape
+    reach = min(cfg.delta_t_max, t_len)
+    dtype = np.min_scalar_type(t_len)
+    hit = np.empty((h, w), dtype=dtype)
+    latest = np.zeros((h, w), dtype=dtype)
+    befores = np.empty((len(ts), h, w), dtype=dtype)
+    todo = 0
+    for k, t in enumerate(ts):
+        for u in range(max(todo, t - reach), t + 1):
+            np.multiply(data[u], dtype.type(u + 1), out=hit)
+            np.maximum(latest, hit, out=latest)
+        todo = t + 1
+        befores[k] = latest
+
+    out = np.full((len(ts), h, w), cfg.default_value, dtype=np.float64)
+    earliest = np.zeros((h, w), dtype=dtype)
+    todo = t_len - 1
+    for k in reversed(range(len(ts))):
+        t = ts[k]
+        for u in range(min(todo, t + reach), t, -1):
+            np.multiply(data[u], dtype.type(t_len - u), out=hit)
+            np.maximum(earliest, hit, out=earliest)
+        todo = t
+        t_before = befores[k].astype(np.int64) - 1
+        t_after = t_len - earliest.astype(np.int64)
+        both = ((t_before >= max(0, t - reach))
+                & (t_after < min(t_len, t + reach + 1)))
+        isi = (t_after - t_before).astype(np.float64)
+        np.copyto(out[k], np.minimum(1.0, cfg.theta / np.maximum(isi, 1.0)),
+                  where=both)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,20 @@ def test_decode_dimension_mismatch_exits_3(encoded_dat, tmp_path):
     assert code == 3
 
 
+def test_decode_rejects_set_padding_bits_with_exit_3(tmp_path, capsys):
+    # 1x3x3 is 9 bits: the second byte holds one spike and 7 padding bits.
+    dat, out = tmp_path / "b.dat", tmp_path / "out.dat"
+    (tmp_path / "b.meta.json").write_text(json.dumps(
+        {"height": 3, "width": 3, "t_len": 1}))
+    dat.write_bytes(bytes([255, 255]))
+    assert main(["decode", str(dat), "--out", str(out)]) == 3
+    assert "padding" in capsys.readouterr().err
+    assert not out.exists()
+    dat.write_bytes(bytes([255, 128]))
+    assert main(["decode", str(dat), "--out", str(out)]) == 0
+    assert out.read_bytes() == bytes([255, 128])
+
+
 def test_missing_meta_and_sidecar_exits_2(tmp_path):
     orphan = tmp_path / "orphan.dat"
     orphan.write_bytes(bytes(8))

@@ -30,7 +30,7 @@ def test_default_block_centers_and_lengths():
     rng = np.random.default_rng(40)
     stream = random_stream(rng, 250, 4, 4)
     spec = BlockSpec()
-    blocks = slice_blocks(stream, spec)
+    blocks = list(slice_blocks(stream, spec))
     assert spec.centers() == [30, 75, 120, 165, 210]
     assert len(blocks) == 5
     for i, block in enumerate(blocks):

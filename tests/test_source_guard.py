@@ -1,9 +1,9 @@
 """Source guards: the JSON artifact format, the JSON kind check, the file
 writer, the shared helpers, the one binary check, the one conv kernel, the
 attention core, the SOP count, the loss and gradient, the PGM clip I/O,
-TFI and the few-shot stages each live in one place, so hand-copied
-duplicates cannot creep back in; and every exported name and public
-top-level definition has a caller outside the tests."""
+TFI, the bit packing and the few-shot stages each live in one place, so
+hand-copied duplicates cannot creep back in; and every exported name and
+public top-level definition has a caller outside the tests."""
 
 import ast
 import pathlib
@@ -65,6 +65,13 @@ def test_no_isin_binary_checks():
 
 def test_one_pgm_writer():
     assert _functions(_writes_pgm_header) == ["videoio.py:write_pgm_frame"]
+
+
+def test_bit_packing_only_in_stream():
+    # The packed layout of a SpikeStream is known to stream.py alone.
+    users = [name for name, text in _sources().items()
+             if re.search(r"\bnp\.(un)?packbits\b", text)]
+    assert users == ["stream.py"]
 
 
 def test_conv2d_defined_once():
@@ -217,14 +224,10 @@ def test_files_are_written_only_through_jsonio():
 
 
 def _reads_stream_frames(fn: ast.FunctionDef) -> bool:
-    """The function indexes ``data``, or takes some ``.data`` for anything
-    other than passing it straight to ``_tfi_frames``."""
-    passed = {id(arg) for node in ast.walk(fn)
-              if isinstance(node, ast.Call)
-              and ast.unparse(node.func) == "_tfi_frames"
-              for arg in node.args}
-    return any((isinstance(node, ast.Attribute) and node.attr == "data"
-                and id(node) not in passed)
+    """The function unpacks frames of a stream, through its range accessor
+    ``.unpack`` or its whole ``.data``, or indexes ``data``."""
+    return any((isinstance(node, ast.Attribute)
+                and node.attr in ("unpack", "data"))
                or (isinstance(node, ast.Subscript)
                    and ast.unparse(node.value) == "data")
                for node in ast.walk(fn))

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import (pack_bits, run_cli, slice_clips_unpacked,
+                     subsample_unpacked, tfi_frames_unpacked)
 from spikekit import synth
 from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.errors import DataIOError, PreconditionError
-from spikekit.reconstruct import tfi_video
+from spikekit.reconstruct import TfiConfig, tfi_video
 from spikekit.stream import (ClipWindowSpec, SpikeStream, StreamMeta,
                              clip_count, pack_spikes, read_dat, read_meta,
                              sidecar_path, slice_clips, subsample_indices,
@@ -143,6 +145,24 @@ def test_zero_t_len_request_is_dimension_error():
         StreamMeta(height=4, width=4, t_len=0)
 
 
+def test_read_dat_checks_the_size_before_reading(tmp_path):
+    # A sparse 64 MiB file against a 1x8x8 sidecar fails on its size
+    # alone, before a byte of it is read.
+    path = tmp_path / "huge.dat"
+    with open(path, "wb") as fh:
+        fh.truncate(64 << 20)
+    meta = StreamMeta(height=8, width=8, t_len=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataIOError,
+                           match=f"file has {64 << 20} bytes, expected 8 "):
+            read_dat(path, meta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_read_dat_truncated_file(tmp_path):
     path = tmp_path / "short.dat"
     path.write_bytes(bytes(3))
@@ -191,10 +211,11 @@ def test_slice_starts_enumeration():
 def test_slice_makes_one_clip_at_a_time():
     # 91 windows of 6,400 bytes: taking the first must not build them all.
     s = SpikeStream(np.zeros((1000, 8, 8), dtype=np.uint8))
+    first = s.data[:100]    # unpacked before tracing: 64,000 bytes
     tracemalloc.start()
     try:
         clips = slice_clips(s, ClipWindowSpec(100, 10))
-        assert np.array_equal(next(clips).data, s.data[:100])
+        assert np.array_equal(next(clips).data, first)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -246,7 +267,11 @@ def test_values_adopt_read_only_arrays_and_snapshot_the_rest(value, dtype):
 
     made = np.zeros((4, 3, 2), dtype=dtype)
     made.flags.writeable = False
-    assert held(made) is made
+    if value is SpikeStream:
+        # A stream packs every source, so it shares memory with none.
+        assert not np.shares_memory(held(made), made)
+    else:
+        assert held(made) is made
     writable = np.zeros((4, 3, 2), dtype=dtype)
     copy = held(writable)
     writable[0, 0, 0] = 1
@@ -308,8 +333,89 @@ def test_each_producer_holds_one_copy_of_its_output(setup, tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = out.data if isinstance(out, SpikeStream) else out.frames
-    assert peak <= 1.25 * held.nbytes, (peak, held.nbytes)
+    if isinstance(out, SpikeStream):
+        # The frames fill whole bytes, so the packed rows are the .dat
+        # body. The encoder also keeps four frames' worth of float64
+        # buffers: charge, noise, reset and eight frames of spike flags.
+        held = StreamMeta.for_stream(out).packed_size
+        buffers = 4 * 8 * out.height * out.width
+        assert peak <= 1.25 * held + buffers, (peak, held)
+    else:
+        assert peak <= 1.25 * out.frames.nbytes, (peak, out.frames.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# Frames that do not fill whole bytes
+# ---------------------------------------------------------------------------
+
+# H x W of 1, 15, 63 and 65 pixels, and 37 frames: neither the frames nor
+# the stream fill whole bytes. A 4 x 6 frame does, for contrast.
+FRAME_SIZES = [(1, 1), (3, 5), (7, 9), (5, 13), (4, 6)]
+
+
+def odd_bits(h, w, t=37):
+    return np.random.default_rng(h * 100 + w).integers(
+        0, 2, size=(t, h, w), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("h, w", FRAME_SIZES)
+def test_codec_gives_the_unpacked_bytes_on_any_frame_size(h, w, tmp_path):
+    bits = odd_bits(h, w)
+    s = SpikeStream(bits)
+    assert np.array_equal(s.data, bits)
+    assert np.array_equal(s.unpack(5, 20), bits[5:20])
+    assert s.spike_count() == int(bits.sum())
+    meta = StreamMeta.for_stream(s)
+    write_dat(s, meta, tmp_path / "s.dat")
+    assert (tmp_path / "s.dat").read_bytes() == pack_bits(bits)
+    back = read_dat(tmp_path / "s.dat", meta)
+    assert back == s and np.array_equal(back.data, bits)
+    assert back.spike_count() == s.spike_count()
+
+
+@pytest.mark.parametrize("h, w", FRAME_SIZES)
+def test_windows_give_the_unpacked_frames_on_any_frame_size(h, w):
+    bits = odd_bits(h, w)
+    s = SpikeStream(bits)
+    spec = ClipWindowSpec(window_len=10, stride=9)
+    clips = list(slice_clips(s, spec))
+    expected = slice_clips_unpacked(bits, spec)
+    assert len(clips) == len(expected) == 4
+    for clip, want in zip(clips, expected):
+        assert np.array_equal(clip.data, want)
+        assert clip.spike_count() == int(want.sum())
+        assert pack_spikes(clip) == pack_bits(want)
+    for target in (1, 11, 37):
+        sub = subsample_temporal(s, target)
+        want = subsample_unpacked(bits, target)
+        assert np.array_equal(sub.data, want)
+        assert pack_spikes(sub) == pack_bits(want)
+
+
+@pytest.mark.parametrize("h, w", FRAME_SIZES)
+def test_tfi_gives_the_unpacked_frames_on_any_frame_size(h, w):
+    bits = odd_bits(h, w)
+    cfg = TfiConfig(delta_t_max=6)
+    for stride in (1, 4):
+        ts = range(0, len(bits), stride)
+        np.testing.assert_array_equal(
+            tfi_video(SpikeStream(bits), stride, cfg).frames,
+            tfi_frames_unpacked(bits, ts, cfg))
+
+
+@pytest.mark.parametrize("h, w", FRAME_SIZES)
+def test_decode_gives_the_unpacked_bits_on_any_frame_size(h, w, tmp_path):
+    bits = odd_bits(h, w)
+    dat = tmp_path / "s.dat"
+    dat.write_bytes(pack_bits(bits))
+    write_meta(StreamMeta(height=h, width=w, t_len=len(bits)),
+               sidecar_path(dat))
+    assert run_cli(["decode", str(dat), "--out",
+                    str(tmp_path / "s.npy")])[0] == 0
+    np.testing.assert_array_equal(np.load(tmp_path / "s.npy"), bits)
+    assert run_cli(["decode", str(dat), "--out",
+                    str(tmp_path / "copy.dat")])[0] == 0
+    assert (tmp_path / "copy.dat").read_bytes() == dat.read_bytes()
 
 
 # ---------------------------------------------------------------------------
