@@ -111,10 +111,10 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
     a finite range ``2a``, and the noise seed must be non-negative. With
     noise_amplitude 0 the output is deterministic and seed-independent.
 
-    The frame loop allocates only each chunk's packed rows: the noisy
-    frame, the charge spent by the reset and the spike flags of eight
-    frames are built in reused buffers, and the stream packs the flags
-    eight frames at a time.
+    The frame loop allocates only each chunk's packed rows: the noise and
+    the spike flags of eight frames, and the charge spent by the reset,
+    are built in reused buffers, and the stream packs the flags eight
+    frames at a time.
     """
     a = cfg.noise_amplitude
     rng = None
@@ -131,31 +131,35 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
 
 def _fired_chunks(frames: np.ndarray, cfg: EncoderConfig,
                   rng: np.random.Generator | None) -> Iterator[np.ndarray]:
-    """The encoder's spike flags, as views of one [8, H, W] boolean buffer
-    that holds up to eight frames and is refilled once its consumer has
-    taken them; noise is drawn from ``rng`` when there is one."""
+    """The encoder's spike flags, eight frames at a time, as views of one
+    [8, H, W] boolean buffer that is refilled once its consumer has taken
+    them. With an ``rng``, a chunk's noise is drawn in one call, which
+    fills the [8, H, W] noise buffer in C order and so gives the doubles of
+    eight per-frame draws; the affine map and the clip run on the whole
+    chunk. Charge, compare and reset run frame by frame."""
     a = cfg.noise_amplitude
     thresh = cfg.theta * (1.0 - _THRESH_RTOL)
     v = np.zeros(frames.shape[1:], dtype=np.float64)
-    noisy, spent = np.empty_like(v), np.empty_like(v)
+    spent = np.empty_like(v)
     fired = np.empty((8,) + v.shape, dtype=np.bool_)
-    for t in range(frames.shape[0]):
-        frame = frames[t]
-        if rng is not None:
-            rng.random(out=noisy)
-            noisy *= 2 * a
-            noisy += -a
-            noisy += frame
-            frame = np.clip(noisy, 0.0, 1.0, out=noisy)
-        v += frame
-        now = fired[t % 8]
-        np.greater_equal(v, thresh, out=now)
-        # Subtract theta where fired and 0 elsewhere, which leaves V as it
-        # is: the same bits as a masked subtraction, and faster.
-        np.multiply(now, cfg.theta, out=spent)
-        v -= spent
-        if t % 8 == 7 or t == frames.shape[0] - 1:
-            yield fired[:t % 8 + 1]
+    noisy = None if rng is None else np.empty(fired.shape, dtype=np.float64)
+    for start in range(0, frames.shape[0], 8):
+        chunk = frames[start:start + 8]
+        if noisy is not None:
+            drawn = noisy[:len(chunk)]
+            rng.random(out=drawn)
+            drawn *= 2 * a
+            drawn += -a
+            drawn += chunk
+            chunk = np.clip(drawn, 0.0, 1.0, out=drawn)
+        for frame, now in zip(chunk, fired):
+            v += frame
+            np.greater_equal(v, thresh, out=now)
+            # Subtract theta where fired and 0 elsewhere, which leaves V as
+            # it is: the same bits as a masked subtraction, and faster.
+            np.multiply(now, cfg.theta, out=spent)
+            v -= spent
+        yield fired[:len(chunk)]
 
 
 def to_grayscale(rgb: np.ndarray) -> np.ndarray:

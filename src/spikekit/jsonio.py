@@ -18,10 +18,11 @@ import sys
 from .errors import DataIOError
 
 
-def write_bytes(data: bytes, path) -> None:
-    """Write ``data`` to ``path`` whole or not at all: into a temporary file
-    beside ``path`` that then replaces it, so a failure leaves any previous
-    file as it was and no temporary file behind."""
+def write_bytes(data, path) -> None:
+    """Write ``data``, bytes or another C-contiguous buffer such as a uint8
+    array, to ``path`` whole or not at all: into a temporary file beside
+    ``path`` that then replaces it, so a failure leaves any previous file
+    as it was and no temporary file behind."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

@@ -4,9 +4,10 @@ Everything here is plain numpy in float64 with deterministic evaluation
 order, so desk-scale forwards stay fast without any framework dependency.
 
 ``conv2d`` is the one convolution kernel. It writes the input into a
-zeroed padded buffer (an unpadded C-contiguous float64 input is its own
-buffer), takes a strided view ``[C_in, kh, kw, H', cols]`` of it and
-multiplies by the kernel in one of two orientations:
+zeroed padded buffer (an unpadded input is copied without a zero fill,
+and a C-contiguous float64 one is its own buffer), takes a strided view
+``[C_in, kh, kw, H', cols]`` of it and multiplies by the kernel in one
+of two orientations:
 
 * smaller maps copy the view to pixel-major columns
   ``[H'*W', C_in*kh*kw]`` and compute one ``cols @ kernel2d.T``.
@@ -97,14 +98,15 @@ def _padded(x: np.ndarray, padding: int, spare: int) -> np.ndarray:
     """``x`` zero-padded by ``padding`` on each spatial side: a C-ordered
     ``[C, H + 2p, W + 2p]`` view of a flat buffer that holds ``spare``
     more zeros after it. An unpadded C-contiguous float64 ``x`` with no
-    spare is its own buffer."""
-    if (padding == 0 and spare == 0 and x.dtype == np.float64
-            and x.flags.c_contiguous):
-        return x
+    spare is its own buffer; any other unpadded ``x`` is copied once, with
+    no zero fill but the spare."""
+    if padding == 0 and spare == 0:
+        return np.ascontiguousarray(x, dtype=np.float64)
     c, h, w = x.shape
     size = c * (h + 2 * padding) * (w + 2 * padding)
-    xp = np.zeros(size + spare)[:size].reshape(c, h + 2 * padding,
-                                               w + 2 * padding)
+    buf = np.zeros(size + spare) if padding else np.empty(size + spare)
+    buf[size:] = 0.0
+    xp = buf[:size].reshape(c, h + 2 * padding, w + 2 * padding)
     xp[:, padding:padding + h, padding:padding + w] = x
     return xp
 

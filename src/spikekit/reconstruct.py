@@ -38,49 +38,78 @@ def _tfi_frames(stream: SpikeStream, ts, cfg: TfiConfig) -> np.ndarray:
     """TFI frames [len(ts), H, W] of ``stream`` at the ascending time steps
     ``ts``.
 
-    A forward sweep keeps, per pixel, the latest spike at or before t and
-    records it at each sampled t; a backward sweep keeps the earliest spike
-    after t. Each sweep unpacks a frame at most once, and only the frames
-    within cfg.delta_t_max of some sampled step. Besides the output, it
-    holds two running [H, W] arrays and one time per pixel per sampled step.
+    A forward sweep keeps, per pixel, the latest spike at or before each
+    sampled t; a backward sweep, the same on the reversed stream, keeps the
+    earliest spike after it and maps each interval to an intensity. A
+    sweep reads only the frames within cfg.delta_t_max of some sampled
+    step, each once, in ``SpikeStream.unpack`` calls of at most eight
+    frames: it stamps a chunk's spike flags with their times and reduces
+    the frames up to each sampled step to one [H, W] maximum. Besides the
+    output, this holds one time per pixel per sampled step, and one
+    [8, H, W] chunk.
     """
     t_len, h, w = stream.t_len, stream.height, stream.width
     reach = min(cfg.delta_t_max, t_len)
-    # Spike times are kept as 1 + t (forward) and t_len - t (backward), so
-    # that 0 means "none yet", a newer spike is a maximum, and the smallest
-    # unsigned type that holds t_len serves: the sweeps are memory-bound.
+    ts = list(ts)
+    # A sweep stamps its frame s (frame s forward, t_len - 1 - s backward)
+    # with 1 + s, so that 0 means "none yet", the nearer spike is the
+    # maximum, and the smallest unsigned type that holds t_len serves: the
+    # sweeps are memory-bound.
     dtype = np.min_scalar_type(t_len)
+    stamped = np.empty((8, h, w), dtype=dtype)
     hit = np.empty((h, w), dtype=dtype)
-    latest = np.zeros((h, w), dtype=dtype)
     befores = np.empty((len(ts), h, w), dtype=dtype)
-    todo = 0                                # first frame not yet read
-    for k, t in enumerate(ts):
-        for u in range(max(todo, t - reach), t + 1):
-            np.multiply(stream.unpack(u, u + 1)[0], dtype.type(u + 1),
-                        out=hit)
-            np.maximum(latest, hit, out=latest)
-        todo = t + 1
-        befores[k] = latest
-
-    out = np.full((len(ts), h, w), cfg.default_value, dtype=np.float64)
-    earliest = np.zeros((h, w), dtype=dtype)
-    todo = t_len - 1                        # last frame not yet read
-    for k in reversed(range(len(ts))):
-        t = ts[k]
-        for u in range(min(todo, t + reach), t, -1):
-            np.multiply(stream.unpack(u, u + 1)[0], dtype.type(t_len - u),
-                        out=hit)
-            np.maximum(earliest, hit, out=earliest)
-        todo = t
-        # A spike read for an earlier sampled step, or none (-1 and t_len),
-        # falls outside [lo, hi) and leaves the pixel at default_value.
-        t_before = befores[k].astype(np.int64) - 1
-        t_after = t_len - earliest.astype(np.int64)
-        both = ((t_before >= max(0, t - reach))
-                & (t_after < min(t_len, t + reach + 1)))
-        isi = (t_after - t_before).astype(np.float64)
-        np.copyto(out[k], np.minimum(1.0, cfg.theta / np.maximum(isi, 1.0)),
-                  where=both)
+    out = np.empty((len(ts), h, w), dtype=np.float64)
+    # The intensity of each interval up to 2 * reach, from a table. Entry 0
+    # is default_value, for a pixel whose latest spike before t or earliest
+    # after it lies outside [t - reach, t + reach]: one read for another
+    # sampled step, or none (time 0). The signed type holds -t_len - 2, so
+    # +-(t_len + 1).
+    table = np.minimum(1.0, cfg.theta / np.maximum(
+        np.arange(2 * reach + 1, dtype=np.float64), 1.0))
+    table[0] = cfg.default_value
+    isi = np.empty((h, w), dtype=np.min_scalar_type(-t_len - 2))
+    for backward in (False, True):
+        # Sampled step k is recorded once the sweep has read its window,
+        # frames [end - width, end) of the sweep.
+        if backward:
+            ends, width = [t_len - 1 - t for t in reversed(ts)], reach
+        else:
+            ends, width = [t + 1 for t in ts], reach + 1
+        # The end of the run of touching windows that window k is in: a
+        # chunk reads no frame past it.
+        run_ends = ends[:]
+        for k in reversed(range(len(ends) - 1)):
+            if ends[k + 1] - width <= ends[k]:
+                run_ends[k] = run_ends[k + 1]
+        nearest = np.zeros((h, w), dtype=dtype)
+        lo = hi = done = 0                  # stamped holds frames [lo, hi)
+        for k, end in enumerate(ends):
+            s = max(done, end - width)
+            while s < end:
+                if s >= hi:
+                    lo, hi = s, min(s + 8, run_ends[k])
+                    frames = (stream.unpack(t_len - hi, t_len - lo)[::-1]
+                              if backward else stream.unpack(lo, hi))
+                    np.multiply(frames, np.arange(lo + 1, hi + 1, dtype=dtype)
+                                [:, None, None], out=stamped[:hi - lo])
+                e = min(end, hi)
+                np.maximum(nearest, stamped[s - lo:e - lo].max(axis=0,
+                                                                out=hit),
+                           out=nearest)
+                s = e
+            done = end
+            if not backward:
+                befores[k] = nearest
+                continue
+            # t_after - t_before is (t_len - nearest) - (before - 1).
+            j = len(ts) - 1 - k
+            t, before = ts[j], befores[j]
+            np.subtract(t_len + 1, before, out=isi, dtype=isi.dtype)
+            isi -= nearest
+            isi *= ((before > max(t - reach, 0))
+                    & (nearest > max(t_len - 1 - t - reach, 0)))
+            table.take(isi, out=out[j], mode="clip")
     return out
 
 

@@ -10,7 +10,8 @@ In memory a ``SpikeStream`` holds the same bits as one read-only uint8 row
 per frame: ceil(H*W/8) bytes, MSB first, padding bits zero. When H*W is a
 multiple of 8 the rows are exactly the ``.dat`` body, so the codec writes
 and keeps the bytes as they are; otherwise it converts between the rows
-and the continuous bitstream. Only this module knows the layout:
+and the continuous bitstream eight frames, H*W whole bytes of it, at a
+time. Only this module knows the layout:
 producers hand it binary frames (``SpikeStream.from_chunks``) or whole
 rows, and consumers unpack only the frames they read
 (``SpikeStream.unpack``).
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -221,32 +222,50 @@ def _whole_bytes(height: int, width: int) -> bool:
     return height * width % 8 == 0
 
 
-def pack_spikes(stream: SpikeStream) -> bytes:
-    """Pack a stream into the continuous MSB-first bitstream.
+def pack_spikes(stream: SpikeStream) -> memoryview:
+    """Pack a stream into the continuous MSB-first bitstream, returned as
+    a read-only bytes-like view.
 
     Element order is (t, y, x) with x fastest; the final byte is
-    zero-padded. Output length is ceil(t*h*w / 8) exactly.
+    zero-padded. Output length is ceil(t*h*w / 8) exactly. When frames fill
+    whole bytes the view is of the stream's rows themselves. Otherwise
+    eight frames, which are H*W whole bytes of the bitstream, are packed
+    into a new buffer at a time.
     """
     if _whole_bytes(stream.height, stream.width):
-        return stream._rows.tobytes()
-    return np.packbits(stream.data.ravel(), bitorder="big").tobytes()
+        body = stream._rows.reshape(-1)
+    else:
+        hw = stream.height * stream.width
+        body = np.empty((stream.n_elements + 7) // 8, dtype=np.uint8)
+        for t in range(0, stream.t_len, 8):
+            piece = np.packbits(stream.unpack(t, t + 8), bitorder="big")
+            body[t // 8 * hw:][:len(piece)] = piece
+    return memoryview(read_only(body))
 
 
-def unpack_spikes(buf: bytes, meta: StreamMeta) -> SpikeStream:
-    """Exact inverse of :func:`pack_spikes`; padding bits are discarded."""
+def unpack_spikes(buf, meta: StreamMeta) -> SpikeStream:
+    """Exact inverse of :func:`pack_spikes` on any bytes-like ``buf``;
+    padding bits are discarded. When frames do not fill whole bytes, eight
+    frames, H*W whole bytes, are unpacked at a time."""
     expected = meta.packed_size
     if len(buf) != expected:
         raise DataIOError(
             f"packed buffer has {len(buf)} bytes but meta "
             f"{meta.t_len}x{meta.height}x{meta.width} requires {expected}")
-    # bytes(buf) is buf itself when it is bytes, else an immutable copy,
-    # so the stream can keep it.
-    body = np.frombuffer(bytes(buf), dtype=np.uint8)
     if _whole_bytes(meta.height, meta.width):
-        rows = body.reshape(meta.t_len, -1)
-    else:
-        rows = _pack(np.unpackbits(body, count=meta.n_elements,
-                                   bitorder="big").reshape(meta.t_len, -1))
+        # bytes(buf) is buf itself when it is bytes, else an immutable
+        # copy, so the stream can keep it.
+        rows = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(
+            meta.t_len, -1)
+        return SpikeStream._of_rows(rows, meta.height, meta.width)
+    hw = meta.height * meta.width
+    rows = np.empty((meta.t_len, (hw + 7) // 8), dtype=np.uint8)
+    for t in range(0, meta.t_len, 8):
+        n = min(8, meta.t_len - t)
+        piece = np.frombuffer(buf, dtype=np.uint8, count=(n * hw + 7) // 8,
+                              offset=t // 8 * hw)
+        rows[t:t + n] = _pack(np.unpackbits(piece, count=n * hw,
+                                            bitorder="big").reshape(n, hw))
     return SpikeStream._of_rows(rows, meta.height, meta.width)
 
 
@@ -266,6 +285,23 @@ def write_dat(stream: SpikeStream, meta: StreamMeta, path) -> None:
     write_meta(meta, sidecar_path(path))
 
 
+def _read_rows(fh, meta: StreamMeta) -> tuple[np.ndarray, bytes]:
+    """The packed rows of ``meta``'s stream from the open ``.dat`` file
+    ``fh``, and the file's final byte. Frames that fill whole bytes are
+    read at once. Others are read and unpacked eight frames, H*W whole
+    bytes, at a time, so only one such piece is held besides the rows."""
+    if _whole_bytes(meta.height, meta.width):
+        body = fh.read(meta.packed_size)
+        return unpack_spikes(body, meta)._rows, body[-1:]
+    rows = np.empty((meta.t_len, (meta.height * meta.width + 7) // 8),
+                    dtype=np.uint8)
+    for t in range(0, meta.t_len, 8):
+        part = replace(meta, t_len=min(8, meta.t_len - t))
+        piece = fh.read(part.packed_size)
+        rows[t:t + part.t_len] = unpack_spikes(piece, part)._rows
+    return rows, piece[-1:]
+
+
 def read_dat(path, meta: StreamMeta) -> SpikeStream:
     """Read a headerless ``.dat`` file using externally supplied meta.
 
@@ -277,18 +313,19 @@ def read_dat(path, meta: StreamMeta) -> SpikeStream:
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            buf = fh.read(expected) if size == expected else b""
+            if size != expected:
+                raise DataIOError(
+                    f"{path}: file has {size} bytes, expected {expected} "
+                    f"for {meta.t_len}x{meta.height}x{meta.width} "
+                    f"(truncated or wrong meta)")
+            rows, last = _read_rows(fh, meta)
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    if len(buf) != expected:
-        raise DataIOError(
-            f"{path}: file has {size} bytes, expected {expected} "
-            f"for {meta.t_len}x{meta.height}x{meta.width} (truncated or wrong meta)")
     pad = 8 * expected - meta.n_elements
-    if buf[-1] & ((1 << pad) - 1):
+    if last[0] & ((1 << pad) - 1):
         raise DataIOError(f"{path}: the {pad} padding bit(s) of the final "
                           f"byte must be zero")
-    return unpack_spikes(buf, meta)
+    return SpikeStream._of_rows(rows, meta.height, meta.width)
 
 
 def sidecar_path(dat_path) -> str:

@@ -173,12 +173,17 @@ def test_encode_noise_requires_seed():
                      EncoderConfig(noise_amplitude=0.05), seed=None)
 
 
+# Frame counts 1, 7, 8, 9 and 17 end at, before and after the encoder's
+# eight-frame chunks.
 @pytest.mark.parametrize("shape", [(1, 1, 1), (33, 7, 5), (400, 64, 64),
-                                   (37, 3, 5), (37, 7, 9), (37, 5, 13)])
+                                   (37, 3, 5), (37, 7, 9), (37, 5, 13)]
+                         + [(t, n, m) for t in (1, 7, 8, 9, 17)
+                            for n, m in ((3, 5), (64, 64))])
 @pytest.mark.parametrize("noise", [0.0, 1e-320, 0.05, 0.9, 5.0])
 def test_encode_gives_the_bytes_of_the_per_frame_encoder(shape, noise):
-    # The in-place noise draw -a + 2a*u must give the values of
-    # Generator.uniform(-a, a) from the same stream, bit for bit.
+    # The in-place noise draw -a + 2a*u, one draw per eight frames, must
+    # give the values of per-frame Generator.uniform(-a, a) calls on the
+    # same stream, bit for bit.
     cfg = EncoderConfig(noise_amplitude=noise)
     for seed in (0, 1, 7):
         video = IntensityVideo(np.random.default_rng(seed + 100).random(shape))

@@ -169,3 +169,20 @@ def test_featurize_memory_is_bounded_and_bands_keep_bytes(monkeypatch):
         assert peak < bound_mib * 2 ** 20, n
     monkeypatch.setattr(nnops, "BAND_BYTES", 2 ** 62)
     assert banded.tobytes() == featurize_stream(*args).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [8, 32])
+def test_transposed_view_input_gives_the_contiguous_bytes(k, n):
+    # A pixel-major conv returns a transposed view, which the next conv
+    # copies once at padding 0 (8 px runs pixel-major, 32 px tap-major).
+    rng = np.random.default_rng(n + k)
+    x = rng.standard_normal((n * n, 12)).T.reshape(12, n, n)
+    assert not x.flags.c_contiguous
+    kernel = rng.standard_normal((20, 12, k, k))
+    bias = rng.standard_normal(20)
+    for stride in (1, 2):
+        got = conv2d(x, kernel, bias, stride=stride, padding=0)
+        want = conv2d(np.ascontiguousarray(x), kernel, bias, stride=stride,
+                      padding=0)
+        assert got.tobytes() == want.tobytes(), stride

@@ -1,10 +1,14 @@
 """Texture-from-interval reconstruction tests."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import tfi_frames_unpacked
+from spikekit import reconstruct
 from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.errors import PreconditionError
 from spikekit.reconstruct import TfiConfig, tfi_reconstruct, tfi_video
@@ -211,3 +215,72 @@ def test_tfi_video_moving_bar_advances_monotonically():
 def test_tfi_video_bad_stride():
     with pytest.raises(PreconditionError):
         tfi_video(periodic_stream(5, 20), stride=0)
+
+
+# ---------------------------------------------------------------------------
+# Eight-frame chunks
+# ---------------------------------------------------------------------------
+
+def _sampled_steps(t_len: int):
+    """(delta_t_max, ts): stride 1; stride 10 > 2 * delta_t_max, so gaps
+    between the windows; windows that reach past both ends; and one
+    sampled step at either end."""
+    yield 3, list(range(t_len))
+    yield 4, list(range(0, t_len, 10))
+    yield t_len, list(range(0, t_len, 3))
+    yield t_len + 5, list(range(0, t_len, 8))
+    for t in (0, t_len - 1):
+        yield 5, [t]
+        yield t_len, [t]
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (3, 5), (7, 9)])
+@pytest.mark.parametrize("t_len", [1, 7, 8, 9, 37])
+def test_chunked_sweeps_give_the_per_frame_oracle(h, w, t_len):
+    rng = np.random.default_rng(h * 1000 + w * 100 + t_len)
+    bits = (rng.random((t_len, h, w)) < 0.3).astype(np.uint8)
+    stream = SpikeStream(bits)
+    for delta_t_max, ts in _sampled_steps(t_len):
+        cfg = TfiConfig(delta_t_max=delta_t_max, theta=4.0,
+                        default_value=0.3)
+        assert reconstruct._tfi_frames(stream, ts, cfg).tobytes() == \
+            tfi_frames_unpacked(bits, ts, cfg).tobytes(), (delta_t_max, ts)
+
+
+def _clip(t_len: int, n: int = 128) -> SpikeStream:
+    rng = np.random.default_rng(t_len)
+    return SpikeStream.from_chunks(
+        (rng.random((min(8, t_len - t), n, n)) < 0.2
+         for t in range(0, t_len, 8)), (t_len, n, n))
+
+
+def test_tfi_video_unpacks_eight_frames_per_call(monkeypatch):
+    # stream-io's clips: 100 frames, stride 25, delta_t_max 40, so the two
+    # sweeps read 175 frames.
+    calls = []
+    unpack = SpikeStream.unpack
+
+    def counted(self, start, stop):
+        calls.append(stop - start)
+        return unpack(self, start, stop)
+
+    monkeypatch.setattr(SpikeStream, "unpack", counted)
+    tfi_video(_clip(100), 25)
+    assert len(calls) <= 2 * math.ceil(100 / 8) + 8, calls
+    assert max(calls) == 8
+
+
+def test_tfi_memory_does_not_grow_with_the_stream():
+    # Four sampled steps at every length: the output, one two-byte time
+    # per sampled pixel and a few [8, H, W] chunks, whatever t_len.
+    n = 32
+    for t_len in (300, 1200, 4800):
+        stream = _clip(t_len, n)
+        tracemalloc.start()
+        try:
+            out = tfi_video(stream, t_len // 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 1.25 * out.frames.nbytes + 12 * 8 * n * n
+        assert peak < bound, (t_len, peak, bound)

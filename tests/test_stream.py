@@ -335,10 +335,11 @@ def test_each_producer_holds_one_copy_of_its_output(setup, tmp_path):
         tracemalloc.stop()
     if isinstance(out, SpikeStream):
         # The frames fill whole bytes, so the packed rows are the .dat
-        # body. The encoder also keeps four frames' worth of float64
-        # buffers: charge, noise, reset and eight frames of spike flags.
+        # body. The encoder also keeps eleven frames' worth of float64
+        # buffers: charge, reset, eight frames of noise (one draw per
+        # chunk) and eight frames of spike flags.
         held = StreamMeta.for_stream(out).packed_size
-        buffers = 4 * 8 * out.height * out.width
+        buffers = 11 * 8 * out.height * out.width
         assert peak <= 1.25 * held + buffers, (peak, held)
     else:
         assert peak <= 1.25 * out.frames.nbytes, (peak, out.frames.nbytes)
@@ -371,6 +372,42 @@ def test_codec_gives_the_unpacked_bytes_on_any_frame_size(h, w, tmp_path):
     back = read_dat(tmp_path / "s.dat", meta)
     assert back == s and np.array_equal(back.data, bits)
     assert back.spike_count() == s.spike_count()
+
+
+@pytest.mark.parametrize("h, w", FRAME_SIZES)
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 17])
+def test_codec_converts_eight_frames_at_a_time_on_any_frame_size(h, w, t):
+    # Frame counts that end at, before and after an eight-frame chunk.
+    bits = odd_bits(h, w, t)
+    s = SpikeStream(bits)
+    meta = StreamMeta.for_stream(s)
+    assert pack_spikes(s) == pack_bits(bits)
+    assert unpack_spikes(pack_bits(bits), meta) == s
+    assert unpack_spikes(bytearray(pack_bits(bits)), meta) == s
+
+
+def test_codec_memory_on_ragged_frames_is_one_packed_copy(tmp_path):
+    # 127 x 129 pixels fill no whole byte: the codec converts eight frames,
+    # H*W bytes, at a time, never the whole stream unpacked.
+    shape = (400, 127, 129)
+    rng = np.random.default_rng(9)
+    s = SpikeStream.from_chunks((rng.random((8,) + shape[1:]) < 0.2
+                                 for _ in range(0, shape[0], 8)), shape)
+    meta = StreamMeta.for_stream(s)
+    path = tmp_path / "s.dat"
+    peaks = []
+    for run in (lambda: write_dat(s, meta, path),
+                lambda: read_dat(path, meta)):
+        tracemalloc.start()
+        try:
+            back = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) < 2 * meta.packed_size, (peaks, meta.packed_size)
+    assert path.read_bytes() == pack_bits(s.data)
+    assert back == s
 
 
 @pytest.mark.parametrize("h, w", FRAME_SIZES)
