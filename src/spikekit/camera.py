@@ -111,7 +111,7 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
     a finite range ``2a``, and the noise seed must be non-negative. With
     noise_amplitude 0 the output is deterministic and seed-independent.
 
-    The frame loop allocates only each chunk's packed rows: the noise and
+    The frame loop allocates only each chunk's packed bytes: the noise and
     the spike flags of eight frames, and the charge spent by the reset,
     are built in reused buffers, and the stream packs the flags eight
     frames at a time.

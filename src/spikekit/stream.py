@@ -6,15 +6,15 @@ flags. On disk it is a headerless packed bitstream: elements flattened in
 final byte whose padding bits are zero. Dimensions travel separately in a
 ``StreamMeta``, which ``write_dat`` persists as a ``.meta.json`` sidecar.
 
-In memory a ``SpikeStream`` holds the same bits as one read-only uint8 row
-per frame: ceil(H*W/8) bytes, MSB first, padding bits zero. When H*W is a
-multiple of 8 the rows are exactly the ``.dat`` body, so the codec writes
-and keeps the bytes as they are; otherwise it converts between the rows
-and the continuous bitstream eight frames, H*W whole bytes of it, at a
-time. Only this module knows the layout:
-producers hand it binary frames (``SpikeStream.from_chunks``) or whole
-rows, and consumers unpack only the frames they read
-(``SpikeStream.unpack``).
+In memory a ``SpikeStream`` holds the ``.dat`` body itself: one read-only
+uint8 array of ceil(T*H*W/8) bytes whose padding bits are zero. So the
+codec writes and adopts those bytes as they are, and a frame range is
+unpacked from the bytes that hold it. Only this module knows the layout:
+producers hand it binary frames (``SpikeStream.from_chunks``) or a whole
+body, and consumers unpack only the frames they read
+(``SpikeStream.unpack``). Eight frames are H*W whole bytes of the body, so
+a frame that does not fill whole bytes is repacked at most eight frames at
+a time, and only when frames are sliced or subsampled.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,23 +52,16 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _pack(frames: np.ndarray) -> np.ndarray:
-    """The packed rows [n, ceil(H*W/8)] of frames [n, H, W]; a nonzero
-    element is a spike."""
-    return np.packbits(frames.reshape(len(frames), -1), axis=1,
-                       bitorder="big")
-
-
 class SpikeStream:
     """Binary spatiotemporal event tensor of shape [t_len, height, width].
 
-    The spikes are held packed, one read-only row of ceil(H*W/8) bytes per
-    frame (see the module docstring). ``SpikeStream(array)`` checks an
-    outside array and packs a copy of it; :meth:`unpack` and :attr:`data`
-    give frames back. Operations return new streams.
+    The spikes are held packed as the ``.dat`` body (see the module
+    docstring). ``SpikeStream(array)`` checks an outside array and packs a
+    copy of it; :meth:`unpack` and :attr:`data` give frames back.
+    Operations return new streams.
     """
 
-    __slots__ = ("_rows", "_shape")
+    __slots__ = ("_body", "_shape")
 
     def __init__(self, data):
         raw = np.asarray(data)
@@ -81,16 +74,17 @@ class SpikeStream:
         if any(s < 1 for s in raw.shape):
             raise PreconditionError(
                 f"all stream dimensions must be >= 1, got {raw.shape}")
-        self._rows = read_only(_pack(raw.astype(np.bool_, copy=False)))
+        self._body = read_only(np.packbits(raw.astype(np.bool_, copy=False),
+                                           bitorder="big"))
         self._shape = raw.shape
 
     @classmethod
-    def _of_rows(cls, rows: np.ndarray, height: int,
-                 width: int) -> "SpikeStream":
-        """The stream that owns ``rows``, packed rows made in this module."""
+    def _of_body(cls, body: np.ndarray,
+                 shape: tuple[int, int, int]) -> "SpikeStream":
+        """The stream that owns ``body``, a body made in this module."""
         stream = cls.__new__(cls)
-        stream._rows = read_only(rows)
-        stream._shape = (len(rows), height, width)
+        stream._body = read_only(body)
+        stream._shape = tuple(shape)
         return stream
 
     @classmethod
@@ -98,15 +92,30 @@ class SpikeStream:
                     shape: tuple[int, int, int]) -> "SpikeStream":
         """The stream of ``shape`` [t_len, H, W] whose frames are, in order,
         those of ``chunks``: boolean arrays [n, H, W] that together hold
-        t_len frames. Each chunk is packed as it arrives, so a producer may
-        refill one buffer; booleans are bits, so no binary check runs."""
+        t_len frames. Each chunk is packed into the body as it arrives, so
+        a producer may refill one buffer; booleans are bits, so no binary
+        check runs. A chunk must start on a byte of the body: any chunk
+        when H*W is a multiple of 8, else one after a multiple of 8 frames.
+        Anything else is a ``PreconditionError``."""
         t_len, height, width = shape
-        rows = np.empty((t_len, (height * width + 7) // 8), dtype=np.uint8)
+        hw = height * width
+        body = np.empty((t_len * hw + 7) // 8, dtype=np.uint8)
         t = 0
         for chunk in chunks:
-            rows[t:t + len(chunk)] = _pack(chunk)
+            if not (isinstance(chunk, np.ndarray) and chunk.dtype == np.bool_
+                    and chunk.shape[1:] == (height, width)):
+                raise PreconditionError(
+                    f"chunks must be boolean [n, {height}, {width}] arrays")
+            if t * hw % 8 or t + len(chunk) > t_len:
+                raise PreconditionError(
+                    f"a chunk of {len(chunk)} frames at frame {t} must start "
+                    f"on a byte of the body and end by frame {t_len}")
+            piece = np.packbits(chunk, bitorder="big")
+            body[t * hw // 8:][:len(piece)] = piece
             t += len(chunk)
-        return cls._of_rows(rows, height, width)
+        if t != t_len:
+            raise PreconditionError(f"the chunks hold {t} of {t_len} frames")
+        return cls._of_body(body, shape)
 
     @property
     def t_len(self) -> int:
@@ -126,11 +135,16 @@ class SpikeStream:
 
     def unpack(self, start: int, stop: int) -> np.ndarray:
         """Frames ``start`` to ``stop - 1`` as a new read-only uint8 array
-        [n, H, W] of 0s and 1s: a consumer unpacks only what it reads."""
-        _, h, w = self._shape
-        rows = self._rows[start:stop]
-        return read_only(np.unpackbits(rows, axis=1, count=h * w,
-                                       bitorder="big").reshape(-1, h, w))
+        [n, H, W] of 0s and 1s: a consumer unpacks only what it reads.
+        ``0 <= start <= stop <= t_len`` must hold."""
+        t_len, h, w = self._shape
+        if not 0 <= start <= stop <= t_len:
+            raise PreconditionError(
+                f"frames [{start}, {stop}) are not a range in [0, {t_len})")
+        first, end = start * h * w, stop * h * w
+        bits = np.unpackbits(self._body[first // 8:(end + 7) // 8],
+                             bitorder="big")
+        return read_only(bits[first % 8:][:end - first].reshape(-1, h, w))
 
     @property
     def data(self) -> np.ndarray:
@@ -139,14 +153,14 @@ class SpikeStream:
         return self.unpack(0, self.t_len)
 
     def spike_count(self) -> int:
-        return int(_POPCOUNT[self._rows].sum())
+        return int(_POPCOUNT[self._body].sum())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpikeStream):
             return NotImplemented
-        # Padding bits are zero, so equal rows are equal spikes.
+        # Padding bits are zero, so equal bodies are equal spikes.
         return self._shape == other._shape and bool(
-            np.array_equal(self._rows, other._rows))
+            np.array_equal(self._body, other._body))
 
 
 # The JSON kind of each sidecar field (see ``jsonio.is_a``).
@@ -217,56 +231,37 @@ class ClipWindowSpec:
 # Codec
 # ---------------------------------------------------------------------------
 
-def _whole_bytes(height: int, width: int) -> bool:
-    """True when a frame fills whole bytes, so the rows are the bitstream."""
-    return height * width % 8 == 0
-
-
 def pack_spikes(stream: SpikeStream) -> memoryview:
-    """Pack a stream into the continuous MSB-first bitstream, returned as
-    a read-only bytes-like view.
+    """The stream's continuous MSB-first bitstream, the ``.dat`` body, as a
+    read-only view of the bytes the stream holds.
 
     Element order is (t, y, x) with x fastest; the final byte is
-    zero-padded. Output length is ceil(t*h*w / 8) exactly. When frames fill
-    whole bytes the view is of the stream's rows themselves. Otherwise
-    eight frames, which are H*W whole bytes of the bitstream, are packed
-    into a new buffer at a time.
+    zero-padded. Output length is ceil(t*h*w / 8) exactly.
     """
-    if _whole_bytes(stream.height, stream.width):
-        body = stream._rows.reshape(-1)
-    else:
-        hw = stream.height * stream.width
-        body = np.empty((stream.n_elements + 7) // 8, dtype=np.uint8)
-        for t in range(0, stream.t_len, 8):
-            piece = np.packbits(stream.unpack(t, t + 8), bitorder="big")
-            body[t // 8 * hw:][:len(piece)] = piece
-    return memoryview(read_only(body))
+    return memoryview(stream._body)
+
+
+def _padding_mask(meta: StreamMeta) -> int:
+    """The padding bits of the final byte of ``meta``'s body."""
+    return (1 << (8 * meta.packed_size - meta.n_elements)) - 1
 
 
 def unpack_spikes(buf, meta: StreamMeta) -> SpikeStream:
     """Exact inverse of :func:`pack_spikes` on any bytes-like ``buf``;
-    padding bits are discarded. When frames do not fill whole bytes, eight
-    frames, H*W whole bytes, are unpacked at a time."""
+    padding bits are discarded. The stream adopts ``buf`` when it is
+    ``bytes``. Any other buffer, which its owner could still change, is
+    copied once, and so is a body whose padding bits are set."""
     expected = meta.packed_size
     if len(buf) != expected:
         raise DataIOError(
             f"packed buffer has {len(buf)} bytes but meta "
             f"{meta.t_len}x{meta.height}x{meta.width} requires {expected}")
-    if _whole_bytes(meta.height, meta.width):
-        # bytes(buf) is buf itself when it is bytes, else an immutable
-        # copy, so the stream can keep it.
-        rows = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(
-            meta.t_len, -1)
-        return SpikeStream._of_rows(rows, meta.height, meta.width)
-    hw = meta.height * meta.width
-    rows = np.empty((meta.t_len, (hw + 7) // 8), dtype=np.uint8)
-    for t in range(0, meta.t_len, 8):
-        n = min(8, meta.t_len - t)
-        piece = np.frombuffer(buf, dtype=np.uint8, count=(n * hw + 7) // 8,
-                              offset=t // 8 * hw)
-        rows[t:t + n] = _pack(np.unpackbits(piece, count=n * hw,
-                                            bitorder="big").reshape(n, hw))
-    return SpikeStream._of_rows(rows, meta.height, meta.width)
+    body = np.frombuffer(buf, dtype=np.uint8)
+    mask = _padding_mask(meta)
+    if not isinstance(buf, bytes) or body[-1] & mask:
+        body = body.copy()
+        body[-1] &= 0xFF ^ mask
+    return SpikeStream._of_body(body, (meta.t_len, meta.height, meta.width))
 
 
 def write_dat(stream: SpikeStream, meta: StreamMeta, path) -> None:
@@ -285,29 +280,13 @@ def write_dat(stream: SpikeStream, meta: StreamMeta, path) -> None:
     write_meta(meta, sidecar_path(path))
 
 
-def _read_rows(fh, meta: StreamMeta) -> tuple[np.ndarray, bytes]:
-    """The packed rows of ``meta``'s stream from the open ``.dat`` file
-    ``fh``, and the file's final byte. Frames that fill whole bytes are
-    read at once. Others are read and unpacked eight frames, H*W whole
-    bytes, at a time, so only one such piece is held besides the rows."""
-    if _whole_bytes(meta.height, meta.width):
-        body = fh.read(meta.packed_size)
-        return unpack_spikes(body, meta)._rows, body[-1:]
-    rows = np.empty((meta.t_len, (meta.height * meta.width + 7) // 8),
-                    dtype=np.uint8)
-    for t in range(0, meta.t_len, 8):
-        part = replace(meta, t_len=min(8, meta.t_len - t))
-        piece = fh.read(part.packed_size)
-        rows[t:t + part.t_len] = unpack_spikes(piece, part)._rows
-    return rows, piece[-1:]
-
-
 def read_dat(path, meta: StreamMeta) -> SpikeStream:
     """Read a headerless ``.dat`` file using externally supplied meta.
 
     The file's size must be the meta's packed size, which is checked
     before anything is read, and the padding bits of its final byte must
-    be zero; anything else is a ``DataIOError``.
+    be zero; anything else is a ``DataIOError``. The body is read once,
+    and the stream adopts it.
     """
     expected = meta.packed_size
     try:
@@ -318,14 +297,15 @@ def read_dat(path, meta: StreamMeta) -> SpikeStream:
                     f"{path}: file has {size} bytes, expected {expected} "
                     f"for {meta.t_len}x{meta.height}x{meta.width} "
                     f"(truncated or wrong meta)")
-            rows, last = _read_rows(fh, meta)
+            body = fh.read(expected)
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    pad = 8 * expected - meta.n_elements
-    if last[0] & ((1 << pad) - 1):
-        raise DataIOError(f"{path}: the {pad} padding bit(s) of the final "
-                          f"byte must be zero")
-    return SpikeStream._of_rows(rows, meta.height, meta.width)
+    stream = unpack_spikes(body, meta)      # checks the length read
+    mask = _padding_mask(meta)
+    if body[-1] & mask:
+        raise DataIOError(f"{path}: the {mask.bit_length()} padding bit(s) "
+                          f"of the final byte must be zero")
+    return stream
 
 
 def sidecar_path(dat_path) -> str:
@@ -363,8 +343,7 @@ def slice_clips(stream: SpikeStream,
     """
     starts = range(0, clip_count(stream.t_len, spec) * spec.stride,
                    spec.stride)
-    return (SpikeStream._of_rows(stream._rows[s:s + spec.window_len].copy(),
-                                 stream.height, stream.width)
+    return (_take_frames(stream, np.arange(s, s + spec.window_len))
             for s in starts)
 
 
@@ -384,6 +363,17 @@ def subsample_temporal(stream: SpikeStream, target_len: int) -> SpikeStream:
     Binary values are preserved; no rebinning of spikes takes place, so
     spike statistics of the kept frames are untouched.
     """
-    idx = subsample_indices(stream.t_len, target_len)
-    return SpikeStream._of_rows(stream._rows[idx], stream.height,
-                                stream.width)
+    return _take_frames(stream, subsample_indices(stream.t_len, target_len))
+
+
+def _take_frames(stream: SpikeStream, idx: np.ndarray) -> SpikeStream:
+    """The stream of frames ``idx`` of ``stream``, copied once. Frames that
+    fill whole bytes are byte rows of the body. Others are unpacked and
+    packed again at most eight frames, H*W whole bytes, at a time."""
+    t_len, h, w = stream._shape
+    if h * w % 8 == 0:
+        rows = stream._body.reshape(t_len, -1)
+        return SpikeStream._of_body(rows[idx].reshape(-1), (len(idx), h, w))
+    chunks = (np.concatenate([stream.unpack(i, i + 1) for i in idx[k:k + 8]])
+              .view(np.bool_) for k in range(0, len(idx), 8))
+    return SpikeStream.from_chunks(chunks, (len(idx), h, w))

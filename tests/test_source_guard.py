@@ -159,6 +159,13 @@ def test_hsfe_branch_stage_has_no_per_frame_helpers():
         "hsfe.py:_window_mean"]
 
 
+def test_a_stream_holds_one_bit_layout():
+    # A SpikeStream holds the .dat body, so nothing converts between it
+    # and rows of one frame each.
+    assert _functions(lambda fn: fn.name in ("_whole_bytes", "_read_rows",
+                                             "_of_rows")) == []
+
+
 def test_backbone_config_has_one_field():
     from dataclasses import fields
 

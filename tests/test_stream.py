@@ -334,10 +334,9 @@ def test_each_producer_holds_one_copy_of_its_output(setup, tmp_path):
     finally:
         tracemalloc.stop()
     if isinstance(out, SpikeStream):
-        # The frames fill whole bytes, so the packed rows are the .dat
-        # body. The encoder also keeps eleven frames' worth of float64
-        # buffers: charge, reset, eight frames of noise (one draw per
-        # chunk) and eight frames of spike flags.
+        # A stream holds the .dat body. The encoder also keeps eleven
+        # frames' worth of float64 buffers: charge, reset, eight frames of
+        # noise (one draw per chunk) and eight frames of spike flags.
         held = StreamMeta.for_stream(out).packed_size
         buffers = 11 * 8 * out.height * out.width
         assert peak <= 1.25 * held + buffers, (peak, held)
@@ -387,8 +386,9 @@ def test_codec_converts_eight_frames_at_a_time_on_any_frame_size(h, w, t):
 
 
 def test_codec_memory_on_ragged_frames_is_one_packed_copy(tmp_path):
-    # 127 x 129 pixels fill no whole byte: the codec converts eight frames,
-    # H*W bytes, at a time, never the whole stream unpacked.
+    # 127 x 129 pixels fill no whole byte, yet the stream holds the .dat
+    # body itself: writing copies none of it, and reading makes only the
+    # copy the stream keeps.
     shape = (400, 127, 129)
     rng = np.random.default_rng(9)
     s = SpikeStream.from_chunks((rng.random((8,) + shape[1:]) < 0.2
@@ -405,9 +405,63 @@ def test_codec_memory_on_ragged_frames_is_one_packed_copy(tmp_path):
         finally:
             tracemalloc.stop()
         peaks.append(peak)
-    assert max(peaks) < 2 * meta.packed_size, (peaks, meta.packed_size)
+    write_peak, read_peak = peaks
+    assert write_peak <= 0.05 * meta.packed_size, (write_peak, meta)
+    assert read_peak <= 1.05 * meta.packed_size, (read_peak, meta)
     assert path.read_bytes() == pack_bits(s.data)
     assert back == s
+
+    def shared(a, b):
+        return np.shares_memory(np.frombuffer(a, dtype=np.uint8),
+                                np.frombuffer(b, dtype=np.uint8))
+
+    assert shared(pack_spikes(s), pack_spikes(s))
+    body = path.read_bytes()
+    assert shared(pack_spikes(unpack_spikes(body, meta)), body)
+    # A buffer its owner can still change is copied.
+    mutable = bytearray(body)
+    adopted = unpack_spikes(mutable, meta)
+    mutable[0] ^= 0xFF
+    assert adopted == s
+
+
+def test_from_chunks_packs_chunks_that_start_on_a_byte():
+    bits = odd_bits(3, 5, 17).astype(bool)
+    want = SpikeStream(bits)
+    # 3 x 5 frames fill whole bytes every 8 frames; 4 x 4 frames always.
+    assert SpikeStream.from_chunks([bits[:8], bits[8:16], bits[16:]],
+                                   bits.shape) == want
+    square = odd_bits(4, 4, 17).astype(bool)
+    assert SpikeStream.from_chunks([square[:3], square[3:4], square[4:]],
+                                   square.shape) == SpikeStream(square)
+
+
+@pytest.mark.parametrize("chunks, shape", [
+    ([np.zeros((3, 4, 4), bool)], (40, 4, 4)),          # too few frames
+    ([np.zeros((9, 4, 4), bool)], (5, 4, 4)),           # too many
+    ([np.zeros((5, 4, 4), bool), np.zeros((0, 4, 4), bool),
+      np.zeros((1, 4, 4), bool)], (5, 4, 4)),          # one too many
+    ([np.zeros((5, 4, 3), bool)], (5, 4, 4)),           # wrong frame size
+    ([np.zeros((5, 16), bool)], (5, 4, 4)),
+    ([np.zeros((5, 4, 4), np.uint8)], (5, 4, 4)),       # not boolean
+    ([[[[False] * 4] * 4] * 5], (5, 4, 4)),
+    # The second chunk starts at bit 45 of the body, inside a byte.
+    ([np.zeros((3, 3, 5), bool), np.zeros((5, 3, 5), bool)], (8, 3, 5)),
+])
+def test_from_chunks_rejects_chunks_that_do_not_make_the_stream(chunks,
+                                                                shape):
+    with pytest.raises(PreconditionError):
+        SpikeStream.from_chunks(chunks, shape)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (5, 3), (38, 45), (0, 41),
+                                         (41, 41)])
+def test_unpack_rejects_a_range_outside_the_stream(start, stop):
+    s = SpikeStream(odd_bits(3, 5, 40))
+    with pytest.raises(PreconditionError):
+        s.unpack(start, stop)
+    assert s.unpack(40, 40).shape == (0, 3, 5)
+    assert np.array_equal(s.unpack(3, 40), odd_bits(3, 5, 40)[3:])
 
 
 @pytest.mark.parametrize("h, w", FRAME_SIZES)
