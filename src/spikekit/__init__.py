@@ -28,8 +28,7 @@ from .snn import (FsveConfig, esdsa_forward, fsve_forward, init_fsve_weights,
                   lif_step, sn_threshold, spiking_residual_block, tdbn)
 from .energy import (EnergyLedger, LayerEnergy, count_conv_sops,
                      energy_report, estimate_ann_energy, estimate_snn_energy)
-from .align import (AlignmentHead, Temperature, evaluate_topk, finetune_head,
-                    text_features)
+from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
 from .synth import SyntheticDatasetSpec, synth_dataset
 from .pipeline import PipelineConfig, run_pipeline
 from .weights import load_weights, save_weights
@@ -53,8 +52,7 @@ __all__ = [
     "sn_threshold", "esdsa_forward", "fsve_forward", "init_fsve_weights",
     "EnergyLedger", "LayerEnergy", "count_conv_sops",
     "estimate_snn_energy", "estimate_ann_energy", "energy_report",
-    "Temperature", "AlignmentHead", "text_features", "finetune_head",
-    "evaluate_topk",
+    "AlignmentHead", "text_features", "finetune_head", "evaluate_topk",
     "SyntheticDatasetSpec", "synth_dataset",
     "PipelineConfig", "run_pipeline",
     "save_weights", "load_weights",

@@ -4,16 +4,18 @@ The text side is a deterministic hashed bag-of-tokens embedder (a
 training-free stand-in for a transformer text encoder), so every learnable
 degree of freedom lives in the alignment head: one shared projection plus
 bias applied to both modalities' raw features, and a learnable
-inverse-temperature stored in log space. Head gradients are fully
-analytic, including the unit-normalization in the chain, and are gated
-against central finite differences in the test suite.
+inverse-temperature stored in log space. As in CLIP (Radford et al. 2021,
+arXiv:2103.00020), 1/tau starts near 1/0.07 and is clipped at the constant
+``INV_TAU_MAX`` = 100. Head gradients are fully analytic, including the
+unit-normalization in the chain, and are gated against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,39 +29,26 @@ TABLE_SEED = 17
 DEFAULT_INIT_INV_TAU = 14.29        # tau ~= 0.07
 
 
-@dataclass
-class Temperature:
-    """Learnable inverse temperature, stored as log(1/tau) and clamped."""
+INV_TAU_MAX = 100.0                 # CLIP's clip of the logit scale
 
-    log_inv_tau: float = math.log(DEFAULT_INIT_INV_TAU)
-    clamp_max: float = 100.0
 
-    def __post_init__(self):
-        if self.clamp_max <= 0:
-            raise PreconditionError("clamp_max must be > 0")
-
-    @property
-    def inv_tau(self) -> float:
-        return self.clamp_max if self.clamped else math.exp(self.log_inv_tau)
-
-    @property
-    def clamped(self) -> bool:
-        try:
-            return math.exp(self.log_inv_tau) >= self.clamp_max
-        except OverflowError:       # e^x beyond float range tops any clamp
-            return True
-
-    def copy(self) -> "Temperature":
-        return Temperature(self.log_inv_tau, self.clamp_max)
+def _inv_tau(log_inv_tau: float) -> tuple[float, bool]:
+    """1/tau of a log inverse-temperature and whether it sits at the clamp."""
+    try:
+        inv_tau = math.exp(log_inv_tau)
+    except OverflowError:           # e^x beyond float range tops the clamp
+        return INV_TAU_MAX, True
+    clamped = inv_tau >= INV_TAU_MAX
+    return (INV_TAU_MAX if clamped else inv_tau), clamped
 
 
 @dataclass
 class AlignmentHead:
-    """Trainable final layer: shared projection + bias and a temperature."""
+    """Trainable final layer: shared projection + bias and log(1/tau)."""
 
     projection: np.ndarray          # [d_in, d_out]
     bias: np.ndarray                # [d_out]
-    temperature: Temperature = field(default_factory=Temperature)
+    log_inv_tau: float = math.log(DEFAULT_INIT_INV_TAU)
 
     def __post_init__(self):
         self.projection = np.asarray(self.projection, dtype=np.float64)
@@ -70,7 +59,7 @@ class AlignmentHead:
             raise PreconditionError("bias must match projection output dim")
         if not (np.all(np.isfinite(self.projection))
                 and np.all(np.isfinite(self.bias))
-                and math.isfinite(self.temperature.log_inv_tau)):
+                and math.isfinite(self.log_inv_tau)):
             raise PreconditionError("head parameters must be finite")
 
     @property
@@ -90,25 +79,22 @@ class AlignmentHead:
     def to_json_dict(self) -> dict:
         return {"projection": self.projection.tolist(),
                 "bias": self.bias.tolist(),
-                "log_inv_tau": self.temperature.log_inv_tau,
-                "clamp_max": self.temperature.clamp_max}
+                "log_inv_tau": self.log_inv_tau}
 
     @classmethod
     def from_json_dict(cls, obj) -> "AlignmentHead":
         """The head of a head file's "head" object. A field that is not of
         its JSON kind (``jsonio.is_a``) or a ragged matrix is a
-        ``DataIOError``."""
+        ``DataIOError``; other keys are ignored."""
         head = checked(obj, {"projection": "[[float]]", "bias": "[float]",
-                             "log_inv_tau": "float", "clamp_max": "float?"},
-                       "head JSON")
+                             "log_inv_tau": "float"}, "head JSON")
         try:
             projection = np.array(head["projection"], dtype=np.float64)
         except ValueError as exc:
             raise DataIOError(f"head JSON has a ragged projection: "
                               f"{exc}") from exc
         return cls(projection=projection, bias=head["bias"],
-                   temperature=Temperature(head["log_inv_tau"],
-                                           head.get("clamp_max", 100.0)))
+                   log_inv_tau=head["log_inv_tau"])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +149,7 @@ def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _forward_backward(v_feat, t_feat, projection: np.ndarray,
-                      bias: np.ndarray, temps: list[Temperature]):
+                      bias: np.ndarray, log_inv_taus: list[float]):
     """Symmetric InfoNCE loss of S heads at once, and its exact gradients.
 
     Per head, the loss averages over the batch the negative log softmax of
@@ -173,7 +159,7 @@ def _forward_backward(v_feat, t_feat, projection: np.ndarray,
     The temperature gradient is zero while 1/tau sits at its clamp.
 
     Features are [S, b, d_in], the parameters [S, d_in, d_out] and
-    [S, d_out], and ``temps`` holds the S temperatures. Returns the S
+    [S, d_out], and ``log_inv_taus`` holds the S log(1/tau). Returns the S
     losses, the projection and bias gradients and the S log
     inverse-temperature gradients as Python floats.
 
@@ -200,9 +186,10 @@ def _forward_backward(v_feat, t_feat, projection: np.ndarray,
     t_hat = p_t / nt
 
     sims = v_hat @ t_hat.swapaxes(-1, -2)
-    # math.exp per head, as Temperature computes it: np.exp may round
-    # differently from libm.
-    inv_tau = np.array([temp.inv_tau for temp in temps])[:, None, None]
+    # math.exp per head, in _inv_tau: np.exp may round differently from
+    # libm.
+    inv_taus = [_inv_tau(x) for x in log_inv_taus]
+    inv_tau = np.array([value for value, _ in inv_taus])[:, None, None]
     logits = sims * inv_tau
     row_lp = _log_softmax(logits, axis=-1)
     col_lp = _log_softmax(logits, axis=-2)
@@ -212,8 +199,8 @@ def _forward_backward(v_feat, t_feat, projection: np.ndarray,
     eye = np.eye(b)
     d_logits = (np.exp(row_lp) - eye) / b + (np.exp(col_lp) - eye) / b
     d_inv_tau = (d_logits * sims).reshape(n_heads, b * b).sum(axis=1)
-    d_log_inv_tau = [0.0 if temp.clamped else float(d) * temp.inv_tau
-                     for temp, d in zip(temps, d_inv_tau)]
+    d_log_inv_tau = [0.0 if clamped else float(d) * value
+                     for (value, clamped), d in zip(inv_taus, d_inv_tau)]
 
     d_sims = d_logits * inv_tau
     d_v_hat = d_sims @ t_hat
@@ -278,7 +265,7 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
 
     projection = np.stack([head.projection for head in heads])
     bias = np.stack([head.bias for head in heads])
-    temps = [head.temperature.copy() for head in heads]
+    log_inv_taus = [head.log_inv_tau for head in heads]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n_heads, n_classes = feats.shape[:2]
     head_idx = np.arange(n_heads)[:, None]
@@ -295,20 +282,20 @@ def finetune_head(feats, shots: int, epochs: int, lr: float, seeds,
             with np.errstate(over="ignore", invalid="ignore"):
                 losses[:, j], d_proj, d_bias, d_log_inv_tau = \
                     _forward_backward(v_batch, text_feats, projection, bias,
-                                      temps)
+                                      log_inv_taus)
                 projection -= lr * d_proj
                 bias -= lr * d_bias
-            for temp, d in zip(temps, d_log_inv_tau):
-                temp.log_inv_tau -= lr * d
+            log_inv_taus = [x - lr * d
+                            for x, d in zip(log_inv_taus, d_log_inv_tau)]
             if not (np.isfinite(projection).all() and np.isfinite(bias).all()
-                    and all(math.isfinite(t.log_inv_tau) for t in temps)):
+                    and all(map(math.isfinite, log_inv_taus))):
                 raise PreconditionError(
                     f"training diverged at epoch {epoch}, step {j}: a head "
                     f"parameter left float range (lr={lr})")
         for trace, epoch_losses in zip(traces, losses):
             trace.append(float(np.mean(epoch_losses)))
-    return [(AlignmentHead(p, b, temp), trace)
-            for p, b, temp, trace in zip(projection, bias, temps, traces)]
+    return [(AlignmentHead(p, b, x), trace)
+            for p, b, x, trace in zip(projection, bias, log_inv_taus, traces)]
 
 
 # ---------------------------------------------------------------------------

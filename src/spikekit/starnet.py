@@ -162,17 +162,16 @@ def temporal_attention(seq, weights: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def temporal_pool(seq) -> np.ndarray:
-    """Arithmetic mean of a [T, D] sequence over time, accumulated
-    strictly left to right so two runs bit-compare equal."""
-    x = np.asarray(seq, dtype=np.float64)
+    """Arithmetic mean of a [T, D] sequence over time. For D > 1 it is
+    accumulated strictly left to right: numpy reduces axis 0 of a
+    C-contiguous array one row at a time, in order. One column (D = 1) is
+    summed pairwise; the backbone pools D = embed_dim >= HEADS."""
+    x = np.ascontiguousarray(seq, dtype=np.float64)
     if x.ndim != 2:
         raise PreconditionError(f"sequence must be [t, d], got {x.shape}")
     if x.shape[0] < 1:
         raise PreconditionError("cannot pool an empty time axis")
-    acc = x[0].copy()
-    for t in range(1, x.shape[0]):
-        acc += x[t]
-    return acc / x.shape[0]
+    return x.mean(axis=0)
 
 
 def star_net_forward(estimates: Iterable[np.ndarray],

@@ -96,7 +96,11 @@ class SpikeStream:
         a producer may refill one buffer; booleans are bits, so no binary
         check runs. A chunk must start on a byte of the body: any chunk
         when H*W is a multiple of 8, else one after a multiple of 8 frames.
-        Anything else is a ``PreconditionError``."""
+        Anything else, or a ``shape`` that is not three dimensions of at
+        least 1, is a ``PreconditionError``."""
+        if len(shape) != 3 or any(s < 1 for s in shape):
+            raise PreconditionError(
+                f"stream shape must be 3 dimensions, each >= 1, got {shape}")
         t_len, height, width = shape
         hw = height * width
         body = np.empty((t_len * hw + 7) // 8, dtype=np.uint8)
@@ -286,7 +290,7 @@ def read_dat(path, meta: StreamMeta) -> SpikeStream:
     The file's size must be the meta's packed size, which is checked
     before anything is read, and the padding bits of its final byte must
     be zero; anything else is a ``DataIOError``. The body is read once,
-    and the stream adopts it.
+    its padding checked, and the stream adopts it.
     """
     expected = meta.packed_size
     try:
@@ -300,12 +304,11 @@ def read_dat(path, meta: StreamMeta) -> SpikeStream:
             body = fh.read(expected)
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    stream = unpack_spikes(body, meta)      # checks the length read
     mask = _padding_mask(meta)
-    if body[-1] & mask:
+    if len(body) == expected and body[-1] & mask:
         raise DataIOError(f"{path}: the {mask.bit_length()} padding bit(s) "
                           f"of the final byte must be zero")
-    return stream
+    return unpack_spikes(body, meta)        # checks the length read
 
 
 def sidecar_path(dat_path) -> str:

@@ -175,8 +175,8 @@ def synth_dataset(spec: SyntheticDatasetSpec, out_dir) -> dict:
     os.makedirs(clips_root, exist_ok=True)
     clips = []
     for label, _, name, rng in dataset_clips(spec):
-        write_pgm_clip(render_clip(spec.classes[label], spec.frames,
-                                   spec.height, spec.width, rng),
+        write_pgm_clip(render_frames(spec.classes[label], spec.frames,
+                                     spec.height, spec.width, rng),
                        os.path.join(clips_root, name))
         clips.append({"name": name, "path": f"clips/{name}",
                       "class": spec.classes[label], "label": label})

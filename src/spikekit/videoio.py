@@ -9,6 +9,7 @@ carrying ``t_len``/``height``/``width``.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -30,11 +31,12 @@ def write_pgm_frame(frame: np.ndarray, path) -> None:
     write_bytes(header + pixels.tobytes(), path)
 
 
-def write_pgm_clip(video: IntensityVideo, clip_dir) -> None:
+def write_pgm_clip(frames: Iterable[np.ndarray], clip_dir) -> None:
+    """Write each [H, W] frame of ``frames`` to ``clip_dir`` as it comes,
+    so a generator of frames is never held as a whole clip."""
     os.makedirs(clip_dir, exist_ok=True)
-    for t in range(video.n_frames):
-        write_pgm_frame(video.frames[t],
-                        os.path.join(clip_dir, f"frame_{t:05d}.pgm"))
+    for t, frame in enumerate(frames):
+        write_pgm_frame(frame, os.path.join(clip_dir, f"frame_{t:05d}.pgm"))
 
 
 def read_pgm(path) -> np.ndarray:

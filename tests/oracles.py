@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from spikekit.align import AlignmentHead, Temperature, _forward_backward
+from spikekit.align import AlignmentHead, _forward_backward
 from spikekit.camera import _THRESH_RTOL, EncoderConfig, IntensityVideo
 from spikekit.cli import main
 from spikekit.energy import EnergyLedger, dense_linear_macs
@@ -264,15 +264,15 @@ def loss_and_grads(v_feat, t_feat, head: AlignmentHead):
     loss, d_proj, d_bias, d_log_inv_tau = _forward_backward(
         np.asarray(v_feat, dtype=np.float64)[None],
         np.asarray(t_feat, dtype=np.float64)[None],
-        head.projection[None], head.bias[None], [head.temperature])
+        head.projection[None], head.bias[None], [head.log_inv_tau])
     return float(loss[0]), d_proj[0], d_bias[0], d_log_inv_tau[0]
 
 
-def contrastive_loss(video, text, temp: Temperature) -> float:
+def contrastive_loss(video, text, log_inv_tau: float) -> float:
     """Loss of [b, d] embeddings themselves: through an identity
     projection and a zero bias, which ``x @ I + 0`` leaves exact."""
     d = np.shape(video)[-1]
-    head = AlignmentHead(np.eye(d), np.zeros(d), temp)
+    head = AlignmentHead(np.eye(d), np.zeros(d), log_inv_tau)
     return loss_and_grads(video, text, head)[0]
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from oracles import PixelModel, contrastive_loss, fsve_forward_with_stages, \
     loss_and_grads, simulate_pixel
-from spikekit.align import AlignmentHead, Temperature
+from spikekit.align import AlignmentHead
 from spikekit.camera import EncoderConfig, IntensityVideo, encode_video
 from spikekit.energy import (E_NEURON_J, E_SOP_J, EnergyLedger,
                              energy_report, estimate_snn_energy)
@@ -265,7 +265,7 @@ def test_criterion_06_attention_against_loop_oracles():
 
 def test_criterion_07_contrastive_loss():
     with criterion(7, "loss constants and invariances"):
-        unit_tau = Temperature(log_inv_tau=0.0)
+        unit_tau = 0.0      # log(1/tau) of tau = 1
         rng = np.random.default_rng(1007)
         single = rng.normal(size=(1, 8))
         assert contrastive_loss(single, single, unit_tau) == \
@@ -275,7 +275,7 @@ def test_criterion_07_contrastive_loss():
         assert contrastive_loss(np.eye(2), np.eye(2), unit_tau) == \
             pytest.approx(expected, abs=1e-9)
 
-        temp = Temperature(log_inv_tau=math.log(7.0))
+        temp = math.log(7.0)
         for _ in range(100):
             b = int(rng.integers(2, 8))
             d = int(rng.integers(2, 12))
@@ -333,8 +333,8 @@ def test_criterion_08_gradient_gate():
                       - loss_and_grads(v, t, hm)[0]) / (2 * h)
                 check(d_bias[j], fd)
             hp, hm = deepcopy(head), deepcopy(head)
-            hp.temperature.log_inv_tau += h
-            hm.temperature.log_inv_tau -= h
+            hp.log_inv_tau += h
+            hm.log_inv_tau -= h
             fd = (loss_and_grads(v, t, hp)[0]
                   - loss_and_grads(v, t, hm)[0]) / (2 * h)
             check(d_log_inv_tau, fd)

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from oracles import contrastive_loss, loss_and_grads
-from spikekit.align import (AlignmentHead, Temperature, evaluate_topk,
-                            finetune_head, text_features, tokenize)
+from spikekit.align import (INV_TAU_MAX, AlignmentHead, _inv_tau,
+                            evaluate_topk, finetune_head, text_features,
+                            tokenize)
 from spikekit.errors import PreconditionError
 from spikekit.jsonio import read_json, write_json
 from spikekit.synth import CLASS_PROMPTS
 
-UNIT_TAU = Temperature(log_inv_tau=0.0)
+UNIT_TAU = 0.0          # log(1/tau) of tau = 1
 
 
 def fd_gradients(v_feat, t_feat, head, h=1e-5):
@@ -40,8 +41,8 @@ def fd_gradients(v_feat, t_feat, head, h=1e-5):
         hm.bias[j] -= h
         bias[j] = (loss(hp) - loss(hm)) / (2 * h)
     hp, hm = deepcopy(head), deepcopy(head)
-    hp.temperature.log_inv_tau += h
-    hm.temperature.log_inv_tau -= h
+    hp.log_inv_tau += h
+    hm.log_inv_tau -= h
     temp = (loss(hp) - loss(hm)) / (2 * h)
     return proj, bias, temp
 
@@ -119,7 +120,7 @@ def test_loss_identity_similarity_constant():
 
 def test_loss_invariances_on_random_batches():
     rng = np.random.default_rng(113)
-    temp = Temperature(log_inv_tau=math.log(5.0))
+    temp = math.log(5.0)
     for _ in range(100):
         b = int(rng.integers(2, 7))
         d = int(rng.integers(2, 10))
@@ -138,7 +139,7 @@ def test_loss_invariances_on_random_batches():
 
 def test_loss_approaches_zero_on_one_hot_match():
     v = np.eye(4)
-    sharp = Temperature(log_inv_tau=math.log(100.0))
+    sharp = math.log(100.0)
     assert contrastive_loss(v, v, sharp) < 1e-8
 
 
@@ -176,7 +177,7 @@ def test_gradients_hold_across_temperature_grid():
     t = rng.normal(size=(5, 10))
     for log_inv_tau in (-1.0, 0.0, 1.0, 2.0, 3.0, math.log(99.0)):
         head = AlignmentHead.create(10, 8, seed=126)
-        head.temperature.log_inv_tau = log_inv_tau
+        head.log_inv_tau = log_inv_tau
         _, d_proj, d_bias, d_log_inv_tau = loss_and_grads(v, t, head)
         fd_proj, fd_bias, fd_temp = fd_gradients(v, t, head, h=1e-6)
         for analytic, numeric in ((d_proj, fd_proj), (d_bias, fd_bias),
@@ -191,8 +192,8 @@ def test_gradient_near_zero_at_sharp_symmetric_optimum():
     rng = np.random.default_rng(116)
     feats = rng.normal(size=(4, 12))
     head = AlignmentHead.create(12, 8, seed=116)
-    head.temperature.log_inv_tau = math.log(200.0)     # clamps at 100
-    assert head.temperature.inv_tau == 100.0
+    head.log_inv_tau = math.log(200.0)     # clamps at 100
+    assert _inv_tau(head.log_inv_tau)[0] == 100.0
     d_proj = loss_and_grads(feats, feats, head)[1]
     assert np.linalg.norm(d_proj) < 1e-3
 
@@ -202,7 +203,7 @@ def test_temperature_gradient_zero_for_equal_logits():
     # and the temperature gradient cancels by symmetry.
     v = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
     head = AlignmentHead(projection=np.eye(3), bias=np.zeros(3),
-                         temperature=Temperature(log_inv_tau=0.5))
+                         log_inv_tau=0.5)
     d_log_inv_tau = loss_and_grads(v, v.copy(), head)[3]
     assert d_log_inv_tau == pytest.approx(0.0, abs=1e-12)
 
@@ -212,15 +213,15 @@ def test_clamped_temperature_has_zero_gradient():
     v = rng.normal(size=(3, 4))
     t = rng.normal(size=(3, 4))
     head = AlignmentHead.create(4, 4, seed=117)
-    head.temperature.log_inv_tau = math.log(150.0)
+    head.log_inv_tau = math.log(150.0)
     d_log_inv_tau = loss_and_grads(v, t, head)[3]
     assert d_log_inv_tau == 0.0
 
 
 def test_temperature_beyond_float_range_stays_clamped():
     # e^1000 overflows a float; a diverging step can put log(1/tau) there.
-    temp = Temperature(log_inv_tau=1000.0)
-    assert temp.clamped and temp.inv_tau == temp.clamp_max
+    inv_tau, clamped = _inv_tau(1000.0)
+    assert clamped and inv_tau == INV_TAU_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def test_finetune_is_bit_deterministic():
                                   seeds=[3], heads=[head], prompts=prompts)
     assert np.array_equal(a.projection, b.projection)
     assert np.array_equal(a.bias, b.bias)
-    assert a.temperature.log_inv_tau == b.temperature.log_inv_tau
+    assert a.log_inv_tau == b.log_inv_tau
     assert trace_a == trace_b
 
 
@@ -295,7 +296,7 @@ def _lockstep_batch(seed, n_heads=4, d_in=12, shots=3):
     seeds = [int(s) for s in rng.integers(2 ** 31, size=n_heads)]
     heads = [AlignmentHead.create(d_in, 8, seed=int(rng.integers(2 ** 31)))
              for _ in range(n_heads)]
-    heads[-1].temperature.log_inv_tau = math.log(150.0)
+    heads[-1].log_inv_tau = math.log(150.0)
     return supports, seeds, heads
 
 
@@ -310,8 +311,7 @@ def test_lockstep_heads_equal_heads_trained_alone(seed):
                                               [seeds[i]], [heads[i]], prompts)
         assert head.projection.tobytes() == alone.projection.tobytes()
         assert head.bias.tobytes() == alone.bias.tobytes()
-        assert head.temperature.log_inv_tau == \
-            alone.temperature.log_inv_tau
+        assert head.log_inv_tau == alone.log_inv_tau
         assert np.array(trace).tobytes() == np.array(alone_trace).tobytes()
         assert not np.array_equal(head.projection, heads[i].projection)
 
@@ -403,17 +403,22 @@ def test_topk_empty_batch_is_precondition_error():
 
 def test_head_json_roundtrip(tmp_path):
     head = AlignmentHead.create(6, 4, seed=125)
-    head.temperature.log_inv_tau = 1.25
+    head.log_inv_tau = 1.25
     path = tmp_path / "head.json"
     write_json({"head": head.to_json_dict()}, path)
     back = AlignmentHead.from_json_dict(read_json(path)["head"])
     assert np.array_equal(back.projection, head.projection)
     assert np.array_equal(back.bias, head.bias)
-    assert back.temperature.log_inv_tau == head.temperature.log_inv_tau
+    assert back.log_inv_tau == head.log_inv_tau
+    # Older head files carry a clamp_max, which is ignored.
+    assert "clamp_max" not in head.to_json_dict()
+    old = dict(head.to_json_dict(), clamp_max=5.0)
+    assert AlignmentHead.from_json_dict(old).to_json_dict() == \
+        head.to_json_dict()
 
 
 def test_temperature_clamp_and_validation():
-    assert Temperature(log_inv_tau=math.log(500.0)).inv_tau == 100.0
-    assert Temperature(log_inv_tau=0.0).inv_tau == 1.0
+    assert _inv_tau(math.log(500.0))[0] == 100.0
+    assert _inv_tau(0.0)[0] == 1.0
     with pytest.raises(PreconditionError):
-        Temperature(clamp_max=0.0)
+        AlignmentHead(np.eye(2), np.zeros(2), log_inv_tau=math.inf)

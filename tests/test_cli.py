@@ -29,7 +29,7 @@ def tiny_video_dir(tmp_path):
     rng = np.random.default_rng(140)
     frames = rng.uniform(0.2, 1.0, size=(40, 8, 8))
     clip_dir = tmp_path / "clip"
-    write_pgm_clip(IntensityVideo(frames), clip_dir)
+    write_pgm_clip(IntensityVideo(frames).frames, clip_dir)
     return clip_dir
 
 
@@ -868,8 +868,6 @@ _HEAD = '{"projection": [[1.0]], "bias": [0.0], "log_inv_tau": 0.0}'
 _HEAD_COERCIONS = [
     ('"log_inv_tau": 0.0', '"log_inv_tau": "2.5"', "tau-numeric-string"),
     ('"log_inv_tau": 0.0', '"log_inv_tau": true', "tau-bool"),
-    ('"log_inv_tau": 0.0', '"log_inv_tau": 0.0, "clamp_max": "100"',
-     "clamp-numeric-string"),
     ('[[1.0]]', '[["1.5"]]', "projection-numeric-string"),
     ('[[1.0]]', '[[true]]', "projection-bool"),
     ('[0.0]', '["0"]', "bias-numeric-string"),

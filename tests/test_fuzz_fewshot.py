@@ -119,8 +119,7 @@ def eval_inputs(draw):
     rows = st.lists(NUMBERS, min_size=d_out, max_size=d_out)
     head = {"head": {"projection": draw(st.lists(rows, min_size=width,
                                                  max_size=width)),
-                     "bias": draw(rows), "log_inv_tau": draw(NUMBERS),
-                     "clamp_max": 100.0},
+                     "bias": draw(rows), "log_inv_tau": draw(NUMBERS)},
             "prompts": prompts}
     return draw(with_one_fault(head)), embeddings
 

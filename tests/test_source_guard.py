@@ -166,6 +166,13 @@ def test_a_stream_holds_one_bit_layout():
                                              "_of_rows")) == []
 
 
+def test_the_clamp_is_a_constant():
+    # 1/tau is clipped at align.INV_TAU_MAX, as in CLIP; a head holds only
+    # log(1/tau), with no temperature object or clamp of its own.
+    assert [name for name, text in _sources().items()
+            if re.search(r"\bTemperature\b|\bclamp_max\b", text)] == []
+
+
 def test_backbone_config_has_one_field():
     from dataclasses import fields
 
@@ -179,6 +186,26 @@ def _parameters(qualified: str) -> list[str]:
     fn, = [node for node in ast.walk(ast.parse(_sources()[file]))
            if isinstance(node, ast.FunctionDef) and node.name == name]
     return [arg.arg for arg in fn.args.args + fn.args.kwonlyargs]
+
+
+# bench/spantrace.py reads these arguments of the calls it traces by
+# position, so each parameter stays where it looks.
+@pytest.mark.parametrize("fn, param, position", [
+    ("nnops.py:conv2d", "x", 0), ("nnops.py:conv2d", "kernel", 1),
+    ("nnops.py:conv2d", "stride", 3), ("nnops.py:conv2d", "padding", 4),
+    ("stream.py:write_dat", "meta", 1), ("stream.py:read_dat", "meta", 1),
+    ("align.py:finetune_head", "shots", 1),
+    ("align.py:finetune_head", "epochs", 2),
+    ("snn.py:esdsa_forward", "u", 0),
+    ("energy.py:energy_report", "snn_ledger", 0),
+])
+def test_traced_arguments_stay_where_the_tracer_reads_them(fn, param,
+                                                           position):
+    file, name = fn.split(":")
+    node, = [node for node in ast.walk(ast.parse(_sources()[file]))
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    positional = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+    assert positional.index(param) == position
 
 
 def test_forwards_read_their_layout_from_their_weights():

@@ -179,6 +179,18 @@ def test_pool_equals_left_to_right_loop_exactly():
     np.testing.assert_array_equal(temporal_pool(x), acc / 4)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided"])
+def test_pool_is_left_to_right_on_any_layout(layout):
+    rng = np.random.default_rng(75)
+    x = rng.normal(size=(40, 16)) * 1e3
+    x = {"C": x, "F": np.asfortranarray(x), "transposed": x.T.copy().T,
+         "strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
+    acc = x[0].copy()
+    for t in range(1, len(x)):
+        acc = acc + x[t]
+    assert temporal_pool(x).tobytes() == (acc / len(x)).tobytes()
+
+
 def test_pool_of_replicated_frame_is_t_independent():
     rng = np.random.default_rng(73)
     frame = rng.normal(size=16)

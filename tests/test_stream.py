@@ -425,6 +425,25 @@ def test_codec_memory_on_ragged_frames_is_one_packed_copy(tmp_path):
     assert adopted == s
 
 
+def test_read_dat_rejects_set_padding_before_it_copies(tmp_path):
+    # 1001 x 31 x 33 bits leave one padding bit in the final byte. A file
+    # with it set is refused from the bytes read, with no second copy.
+    meta = StreamMeta(height=31, width=33, t_len=1001)
+    body = bytearray(np.random.default_rng(5).integers(
+        0, 256, meta.packed_size, dtype=np.uint8).tobytes())
+    body[-1] |= 1
+    path = tmp_path / "s.dat"
+    path.write_bytes(body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataIOError, match="padding"):
+            read_dat(path, meta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * meta.packed_size, (peak / meta.packed_size)
+
+
 def test_from_chunks_packs_chunks_that_start_on_a_byte():
     bits = odd_bits(3, 5, 17).astype(bool)
     want = SpikeStream(bits)
@@ -447,6 +466,12 @@ def test_from_chunks_packs_chunks_that_start_on_a_byte():
     ([[[[False] * 4] * 4] * 5], (5, 4, 4)),
     # The second chunk starts at bit 45 of the body, inside a byte.
     ([np.zeros((3, 3, 5), bool), np.zeros((5, 3, 5), bool)], (8, 3, 5)),
+    # Shapes that SpikeStream(array) and StreamMeta reject too.
+    ([], (0, 4, 4)),
+    ([np.zeros((4, 0, 4), bool)], (4, 0, 4)),
+    ([], (-1, 4, 4)),
+    ([np.zeros((4, 4), bool)], (4, 4)),
+    ([np.zeros((1, 4, 4), bool)], (1, 4, 4, 1)),
 ])
 def test_from_chunks_rejects_chunks_that_do_not_make_the_stream(chunks,
                                                                 shape):

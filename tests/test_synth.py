@@ -1,6 +1,7 @@
 """Synthetic-dataset generator tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def test_clips_written_match_rendered_values(tmp_path):
     rendered = render_clip("punch", 6, 64, 64, rng)
     # 8-bit quantization bound
     assert np.max(np.abs(video.frames - rendered.frames)) <= 0.5 / 255.0
+
+
+def test_synth_holds_one_frame_not_a_clip(tmp_path):
+    # Frames go to their PGM files as they are rendered: the float clip,
+    # 100 frames of 64 x 64 doubles, is never held whole.
+    spec = SyntheticDatasetSpec(classes=("wave", "clap"), clips_per_class=1,
+                                frames=100, seed=2)
+    frame_bytes = spec.height * spec.width * 8
+    tracemalloc.start()
+    try:
+        synth_dataset(spec, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * frame_bytes, (peak, frame_bytes)
+    video = read_pgm_clip(tmp_path / "clips" / "wave_000")
+    want = render_clip("wave", 100, 64, 64, np.random.default_rng([2, 0, 0]))
+    assert np.array_equal(video.frames, quantize_u8(want.frames) / 255.0)
 
 
 def test_spec_validation():
