@@ -2,8 +2,8 @@
 the one text reader, and the atomic file writer that every artifact goes
 through.
 
-Artifacts are UTF-8 JSON with 2-space indent and a trailing newline, and
-are written atomically.
+Artifacts are UTF-8 JSON with 2-space indent and a trailing newline, hold
+only finite numbers, and are written atomically.
 Any failure to read, write or parse a file becomes a ``DataIOError``, so
 the CLI reports it with exit code 3 instead of a traceback.
 """
@@ -35,8 +35,12 @@ def write_bytes(data, path) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Serialize ``obj`` first, then ``write_bytes`` it to ``path``."""
-    write_bytes((json.dumps(obj, indent=2) + "\n").encode("utf-8"), path)
+    """Serialize ``obj``, refusing NaN and infinities, then write it."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DataIOError(f"cannot write {path}: {exc}") from exc
+    write_bytes((text + "\n").encode("utf-8"), path)
 
 
 def read_text(path) -> str:

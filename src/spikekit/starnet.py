@@ -2,7 +2,7 @@
 
 Each coarse intensity estimate runs through a convolutional stem (three
 3x3 stride-2 layers), four residual groups, and a multi-head attention
-pool over the flattened H/32 x W/32 token grid, producing one vector.
+pool over its ceil(H/32) x ceil(W/32) token grid, producing one vector.
 The per-block vectors are stacked along time, mixed by one self-attention
 encoder layer, and mean-pooled into a single clip embedding.
 
@@ -123,10 +123,6 @@ def mini_mapresnet_forward(estimate: np.ndarray,
     if x.ndim != 3:
         raise PreconditionError(
             f"estimate must be [c, h, w], got shape {x.shape}")
-    if x.shape[1] < 32 or x.shape[2] < 32:
-        raise PreconditionError(
-            f"spatial dims {x.shape[1]}x{x.shape[2]} too small; the backbone "
-            f"reduces by 32x and needs at least 32x32")
     for i in (1, 2, 3):
         x = relu(conv2d(x, weights[f"star.stem.conv{i}.w"],
                         weights[f"star.stem.conv{i}.b"], stride=2, padding=1))
@@ -199,12 +195,10 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
                          seed: int) -> dict[str, np.ndarray]:
     """Seeded random weights for the given input geometry.
 
-    Biases start at zero. Positional codes are sized for the token grid
-    (H/32 x W/32) implied by ``spatial_hw``.
+    Biases start at zero. Positional codes fit any ``spatial_hw``: the five
+    stride-2 stages (3x3 with padding 1, or a 1x1 projection) each map a
+    side n to ceil(n/2), for ceil(H/32) x ceil(W/32) tokens plus the mean.
     """
-    h, w = spatial_hw
-    if h < 32 or w < 32:
-        raise PreconditionError("spatial dims must be at least 32x32")
     rng = np.random.default_rng(seed)
     weights: dict[str, np.ndarray] = {}
 
@@ -212,6 +206,10 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
         weights[f"{name}.w"] = he_init(rng, (c_out, c_in, k, k),
                                        fan_in=c_in * k * k)
         weights[f"{name}.b"] = np.zeros(c_out)
+
+    def dense(name, d_in, d_out):
+        weights[f"{name}.w"] = he_init(rng, (d_in, d_out), fan_in=d_in)
+        weights[f"{name}.b"] = np.zeros(d_out)
 
     c_in = in_channels
     for i in (1, 2, 3):
@@ -232,21 +230,15 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
             c_in = width
 
     c = GROUPS[-1][0]
-    n_tokens = (h // 32) * (w // 32)
+    n_tokens = -(-spatial_hw[0] // 32) * -(-spatial_hw[1] // 32)
     weights["star.attnpool.pos"] = rng.normal(0.0, 0.02, (n_tokens + 1, c))
     for name in ("q", "k", "v"):
-        weights[f"star.attnpool.{name}.w"] = he_init(rng, (c, c), fan_in=c)
-        weights[f"star.attnpool.{name}.b"] = np.zeros(c)
-    weights["star.attnpool.out.w"] = he_init(rng, (c, cfg.embed_dim), fan_in=c)
-    weights["star.attnpool.out.b"] = np.zeros(cfg.embed_dim)
+        dense(f"star.attnpool.{name}", c, c)
+    dense("star.attnpool.out", c, cfg.embed_dim)
 
     d = cfg.embed_dim
     for name in ("q", "k", "v", "out"):
-        weights[f"star.temporal.attn.{name}.w"] = he_init(rng, (d, d), fan_in=d)
-        weights[f"star.temporal.attn.{name}.b"] = np.zeros(d)
-    weights["star.temporal.ffn.fc1.w"] = he_init(rng, (d, FFN_DIM), fan_in=d)
-    weights["star.temporal.ffn.fc1.b"] = np.zeros(FFN_DIM)
-    weights["star.temporal.ffn.fc2.w"] = he_init(rng, (FFN_DIM, d),
-                                                 fan_in=FFN_DIM)
-    weights["star.temporal.ffn.fc2.b"] = np.zeros(d)
+        dense(f"star.temporal.attn.{name}", d, d)
+    dense("star.temporal.ffn.fc1", d, FFN_DIM)
+    dense("star.temporal.ffn.fc2", FFN_DIM, d)
     return weights

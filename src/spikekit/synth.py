@@ -64,23 +64,24 @@ class SyntheticDatasetSpec:
         if self.frames < 2:
             raise PreconditionError("clips need at least 2 frames")
         if self.height < 64 or self.width < 64:
-            raise PreconditionError(
-                "resolution must be at least 64x64 (backbone reduces by 32x)")
+            raise PreconditionError(f"resolution must be at least 64x64, got "
+                                    f"{self.height}x{self.width}")
 
 
-def _blob(grid_y, grid_x, cy, cx, sigma, amp):
-    return amp * np.exp(-((grid_y - cy) ** 2 + (grid_x - cx) ** 2)
-                        / (2.0 * sigma ** 2))
+def _blob(grid_y, grid_x, cy, cx, sigma, amp, out):
+    """``amp * exp(-((grid_y - cy)**2 + (grid_x - cx)**2) / (2 sigma**2))``
+    into ``out``, rounded as that expression: ``(-d) / c == d / (-c)``."""
+    np.add((grid_y - cy) ** 2, (grid_x - cx) ** 2, out=out)
+    out /= -(2.0 * sigma ** 2)
+    return np.multiply(np.exp(out, out=out), amp, out=out)
 
 
 def render_clip(class_name: str, frames: int, height: int, width: int,
                 rng: np.random.Generator) -> IntensityVideo:
     """Render one clip of the given archetype with seeded jitter."""
-    out = np.empty((frames, height, width), dtype=np.float64)
-    for t, frame in enumerate(render_frames(class_name, frames, height,
-                                            width, rng)):
-        out[t] = frame
-    return IntensityVideo(read_only(out))
+    return IntensityVideo(read_only(np.fromiter(
+        render_frames(class_name, frames, height, width, rng),
+        np.dtype((np.float64, (height, width))), count=frames)))
 
 
 def render_frames(class_name: str, frames: int, height: int, width: int,
@@ -106,33 +107,33 @@ def render_frames(class_name: str, frames: int, height: int, width: int,
     still = {"wave": (height * 0.8, cx, sigma * 1.4),
              "punch": (cy, 0.15 * width, sigma * 1.3),
              "throw": (height * 0.75, 0.2 * width, sigma * 1.3)}
+    blob = np.empty((height, width))
     if class_name in still:
-        still_blob = _blob(gy, gx, *still[class_name], amp * 0.5)
+        still_blob = _blob(gy, gx, *still[class_name], amp * 0.5, blob.copy())
 
     for t in range(frames):
         s = t / (frames - 1)
-        frame = np.full((height, width), background)
+        y, size = cy, sigma         # the moving blob's centre row and width
         if class_name == "clap":
             gap = 0.30 * width * abs(math.cos(math.pi * freq * s + phase))
-            frame += _blob(gy, gx, cy, cx - gap - 2, sigma, amp)
-            frame += _blob(gy, gx, cy, cx + gap + 2, sigma, amp)
+            x = cx - gap - 2
         elif class_name == "wave":
+            y = cy * 0.7
             x = cx + 0.32 * width * math.sin(2.0 * math.pi * freq * s + phase)
-            frame += _blob(gy, gx, cy * 0.7, x, sigma, amp)
-            frame += still_blob
         elif class_name == "punch":
             phase_s = (s * strikes) % 1.0
             reach = min(1.0, phase_s / 0.25) if phase_s < 0.25 else \
                 max(0.0, 1.0 - (phase_s - 0.25) / 0.75)
             x = 0.2 * width + 0.6 * width * reach
-            frame += _blob(gy, gx, cy, x, sigma, amp)
-            frame += still_blob
         else:  # throw
             x = 0.15 * width + 0.7 * width * s
             y = cy - 0.35 * height * 4.0 * s * (1.0 - s)
-            frame += _blob(gy, gx, y, x, sigma * 0.8, amp)
-            frame += still_blob
-        yield np.clip(frame, 0.0, 1.0)
+            size = sigma * 0.8
+        # ``+`` makes each frame a new array: callers keep them.
+        frame = _blob(gy, gx, y, x, size, amp, blob) + background
+        frame += _blob(gy, gx, cy, cx + gap + 2, sigma, amp, blob) \
+            if class_name == "clap" else still_blob
+        yield np.clip(frame, 0.0, 1.0, out=frame)
 
 
 # ---------------------------------------------------------------------------

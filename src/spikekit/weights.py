@@ -3,8 +3,8 @@
 A directory holds ``manifest.json``, a list of {name, dtype, shape}
 records, plus one ``<name>.bin`` file per tensor. Tensors are loaded
 back as float64 for numerically tight forward passes; the on-disk dtype
-stays f32. Each file is written whole or not at all
-(``jsonio.write_bytes``).
+stays f32, and a blob that holds NaN or an infinity does not load. Each
+file is written whole or not at all (``jsonio.write_bytes``).
 """
 
 from __future__ import annotations
@@ -53,5 +53,7 @@ def load_weights(directory) -> dict[str, np.ndarray]:
         if flat.size != expected:
             raise DataIOError(
                 f"{blob}: has {flat.size} values, manifest says {expected}")
+        if not np.isfinite(flat).all():
+            raise DataIOError(f"{blob}: holds a non-finite value")
         weights[name] = flat.reshape(shape).astype(np.float64)
     return weights

@@ -556,6 +556,22 @@ def test_pipeline_featurizes_upsampled_streams(tmp_path):
     assert (out_dir / "metrics.json").exists()
 
 
+def test_pipeline_runs_on_frames_not_a_multiple_of_32(tmp_path):
+    # 80 px frames make a 3x3 token grid, not the 2x2 of 80 // 32.
+    config = {"seed": 3, "classes": ["wave", "throw"], "clips_per_class": 2,
+              "test_per_class": 1, "frames": 100, "height": 80, "width": 80,
+              "r_win": 10, "step": 20, "n_blocks": 4, "channel_step": 8,
+              "shots": [1], "eval_seeds": [0], "epochs": 2, "run_snn": False}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(out_dir)]) == 0
+    assert read_meta(str(out_dir / "spikes" / "wave_000.meta.json")).height \
+        == 80
+    assert (out_dir / "metrics.json").exists()
+
+
 def test_pipeline_config_validation(tmp_path):
     bad = {"seed": 1, "clips_per_class": 4, "test_per_class": 4}
     path = tmp_path / "bad.json"
@@ -753,6 +769,21 @@ def test_weight_archive_must_fit_the_model(command, name, damage, tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert ("extra.w" if damage == "extra" else name) in err
+
+
+@pytest.mark.parametrize("command,name,value", [
+    ("featurize", "star.attnpool.out.w", np.nan),
+    ("snn-forward", "fsve.sdsa.out.w", np.inf),
+])
+def test_non_finite_weights_exit_3(command, name, value, tmp_path, capsys):
+    argv = _weight_archive(tmp_path, command)
+    blob = tmp_path / "w" / f"{name}.bin"
+    values = np.fromfile(blob, dtype="<f4")
+    values[1] = value
+    values.tofile(blob)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert f"{name}.bin" in capsys.readouterr().err
 
 
 def test_featurize_directory_with_manifest(tmp_path):

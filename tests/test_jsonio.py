@@ -32,6 +32,15 @@ def test_failed_serialization_keeps_the_old_file(tmp_path):
     assert read_json(path) == {"a": [1, 2]}
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_a_non_finite_number_writes_no_file(value, tmp_path):
+    path = tmp_path / "a.json"
+    with pytest.raises(DataIOError, match="a.json"):
+        write_json({"a": [1.0, value]}, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path):
     target = tmp_path / "dir.json"
     target.mkdir()

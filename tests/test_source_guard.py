@@ -38,6 +38,15 @@ def test_json_dump_and_load_only_in_jsonio():
     assert users == ["jsonio.py"]
 
 
+def test_json_never_writes_nan_or_infinity():
+    # NaN and Infinity are not JSON, and the readers refuse them.
+    dumps = [node for node in ast.walk(ast.parse(_sources()["jsonio.py"]))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "json.dumps"]
+    assert [[ast.unparse(k) for k in node.keywords if k.arg == "allow_nan"]
+            for node in dumps] == [["allow_nan=False"]]
+
+
 def test_one_json_kind_check():
     # jsonio.is_a decides what a JSON int, float, string or list is, and
     # jsonio.checked is the one field check of every artifact reader;

@@ -52,9 +52,25 @@ def test_forward_shapes_and_token_grid():
     assert weights["star.attnpool.pos"].shape[0] == 5
 
 
+@pytest.mark.parametrize("hw", [(64, 64), (96, 128), (33, 33), (80, 80),
+                                (100, 70), (17, 250)],
+                         ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_token_grid_follows_the_strides(hw):
+    # Five stride-2 stages map each side n to ceil(n/2), so weights made
+    # for any frame size fit that size's ceil(h/32) x ceil(w/32) grid.
+    h, w = hw
+    weights = make_weights(in_channels=48, hw=hw, seed=66)
+    assert weights["star.attnpool.pos"].shape[0] == \
+        -(-h // 32) * -(-w // 32) + 1
+    rng = np.random.default_rng(66)
+    out = mini_mapresnet_forward(rng.normal(size=(48, h, w)), weights)
+    assert out.shape == (CFG.embed_dim,) and np.isfinite(out).all()
+
+
 def test_spatial_too_small_raises():
+    # 16x16 makes a 1x1 grid; the weights are for 64x64's 2x2.
     weights = make_weights()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="grid size mismatch"):
         mini_mapresnet_forward(np.zeros((6, 16, 16)), weights)
 
 

@@ -52,3 +52,11 @@ def test_unsupported_dtype(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataIOError):
         load_weights(tmp_path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_blob(value, tmp_path):
+    save_weights({"a": np.ones(3), "w": np.array([0.5, value, 1.0])},
+                 tmp_path)
+    with pytest.raises(DataIOError, match="w.bin"):
+        load_weights(tmp_path)
