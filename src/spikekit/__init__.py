@@ -10,8 +10,7 @@ fine-tuning.
 
 __version__ = "0.1.0"
 
-from .errors import (DataIOError, InvariantError, PreconditionError,
-                     SpikeKitError)
+from .errors import DataIOError, PreconditionError, SpikeKitError
 from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, pack_spikes,
                      read_dat, slice_clips, subsample_temporal, unpack_spikes,
                      write_dat)
@@ -35,7 +34,7 @@ from .weights import load_weights, save_weights
 
 __all__ = [
     "__version__",
-    "SpikeKitError", "PreconditionError", "DataIOError", "InvariantError",
+    "SpikeKitError", "PreconditionError", "DataIOError",
     "SpikeStream", "StreamMeta", "ClipWindowSpec", "pack_spikes",
     "unpack_spikes", "write_dat", "read_dat", "slice_clips",
     "subsample_temporal",

@@ -3,8 +3,8 @@
 Commands: encode, decode, reconstruct, slice, subsample, featurize,
 snn-forward, energy, train-head, eval, synth, pipeline. Exit codes:
 0 success, 2 precondition violation (argparse uses the same code),
-3 I/O error, 4 internal invariant breach. Seeds are always explicit;
-there are no wall-clock defaults anywhere.
+3 I/O error. Seeds are always explicit; there are no wall-clock defaults
+anywhere.
 """
 
 from __future__ import annotations

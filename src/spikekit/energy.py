@@ -3,8 +3,8 @@
 One SOP is one synaptic accumulation triggered by one input spike reaching
 one output; SOPs are priced at 4.6 pJ and neuron updates (membrane update
 plus threshold compare, counted whether or not the neuron fires) at 0.9 pJ
-(45 nm CMOS metrics). The dense baseline prices every possible
-multiply-accumulate of the same layer shapes at the SOP rate.
+(45 nm CMOS metrics). The dense baseline of a layer (``max_sops``) is
+its output elements times their fan-in, priced at the SOP rate.
 """
 
 from __future__ import annotations
@@ -150,19 +150,6 @@ def count_conv_sops(spikes_in: np.ndarray, out_channels: int,
     per_position = spikes.reshape(-1, h, w).sum(axis=0, dtype=np.int64)
     reach = np.outer(_reach_counts(h, stride), _reach_counts(w, stride))
     return int((per_position * reach).sum()) * out_channels
-
-
-def dense_conv_macs(in_shape: tuple[int, int, int], out_channels: int,
-                    stride: int = 1) -> int:
-    """Multiply-accumulate count of the dense 3x3, padding-1 baseline."""
-    c_in, h, w = in_shape
-    h_out = (h - 1) // stride + 1
-    w_out = (w - 1) // stride + 1
-    return h_out * w_out * out_channels * 9 * c_in
-
-
-def dense_linear_macs(n_rows: int, in_features: int, out_features: int) -> int:
-    return n_rows * in_features * out_features
 
 
 # ---------------------------------------------------------------------------

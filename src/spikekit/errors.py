@@ -17,9 +17,3 @@ class DataIOError(SpikeKitError):
     """A file could not be read, written, or has the wrong size/format."""
 
     exit_code = 3
-
-
-class InvariantError(SpikeKitError):
-    """An internal consistency check failed (toolkit bug or corrupt state)."""
-
-    exit_code = 4

@@ -79,6 +79,10 @@ class PipelineConfig:
                 raise PreconditionError(
                     f"config field {f.name!r} must be "
                     f"{f.type.replace('tuple', 'list')}{bound}, got {value!r}")
+            # A repeated class, shot count, seed or k would be run twice.
+            if len(set(items)) < len(items):
+                raise PreconditionError(
+                    f"config field {f.name!r} repeats a value: {list(value)}")
         if not self.lr > 0:
             raise PreconditionError(f"lr must be > 0, got {self.lr}")
         if max(self.topk) > len(self.classes):

@@ -245,26 +245,24 @@ def pack_spikes(stream: SpikeStream) -> memoryview:
     return memoryview(stream._body)
 
 
-def _padding_mask(meta: StreamMeta) -> int:
-    """The padding bits of the final byte of ``meta``'s body."""
-    return (1 << (8 * meta.packed_size - meta.n_elements)) - 1
-
-
 def unpack_spikes(buf, meta: StreamMeta) -> SpikeStream:
-    """Exact inverse of :func:`pack_spikes` on any bytes-like ``buf``;
-    padding bits are discarded. The stream adopts ``buf`` when it is
-    ``bytes``. Any other buffer, which its owner could still change, is
-    copied once, and so is a body whose padding bits are set."""
+    """Exact inverse of :func:`pack_spikes` on any bytes-like ``buf``. A
+    buffer that is not the meta's packed size, or whose final byte has a
+    padding bit set, is a ``DataIOError``. The stream adopts ``buf`` when
+    it is ``bytes``; any other buffer, which its owner could still change,
+    is copied once."""
     expected = meta.packed_size
     if len(buf) != expected:
         raise DataIOError(
             f"packed buffer has {len(buf)} bytes but meta "
             f"{meta.t_len}x{meta.height}x{meta.width} requires {expected}")
     body = np.frombuffer(buf, dtype=np.uint8)
-    mask = _padding_mask(meta)
-    if not isinstance(buf, bytes) or body[-1] & mask:
+    padding = 8 * expected - meta.n_elements
+    if body[-1] & ((1 << padding) - 1):
+        raise DataIOError(f"the {padding} padding bit(s) of the final byte "
+                          f"must be zero")
+    if not isinstance(buf, bytes):
         body = body.copy()
-        body[-1] &= 0xFF ^ mask
     return SpikeStream._of_body(body, (meta.t_len, meta.height, meta.width))
 
 
@@ -289,8 +287,8 @@ def read_dat(path, meta: StreamMeta) -> SpikeStream:
 
     The file's size must be the meta's packed size, which is checked
     before anything is read, and the padding bits of its final byte must
-    be zero; anything else is a ``DataIOError``. The body is read once,
-    its padding checked, and the stream adopts it.
+    be zero (``unpack_spikes``); anything else is a ``DataIOError`` that
+    names the file. The body is read once and the stream adopts it.
     """
     expected = meta.packed_size
     try:
@@ -304,11 +302,10 @@ def read_dat(path, meta: StreamMeta) -> SpikeStream:
             body = fh.read(expected)
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    mask = _padding_mask(meta)
-    if len(body) == expected and body[-1] & mask:
-        raise DataIOError(f"{path}: the {mask.bit_length()} padding bit(s) "
-                          f"of the final byte must be zero")
-    return unpack_spikes(body, meta)        # checks the length read
+    try:
+        return unpack_spikes(body, meta)    # checks the length read
+    except DataIOError as exc:
+        raise DataIOError(f"{path}: {exc}") from exc
 
 
 def sidecar_path(dat_path) -> str:

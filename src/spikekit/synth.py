@@ -90,6 +90,8 @@ def render_frames(class_name: str, frames: int, height: int, width: int,
     so a caller that keeps them in another form holds no float clip."""
     if class_name not in CLASS_PROMPTS:
         raise PreconditionError(f"unknown class {class_name!r}")
+    if frames < 2:      # the motion runs from s = 0 to s = 1
+        raise PreconditionError("clips need at least 2 frames")
     # A blob's squared distance is summed from a [H, 1] and a [1, W] term,
     # the same floating-point operations per pixel as on a full grid.
     gy = np.arange(height, dtype=np.float64)[:, None]

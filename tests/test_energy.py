@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from spikekit.energy import (E_NEURON_J, E_SOP_J, EnergyLedger, LayerEnergy,
-                             count_conv_sops, dense_conv_macs,
-                             dense_linear_macs, energy_report,
+                             count_conv_sops, energy_report,
                              estimate_ann_energy, estimate_snn_energy,
                              format_report)
 from spikekit.errors import DataIOError, PreconditionError
@@ -65,11 +64,6 @@ def test_count_conv_sops_rejects_non_binary():
             count_conv_sops(np.reshape(values, (1, 1, 3)), 3)
 
 
-def test_dense_mac_helpers():
-    assert dense_linear_macs(100, 64, 64) == 409_600
-    assert dense_conv_macs((3, 8, 8), 16, stride=1) == 8 * 8 * 16 * 9 * 3
-
-
 # ---------------------------------------------------------------------------
 # Energy estimates
 # ---------------------------------------------------------------------------
@@ -121,7 +115,7 @@ def test_published_baseline_implies_max_sops():
 
 
 def test_toy_dense_linear_energy():
-    macs = dense_linear_macs(100, 64, 64)
+    macs = 100 * 64 * 64        # 100 rows of 64 outputs, each of fan-in 64
     ledger = EnergyLedger()
     ledger.record("fc", spike_count=0, fan_out=64, actual_sops=0,
                   neuron_ops=0, max_sops=macs)

@@ -2,7 +2,8 @@
 config that is truncated, lacks its seed, or holds a value of the wrong
 type, `1e400` (which `json` reads as infinity), `-1e400`, `NaN` or `-1`
 in one field, or in the first item of a list field, makes the command
-exit 2 or 3 with one `error:` line and write nothing under `--out`.
+exit 2 or 3 with one `error:` line and write nothing under `--out`. A
+list field that repeats a value exits 2 the same way.
 
 Every field but the seed has a default, so dropping one is no fault."""
 
@@ -67,6 +68,20 @@ def test_a_damaged_config_exits_2_or_3_and_writes_nothing(config_text,
     code, err = _pipeline(tmp_path, config_text)
     assert code in (2, 3)
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", [name for name, value in CONFIG.items()
+                                  if type(value) is list])
+def test_a_list_field_that_repeats_a_value_exits_2(name, tmp_path):
+    # Repeated seeds would skew the mean over seeds, and a repeated shot
+    # count or class would run twice.
+    value = CONFIG[name]
+    code, err = _pipeline(tmp_path, _text({**CONFIG, name: [value[0],
+                                                           *value]}))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{name!r} repeats a value" in err
     assert not (tmp_path / "run").exists()
 
 

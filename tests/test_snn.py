@@ -14,7 +14,7 @@ from oracles import (esdsa_forward_with_internals, fsve_forward_with_stages,
                      sn_threshold_with_level)
 from spikekit.energy import EnergyLedger
 from spikekit import snn
-from spikekit.errors import InvariantError, PreconditionError
+from spikekit.errors import PreconditionError
 from spikekit.snn import (FsveConfig, esdsa_forward, fsve_forward,
                           init_fsve_weights, lif_step, sn_threshold,
                           spiking_residual_block, tdbn)
@@ -310,31 +310,54 @@ def test_esdsa_records_spike_counts():
 # Full spiking path
 # ---------------------------------------------------------------------------
 
-def test_fsve_forward_all_stages_binary_and_ledger_consistent():
+@pytest.mark.parametrize("size", [17, 32, 64, 128])
+@pytest.mark.parametrize("channels", [4, 8])
+def test_fsve_forward_all_stages_binary_and_ledger_consistent(size,
+                                                              channels):
     rng = np.random.default_rng(90)
-    stream = SpikeStream(rng.integers(0, 2, size=(20, 32, 32),
+    stream = SpikeStream(rng.integers(0, 2, size=(20, size, size),
                                       dtype=np.uint8))
-    weights = init_fsve_weights(FsveConfig(channels=4), seed=90)
+    weights = init_fsve_weights(FsveConfig(channels=channels), seed=90)
     ledger, oracle_ledger = EnergyLedger(), EnergyLedger()
     embedding = fsve_forward(stream, weights, 2, ledger)
     expected, stages = fsve_forward_with_stages(stream, weights, 2,
                                                 oracle_ledger)
-    assert embedding.shape == (4,)
+    assert embedding.shape == (channels,)
     assert embedding.tobytes() == expected.tobytes()
     assert ledger.to_json_list() == oracle_ledger.to_json_list()
     for name, tensor in stages.items():
         assert set(np.unique(tensor)).issubset({0, 1}), name
     for rec in ledger.layers:
         assert rec.actual_sops <= rec.max_sops, rec.layer_name
+    # The dense baseline of a layer is its outputs times their fan-in,
+    # over both time steps: each stem halves the side, rounding up.
+    c, side1 = channels, -(-size // 2)
+    n = (-(-side1 // 2)) ** 2           # tokens of the attention
+    assert {rec.layer_name: rec.max_sops for rec in ledger.layers} == {
+        "fsve.stem1.conv": 2 * side1 * side1 * c * 1 * 9,
+        "fsve.stem2.conv": 2 * n * c * c * 9,
+        "fsve.block.conv": 2 * n * c * c * 9,
+        **{f"fsve.sdsa.{name}_proj": 2 * n * c * c for name in "qkv"},
+        "fsve.sdsa.attn_corr": 2 * n * n * c,
+        "fsve.sdsa.attn_apply": 2 * n * n * c,
+        "fsve.sdsa.out_proj": 2 * n * c * c}
 
 
-@pytest.mark.parametrize("stage, name", [
-    ("_spiking_stem", "stem1"), ("spiking_residual_block", "resblock")])
-def test_a_non_binary_stage_is_an_invariant_error(stage, name, monkeypatch):
-    # The forward checks each stage as it is made, before the next reads it.
+@pytest.mark.parametrize("stage, message, recorded", [
+    pytest.param("_spiking_stem", "conv spikes must be binary", ["stem1"],
+                 id="stem1"),
+    pytest.param("spiking_residual_block", "tokens must be binary",
+                 ["stem1", "stem2", "block"], id="resblock")])
+def test_a_non_binary_stage_is_refused_by_the_function_that_reads_it(
+        stage, message, recorded, monkeypatch):
+    # Every stage is binary by construction. One that is not is refused by
+    # the next stage's entry check, before that stage records anything.
     real = getattr(snn, stage)
     monkeypatch.setattr(snn, stage, lambda *args: 2 * real(*args))
     stream = SpikeStream(np.ones((4, 8, 8), dtype=np.uint8))
     weights = init_fsve_weights(FsveConfig(channels=2), seed=91)
-    with pytest.raises(InvariantError, match=f"stage {name} is not binary"):
-        fsve_forward(stream, weights, 2, EnergyLedger())
+    ledger = EnergyLedger()
+    with pytest.raises(PreconditionError, match=message):
+        fsve_forward(stream, weights, 2, ledger)
+    assert [rec.layer_name for rec in ledger.layers] == [
+        f"fsve.{name}.conv" for name in recorded]

@@ -2,8 +2,9 @@
 writer, the shared helpers, the one binary check, the one conv kernel, the
 attention core, the SOP count, the loss and gradient, the PGM clip I/O,
 TFI, the bit packing and the few-shot stages each live in one place, so
-hand-copied duplicates cannot creep back in; and every exported name and
-public top-level definition has a caller outside the tests."""
+hand-copied duplicates cannot creep back in; no helper works a ledger's
+dense count out again; every error exits 2 or 3; and every exported name
+and public top-level definition has a caller outside the tests."""
 
 import ast
 import pathlib
@@ -291,6 +292,31 @@ def test_conv_sops_counted_once_per_spiking_stage():
     outside = [name for name in _functions(_calls("count_conv_sops"))
                if not name.startswith("energy.py:")]
     assert outside == ["snn.py:_conv_tdbn"]
+
+
+def test_max_sops_read_from_the_arrays_that_ran():
+    # Each ledger record's dense baseline is its layer's output size times
+    # its fan-in, read where the layer ran; no helper works the shapes out
+    # again.
+    assert [name for name in _functions(
+        lambda fn: fn.name.startswith("dense_") or "macs" in fn.name)
+        if name.startswith("energy.py:")] == []
+
+
+def test_every_error_exits_2_or_3():
+    # The CLI exits with the error's code: 2 for a precondition, 3 for a
+    # file. A stage that breaks a rule is refused by the function that
+    # reads it, so there is no internal-error code.
+    import spikekit  # noqa: F401  (defines every module's errors)
+    from spikekit.errors import SpikeKitError
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    codes = {cls.__name__: cls.exit_code for cls in subclasses(SpikeKitError)}
+    assert codes and set(codes.values()) <= {2, 3}, codes
 
 
 def test_every_export_resolves():

@@ -62,13 +62,15 @@ def test_unpack_all_ones_byte():
     assert s.data.tolist() == [[[1] * 8]]
 
 
-def test_unpack_discards_padding():
+def test_unpack_rejects_set_padding_bits():
     meta = StreamMeta(height=1, width=1, t_len=1)
     s = unpack_spikes(bytes([0x80]), meta)
     assert s.data.tolist() == [[[1]]]
-    # padding bits of 0xFF beyond element 0 are ignored too
-    s2 = unpack_spikes(bytes([0xFF]), meta)
-    assert s2.data.tolist() == [[[1]]]
+    # The 7 bits of 0xFF beyond element 0 are padding, which must be zero,
+    # in any buffer.
+    for buf in (bytes([0xFF]), bytearray([0x81]), memoryview(bytes([0x01]))):
+        with pytest.raises(DataIOError, match="7 padding bit"):
+            unpack_spikes(buf, meta)
 
 
 def test_unpack_length_mismatch_raises():

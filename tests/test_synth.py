@@ -92,6 +92,22 @@ def test_spec_validation():
         SyntheticDatasetSpec(height=32)
 
 
+@pytest.mark.parametrize("frames", [1, 0, -3])
+@pytest.mark.parametrize("class_name", sorted(CLASS_PROMPTS))
+def test_render_needs_two_frames_as_the_spec_does(class_name, frames):
+    # A clip's motion runs from its first frame to its last. One frame
+    # raised ZeroDivisionError; with none, render_clip reads no frame and
+    # its empty video is refused.
+    with pytest.raises(PreconditionError, match="at least 2 frames"):
+        SyntheticDatasetSpec(frames=frames)
+    rng = np.random.default_rng(0)
+    with pytest.raises(PreconditionError, match="at least 2 frames"):
+        list(render_frames(class_name, frames, 64, 64, rng))
+    with pytest.raises(PreconditionError,
+                       match="at least 2 frames" if frames == 1 else None):
+        render_clip(class_name, frames, 64, 64, rng)
+
+
 def test_render_all_archetypes_in_range():
     for i, name in enumerate(CLASS_PROMPTS):
         rng = np.random.default_rng([5, i, 0])
