@@ -15,7 +15,7 @@ from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, pack_spikes,
                      read_dat, slice_clips, subsample_temporal, unpack_spikes,
                      write_dat)
 from .camera import (EncoderConfig, IntensityVideo, encode_video,
-                     to_grayscale, upsample_temporal)
+                     to_grayscale, upsampled_frames)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
                    init_hsfe_weights, mtf_forward, slice_blocks,
@@ -39,7 +39,7 @@ __all__ = [
     "unpack_spikes", "write_dat", "read_dat", "slice_clips",
     "subsample_temporal",
     "IntensityVideo", "EncoderConfig", "encode_video", "to_grayscale",
-    "upsample_temporal",
+    "upsampled_frames",
     "TfiConfig", "tfi_reconstruct", "tfi_video",
     "BlockSpec", "BranchSpec", "slice_blocks",
     "allocate_channels", "mtf_forward", "spatial_attention", "hsfe_forward",

@@ -10,7 +10,7 @@ polled at a fixed tick, is the test suite's reference
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +111,31 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
     a finite range ``2a``, and the noise seed must be non-negative. With
     noise_amplitude 0 the output is deterministic and seed-independent.
 
-    The frame loop allocates only each chunk's packed bytes: the noise and
-    the spike flags of eight frames, and the charge spent by the reset,
-    are built in reused buffers, and the stream packs the flags eight
-    frames at a time.
+    The video's frames go to :func:`encode_chunks` as slices of eight.
+    """
+    frames = video.frames
+    return encode_chunks((frames[t:t + 8] for t in range(0, len(frames), 8)),
+                         frames.shape, cfg, seed)
+
+
+def encode_chunks(chunks: Iterable[np.ndarray], shape: tuple[int, int, int],
+                  cfg: EncoderConfig = EncoderConfig(),
+                  seed: int | None = None) -> SpikeStream:
+    """The spike stream that :func:`encode_video` makes of the video of
+    ``shape`` [t_len, H, W] whose frames come in ``chunks``: float arrays
+    [n, H, W] of intensities in [0, 1], eight frames each but the last.
+    The range is the producer's to check, as ``IntensityVideo`` and
+    :func:`frame_chunks` do; a second scan of each chunk here cost
+    ``stream-io`` about 7% of its pass.
+
+    The noise-seed rules are checked at the call, before any chunk is read.
+    Each chunk is encoded and packed before the next is read, so a
+    producer may refill one buffer, and no whole clip is held: besides the
+    packed body, the frame loop allocates only reused buffers, the noise
+    and the spike flags of eight frames and the charge spent by the reset.
+    A chunk that is not [n <= 8, H, W], or chunks that do not make
+    ``shape`` (see ``SpikeStream.from_chunks``), are a
+    ``PreconditionError``.
     """
     a = cfg.noise_amplitude
     rng = None
@@ -125,26 +146,31 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
             raise PreconditionError(
                 f"the noise seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
-    return SpikeStream.from_chunks(_fired_chunks(video.frames, cfg, rng),
-                                   video.frames.shape)
+    return SpikeStream.from_chunks(_fired_chunks(chunks, shape, cfg, rng),
+                                   shape)
 
 
-def _fired_chunks(frames: np.ndarray, cfg: EncoderConfig,
+def _fired_chunks(chunks: Iterable[np.ndarray], shape: tuple[int, int, int],
+                  cfg: EncoderConfig,
                   rng: np.random.Generator | None) -> Iterator[np.ndarray]:
-    """The encoder's spike flags, eight frames at a time, as views of one
-    [8, H, W] boolean buffer that is refilled once its consumer has taken
-    them. With an ``rng``, a chunk's noise is drawn in one call, which
-    fills the [8, H, W] noise buffer in C order and so gives the doubles of
-    eight per-frame draws; the affine map and the clip run on the whole
-    chunk. Charge, compare and reset run frame by frame."""
+    """The spike flags of ``chunks`` (see :func:`encode_chunks`), one chunk
+    at a time, as views of one [8, H, W] boolean buffer that is refilled
+    once its consumer has taken them. With an ``rng``, a chunk's noise is
+    drawn in one call, which fills the [8, H, W] noise buffer in C order
+    and so gives the doubles of eight per-frame draws; the affine map and
+    the clip run on the whole chunk. Charge, compare and reset run frame by
+    frame."""
     a = cfg.noise_amplitude
     thresh = cfg.theta * (1.0 - _THRESH_RTOL)
-    v = np.zeros(frames.shape[1:], dtype=np.float64)
+    v = np.zeros(shape[1:], dtype=np.float64)
     spent = np.empty_like(v)
     fired = np.empty((8,) + v.shape, dtype=np.bool_)
     noisy = None if rng is None else np.empty(fired.shape, dtype=np.float64)
-    for start in range(0, frames.shape[0], 8):
-        chunk = frames[start:start + 8]
+    for chunk in chunks:
+        if not (isinstance(chunk, np.ndarray) and chunk.ndim == 3
+                and len(chunk) <= 8 and chunk.shape[1:] == v.shape):
+            raise PreconditionError(
+                f"chunks must be [n <= 8, {v.shape[0]}, {v.shape[1]}] arrays")
         if noisy is not None:
             drawn = noisy[:len(chunk)]
             rng.random(out=drawn)
@@ -162,6 +188,26 @@ def _fired_chunks(frames: np.ndarray, cfg: EncoderConfig,
         yield fired[:len(chunk)]
 
 
+def frame_chunks(frames: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The [H, W] arrays of ``frames`` eight at a time, as views [n, H, W]
+    of one float64 buffer that is refilled once its consumer has taken
+    them: the chunks :func:`encode_chunks` reads. A chunk with a value
+    outside [0, 1] is a ``PreconditionError``."""
+    buf, n = None, 0
+    for frame in frames:
+        if buf is None:
+            buf = np.empty((8,) + frame.shape)
+        buf[n] = frame
+        n += 1
+        if n == 8:
+            _check_unit_range(buf, "intensity values")
+            yield buf
+            n = 0
+    if n:
+        _check_unit_range(buf[:n], "intensity values")
+        yield buf[:n]
+
+
 def to_grayscale(rgb: np.ndarray) -> np.ndarray:
     """ITU-R 601 luma conversion of an H x W x 3 frame, or of a
     T x H x W x 3 stack of frames, in [0, 1]."""
@@ -175,21 +221,31 @@ def to_grayscale(rgb: np.ndarray) -> np.ndarray:
     return np.clip(gray, 0.0, 1.0)
 
 
-def upsample_temporal(video: IntensityVideo, factor: int) -> IntensityVideo:
-    """Insert factor-1 linearly blended frames between consecutive frames.
-
-    Output length is (n - 1) * factor + 1; the original frames are carried
-    over bit-exactly. This stands in for learned frame interpolation.
-    """
+def upsampled_length(n_frames: int, factor: int) -> int:
+    """Frames in a video of ``n_frames`` upsampled in time by ``factor``:
+    ``(n_frames - 1) * factor + 1``. A factor below 1 is a
+    ``PreconditionError``."""
     if factor < 1:
         raise PreconditionError("upsampling factor must be >= 1")
-    frames = video.frames
-    n = frames.shape[0]
-    out = np.empty(((n - 1) * factor + 1,) + frames.shape[1:], dtype=np.float64)
-    for i in range(n - 1):
-        out[i * factor] = frames[i]
-        for s in range(1, factor):
-            f = s / factor
-            out[i * factor + s] = (1.0 - f) * frames[i] + f * frames[i + 1]
-    out[-1] = frames[-1]
-    return IntensityVideo(read_only(out))
+    return (n_frames - 1) * factor + 1
+
+
+def upsampled_frames(frames: Iterable[np.ndarray],
+                     factor: int) -> Iterator[np.ndarray]:
+    """``frames`` upsampled in time by ``factor``, one frame at a time:
+    each frame as it is (so bit-exactly), then the ``factor - 1`` blends
+    ``(1 - f) * frame + f * next``, ``f = s / factor``, toward the next
+    one; :func:`upsampled_length` frames in all. This stands in for
+    learned frame interpolation. A frame is held until the next is read,
+    so ``frames`` must not refill a buffer. A factor below 1 is a
+    ``PreconditionError`` once the first frame is asked for."""
+    if factor < 1:
+        raise PreconditionError("upsampling factor must be >= 1")
+    prev = None
+    for frame in frames:
+        if prev is not None:
+            for s in range(1, factor):
+                f = s / factor
+                yield (1.0 - f) * prev + f * frame
+        yield frame
+        prev = frame

@@ -98,8 +98,9 @@ def _load_head(path) -> tuple[AlignmentHead, list[str]]:
 
 def cmd_encode(args) -> int:
     cfg = EncoderConfig(theta=args.theta, noise_amplitude=args.noise)
-    stream = encode_to_dat(load_video(args.input), args.out, cfg,
-                           args.upsample, args.seed)
+    frames = load_video(args.input).frames
+    stream = encode_to_dat(frames, frames.shape, args.out, cfg, args.upsample,
+                           args.seed)
     print(f"encoded {stream.t_len}x{stream.height}x{stream.width} "
           f"({stream.spike_count()} spikes) -> {args.out}")
     return 0

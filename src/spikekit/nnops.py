@@ -37,9 +37,10 @@ OpenBLAS 0.3.31 (Haswell, one thread), two things switch kernels:
   42-row band (2772 columns) of the ``21->16`` branch conv at 64 px
   changed bytes.
 
-So a band is a multiple of 8 columns above ``SMALL_GEMM_MACS``, the
-last band takes the leftover rows, and a map with no room for two such
-bands runs as one.
+So a band is a multiple of 8 columns above ``SMALL_GEMM_MACS``: the band
+of about ``BAND_BYTES`` (1 MiB), rounded up to the smallest such band
+where it falls short. The last band takes the leftover rows, and only a
+map with no room for two bands runs as one.
 
 On large maps both orientations give the same bits. On small maps the
 BLAS picks other kernels for the two layouts, and several backbone
@@ -61,7 +62,7 @@ from .errors import PreconditionError
 TAP_MAJOR_MIN_PIXELS = 256
 # Tap-major GEMMs run in bands of whole output rows, each holding about
 # this many bytes of columns.
-BAND_BYTES = 4 << 20
+BAND_BYTES = 1 << 20
 # OpenBLAS computes a GEMM of at most this many multiply-adds with its
 # small-matrix kernel, whose bits differ from the blocked kernel's.
 SMALL_GEMM_MACS = 1_000_000
@@ -123,15 +124,14 @@ def _taps(xp: np.ndarray, kh: int, kw: int, rows: int, row_cols: int,
 
 
 def _band_rows(k: int, c_out: int, h_out: int, row_cols: int) -> int:
-    """Output rows per tap-major band: about ``BAND_BYTES`` of columns, a
-    multiple of 8 columns, and more than ``SMALL_GEMM_MACS`` per GEMM; one
-    band of all ``h_out`` rows when no such band fits twice."""
+    """Output rows per tap-major band: about ``BAND_BYTES`` of columns, or
+    the fewest rows above ``SMALL_GEMM_MACS`` per GEMM where that is more,
+    in multiples of 8 columns; one band of all ``h_out`` rows when no such
+    band fits twice."""
     step = 8 // math.gcd(row_cols, 8)
-    rows = BAND_BYTES // (8 * k * row_cols)
-    rows = max(step, rows - rows % step)
-    if 2 * rows > h_out or c_out * k * rows * row_cols <= SMALL_GEMM_MACS:
-        return h_out
-    return rows
+    steps = max(BAND_BYTES // (8 * k * row_cols * step),
+                SMALL_GEMM_MACS // (c_out * k * row_cols * step) + 1)
+    return h_out if 2 * step * steps > h_out else step * steps
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
-from .camera import (EncoderConfig, IntensityVideo, encode_video,
-                     upsample_temporal)
+from .camera import (EncoderConfig, encode_chunks, frame_chunks,
+                     upsampled_frames, upsampled_length)
 from .energy import EnergyLedger, energy_report
 from .errors import PreconditionError
 from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
@@ -27,8 +28,7 @@ from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
 from .jsonio import is_a, read_json, write_json
 from .snn import FsveConfig, fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
-from .stream import (SpikeStream, StreamMeta, read_only, subsample_indices,
-                     write_dat)
+from .stream import SpikeStream, StreamMeta, subsample_indices, write_dat
 from .synth import (CLASS_PROMPTS, SyntheticDatasetSpec, dataset_clips,
                     render_frames, write_dataset_index)
 from .videoio import quantize_u8
@@ -128,7 +128,7 @@ class PipelineConfig:
 
     @property
     def t_len(self) -> int:     # encoded stream length after upsampling
-        return (self.frames - 1) * self.upsample + 1
+        return upsampled_length(self.frames, self.upsample)
 
     def block_spec(self) -> BlockSpec:
         return BlockSpec(self.r_win, self.step, self.n_blocks)
@@ -197,14 +197,18 @@ def featurize_stream(stream: SpikeStream, block_spec: BlockSpec,
 # Stages shared by run_pipeline and the CLI
 # ---------------------------------------------------------------------------
 
-def encode_to_dat(video: IntensityVideo, dat_path, cfg: EncoderConfig,
-                  upsample: int, seed: int | None) -> SpikeStream:
-    """Upsample an intensity video in time by ``upsample`` unless it is 1,
-    encode it to spikes and write the ``.dat`` plus its sidecar. A factor
-    below 1 is a ``PreconditionError`` (from ``upsample_temporal``)."""
+def encode_to_dat(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
+                  dat_path, cfg: EncoderConfig, upsample: int,
+                  seed: int | None) -> SpikeStream:
+    """Encode the video of ``shape`` [t, H, W] whose [H, W] frames
+    ``frames`` yields, upsampled in time by ``upsample`` unless it is 1,
+    and write the ``.dat`` plus its sidecar. The frames are blended and
+    encoded eight at a time, so no whole upsampled clip is held. A factor
+    below 1 is a ``PreconditionError`` (from ``upsampled_length``)."""
     if upsample != 1:
-        video = upsample_temporal(video, upsample)
-    stream = encode_video(video, cfg, seed=seed)
+        shape = (upsampled_length(shape[0], upsample), *shape[1:])
+        frames = upsampled_frames(frames, upsample)
+    stream = encode_chunks(frame_chunks(frames), shape, cfg, seed=seed)
     write_dat(stream, StreamMeta.for_stream(stream, threshold_theta=cfg.theta),
               dat_path)
     return stream
@@ -215,14 +219,12 @@ def _encode_synth_clip(spec: SyntheticDatasetSpec, label: int,
                        upsample: int, seed: int | None) -> SpikeStream:
     """Render one dataset clip and encode it as ``spikekit encode`` would
     its PGM frames: each frame is quantized to 8 bits as it is rendered,
-    and ``/ 255`` reads the pixels back as ``read_pgm`` does. The one
-    float copy of the clip held is the ``pixels / 255`` that the video
-    owns (and, when ``upsample`` is above 1, the upsampled video)."""
-    pixels = np.empty((spec.frames, spec.height, spec.width), dtype=np.uint8)
-    for t, frame in enumerate(render_frames(spec.classes[label], spec.frames,
-                                            spec.height, spec.width, rng)):
-        pixels[t] = quantize_u8(frame)
-    return encode_to_dat(IntensityVideo(read_only(pixels / 255.0)), dat_path,
+    and ``/ 255`` reads the pixels back as ``read_pgm`` does. The frames
+    go on to ``encode_to_dat`` one at a time, so no whole clip is held."""
+    frames = render_frames(spec.classes[label], spec.frames, spec.height,
+                           spec.width, rng)
+    return encode_to_dat((quantize_u8(frame) / 255.0 for frame in frames),
+                         (spec.frames, spec.height, spec.width), dat_path,
                          cfg, upsample, seed)
 
 
@@ -290,12 +292,13 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     head_s{shots}_seed{seed}.json, metrics.json, and (when run_snn)
     ledger.json + energy_report.json.
 
-    Each clip is rendered, encoded, written to its ``.dat`` and
-    featurized in one pass, from the stream in memory; no stream is read
-    back. The ``.dat`` files have the bytes of ``spikekit synth`` followed
-    by ``spikekit encode``; ``spikekit synth`` is the way to get the PGM
-    frames. With ``noise_amplitude`` above 0,
-    clip ``index`` of class ``label`` is encoded with noise seed
+    Each clip is rendered, quantized, encoded and packed eight frames at a
+    time, so no whole clip is held; its stream is written to its ``.dat``
+    and featurized from memory, and no stream is read back. The ``.dat``
+    files have the bytes of ``spikekit synth`` followed by ``spikekit
+    encode``; ``spikekit synth`` is the way to get the PGM frames. With
+    ``noise_amplitude`` above 0, clip ``index`` of class ``label`` is
+    encoded with noise seed
     ``default_rng([seed, 5, label, index]).integers(2 ** 31)``, the
     ``--seed`` that ``spikekit encode`` needs for its bytes. The heads of
     one shot count train together in one lockstep batch, and ``spikekit

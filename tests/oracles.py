@@ -15,7 +15,9 @@ numpy sums a window of 8 or more frames pairwise).
 ``encode_video_per_frame`` is the spike encoder as it was first
 written, allocating every step of every frame, drawing its noise with
 ``Generator.uniform`` and returning unpacked flags:
-``spikekit.camera.encode_video`` must give its bits. ``pack_bits``,
+``spikekit.camera.encode_video`` must give its bits.
+``encode_upsampled_whole`` is ``spikekit encode --upsample`` as it was
+when it held the whole upsampled clip. ``pack_bits``,
 ``slice_clips_unpacked``, ``subsample_unpacked`` and
 ``tfi_frames_unpacked`` are the codec, windowing and TFI as they were
 while a stream held one uint8 per spike: the packed ``SpikeStream`` must
@@ -50,7 +52,7 @@ from spikekit.nnops import conv2d, linear, sigmoid
 from spikekit.reconstruct import TfiConfig
 from spikekit.snn import _spiking_stem, spiking_residual_block
 from spikekit.stream import (ClipWindowSpec, SpikeStream, clip_count,
-                             is_binary, subsample_indices, subsample_temporal)
+                             subsample_indices, subsample_temporal)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +182,25 @@ def encode_video_per_frame(video: IntensityVideo, cfg: EncoderConfig,
         v[fired] -= cfg.theta
         out[t] = fired
     return out
+
+
+def encode_upsampled_whole(video: IntensityVideo, factor: int,
+                           cfg: EncoderConfig,
+                           seed: int | None = None) -> np.ndarray:
+    """``spikekit encode --upsample factor`` as it was when it held the
+    whole upsampled clip: every frame and blend written into one array,
+    made an ``IntensityVideo`` and encoded. Returns the unpacked spike
+    flags of ``encode_video_per_frame``."""
+    frames = video.frames
+    n = frames.shape[0]
+    out = np.empty(((n - 1) * factor + 1,) + frames.shape[1:])
+    for i in range(n - 1):
+        out[i * factor] = frames[i]
+        for s in range(1, factor):
+            f = s / factor
+            out[i * factor + s] = (1.0 - f) * frames[i] + f * frames[i + 1]
+    out[-1] = frames[-1]
+    return encode_video_per_frame(IntensityVideo(out), cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +390,13 @@ def esdsa_forward_with_internals(u: np.ndarray,
                                  ledger: EnergyLedger):
     """Spike-driven self-attention over [tokens, d_model], returning the
     output and a dict of its binary stages Q_S, K_S, V_S and the attention
-    spikes. A non-binary input is priced dense, with its nonzero entries
-    as its spike count."""
+    spikes."""
     prefix = "fsve.sdsa"
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise PreconditionError(f"tokens must be [n, d], got shape {u.shape}")
     n_tokens, d_model = u.shape
     w = weights
-    input_binary = is_binary(u)
     events = int(np.count_nonzero(u))
 
     projections = {}
@@ -385,11 +404,10 @@ def esdsa_forward_with_internals(u: np.ndarray,
         raw = linear(u, w[f"{prefix}.{name}.w"], w[f"{prefix}.{name}.b"])
         projections[name], _ = sn_threshold_with_level(raw)
         d_out = raw.shape[1]
-        dense = n_tokens * d_model * d_out
-        actual = events * d_out if input_binary else dense
         ledger.record(f"{prefix}.{name}_proj", spike_count=events,
-                      fan_out=d_out, actual_sops=actual,
-                      neuron_ops=raw.size, max_sops=dense,
+                      fan_out=d_out, actual_sops=events * d_out,
+                      neuron_ops=raw.size,
+                      max_sops=n_tokens * d_model * d_out,
                       element_count=u.size)
     q_s, k_s, v_s = projections["q"], projections["k"], projections["v"]
 

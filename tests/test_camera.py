@@ -5,16 +5,24 @@ independent of the float64 implementation path.
 """
 
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import (PixelModel, continuous_spike_count,
-                     encode_video_per_frame, simulate_pixel)
-from spikekit.camera import (EncoderConfig, IntensityVideo, encode_video,
-                             to_grayscale, upsample_temporal)
+                     encode_upsampled_whole, encode_video_per_frame,
+                     simulate_pixel)
+from spikekit import pipeline
+from spikekit.camera import (EncoderConfig, IntensityVideo, encode_chunks,
+                             encode_video, frame_chunks, to_grayscale,
+                             upsampled_frames, upsampled_length)
 from spikekit.errors import PreconditionError
+from spikekit.stream import StreamMeta
+from spikekit.synth import SyntheticDatasetSpec, dataset_clips, render_clip
+from spikekit.videoio import quantize_u8
 
 
 def exact_spike_frames(intensity: str, theta: int, n_frames: int) -> list[int]:
@@ -247,30 +255,116 @@ def test_grayscale_channel_count_error():
         to_grayscale(np.zeros((2, 2, 4)))
 
 
+def upsample(video: IntensityVideo, factor: int) -> np.ndarray:
+    """The upsampled frames of ``video`` as one [n, H, W] array."""
+    return np.array(list(upsampled_frames(video.frames, factor)))
+
+
 def test_upsample_factor_one_is_identity():
     rng = np.random.default_rng(25)
     video = IntensityVideo(rng.uniform(size=(5, 3, 3)))
-    out = upsample_temporal(video, 1)
-    assert np.array_equal(out.frames, video.frames)
+    assert np.array_equal(upsample(video, 1), video.frames)
 
 
 def test_upsample_midpoint_blend():
     frames = np.stack([np.zeros((2, 2)), np.ones((2, 2))])
-    out = upsample_temporal(IntensityVideo(frames), 2)
-    assert out.n_frames == 3
-    assert out.frames[1] == pytest.approx(np.full((2, 2), 0.5))
+    out = upsample(IntensityVideo(frames), 2)
+    assert len(out) == upsampled_length(2, 2) == 3
+    assert out[1] == pytest.approx(np.full((2, 2), 0.5))
 
 
 def test_upsample_preserves_endpoints_bit_exactly():
     rng = np.random.default_rng(26)
     for _ in range(20):
         video = IntensityVideo(rng.uniform(size=(5, 4, 4)))
-        out = upsample_temporal(video, 10)
-        assert out.n_frames == 41
+        out = upsample(video, 10)
+        assert len(out) == upsampled_length(5, 10) == 41
         for i in range(5):
-            assert np.array_equal(out.frames[i * 10], video.frames[i])
+            assert np.array_equal(out[i * 10], video.frames[i])
 
 
 def test_upsample_bad_factor():
-    with pytest.raises(PreconditionError):
-        upsample_temporal(constant_video(0.5, 3), 0)
+    for factor in (0, -3):
+        with pytest.raises(PreconditionError, match="upsampling factor"):
+            upsampled_length(3, factor)
+        with pytest.raises(PreconditionError, match="upsampling factor"):
+            upsample(constant_video(0.5, 3), factor)
+
+
+# ---------------------------------------------------------------------------
+# Chunked encoding and the pipeline's clip path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [
+    np.zeros((9, 4, 4)), np.zeros((8, 4, 5)), np.zeros((4, 4))],
+    ids=["nine-frames", "wrong-width", "2-d"])
+def test_encode_chunks_refuses_a_chunk_it_cannot_encode(chunk):
+    with pytest.raises(PreconditionError, match="chunks must be"):
+        encode_chunks(iter([chunk]), (16, 4, 4))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("at", [0, 11])
+def test_frame_chunks_refuse_a_value_outside_the_unit_range(bad, at):
+    # Frame 11 lies in the last, short chunk of 12 frames.
+    frames = np.full((12, 4, 4), 0.5)
+    frames[at, 2, 3] = bad
+    with pytest.raises(PreconditionError, match=re.escape("[0, 1]")):
+        encode_chunks(frame_chunks(frames), frames.shape)
+
+
+def test_encode_chunks_checks_the_seed_before_reading_a_chunk():
+    def unread():
+        raise AssertionError("a chunk was read")
+        yield
+
+    for seed in (None, -1):
+        with pytest.raises(PreconditionError, match="seed"):
+            encode_chunks(unread(), (8, 4, 4),
+                          EncoderConfig(noise_amplitude=0.1), seed)
+
+
+def _clip_path_peak(spec, factor, noise, path):
+    """The traced peak of the pipeline's clip path on the first clip of
+    ``spec``, its stream, and the spikes of the whole-clip oracle."""
+    label, _, _, rng = next(dataset_clips(spec))
+    cfg = EncoderConfig(noise_amplitude=noise)
+    seed = 3 if noise else None
+    tracemalloc.start()
+    try:
+        stream = pipeline._encode_synth_clip(spec, label, rng, path, cfg,
+                                             factor, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rng = np.random.default_rng([spec.seed, label, 0])
+    clip = render_clip(spec.classes[label], spec.frames, spec.height,
+                       spec.width, rng)
+    pixels = IntensityVideo(quantize_u8(clip.frames) / 255.0)
+    return peak, stream, encode_upsampled_whole(pixels, factor, cfg, seed)
+
+
+@pytest.mark.parametrize("frames,factor", [(250, 1), (1000, 1), (250, 3)])
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_the_clip_path_holds_no_whole_clip(frames, factor, noise, tmp_path):
+    # Each clip is rendered, quantized, blended and encoded eight frames at
+    # a time, so its traced peak does not grow with its length beyond the
+    # packed body: at most four 8-frame float64 buffers besides it. When
+    # the whole clip was held, 250 frames peaked at 9.1 MiB, 1,000 at 35.8
+    # and 250 upsampled by 3 at 32.3.
+    spec = SyntheticDatasetSpec(classes=("clap", "wave"), clips_per_class=1,
+                                frames=frames, seed=6)
+    peak, stream, want = _clip_path_peak(spec, factor, noise,
+                                         tmp_path / "c.dat")
+    body = StreamMeta.for_stream(stream).packed_size
+    assert peak <= 4 * 8 * 64 * 64 * 8 + body, (peak, body)
+    assert np.array_equal(stream.data, want)
+
+
+def test_the_clip_path_at_256_px_stays_under_20_mib(tmp_path):
+    # 144.7 MiB when the whole clip was held.
+    spec = SyntheticDatasetSpec(classes=("wave", "clap"), clips_per_class=1,
+                                frames=250, height=256, width=256, seed=6)
+    peak, stream, want = _clip_path_peak(spec, 1, 0.2, tmp_path / "c.dat")
+    assert peak < 20 * 2 ** 20, peak
+    assert np.array_equal(stream.data, want)

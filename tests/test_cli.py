@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import spikekit
-from oracles import write_video_raw
+from oracles import encode_upsampled_whole, pack_bits, write_video_raw
 from spikekit.cli import main
 from spikekit.stream import StreamMeta, read_dat, read_meta
-from spikekit.videoio import read_pgm, write_pgm_clip
-from spikekit.camera import IntensityVideo
+from spikekit.videoio import load_video, read_pgm, write_pgm_clip
+from spikekit.camera import EncoderConfig, IntensityVideo
 
 
 def sha256(path):
@@ -96,6 +96,32 @@ def test_encode_noise_without_seed_exits_2(tiny_video_dir, tmp_path):
     code = main(["encode", str(tiny_video_dir), str(tmp_path / "n.dat"),
                  "--noise", "0.1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "0.2", "--seed", "7"]],
+                         ids=["clean", "noisy"])
+@pytest.mark.parametrize("factor", [1, 2, 3])
+@pytest.mark.parametrize("form", ["pgm", "raw"])
+def test_encode_upsample_writes_the_bytes_of_the_whole_clip(
+        form, factor, noise, tiny_video_dir, tmp_path):
+    # The upsampled frames are blended and encoded eight at a time; the
+    # .dat must hold the bytes of encoding the whole upsampled clip. The
+    # raw video's 7 x 5 frames do not fill whole bytes.
+    if form == "pgm":
+        source = tiny_video_dir
+    else:
+        source = tmp_path / "v.raw"
+        write_video_raw(IntensityVideo(np.random.default_rng(141).uniform(
+            size=(37, 7, 5))), source)
+    out = tmp_path / "u.dat"
+    assert main(["encode", str(source), str(out), "--upsample", str(factor)]
+                + noise) == 0
+    cfg = EncoderConfig(noise_amplitude=0.2 if noise else 0.0)
+    want = encode_upsampled_whole(load_video(source), factor, cfg,
+                                  7 if noise else None)
+    assert out.read_bytes() == pack_bits(want)
+    meta = read_meta(str(out)[:-4] + ".meta.json")
+    assert (meta.t_len, meta.height, meta.width) == want.shape
 
 
 def test_reconstruct_writes_pgm_frames(encoded_dat, tmp_path):
@@ -699,13 +725,13 @@ def test_pipeline_clips_get_their_own_noise_seeds(tmp_path, monkeypatch):
         raise StopAfterEncode
 
     seeds = []
-    encode = pipeline.encode_video
+    encode = pipeline.encode_chunks
 
-    def recording_encode(video, cfg, seed):
+    def recording_encode(chunks, shape, cfg, seed):
         seeds.append(seed)
-        return encode(video, cfg, seed=seed)
+        return encode(chunks, shape, cfg, seed=seed)
 
-    monkeypatch.setattr(pipeline, "encode_video", recording_encode)
+    monkeypatch.setattr(pipeline, "encode_chunks", recording_encode)
     monkeypatch.setattr(pipeline, "write_dataset_index", stop)
     config = pipeline.PipelineConfig(
         seed=3, classes=("wave", "throw"), clips_per_class=3,

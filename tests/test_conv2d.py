@@ -16,7 +16,7 @@ import pytest
 
 from spikekit import hsfe, nnops, snn, starnet
 from spikekit.energy import EnergyLedger
-from spikekit.nnops import TAP_MAJOR_MIN_PIXELS, conv2d
+from spikekit.nnops import SMALL_GEMM_MACS, TAP_MAJOR_MIN_PIXELS, conv2d
 from spikekit.pipeline import (PipelineConfig, build_feature_weights,
                                featurize_stream)
 from spikekit.stream import SpikeStream
@@ -105,6 +105,81 @@ def _bands(x_shape, k_shape, stride, padding):
     return h_out // nnops._band_rows(c_in * kh * kw, c_out, h_out, row_cols)
 
 
+def _shapes_run_at(n):
+    """(x.shape, kernel.shape, stride, padding) of every conv that
+    ``run_pipeline`` runs on n px clips (featurize and the spiking
+    forward), recorded by a stand-in conv that returns zeros. The spiking
+    forward stops at its self-attention, which runs no conv."""
+    cfg = dataclasses.replace(PipelineConfig(seed=0), height=n, width=n)
+    stream = SpikeStream(np.zeros((cfg.frames, n, n), dtype=np.uint8))
+    seen = set()
+
+    def shape_only(x, kernel, bias=None, stride=1, padding=1):
+        seen.add((x.shape, kernel.shape, stride, padding))
+        c_out, _, kh, kw = kernel.shape
+        return np.zeros((c_out, (x.shape[1] + 2 * padding - kh) // stride + 1,
+                         (x.shape[2] + 2 * padding - kw) // stride + 1))
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (hsfe, starnet, snn):
+            mp.setattr(module, "conv2d", shape_only)
+        mp.setattr(snn, "esdsa_forward", stop)
+        block_spec = cfg.block_spec()
+        featurize_stream(stream, block_spec, build_feature_weights(
+            block_spec.block_len, cfg.branch_spec(), cfg.star_config(),
+            (n, n), cfg.seed))
+        with pytest.raises(Stop):
+            snn.fsve_forward(stream, snn.init_fsve_weights(
+                snn.FsveConfig(channels=cfg.snn_channels), seed=1),
+                cfg.timesteps, EnergyLedger())
+    return seen
+
+
+@pytest.mark.parametrize("band_bytes", [1 << 18, 1 << 20, 4 << 20])
+def test_every_band_is_legal_and_no_larger_than_it_must_be(band_bytes,
+                                                           monkeypatch):
+    # A legal band is a multiple of 8 columns above SMALL_GEMM_MACS, so it
+    # keeps the whole-map GEMM's bits. The band of about BAND_BYTES is
+    # rounded up to the smallest legal one where it falls short, and the
+    # map runs as one band only when two such bands do not fit. At 1 MiB
+    # bands, a rule that ran such a map whole instead ran 64 px spatial
+    # attention as one 14.6 MB band.
+    monkeypatch.setattr(nnops, "BAND_BYTES", band_bytes)
+    shapes = set().union(*map(_shapes_run_at, (64, 128, 256)))
+    shapes |= {shape[:4] for shape in BANDED_SHAPES}
+    banded = 0
+    for x_shape, (c_out, c_in, kh, kw), stride, padding in sorted(shapes):
+        h_out = (x_shape[1] + 2 * padding - kh) // stride + 1
+        w_out = (x_shape[2] + 2 * padding - kw) // stride + 1
+        if h_out * w_out < TAP_MAJOR_MIN_PIXELS:
+            continue
+        k = c_in * kh * kw
+        row_cols = x_shape[2] + 2 * padding if stride == 1 else w_out
+        legal = [r for r in range(1, h_out + 1) if r * row_cols % 8 == 0
+                 and c_out * k * r * row_cols > SMALL_GEMM_MACS]
+        fits = [r for r in range(1, h_out + 1) if r * row_cols % 8 == 0
+                and 8 * k * r * row_cols <= band_bytes]
+        such = max(min(legal, default=h_out + 1), max(fits, default=0))
+        rows = nnops._band_rows(k, c_out, h_out, row_cols)
+        case = (x_shape, c_out, stride)
+        if 2 * such > h_out:
+            assert rows == h_out, case
+            continue
+        banded += 1
+        assert rows == such, case
+        last = h_out - (h_out // rows - 1) * rows
+        for band in (rows, last):
+            assert band * row_cols % 8 == 0, case
+            assert c_out * k * band * row_cols > SMALL_GEMM_MACS, case
+    assert banded >= 10
+
+
 def test_banded_shapes_run_several_bands():
     assert min(_bands(x, k, s, p) for x, k, s, p, _ in BANDED_SHAPES) > 1
 
@@ -147,7 +222,8 @@ def test_featurize_memory_is_bounded_and_bands_keep_bytes(monkeypatch):
     # Only one band of tap-major columns and one HSFE estimate are alive at
     # a time: a 128 px featurize peaked at 129 MiB when each conv held all
     # its columns, and at 50 MiB (194 MiB at 256 px) when the five
-    # estimates were held together.
+    # estimates were held together; a 64 px one peaked at 9.7 MiB with
+    # 4 MiB bands.
     def inputs(n):
         cfg = dataclasses.replace(PipelineConfig(seed=0), height=n, width=n)
         rng = np.random.default_rng(154)
@@ -158,7 +234,7 @@ def test_featurize_memory_is_bounded_and_bands_keep_bytes(monkeypatch):
             block_spec.block_len, cfg.branch_spec(), cfg.star_config(),
             (n, n), cfg.seed)
 
-    for n, bound_mib in ((256, 150), (128, 40)):
+    for n, bound_mib in ((64, 8), (256, 150), (128, 40)):
         args = inputs(n)
         tracemalloc.start()
         try:

@@ -106,7 +106,7 @@ def _calls(callee: str):
 @pytest.mark.parametrize("callee,home,caller", [
     ("AlignmentHead.create", "align.py", "pipeline.py:train_fewshot_head"),
     ("evaluate_topk", "align.py", "pipeline.py:evaluate_head"),
-    ("encode_video", "camera.py", "pipeline.py:encode_to_dat"),
+    ("encode_chunks", "camera.py", "pipeline.py:encode_to_dat"),
     ("finetune_head", "align.py", "pipeline.py:train_fewshot_head"),
 ])
 def test_fewshot_stages_have_one_caller(callee, home, caller):
@@ -360,3 +360,11 @@ def test_every_export_has_traffic():
             if name not in bench_names
             and not any(name in _references(tree, name)
                         for tree in trees)] == []
+
+
+def test_one_encoder_chunk_loop():
+    # Every encoding runs the one chunk loop: the video encoder hands it
+    # slices and the pipeline hands it rendered or blended chunks.
+    assert _functions(_calls("_fired_chunks")) == ["camera.py:encode_chunks"]
+    assert _functions(_calls("encode_chunks")) == [
+        "camera.py:encode_video", "pipeline.py:encode_to_dat"]
