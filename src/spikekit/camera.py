@@ -1,10 +1,12 @@
 """The integrate-and-fire video-to-spike encoder.
 
 The encoder accumulates per-frame intensities in [0, 1] against a
-threshold theta (default 5.0). The continuous pixel model it
-discretizes, charge alpha * I(t) integrated over wall-clock time and
-polled at a fixed tick, is the test suite's reference
-(``tests/oracles.py``).
+threshold theta (default 5.0), one [H, W] frame at a time, as the camera
+polls its pixels, and hands each frame's spikes to
+``SpikeStream.from_frames``, which alone knows how they are packed. The
+continuous pixel model it discretizes, charge alpha * I(t) integrated
+over wall-clock time and polled at a fixed tick, is the test suite's
+reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ _THRESH_RTOL = 1e-9
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 
-def _check_unit_range(arr: np.ndarray, what: str) -> None:
-    """Raise unless every value lies in [0, 1]; NaN fails both tests."""
+def in_unit_range(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, unless a value lies outside [0, 1], which is a
+    ``PreconditionError``; NaN fails both tests."""
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise PreconditionError(f"{what} must be finite and lie in [0, 1]")
+    return arr
 
 
 def owned(raw, dtype) -> np.ndarray:
@@ -59,7 +63,7 @@ class IntensityVideo:
         if arr.ndim != 3 or arr.size == 0:
             raise PreconditionError(f"intensity video must be a non-empty "
                                     f"[n, h, w] array, got shape {arr.shape}")
-        _check_unit_range(arr, "intensity values")
+        in_unit_range(arr, "intensity values")
         object.__setattr__(self, "frames", arr)
 
     @property
@@ -111,30 +115,25 @@ def encode_video(video: IntensityVideo, cfg: EncoderConfig = EncoderConfig(),
     a finite range ``2a``, and the noise seed must be non-negative. With
     noise_amplitude 0 the output is deterministic and seed-independent.
 
-    The video's frames go to :func:`encode_chunks` as slices of eight.
+    The video's frames go to :func:`encode_frames`.
     """
-    frames = video.frames
-    return encode_chunks((frames[t:t + 8] for t in range(0, len(frames), 8)),
-                         frames.shape, cfg, seed)
+    return encode_frames(video.frames, video.frames.shape, cfg, seed)
 
 
-def encode_chunks(chunks: Iterable[np.ndarray], shape: tuple[int, int, int],
+def encode_frames(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
                   cfg: EncoderConfig = EncoderConfig(),
                   seed: int | None = None) -> SpikeStream:
     """The spike stream that :func:`encode_video` makes of the video of
-    ``shape`` [t_len, H, W] whose frames come in ``chunks``: float arrays
-    [n, H, W] of intensities in [0, 1], eight frames each but the last.
-    The range is the producer's to check, as ``IntensityVideo`` and
-    :func:`frame_chunks` do; a second scan of each chunk here cost
-    ``stream-io`` about 7% of its pass.
+    ``shape`` [t_len, H, W] whose float [H, W] frames of intensities in
+    [0, 1] ``frames`` yields. The range is the producer's to check, as
+    ``IntensityVideo`` and ``pipeline.encode_to_dat`` do; a second scan of
+    each frame here cost ``stream-io`` about 7% of its pass.
 
-    The noise-seed rules are checked at the call, before any chunk is read.
-    Each chunk is encoded and packed before the next is read, so a
-    producer may refill one buffer, and no whole clip is held: besides the
-    packed body, the frame loop allocates only reused buffers, the noise
-    and the spike flags of eight frames and the charge spent by the reset.
-    A chunk that is not [n <= 8, H, W], or chunks that do not make
-    ``shape`` (see ``SpikeStream.from_chunks``), are a
+    The noise-seed rules are checked at the call, before any frame is read.
+    Each frame is encoded and handed to ``SpikeStream.from_frames`` before
+    the next is read, so a producer may refill one buffer, and besides the
+    packed body the loop holds only reused buffers. A frame that is not an
+    [H, W] array, or frames that do not make ``shape``, are a
     ``PreconditionError``.
     """
     a = cfg.noise_amplitude
@@ -146,66 +145,41 @@ def encode_chunks(chunks: Iterable[np.ndarray], shape: tuple[int, int, int],
             raise PreconditionError(
                 f"the noise seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
-    return SpikeStream.from_chunks(_fired_chunks(chunks, shape, cfg, rng),
-                                   shape)
+    return SpikeStream.from_frames(_fired(frames, shape, cfg, rng), shape)
 
 
-def _fired_chunks(chunks: Iterable[np.ndarray], shape: tuple[int, int, int],
-                  cfg: EncoderConfig,
-                  rng: np.random.Generator | None) -> Iterator[np.ndarray]:
-    """The spike flags of ``chunks`` (see :func:`encode_chunks`), one chunk
-    at a time, as views of one [8, H, W] boolean buffer that is refilled
-    once its consumer has taken them. With an ``rng``, a chunk's noise is
-    drawn in one call, which fills the [8, H, W] noise buffer in C order
-    and so gives the doubles of eight per-frame draws; the affine map and
-    the clip run on the whole chunk. Charge, compare and reset run frame by
-    frame."""
+def _fired(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
+           cfg: EncoderConfig,
+           rng: np.random.Generator | None) -> Iterator[np.ndarray]:
+    """The spike flags of ``frames`` (see :func:`encode_frames`) in one
+    [H, W] boolean buffer, refilled once its consumer has taken them. The
+    noise of eight frames is drawn in one call, which fills its [8, H, W]
+    buffer in C order and so gives the doubles of eight per-frame draws."""
     a = cfg.noise_amplitude
     thresh = cfg.theta * (1.0 - _THRESH_RTOL)
     v = np.zeros(shape[1:], dtype=np.float64)
     spent = np.empty_like(v)
-    fired = np.empty((8,) + v.shape, dtype=np.bool_)
-    noisy = None if rng is None else np.empty(fired.shape, dtype=np.float64)
-    for chunk in chunks:
-        if not (isinstance(chunk, np.ndarray) and chunk.ndim == 3
-                and len(chunk) <= 8 and chunk.shape[1:] == v.shape):
+    fired = np.empty(v.shape, dtype=np.bool_)
+    noise = None if rng is None else np.empty((8,) + v.shape)
+    for t, frame in enumerate(frames):
+        if not (isinstance(frame, np.ndarray) and frame.shape == v.shape):
             raise PreconditionError(
-                f"chunks must be [n <= 8, {v.shape[0]}, {v.shape[1]}] arrays")
-        if noisy is not None:
-            drawn = noisy[:len(chunk)]
-            rng.random(out=drawn)
+                f"frames must be [{v.shape[0]}, {v.shape[1]}] arrays")
+        if noise is not None:
+            if t % 8 == 0:
+                rng.random(out=noise[:shape[0] - t])
+            drawn = noise[t % 8]
             drawn *= 2 * a
             drawn += -a
-            drawn += chunk
-            chunk = np.clip(drawn, 0.0, 1.0, out=drawn)
-        for frame, now in zip(chunk, fired):
-            v += frame
-            np.greater_equal(v, thresh, out=now)
-            # Subtract theta where fired and 0 elsewhere, which leaves V as
-            # it is: the same bits as a masked subtraction, and faster.
-            np.multiply(now, cfg.theta, out=spent)
-            v -= spent
-        yield fired[:len(chunk)]
-
-
-def frame_chunks(frames: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The [H, W] arrays of ``frames`` eight at a time, as views [n, H, W]
-    of one float64 buffer that is refilled once its consumer has taken
-    them: the chunks :func:`encode_chunks` reads. A chunk with a value
-    outside [0, 1] is a ``PreconditionError``."""
-    buf, n = None, 0
-    for frame in frames:
-        if buf is None:
-            buf = np.empty((8,) + frame.shape)
-        buf[n] = frame
-        n += 1
-        if n == 8:
-            _check_unit_range(buf, "intensity values")
-            yield buf
-            n = 0
-    if n:
-        _check_unit_range(buf[:n], "intensity values")
-        yield buf[:n]
+            drawn += frame
+            frame = np.clip(drawn, 0.0, 1.0, out=drawn)
+        v += frame
+        np.greater_equal(v, thresh, out=fired)
+        # Subtract theta where fired and 0 elsewhere, which leaves V as it
+        # is: the same bits as a masked subtraction, and faster.
+        np.multiply(fired, cfg.theta, out=spent)
+        v -= spent
+        yield fired
 
 
 def to_grayscale(rgb: np.ndarray) -> np.ndarray:
@@ -215,7 +189,7 @@ def to_grayscale(rgb: np.ndarray) -> np.ndarray:
     if arr.ndim not in (3, 4) or arr.shape[-1] != 3:
         raise PreconditionError(
             f"expected [T x] H x W x 3 frames, got shape {arr.shape}")
-    _check_unit_range(arr, "RGB values")
+    in_unit_range(arr, "RGB values")
     gray = (GRAY_WEIGHTS[0] * arr[..., 0] + GRAY_WEIGHTS[1] * arr[..., 1]
             + GRAY_WEIGHTS[2] * arr[..., 2])
     return np.clip(gray, 0.0, 1.0)

@@ -159,8 +159,8 @@ def cmd_subsample(args) -> int:
 
 
 def _weights(args, init) -> dict[str, np.ndarray]:
-    """Weights from --weights, else ``init(--seed, None)``. A command
-    saves seeded weights to --save-weights only once its forward has run.
+    """Weights from --weights, else ``init(--seed, None)``. A command saves
+    them to --save-weights only once its forward has run.
 
     A loaded archive must hold exactly the names and shapes of
     ``init(0, archive)``, the seeded weights at the sizes the archive
@@ -210,7 +210,7 @@ def cmd_featurize(args) -> int:
         if name in labels:
             entry["label"] = labels[name]
         entries.append(entry)
-    if args.save_weights and not args.weights:
+    if args.save_weights:
         save_weights(weights, args.save_weights)
     prov = provenance(args.seed,
                       inputs={os.path.basename(p): p for p in paths})
@@ -222,19 +222,19 @@ def cmd_featurize(args) -> int:
 def cmd_snn_forward(args) -> int:
     stream, _ = _read_stream(args.input, args.meta)
     subsample_indices(stream.t_len, args.timesteps)    # fail before any write
-    cfg = FsveConfig(channels=args.channels)
 
     def init(seed, archive):
-        # An archive's own width wins over --channels.
-        stem = (archive or {}).get("fsve.stem1.conv.w")
-        width = stem.shape[0] if stem is not None and stem.ndim == 4 \
-            and stem.shape[0] else cfg.channels
-        return init_fsve_weights(replace(cfg, channels=width), seed)
+        if archive is None:     # --channels sizes only seeded weights
+            return init_fsve_weights(FsveConfig(channels=args.channels), seed)
+        # The archive's own width; any will do if the fit check names its stem.
+        stem = archive.get("fsve.stem1.conv.w")
+        width = stem.shape[0] if stem is not None and stem.ndim == 4 else 1
+        return init_fsve_weights(FsveConfig(channels=max(width, 1)), seed)
 
     weights = _weights(args, init)
     ledger = EnergyLedger()
     embedding = fsve_forward(stream, weights, args.timesteps, ledger)
-    if args.save_weights and not args.weights:
+    if args.save_weights:
         save_weights(weights, args.save_weights)
     ledger.save(args.ledger)
     if args.out:
@@ -276,14 +276,17 @@ def cmd_train_head(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    head, prompts = _load_head(args.head)
-    vectors, labels = _load_embeddings(args.embeddings)
     try:
         ks = [int(k) for k in args.topk.split(",")]
     except ValueError as exc:
         raise PreconditionError(
             f"--topk must be comma-separated integers, got {args.topk!r}"
         ) from exc
+    if min(ks) < 1 or len(set(ks)) < len(ks):    # a repeat prints twice
+        raise PreconditionError(
+            f"--topk must list distinct integers >= 1, got {args.topk!r}")
+    head, prompts = _load_head(args.head)
+    vectors, labels = _load_embeddings(args.embeddings)
     results = evaluate_head(head, prompts, vectors, labels, ks)
     for k in ks:
         print(f"top-{k} accuracy: {results[f'top{k}']:.4f}  "
@@ -378,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spike stream(s) -> clip embedding JSON")
     p.add_argument("input", help=".dat file or directory of .dat files")
     p.add_argument("--meta", default=None)
-    p.add_argument("--weights", default=None, help="weight archive directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="generate weights from this seed instead")
+    weights = p.add_mutually_exclusive_group()
+    weights.add_argument("--weights", help="weight archive directory")
+    weights.add_argument("--seed", type=int,
+                         help="generate weights from this seed instead")
     p.add_argument("--save-weights", default=None)
     p.add_argument("--manifest", default=None,
                    help="dataset manifest supplying labels")
@@ -398,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full-spiking forward with energy ledger")
     p.add_argument("input")
     p.add_argument("--meta", default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    weights = p.add_mutually_exclusive_group()
+    weights.add_argument("--weights")
+    weights.add_argument("--seed", type=int)
     p.add_argument("--save-weights", default=None)
     p.add_argument("--timesteps", type=int, default=2)
     p.add_argument("--channels", type=int, default=8)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
-from .camera import (EncoderConfig, encode_chunks, frame_chunks,
+from .camera import (EncoderConfig, encode_frames, in_unit_range,
                      upsampled_frames, upsampled_length)
 from .energy import EnergyLedger, energy_report
 from .errors import PreconditionError
@@ -202,13 +202,15 @@ def encode_to_dat(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
                   seed: int | None) -> SpikeStream:
     """Encode the video of ``shape`` [t, H, W] whose [H, W] frames
     ``frames`` yields, upsampled in time by ``upsample`` unless it is 1,
-    and write the ``.dat`` plus its sidecar. The frames are blended and
-    encoded eight at a time, so no whole upsampled clip is held. A factor
-    below 1 is a ``PreconditionError`` (from ``upsampled_length``)."""
+    and write the ``.dat`` plus its sidecar. The frames are blended,
+    range-checked and encoded one at a time, so no whole upsampled clip is
+    held. A factor below 1, or a frame with a value outside [0, 1], is a
+    ``PreconditionError``."""
     if upsample != 1:
         shape = (upsampled_length(shape[0], upsample), *shape[1:])
         frames = upsampled_frames(frames, upsample)
-    stream = encode_chunks(frame_chunks(frames), shape, cfg, seed=seed)
+    frames = (in_unit_range(frame, "intensity values") for frame in frames)
+    stream = encode_frames(frames, shape, cfg, seed=seed)
     write_dat(stream, StreamMeta.for_stream(stream, threshold_theta=cfg.theta),
               dat_path)
     return stream

@@ -10,11 +10,11 @@ In memory a ``SpikeStream`` holds the ``.dat`` body itself: one read-only
 uint8 array of ceil(T*H*W/8) bytes whose padding bits are zero. So the
 codec writes and adopts those bytes as they are, and a frame range is
 unpacked from the bytes that hold it. Only this module knows the layout:
-producers hand it binary frames (``SpikeStream.from_chunks``) or a whole
-body, and consumers unpack only the frames they read
+producers hand it binary frames one at a time (``SpikeStream.from_frames``)
+or a whole body, and consumers unpack only the frames they read
 (``SpikeStream.unpack``). Eight frames are H*W whole bytes of the body, so
-a frame that does not fill whole bytes is repacked at most eight frames at
-a time, and only when frames are sliced or subsampled.
+``from_frames`` packs eight frames at a time, and a frame that does not
+fill whole bytes is repacked only when frames are sliced or subsampled.
 """
 
 from __future__ import annotations
@@ -88,37 +88,36 @@ class SpikeStream:
         return stream
 
     @classmethod
-    def from_chunks(cls, chunks: Iterable[np.ndarray],
+    def from_frames(cls, frames: Iterable[np.ndarray],
                     shape: tuple[int, int, int]) -> "SpikeStream":
         """The stream of ``shape`` [t_len, H, W] whose frames are, in order,
-        those of ``chunks``: boolean arrays [n, H, W] that together hold
-        t_len frames. Each chunk is packed into the body as it arrives, so
-        a producer may refill one buffer; booleans are bits, so no binary
-        check runs. A chunk must start on a byte of the body: any chunk
-        when H*W is a multiple of 8, else one after a multiple of 8 frames.
-        Anything else, or a ``shape`` that is not three dimensions of at
-        least 1, is a ``PreconditionError``."""
+        the t_len boolean [H, W] arrays of ``frames``. They are copied into
+        one buffer and packed eight at a time, so a producer may refill its
+        own; booleans are bits, so no binary check runs. Anything else, or
+        a ``shape`` that is not three dimensions of at least 1, is a
+        ``PreconditionError``."""
         if len(shape) != 3 or any(s < 1 for s in shape):
             raise PreconditionError(
                 f"stream shape must be 3 dimensions, each >= 1, got {shape}")
         t_len, height, width = shape
-        hw = height * width
-        body = np.empty((t_len * hw + 7) // 8, dtype=np.uint8)
+        body = np.empty((t_len * height * width + 7) // 8, dtype=np.uint8)
+        buf = np.empty((8, height, width), dtype=np.bool_)
         t = 0
-        for chunk in chunks:
-            if not (isinstance(chunk, np.ndarray) and chunk.dtype == np.bool_
-                    and chunk.shape[1:] == (height, width)):
+        for frame in frames:
+            if not (isinstance(frame, np.ndarray) and frame.dtype == np.bool_
+                    and frame.shape == (height, width)):
                 raise PreconditionError(
-                    f"chunks must be boolean [n, {height}, {width}] arrays")
-            if t * hw % 8 or t + len(chunk) > t_len:
-                raise PreconditionError(
-                    f"a chunk of {len(chunk)} frames at frame {t} must start "
-                    f"on a byte of the body and end by frame {t_len}")
-            piece = np.packbits(chunk, bitorder="big")
-            body[t * hw // 8:][:len(piece)] = piece
-            t += len(chunk)
+                    f"frames must be boolean [{height}, {width}] arrays")
+            if t == t_len:
+                raise PreconditionError(f"got more than {t_len} frames")
+            buf[t % 8] = frame
+            t += 1
+            if t % 8 == 0 or t == t_len:
+                # Eight frames are H*W whole bytes, so a group starts on one.
+                bits = np.packbits(buf[:(t - 1) % 8 + 1], bitorder="big")
+                body[(t - 1) // 8 * height * width:][:len(bits)] = bits
         if t != t_len:
-            raise PreconditionError(f"the chunks hold {t} of {t_len} frames")
+            raise PreconditionError(f"got {t} of {t_len} frames")
         return cls._of_body(body, shape)
 
     @property
@@ -368,12 +367,12 @@ def subsample_temporal(stream: SpikeStream, target_len: int) -> SpikeStream:
 
 def _take_frames(stream: SpikeStream, idx: np.ndarray) -> SpikeStream:
     """The stream of frames ``idx`` of ``stream``, copied once. Frames that
-    fill whole bytes are byte rows of the body. Others are unpacked and
-    packed again at most eight frames, H*W whole bytes, at a time."""
+    fill whole bytes are byte rows of the body. Others are unpacked one at
+    a time and packed again by ``SpikeStream.from_frames``."""
     t_len, h, w = stream._shape
     if h * w % 8 == 0:
         rows = stream._body.reshape(t_len, -1)
         return SpikeStream._of_body(rows[idx].reshape(-1), (len(idx), h, w))
-    chunks = (np.concatenate([stream.unpack(i, i + 1) for i in idx[k:k + 8]])
-              .view(np.bool_) for k in range(0, len(idx), 8))
-    return SpikeStream.from_chunks(chunks, (len(idx), h, w))
+    return SpikeStream.from_frames(
+        (stream.unpack(i, i + 1)[0].view(np.bool_) for i in idx),
+        (len(idx), h, w))

@@ -16,9 +16,9 @@ from oracles import (PixelModel, continuous_spike_count,
                      encode_upsampled_whole, encode_video_per_frame,
                      simulate_pixel)
 from spikekit import pipeline
-from spikekit.camera import (EncoderConfig, IntensityVideo, encode_chunks,
-                             encode_video, frame_chunks, to_grayscale,
-                             upsampled_frames, upsampled_length)
+from spikekit.camera import (EncoderConfig, IntensityVideo, encode_frames,
+                             encode_video, to_grayscale, upsampled_frames,
+                             upsampled_length)
 from spikekit.errors import PreconditionError
 from spikekit.stream import StreamMeta
 from spikekit.synth import SyntheticDatasetSpec, dataset_clips, render_clip
@@ -292,35 +292,39 @@ def test_upsample_bad_factor():
 
 
 # ---------------------------------------------------------------------------
-# Chunked encoding and the pipeline's clip path
+# Frame-by-frame encoding and the pipeline's clip path
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("chunk", [
-    np.zeros((9, 4, 4)), np.zeros((8, 4, 5)), np.zeros((4, 4))],
-    ids=["nine-frames", "wrong-width", "2-d"])
-def test_encode_chunks_refuses_a_chunk_it_cannot_encode(chunk):
-    with pytest.raises(PreconditionError, match="chunks must be"):
-        encode_chunks(iter([chunk]), (16, 4, 4))
+@pytest.mark.parametrize("frame", [
+    np.zeros((4, 5)), np.zeros((1, 4, 4)), [[0.0] * 4] * 4],
+    ids=["wrong-width", "3-d", "list"])
+def test_encode_frames_refuses_a_frame_it_cannot_encode(frame):
+    with pytest.raises(PreconditionError, match="frames must be"):
+        encode_frames(iter([np.zeros((4, 4)), frame]), (16, 4, 4))
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan, np.inf])
 @pytest.mark.parametrize("at", [0, 11])
-def test_frame_chunks_refuse_a_value_outside_the_unit_range(bad, at):
-    # Frame 11 lies in the last, short chunk of 12 frames.
+@pytest.mark.parametrize("factor", [1, 2])
+def test_encode_to_dat_refuses_a_value_outside_the_unit_range(bad, at, factor,
+                                                              tmp_path):
+    # Each frame is checked as it is handed over, so frame 11 of 12 too.
     frames = np.full((12, 4, 4), 0.5)
     frames[at, 2, 3] = bad
     with pytest.raises(PreconditionError, match=re.escape("[0, 1]")):
-        encode_chunks(frame_chunks(frames), frames.shape)
+        pipeline.encode_to_dat(frames, frames.shape, tmp_path / "c.dat",
+                               EncoderConfig(), factor, None)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_encode_chunks_checks_the_seed_before_reading_a_chunk():
+def test_encode_frames_checks_the_seed_before_reading_a_frame():
     def unread():
-        raise AssertionError("a chunk was read")
+        raise AssertionError("a frame was read")
         yield
 
     for seed in (None, -1):
         with pytest.raises(PreconditionError, match="seed"):
-            encode_chunks(unread(), (8, 4, 4),
+            encode_frames(unread(), (8, 4, 4),
                           EncoderConfig(noise_amplitude=0.1), seed)
 
 
@@ -347,8 +351,8 @@ def _clip_path_peak(spec, factor, noise, path):
 @pytest.mark.parametrize("frames,factor", [(250, 1), (1000, 1), (250, 3)])
 @pytest.mark.parametrize("noise", [0.0, 0.2])
 def test_the_clip_path_holds_no_whole_clip(frames, factor, noise, tmp_path):
-    # Each clip is rendered, quantized, blended and encoded eight frames at
-    # a time, so its traced peak does not grow with its length beyond the
+    # Each clip is rendered, quantized, blended and encoded one frame at a
+    # time, so its traced peak does not grow with its length beyond the
     # packed body: at most four 8-frame float64 buffers besides it. When
     # the whole clip was held, 250 frames peaked at 9.1 MiB, 1,000 at 35.8
     # and 250 upsampled by 3 at 32.3.
@@ -361,10 +365,11 @@ def test_the_clip_path_holds_no_whole_clip(frames, factor, noise, tmp_path):
     assert np.array_equal(stream.data, want)
 
 
-def test_the_clip_path_at_256_px_stays_under_20_mib(tmp_path):
-    # 144.7 MiB when the whole clip was held.
+def test_the_clip_path_at_256_px_stays_under_12_mib(tmp_path):
+    # 144.7 MiB when the whole clip was held, and 14.0 MiB while the
+    # encoder read 8-frame float64 chunks.
     spec = SyntheticDatasetSpec(classes=("wave", "clap"), clips_per_class=1,
                                 frames=250, height=256, width=256, seed=6)
     peak, stream, want = _clip_path_peak(spec, 1, 0.2, tmp_path / "c.dat")
-    assert peak < 20 * 2 ** 20, peak
+    assert peak < 12 * 2 ** 20, peak
     assert np.array_equal(stream.data, want)

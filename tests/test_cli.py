@@ -393,6 +393,16 @@ def test_eval_bad_input_exits_2(width, topk, scale, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("topk", ["1,1", "2,1,2", "0", "-1", "1,0"])
+def test_eval_refuses_a_repeated_or_non_positive_k_before_reading(
+        topk, tmp_path, capsys):
+    # The head and embeddings do not exist: the --topk check runs first.
+    assert main(["eval", str(tmp_path / "h.json"), str(tmp_path / "e.json"),
+                 "--topk", topk]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --topk") and err.count("\n") == 1, err
+
+
 def test_encode_accepts_rgb_ppm_frames(tmp_path):
     rng = np.random.default_rng(144)
     clip_dir = tmp_path / "rgb"
@@ -725,13 +735,13 @@ def test_pipeline_clips_get_their_own_noise_seeds(tmp_path, monkeypatch):
         raise StopAfterEncode
 
     seeds = []
-    encode = pipeline.encode_chunks
+    encode = pipeline.encode_frames
 
-    def recording_encode(chunks, shape, cfg, seed):
+    def recording_encode(frames, shape, cfg, seed):
         seeds.append(seed)
-        return encode(chunks, shape, cfg, seed=seed)
+        return encode(frames, shape, cfg, seed=seed)
 
-    monkeypatch.setattr(pipeline, "encode_chunks", recording_encode)
+    monkeypatch.setattr(pipeline, "encode_frames", recording_encode)
     monkeypatch.setattr(pipeline, "write_dataset_index", stop)
     config = pipeline.PipelineConfig(
         seed=3, classes=("wave", "throw"), clips_per_class=3,
@@ -795,6 +805,42 @@ def test_weight_archive_must_fit_the_model(command, name, damage, tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert ("extra.w" if damage == "extra" else name) in err
+
+
+@pytest.mark.parametrize("command", ["featurize", "snn-forward"])
+def test_weights_and_seed_are_one_choice(command, tmp_path, capsys):
+    # An archive and a seed cannot both decide the weights of one run.
+    argv = _weight_archive(tmp_path, command)
+    for out in ("e.json", "ledger.json"):
+        (tmp_path / out).unlink(missing_ok=True)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "7", "--save-weights", str(tmp_path / "w2")])
+    assert exit_info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "s.dat", "s.meta.json", "w"]
+
+
+@pytest.mark.parametrize("command", ["featurize", "snn-forward"])
+def test_save_weights_writes_the_weights_that_ran(command, tmp_path):
+    # A loaded archive saved again is the same archive, byte for byte.
+    argv = _weight_archive(tmp_path, command)
+    assert main(argv + ["--save-weights", str(tmp_path / "w2")]) == 0
+    names = sorted(p.name for p in (tmp_path / "w").iterdir())
+    assert sorted(p.name for p in (tmp_path / "w2").iterdir()) == names
+    assert [name for name in names
+            if (tmp_path / "w" / name).read_bytes()
+            != (tmp_path / "w2" / name).read_bytes()] == []
+
+
+def test_snn_forward_channels_only_size_seeded_weights(tmp_path):
+    # With an archive, --channels is not read, not even to check it.
+    argv = _weight_archive(tmp_path, "snn-forward")
+    seeded = (tmp_path / "ledger.json").read_bytes()
+    for channels in ("0", "-3"):
+        assert main(argv + ["--channels", channels]) == 0
+        assert (tmp_path / "ledger.json").read_bytes() == seeded
+    assert main(argv[:-2] + ["--seed", "0", "--channels", "0"]) == 2
 
 
 @pytest.mark.parametrize("command,name,value", [

@@ -249,9 +249,8 @@ def test_chunked_sweeps_give_the_per_frame_oracle(h, w, t_len):
 
 def _clip(t_len: int, n: int = 128) -> SpikeStream:
     rng = np.random.default_rng(t_len)
-    return SpikeStream.from_chunks(
-        (rng.random((min(8, t_len - t), n, n)) < 0.2
-         for t in range(0, t_len, 8)), (t_len, n, n))
+    return SpikeStream.from_frames(
+        (rng.random((n, n)) < 0.2 for _ in range(t_len)), (t_len, n, n))
 
 
 def test_tfi_video_unpacks_eight_frames_per_call(monkeypatch):

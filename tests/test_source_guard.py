@@ -106,7 +106,7 @@ def _calls(callee: str):
 @pytest.mark.parametrize("callee,home,caller", [
     ("AlignmentHead.create", "align.py", "pipeline.py:train_fewshot_head"),
     ("evaluate_topk", "align.py", "pipeline.py:evaluate_head"),
-    ("encode_chunks", "camera.py", "pipeline.py:encode_to_dat"),
+    ("encode_frames", "camera.py", "pipeline.py:encode_to_dat"),
     ("finetune_head", "align.py", "pipeline.py:train_fewshot_head"),
 ])
 def test_fewshot_stages_have_one_caller(callee, home, caller):
@@ -362,9 +362,18 @@ def test_every_export_has_traffic():
                         for tree in trees)] == []
 
 
-def test_one_encoder_chunk_loop():
-    # Every encoding runs the one chunk loop: the video encoder hands it
-    # slices and the pipeline hands it rendered or blended chunks.
-    assert _functions(_calls("_fired_chunks")) == ["camera.py:encode_chunks"]
-    assert _functions(_calls("encode_chunks")) == [
+def test_one_encoder_frame_loop():
+    # Every encoding runs the one frame loop: the video encoder hands it
+    # its frames and the pipeline hands it rendered, loaded or blended
+    # frames, each range-checked on the way in. Only the packer groups
+    # frames, eight at a time, for the .dat layout.
+    assert _functions(lambda fn: fn.name in (
+        "encode_chunks", "frame_chunks", "from_chunks", "_fired_chunks")) == []
+    assert _functions(_calls("_fired")) == ["camera.py:encode_frames"]
+    assert _functions(_calls("encode_frames")) == [
         "camera.py:encode_video", "pipeline.py:encode_to_dat"]
+    assert _functions(_calls("SpikeStream.from_frames")) == [
+        "camera.py:encode_frames", "stream.py:_take_frames"]
+    assert [name for name in _functions(_calls("in_unit_range"))
+            if not name.startswith("camera.py:")] == [
+        "pipeline.py:encode_to_dat"]

@@ -393,8 +393,8 @@ def test_codec_memory_on_ragged_frames_is_one_packed_copy(tmp_path):
     # copy the stream keeps.
     shape = (400, 127, 129)
     rng = np.random.default_rng(9)
-    s = SpikeStream.from_chunks((rng.random((8,) + shape[1:]) < 0.2
-                                 for _ in range(0, shape[0], 8)), shape)
+    s = SpikeStream.from_frames((rng.random(shape[1:]) < 0.2
+                                 for _ in range(shape[0])), shape)
     meta = StreamMeta.for_stream(s)
     path = tmp_path / "s.dat"
     peaks = []
@@ -446,39 +446,46 @@ def test_read_dat_rejects_set_padding_before_it_copies(tmp_path):
     assert peak <= 1.1 * meta.packed_size, (peak / meta.packed_size)
 
 
-def test_from_chunks_packs_chunks_that_start_on_a_byte():
-    bits = odd_bits(3, 5, 17).astype(bool)
-    want = SpikeStream(bits)
-    # 3 x 5 frames fill whole bytes every 8 frames; 4 x 4 frames always.
-    assert SpikeStream.from_chunks([bits[:8], bits[8:16], bits[16:]],
-                                   bits.shape) == want
-    square = odd_bits(4, 4, 17).astype(bool)
-    assert SpikeStream.from_chunks([square[:3], square[3:4], square[4:]],
-                                   square.shape) == SpikeStream(square)
+@pytest.mark.parametrize("shape", [(7, 5, 13), (13, 7, 5), (3, 3, 1),
+                                   (1, 3, 3), (4, 4, 16), (16, 4, 4)])
+def test_from_frames_packs_the_bytes_of_the_whole_array(shape):
+    # Ragged frames and tails: 13 frames end in a group of 5, 7 and 3
+    # frames are one short group, and 16 frames two full ones.
+    bits = np.random.default_rng(sum(shape)).random(shape) < 0.4
+    buf = np.empty(shape[1:], dtype=np.bool_)
+
+    def refilled():
+        # One buffer, refilled once the packer has taken each frame.
+        for frame in bits:
+            buf[...] = frame
+            yield buf
+
+    for frames in (iter(bits), refilled()):
+        s = SpikeStream.from_frames(frames, shape)
+        assert pack_spikes(s) == np.packbits(bits, bitorder="big").tobytes()
+        assert s == SpikeStream(bits)
 
 
-@pytest.mark.parametrize("chunks, shape", [
-    ([np.zeros((3, 4, 4), bool)], (40, 4, 4)),          # too few frames
-    ([np.zeros((9, 4, 4), bool)], (5, 4, 4)),           # too many
-    ([np.zeros((5, 4, 4), bool), np.zeros((0, 4, 4), bool),
-      np.zeros((1, 4, 4), bool)], (5, 4, 4)),          # one too many
-    ([np.zeros((5, 4, 3), bool)], (5, 4, 4)),           # wrong frame size
-    ([np.zeros((5, 16), bool)], (5, 4, 4)),
-    ([np.zeros((5, 4, 4), np.uint8)], (5, 4, 4)),       # not boolean
-    ([[[[False] * 4] * 4] * 5], (5, 4, 4)),
-    # The second chunk starts at bit 45 of the body, inside a byte.
-    ([np.zeros((3, 3, 5), bool), np.zeros((5, 3, 5), bool)], (8, 3, 5)),
+@pytest.mark.parametrize("frames, shape", [
+    ([np.zeros((4, 4), bool)] * 3, (40, 4, 4)),         # too few frames
+    ([np.zeros((4, 4), bool)] * 6, (5, 4, 4)),          # too many
+    ([np.zeros((4, 4), bool)] * 9, (8, 4, 4)),          # one too many
+    ([np.zeros((4, 3), bool)], (1, 4, 4)),              # wrong frame size
+    ([np.zeros((1, 4, 4), bool)], (1, 4, 4)),
+    ([np.zeros((16,), bool)], (1, 4, 4)),
+    ([np.zeros((4, 4), np.uint8)], (1, 4, 4)),          # not boolean
+    ([[[False] * 4] * 4], (1, 4, 4)),
     # Shapes that SpikeStream(array) and StreamMeta reject too.
     ([], (0, 4, 4)),
-    ([np.zeros((4, 0, 4), bool)], (4, 0, 4)),
+    ([np.zeros((0, 4), bool)] * 4, (4, 0, 4)),
     ([], (-1, 4, 4)),
     ([np.zeros((4, 4), bool)], (4, 4)),
-    ([np.zeros((1, 4, 4), bool)], (1, 4, 4, 1)),
+    ([np.zeros((4, 4), bool)], (1, 4, 4, 1)),
 ])
-def test_from_chunks_rejects_chunks_that_do_not_make_the_stream(chunks,
+def test_from_frames_rejects_frames_that_do_not_make_the_stream(frames,
                                                                 shape):
     with pytest.raises(PreconditionError):
-        SpikeStream.from_chunks(chunks, shape)
+        SpikeStream.from_frames(frames, shape)
 
 
 @pytest.mark.parametrize("start, stop", [(-1, 2), (5, 3), (38, 45), (0, 41),
