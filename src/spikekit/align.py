@@ -9,6 +9,10 @@ arXiv:2103.00020), 1/tau starts near 1/0.07 and is clipped at the constant
 ``INV_TAU_MAX`` = 100. Head gradients are fully analytic, including the
 unit-normalization in the chain, and are gated against central finite
 differences in the test suite.
+
+What is cached is each prompt's feature vector, by dim and token rows (a
+few hundred bytes). The ``TABLE_SIZE x dim`` token table the vector is
+read from (2 MiB at dim 64) is built for a new prompt and then dropped.
 """
 
 from __future__ import annotations
@@ -116,27 +120,27 @@ def fnv1a_64(token: str) -> int:
     return h
 
 
-_TABLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def token_table(dim: int) -> np.ndarray:
-    """Fixed table of seeded pseudo-random unit vectors, memoized per dim."""
-    if dim not in _TABLE_CACHE:
-        rng = np.random.default_rng(TABLE_SEED)
-        table = rng.normal(size=(TABLE_SIZE, dim))
-        table /= np.linalg.norm(table, axis=1, keepdims=True)
-        _TABLE_CACHE[dim] = table
-    return _TABLE_CACHE[dim]
+# Each prompt's feature vector, by dim and sorted token rows.
+_FEATURES: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
 
 def text_features(text: str, dim: int) -> np.ndarray:
     """Raw (pre-projection) bag-of-tokens feature: mean of hashed token
-    vectors. Order-independent, case-blind and vocabulary-free."""
-    table = token_table(dim)
+    vectors, rows of a fixed table of seeded pseudo-random unit vectors.
+    Order-independent, case-blind and vocabulary-free.
+
+    A prompt's first call builds the table, keeps the mean of its rows
+    and drops the table; later calls copy the kept vector.
+    """
     # Canonical summation order makes the bag mean bit-identical under
     # token permutation.
-    idx = sorted(fnv1a_64(tok) % TABLE_SIZE for tok in tokenize(text))
-    return table[idx].mean(axis=0)
+    idx = tuple(sorted(fnv1a_64(tok) % TABLE_SIZE for tok in tokenize(text)))
+    if (dim, idx) not in _FEATURES:
+        rng = np.random.default_rng(TABLE_SEED)
+        table = rng.normal(size=(TABLE_SIZE, dim))
+        table /= np.linalg.norm(table, axis=1, keepdims=True)
+        _FEATURES[dim, idx] = table[list(idx)].mean(axis=0)
+    return _FEATURES[dim, idx].copy()
 
 
 # ---------------------------------------------------------------------------

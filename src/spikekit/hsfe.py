@@ -124,27 +124,41 @@ def allocate_channels(total_channels: int, m: int,
 
 
 def _window_mean(x: np.ndarray, width: int) -> np.ndarray:
-    """Centred moving average of x along axis 0, same length.
+    """Centred moving average of x along axis 0, in place; returns x.
 
-    Frame i averages frames i - (width-1)//2 .. i + width//2; the windows
-    shrink at the edges and divide by their true frame count, so the map
-    stays linear in x. Every window takes its first frame in one gather
-    and then adds its later frames in order, one window offset at a time,
-    so each is summed first to last.
+    Frame i becomes the mean of frames i - (width-1)//2 .. i + width//2;
+    the windows shrink at the edges and divide by their true frame count,
+    so the map stays linear in x. Each window is summed from its first
+    frame to its last. Frames are replaced in order, so the (width-1)//2
+    input frames before the current one, which its window still reads,
+    are kept in a ring.
     """
     t = x.shape[0]
-    steps = np.arange(t)
-    first = np.maximum(steps - (width - 1) // 2, 0)
-    count = np.minimum(steps + width // 2 + 1, t) - first
-    out = x[first]
-    for d in range(1, min(width, t)):
-        # count rises, holds, then falls, so the windows that reach offset
-        # d are one run of rows, added to in place.
-        rows = np.flatnonzero(count > d)
-        lo, hi = rows[0], rows[-1] + 1
-        out[lo:hi] += x[first[lo:hi] + d]
-    out /= count[:, None, None]
-    return out
+    before, after = (width - 1) // 2, width // 2
+    kept = np.empty((before, *x.shape[1:]))
+    acc = np.empty(x.shape[1:])
+    for i in range(t):
+        lo, hi = max(i - before, 0), min(i + after + 1, t)
+        acc[...] = kept[lo % before] if lo < i else x[lo]
+        for j in range(lo + 1, hi):
+            acc += kept[j % before] if j < i else x[j]
+        if before:
+            kept[i % before] = x[i]
+        np.divide(acc, hi - lo, out=x[i])
+    return x
+
+
+def _bordered_zeros(c: int, h: int, w: int) -> np.ndarray:
+    """Zeros for c maps of h x w, each bordered by one zero, as one flat
+    buffer with the two zeros after it that a 3x3 conv's stride-1 columns
+    run into: the padded input that ``conv2d`` reads in place."""
+    return np.zeros(c * (h + 2) * (w + 2) + 2)
+
+
+def _interior(buf: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
+    """The [c, h, w] maps inside the borders of a :func:`_bordered_zeros`
+    buffer's first c maps."""
+    return buf[:c * (h + 2) * (w + 2)].reshape(c, h + 2, w + 2)[:, 1:-1, 1:-1]
 
 
 def mtf_forward(block: np.ndarray,
@@ -158,11 +172,17 @@ def mtf_forward(block: np.ndarray,
     average over round(block_len / k_i) frames, then run a 3x3 (padding 1)
     convolution of the k_i channels with the branch kernel. Branch 0 spans
     the block, so these are the widths of :func:`allocate_channels`.
+
+    Each branch's frames are masked and averaged inside one zero-bordered
+    buffer, sized for branch 0 and reused by the narrower branches, and
+    each conv writes its maps into its slice of a second one. The result
+    is the interior of that second buffer, which ``conv2d`` in
+    :func:`spatial_attention` reads as its padded input without a copy.
     """
     block = np.asarray(block)
     if block.ndim != 3:
         raise PreconditionError(f"block must be [len, h, w], got {block.shape}")
-    block_len = block.shape[0]
+    block_len, h, w = block.shape
     masks = [np.asarray(weights[f"hsfe.branch{i}.mask"], dtype=np.float64)
              for i in range(weights["hsfe.sa.conv.w"].shape[0])]
     if not (masks and all(mask.ndim == 1 and 1 <= len(mask) <= block_len
@@ -170,17 +190,28 @@ def mtf_forward(block: np.ndarray,
         raise PreconditionError(
             f"branch masks of shapes {[mask.shape for mask in masks]} must "
             f"be 1-D, of 1 to {block_len} frames, the first of {block_len}")
-    outputs = []
-    for i, mask in enumerate(masks):
+    kernels = [np.asarray(weights[f"hsfe.branch{i}.conv.w"], dtype=np.float64)
+               for i in range(len(masks))]
+    c_out = kernels[0].shape[0] if kernels[0].ndim else 0
+    if not all(kernel.shape == (c_out, len(mask), 3, 3)
+               for kernel, mask in zip(kernels, masks)):
+        raise PreconditionError(
+            f"branch kernels of shapes {[k.shape for k in kernels]} must be "
+            f"(c_out, k_i, 3, 3), one c_out, k_i each mask's length")
+    frames = _bordered_zeros(block_len, h, w)
+    maps = _interior(_bordered_zeros(len(masks) * c_out, h, w),
+                     len(masks) * c_out, h, w)
+    for i, (mask, kernel) in enumerate(zip(masks, kernels)):
         start = (block_len - len(mask)) // 2
-        sub = np.multiply(block[start:start + len(mask)],
-                          mask[:, None, None], dtype=np.float64)
+        inputs = _interior(frames, len(mask), h, w)
+        np.multiply(block[start:start + len(mask)], mask[:, None, None],
+                    out=inputs)
         width = _avg_width(block_len, len(mask))
         if width > 1:
-            sub = _window_mean(sub, width)
-        kernel = np.asarray(weights[f"hsfe.branch{i}.conv.w"], dtype=np.float64)
-        outputs.append(conv2d(sub, kernel, bias=None, stride=1, padding=1))
-    return np.concatenate(outputs, axis=0)
+            _window_mean(inputs, width)
+        conv2d(inputs, kernel, bias=None, stride=1, padding=1,
+               out=maps[i * c_out:(i + 1) * c_out])
+    return maps
 
 
 def spatial_attention(features: np.ndarray,
@@ -191,7 +222,9 @@ def spatial_attention(features: np.ndarray,
     A 3x3 convolution over all the maps produces one logit map per branch;
     logistic squashing turns it into gates strictly inside (0, 1), and
     gate i scales branch i's c_out maps. The branch count m is the
-    kernel's output width.
+    kernel's output width. Maps from :func:`mtf_forward` are convolved
+    inside their zero-bordered buffer; any other float64 array is copied
+    into one by ``conv2d``.
     """
     features = np.asarray(features, dtype=np.float64)
     kernel = np.asarray(weights["hsfe.sa.conv.w"], dtype=np.float64)

@@ -3,11 +3,9 @@
 Everything here is plain numpy in float64 with deterministic evaluation
 order, so desk-scale forwards stay fast without any framework dependency.
 
-``conv2d`` is the one convolution kernel. It writes the input into a
-zeroed padded buffer (an unpadded input is copied without a zero fill,
-and a C-contiguous float64 one is its own buffer), takes a strided view
-``[C_in, kh, kw, H', cols]`` of it and multiplies by the kernel in one
-of two orientations:
+``conv2d`` is the one convolution kernel. It reads the input from a
+zero-padded buffer, takes a strided view ``[C_in, kh, kw, H', cols]`` of
+it and multiplies by the kernel in one of two orientations:
 
 * smaller maps copy the view to pixel-major columns
   ``[H'*W', C_in*kh*kw]`` and compute one ``cols @ kernel2d.T``.
@@ -21,6 +19,17 @@ of two orientations:
   row is copied as one run. The last ``kw - 1`` columns of each row wrap
   into the next padded row and are cropped. Other strides copy rows of
   ``W'`` strided values.
+
+An input that already sits in such a buffer is read in place: a float64
+input that is the interior of a C-ordered ``[C_in, H + 2p, W + 2p]``
+block of the array that owns its memory, when that block's border and
+the spare zeros after it hold +0.0 in every bit. A C-contiguous float64
+input with no border or spare zeros to hold is its own buffer. Any other
+input is copied once into a new zeroed buffer (an unpadded one without
+the zero fill), so memory that is not zero is never read as padding.
+Either way the columns are copies of the same values, so the product
+has the same bits. ``out`` takes the ``[C_out, H', W']`` result in the
+caller's float64 array instead of a new one; it changes no value.
 
 The tap-major GEMM runs in bands of whole output rows, about
 ``BAND_BYTES`` of columns each, so only one band of columns is alive at
@@ -95,14 +104,46 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
+def _held_padding(x: np.ndarray, padding: int,
+                  spare: int) -> np.ndarray | None:
+    """The zero-padded buffer that ``x`` already sits in, or None: the
+    ``[C, H + 2p, W + 2p]`` block of the array owning ``x``'s memory whose
+    interior ``x`` is, when that block and ``spare`` elements after it
+    are in the owner, all float64, and the border and the spare elements
+    are +0.0 in every bit."""
+    base = x.base
+    c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if not (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.flags.c_contiguous and x.dtype == np.float64
+            and x.strides == (8 * hp * wp, 8 * wp, 8)):
+        return None
+    offset, rest = divmod(x.ctypes.data - base.ctypes.data, 8)
+    start = offset - padding * (wp + 1)
+    size = c * hp * wp
+    if rest or start < 0 or start + size + spare > base.size:
+        return None
+    flat = base.reshape(-1)[start:start + size + spare]
+    bits = flat.view(np.uint64)
+    grid, p = bits[:size].reshape(c, hp, wp), padding
+    if (bits[size:].any() or grid[:, :p].any() or grid[:, hp - p:].any()
+            or grid[:, :, :p].any() or grid[:, :, wp - p:].any()):
+        return None
+    return flat[:size].reshape(c, hp, wp)
+
+
 def _padded(x: np.ndarray, padding: int, spare: int) -> np.ndarray:
     """``x`` zero-padded by ``padding`` on each spatial side: a C-ordered
     ``[C, H + 2p, W + 2p]`` view of a flat buffer that holds ``spare``
-    more zeros after it. An unpadded C-contiguous float64 ``x`` with no
-    spare is its own buffer; any other unpadded ``x`` is copied once, with
-    no zero fill but the spare."""
+    more zeros after it. The buffer ``x`` sits in (:func:`_held_padding`)
+    is read in place, and an unpadded C-contiguous float64 ``x`` with no
+    spare is its own buffer. Any other ``x`` is copied once, into zeros,
+    or with no zero fill but the spare when unpadded."""
     if padding == 0 and spare == 0:
         return np.ascontiguousarray(x, dtype=np.float64)
+    held = _held_padding(x, padding, spare)
+    if held is not None:
+        return held
     c, h, w = x.shape
     size = c * (h + 2 * padding) * (w + 2 * padding)
     buf = np.zeros(size + spare) if padding else np.empty(size + spare)
@@ -135,9 +176,12 @@ def _band_rows(k: int, c_out: int, h_out: int, row_cols: int) -> int:
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
-           stride: int = 1, padding: int = 1) -> np.ndarray:
+           stride: int = 1, padding: int = 1,
+           out: np.ndarray | None = None) -> np.ndarray:
     """2-D convolution (cross-correlation) of [C_in, H, W] with
-    [C_out, C_in, kh, kw], zero padding."""
+    [C_out, C_in, kh, kw], zero padding. The [C_out, H', W'] result is
+    written into ``out`` when it is given, a float64 array that shares no
+    memory with ``x``, and returned."""
     if x.ndim != 3:
         raise PreconditionError(f"conv2d input must be 3-D, got {x.shape}")
     if kernel.ndim != 4 or kernel.shape[1] != x.shape[0]:
@@ -150,14 +194,23 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
         raise PreconditionError("conv2d input smaller than kernel")
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1
+    if out is not None and (out.shape != (c_out, h_out, w_out)
+                            or out.dtype != np.float64
+                            or np.may_share_memory(out, x)):
+        raise PreconditionError(
+            f"conv2d out must be a float64 {(c_out, h_out, w_out)} array "
+            f"apart from the input, got {out.dtype} {out.shape}")
     kernel2d = kernel.reshape(c_out, -1)
     if h_out * w_out < TAP_MAJOR_MIN_PIXELS:
         taps = _taps(_padded(x, padding, 0), kh, kw, h_out, w_out, stride)
         cols = taps.transpose(3, 4, 0, 1, 2).reshape(h_out * w_out, -1)
-        out = cols @ kernel2d.T                       # [H'*W', C_out]
+        y = cols @ kernel2d.T                         # [H'*W', C_out]
         if bias is not None:
-            out = out + bias
-        return out.T.reshape(c_out, h_out, w_out)
+            y = y + bias
+        if out is None:
+            return y.T.reshape(c_out, h_out, w_out)
+        out[...] = y.T.reshape(c_out, h_out, w_out)
+        return out
     # At stride 1 an output row spans a whole padded row, so each tap row
     # is one contiguous run; its last kw - 1 columns wrap and are cropped.
     row_cols = wp if stride == 1 else w_out
@@ -165,7 +218,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
                  kh, kw, h_out, row_cols, stride)
     rows = _band_rows(kernel2d.shape[1], c_out, h_out, row_cols)
     n_bands = h_out // rows
-    out = np.empty((c_out, h_out, w_out))
+    if out is None:
+        out = np.empty((c_out, h_out, w_out))
     for i in range(n_bands):
         lo = i * rows
         hi = h_out if i == n_bands - 1 else lo + rows

@@ -6,15 +6,20 @@ h = 1e-5 within 1e-6 relative or 1e-9 absolute.
 """
 
 import math
+import os
+import subprocess
+import sys
 from copy import deepcopy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikekit
 from oracles import contrastive_loss, loss_and_grads
-from spikekit.align import (INV_TAU_MAX, AlignmentHead, _inv_tau,
-                            evaluate_topk, finetune_head, text_features,
-                            tokenize)
+from spikekit.align import (INV_TAU_MAX, TABLE_SEED, TABLE_SIZE,
+                            AlignmentHead, _inv_tau, evaluate_topk,
+                            finetune_head, fnv1a_64, text_features, tokenize)
 from spikekit.errors import PreconditionError
 from spikekit.jsonio import read_json, write_json
 from spikekit.synth import CLASS_PROMPTS
@@ -89,6 +94,48 @@ def test_class_prompts_are_mutually_distinguishable():
             cosine = feats[i] @ feats[j] / (np.linalg.norm(feats[i])
                                             * np.linalg.norm(feats[j]))
             assert cosine < 0.99, (prompts[i], prompts[j])
+
+
+def _whole_table_features(text, dim):
+    """The bag mean read from the whole seeded table of unit rows."""
+    table = np.random.default_rng(TABLE_SEED).normal(size=(TABLE_SIZE, dim))
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    rows = sorted(fnv1a_64(tok) % TABLE_SIZE for tok in text.lower().split())
+    return table[rows].mean(axis=0)
+
+
+@pytest.mark.parametrize("dim", [32, 64])
+def test_text_features_keep_the_bytes_of_the_whole_table(dim):
+    for prompt in CLASS_PROMPTS.values():
+        want = _whole_table_features(prompt, dim).tobytes()
+        shuffled = " ".join(reversed(prompt.upper().split()))
+        for text in (prompt, shuffled, prompt):
+            got = text_features(text, dim)
+            assert got.tobytes() == want, text
+            got[:] = 0.0        # the caller's copy, not the kept vector
+        assert text_features(shuffled, dim).tobytes() == want
+
+
+def test_text_features_keep_no_token_table():
+    # Only the four prompts' vectors stay alive, not the TABLE_SIZE x dim
+    # table they were read from (2 MiB at dim 64). A fresh interpreter, so
+    # no earlier call has built a dim-64 table; one call at dim 8 first
+    # does the imports numpy makes on first use.
+    program = ("import tracemalloc\n"
+               "from spikekit.align import text_features\n"
+               "from spikekit.synth import CLASS_PROMPTS\n"
+               "text_features('warm up', 8)\n"
+               "tracemalloc.start()\n"
+               "for prompt in CLASS_PROMPTS.values():\n"
+               "    text_features(prompt, 64)\n"
+               "print(tracemalloc.get_traced_memory()[0])\n")
+    src = str(Path(spikekit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", program], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert int(run.stdout) < 64 * 1024
 
 
 def test_tokenize_rejects_empty():

@@ -16,6 +16,7 @@ import pytest
 
 from spikekit import hsfe, nnops, snn, starnet
 from spikekit.energy import EnergyLedger
+from spikekit.errors import PreconditionError
 from spikekit.nnops import SMALL_GEMM_MACS, TAP_MAJOR_MIN_PIXELS, conv2d
 from spikekit.pipeline import (PipelineConfig, build_feature_weights,
                                featurize_stream)
@@ -68,9 +69,9 @@ def pipeline_conv_shapes():
                           < 0.2).astype(np.uint8))
     seen = set()
 
-    def recording_conv2d(x, kernel, bias=None, stride=1, padding=1):
+    def recording_conv2d(x, kernel, bias=None, stride=1, padding=1, **out):
         seen.add((x.shape, kernel.shape, stride, padding, bias is not None))
-        return nnops.conv2d(x, kernel, bias, stride, padding)
+        return nnops.conv2d(x, kernel, bias, stride, padding, **out)
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (hsfe, starnet, snn):
@@ -114,11 +115,12 @@ def _shapes_run_at(n):
     stream = SpikeStream(np.zeros((cfg.frames, n, n), dtype=np.uint8))
     seen = set()
 
-    def shape_only(x, kernel, bias=None, stride=1, padding=1):
+    def shape_only(x, kernel, bias=None, stride=1, padding=1, out=None):
         seen.add((x.shape, kernel.shape, stride, padding))
         c_out, _, kh, kw = kernel.shape
-        return np.zeros((c_out, (x.shape[1] + 2 * padding - kh) // stride + 1,
-                         (x.shape[2] + 2 * padding - kw) // stride + 1))
+        shape = (c_out, (x.shape[1] + 2 * padding - kh) // stride + 1,
+                 (x.shape[2] + 2 * padding - kw) // stride + 1)
+        return np.zeros(shape) if out is None else out
 
     class Stop(Exception):
         pass
@@ -220,10 +222,14 @@ def test_bands_with_a_ragged_tail_match_loop_oracle():
 
 def test_featurize_memory_is_bounded_and_bands_keep_bytes(monkeypatch):
     # Only one band of tap-major columns and one HSFE estimate are alive at
-    # a time: a 128 px featurize peaked at 129 MiB when each conv held all
-    # its columns, and at 50 MiB (194 MiB at 256 px) when the five
-    # estimates were held together; a 64 px one peaked at 9.7 MiB with
-    # 4 MiB bands.
+    # a time, and HSFE writes each block's branch inputs and maps once,
+    # into the zero-bordered buffers its convs read: the peaks are 5.5,
+    # 17.3 and 63.8 MiB at 64, 128 and 256 px. With a float copy of each
+    # branch input, a padded copy of it and of the stacked maps, and the
+    # maps concatenated, they were 7.0, 20.8 and 77.9 MiB. A 128 px
+    # featurize peaked at 129 MiB when each conv held all its columns, and
+    # at 50 MiB (194 MiB at 256 px) when the five estimates were held
+    # together; a 64 px one peaked at 9.7 MiB with 4 MiB bands.
     def inputs(n):
         cfg = dataclasses.replace(PipelineConfig(seed=0), height=n, width=n)
         rng = np.random.default_rng(154)
@@ -234,7 +240,7 @@ def test_featurize_memory_is_bounded_and_bands_keep_bytes(monkeypatch):
             block_spec.block_len, cfg.branch_spec(), cfg.star_config(),
             (n, n), cfg.seed)
 
-    for n, bound_mib in ((64, 8), (256, 150), (128, 40)):
+    for n, bound_mib in ((64, 6.25), (256, 70), (128, 19)):
         args = inputs(n)
         tracemalloc.start()
         try:
@@ -262,3 +268,110 @@ def test_transposed_view_input_gives_the_contiguous_bytes(k, n):
         want = conv2d(np.ascontiguousarray(x), kernel, bias, stride=stride,
                       padding=0)
         assert got.tobytes() == want.tobytes(), stride
+
+
+def _bordered(x, padding, spare):
+    """x inside a caller's zeroed buffer: its interior view, and the flat
+    buffer of the [C, H + 2p, W + 2p] maps and ``spare`` zeros after them."""
+    c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    flat = np.zeros(c * hp * wp + spare)
+    view = flat[:c * hp * wp].reshape(c, hp, wp)[
+        :, padding:padding + h, padding:padding + w]
+    view[...] = x
+    return view, flat
+
+
+def _spare(x_shape, k_shape, stride, padding):
+    """The zeros a conv reads after its padded input: ``kw - 1`` for a
+    stride-1 tap-major conv, else none."""
+    tap_major = (_out_pixels(x_shape, k_shape, stride, padding)
+                 >= TAP_MAJOR_MIN_PIXELS)
+    return k_shape[3] - 1 if tap_major and stride == 1 else 0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv2d_reads_a_callers_padded_buffer_in_place_into_its_out():
+    # Every conv run_pipeline runs at 64, 128 and 256 px, and the banded
+    # shapes: read in place from a caller's zero-bordered buffer and
+    # written into a slice of a caller's array, each gives the bytes of
+    # the conv of the unpadded input, and holds no copy of its input.
+    shapes = set().union(*map(_shapes_run_at, (64, 128, 256)))
+    shapes |= {shape[:4] for shape in BANDED_SHAPES}
+    rng = np.random.default_rng(155)
+    in_place = 0
+    for x_shape, k_shape, stride, padding in sorted(shapes):
+        x = rng.normal(size=x_shape)
+        kernel = rng.normal(size=k_shape)
+        bias = rng.normal(size=k_shape[0])
+        want = conv2d(x, kernel, bias, stride, padding)
+        spare = _spare(x_shape, k_shape, stride, padding)
+        view, flat = _bordered(x, padding, spare)
+        held = nnops._held_padding(view, padding, spare)
+        assert held is not None and np.shares_memory(held, flat)
+        maps = np.zeros((k_shape[0] + 2, *want.shape[1:]))
+        out = maps[1:-1]
+        before = flat.tobytes()
+        assert conv2d(view, kernel, bias, stride, padding, out) is out
+        case = (x_shape, k_shape, stride, padding)
+        assert out.tobytes() == want.tobytes(), case
+        assert not maps[0].any() and not maps[-1].any(), case
+        assert flat.tobytes() == before, case
+        # The copy a plain input takes is all that the in-place read
+        # saves; an unpadded input with no spare zeros is its own buffer.
+        copied = (padding or spare) and flat.nbytes
+        plain = _traced_peak(lambda: conv2d(x, kernel, bias, stride,
+                                            padding, out))
+        held_peak = _traced_peak(lambda: conv2d(view, kernel, bias, stride,
+                                                padding, out))
+        assert held_peak + copied <= plain + 4096, case
+        in_place += bool(copied)
+    assert in_place >= 20
+
+
+@pytest.mark.parametrize("poison", [1.0, -0.0, np.nan])
+def test_memory_that_is_not_zero_is_never_read_as_padding(poison):
+    # Each border side and the spare zeros after the maps: a value that is
+    # not +0.0 in every bit makes conv2d copy the input into zeros.
+    rng = np.random.default_rng(156)
+    x = rng.normal(size=(3, 20, 18))
+    kernel = rng.normal(size=(4, 3, 3, 3))
+    want = conv2d(x, kernel)
+    hp, wp = 22, 20
+    size = 3 * hp * wp
+    spots = [1 * hp * wp + 0 * wp + 5,          # top row of map 1
+             2 * hp * wp + (hp - 1) * wp + 7,   # bottom row of map 2
+             0 * hp * wp + 9 * wp + 0,          # left column of map 0
+             1 * hp * wp + 4 * wp + wp - 1,     # right column of map 1
+             size, size + 1]                    # the spare zeros
+    for spot in spots:
+        view, flat = _bordered(x, 1, 2)
+        flat[spot] = poison
+        assert nnops._held_padding(view, 1, 2) is None, spot
+        assert conv2d(view, kernel).tobytes() == want.tobytes(), spot
+    # A buffer one zero short of the spare is not read in place either.
+    view, flat = _bordered(x, 1, 1)
+    assert nnops._held_padding(view, 1, 2) is None
+    assert conv2d(view, kernel).tobytes() == want.tobytes()
+
+
+def test_conv2d_refuses_an_out_it_cannot_write_as_it_is():
+    rng = np.random.default_rng(157)
+    x = rng.normal(size=(2, 16, 16))
+    kernel = rng.normal(size=(3, 2, 3, 3))
+    for out in (np.empty((3, 16, 15)), np.empty((3, 16, 16), np.float32),
+                np.empty((2, 16, 16))):
+        with pytest.raises(PreconditionError):
+            conv2d(x, kernel, out=out)
+    flat = np.zeros(3 * 18 * 18 + 2)
+    view = flat[:3 * 18 * 18].reshape(3, 18, 18)[:, 1:-1, 1:-1]
+    with pytest.raises(PreconditionError):     # out overlaps the input
+        conv2d(view[:2], kernel, out=view)

@@ -177,6 +177,40 @@ def test_branch_and_attention_bytes_equal_the_branch_list_oracle(frame):
             spatial_attention_of_branches(branches, weights).tobytes()
 
 
+@pytest.mark.parametrize("frame", [(37, 21), (64, 64), (128, 128), (5, 7),
+                                   (12, 9)])
+@pytest.mark.parametrize("channel_step", [20, 0])
+def test_coarse_estimates_keep_the_bytes_of_the_unfused_oracles(
+        frame, channel_step):
+    # The default three branches of a 61-frame block (branch 2 averages
+    # over 3 frames when channel_step is 20; channel_step 0 makes three
+    # full-width branches), with masks holding negative and zero entries,
+    # on ragged, 64 and 128 px blocks and maps under 16x16 (pixel-major
+    # convs). The maps HSFE writes into its bordered buffers, and the
+    # estimate gated from them, have the bytes of the branch-list oracle;
+    # so has spatial attention of a plain contiguous copy of the maps.
+    rng = np.random.default_rng([58, channel_step, *frame])
+    weights = init_hsfe_weights(61, BranchSpec(channel_step=channel_step),
+                                seed=7)
+    for i in range(3):
+        mask = rng.normal(size=weights[f"hsfe.branch{i}.mask"].shape)
+        mask[::4] = 0.0
+        weights[f"hsfe.branch{i}.mask"] = mask
+    if channel_step:
+        assert _avg_width(61, len(weights["hsfe.branch2.mask"])) == 3
+    weights["hsfe.sa.conv.b"] = rng.normal(size=3)
+    block = rng.integers(0, 2, size=(61, *frame), dtype=np.uint8)
+    maps = mtf_forward(block, weights)
+    estimate = spatial_attention(maps, weights)
+    branches = mtf_forward_branches(block, weights)
+    want = spatial_attention_of_branches(branches, weights).tobytes()
+    assert maps.tobytes() == np.concatenate(branches).tobytes()
+    assert estimate.tobytes() == want
+    plain = np.ascontiguousarray(maps)
+    assert plain.base is None
+    assert spatial_attention(plain, weights).tobytes() == want
+
+
 def _window_mean_left_to_right(x, width):
     t = x.shape[0]
     out = np.empty_like(x)
@@ -196,8 +230,10 @@ def test_window_mean_sums_each_window_first_to_last(frame):
     for t in (*range(1, 13), 21, 41):
         for width in range(1, 10):
             x = rng.normal(size=(t, *frame))
-            assert _window_mean(x, width).tobytes() == \
-                _window_mean_left_to_right(x, width).tobytes()
+            want = _window_mean_left_to_right(x, width)
+            # The average replaces x, frame by frame.
+            assert _window_mean(x, width) is x
+            assert x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("size", [8, 32])

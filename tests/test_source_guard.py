@@ -377,3 +377,43 @@ def test_one_encoder_frame_loop():
     assert [name for name in _functions(_calls("in_unit_range"))
             if not name.startswith("camera.py:")] == [
         "pipeline.py:encode_to_dat"]
+
+
+def test_hsfe_writes_each_blocks_maps_once():
+    # mtf_forward masks and averages each branch's frames inside one
+    # zero-bordered buffer, each branch conv writes into its slice of a
+    # second one, and spatial attention's conv reads that one in place:
+    # no stacking and no padded copy of the branch inputs or maps.
+    tree = ast.parse(_sources()["hsfe.py"])
+    called = {ast.unparse(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    assert called & {"np.concatenate", "np.stack", "np.pad", "np.copy",
+                     "np.ascontiguousarray", "_padded", "nnops._padded"} \
+        == set()
+    mtf, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name == "mtf_forward"]
+    convs = [node for node in ast.walk(mtf) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "conv2d"]
+    assert [[kw.arg for kw in node.keywords if kw.arg == "out"]
+            for node in convs] == [["out"]]
+
+
+def test_align_keeps_no_token_table():
+    # text_features keeps each prompt's vector, not the TABLE_SIZE x dim
+    # table it was read from: the one module-level value that is not a
+    # number is the dict of vectors, and it holds only 1-D arrays.
+    from spikekit import align
+    from spikekit.synth import CLASS_PROMPTS
+    tree = ast.parse(_sources()["align.py"])
+    held = [ast.unparse(target) for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and not (isinstance(node.value, ast.Constant)
+                     and isinstance(node.value.value, (int, float)))
+            for target in getattr(node, "targets", [node.target])]
+    assert held == ["_FEATURES"]
+    assert _functions(lambda fn: fn.decorator_list
+                      and fn.name == "text_features") == []
+    for prompt in CLASS_PROMPTS.values():
+        align.text_features(prompt, 64)
+    assert {vector.shape for vector in align._FEATURES.values()} >= {(64,)}
+    assert all(vector.ndim == 1 for vector in align._FEATURES.values())
