@@ -152,27 +152,24 @@ def _fired(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
            cfg: EncoderConfig,
            rng: np.random.Generator | None) -> Iterator[np.ndarray]:
     """The spike flags of ``frames`` (see :func:`encode_frames`) in one
-    [H, W] boolean buffer, refilled once its consumer has taken them. The
-    noise of eight frames is drawn in one call, which fills its [8, H, W]
-    buffer in C order and so gives the doubles of eight per-frame draws."""
+    [H, W] boolean buffer, refilled once its consumer has taken them. Each
+    frame's noise is drawn into one reused [H, W] buffer."""
     a = cfg.noise_amplitude
     thresh = cfg.theta * (1.0 - _THRESH_RTOL)
     v = np.zeros(shape[1:], dtype=np.float64)
     spent = np.empty_like(v)
     fired = np.empty(v.shape, dtype=np.bool_)
-    noise = None if rng is None else np.empty((8,) + v.shape)
-    for t, frame in enumerate(frames):
+    noise = None if rng is None else np.empty_like(v)
+    for frame in frames:
         if not (isinstance(frame, np.ndarray) and frame.shape == v.shape):
             raise PreconditionError(
                 f"frames must be [{v.shape[0]}, {v.shape[1]}] arrays")
         if noise is not None:
-            if t % 8 == 0:
-                rng.random(out=noise[:shape[0] - t])
-            drawn = noise[t % 8]
-            drawn *= 2 * a
-            drawn += -a
-            drawn += frame
-            frame = np.clip(drawn, 0.0, 1.0, out=drawn)
+            rng.random(out=noise)
+            noise *= 2 * a
+            noise += -a
+            noise += frame
+            frame = np.clip(noise, 0.0, 1.0, out=noise)
         v += frame
         np.greater_equal(v, thresh, out=fired)
         # Subtract theta where fired and 0 elsewhere, which leaves V as it

@@ -193,17 +193,20 @@ def cmd_featurize(args) -> int:
         paths = [args.input]
     labels = _load_manifest_labels(args.manifest) if args.manifest else {}
 
-    first_meta = _resolve_meta(paths[0], args.meta)
     block_spec = BlockSpec(args.r_win, args.step, args.n_blocks)
     branches = BranchSpec(args.m, args.channel_step, args.c_out)
     star_cfg = MiniMapResNetConfig(embed_dim=args.embed_dim)
+    # The weights are sized by the first stream, read (and so checked
+    # against its .dat) before they are built.
+    stream, _ = _read_stream(paths[0], args.meta)
     weights = _weights(args, lambda seed, _archive: build_feature_weights(
         block_spec.block_len, branches, star_cfg,
-        (first_meta.height, first_meta.width), seed))
+        (stream.height, stream.width), seed))
 
     entries = []
-    for path in paths:
-        stream, _ = _read_stream(path, args.meta)
+    for k, path in enumerate(paths):
+        if k:
+            stream, _ = _read_stream(path, args.meta)
         vector = featurize_stream(stream, block_spec, weights)
         name = os.path.splitext(os.path.basename(path))[0]
         entry = {"id": name, "vector": vector.tolist()}
@@ -226,9 +229,12 @@ def cmd_snn_forward(args) -> int:
     def init(seed, archive):
         if archive is None:     # --channels sizes only seeded weights
             return init_fsve_weights(FsveConfig(channels=args.channels), seed)
-        # The archive's own width; any will do if the fit check names its stem.
-        stem = archive.get("fsve.stem1.conv.w")
-        width = stem.shape[0] if stem is not None and stem.ndim == 4 else 1
+        # The archive's own width c, read from a (c, c, 3, 3) stem2 blob
+        # that the archive holds, so the fit check builds no more than about
+        # five times the archive's bytes; width 1 for any other archive,
+        # whose fit check then names the blob.
+        shape = np.shape(archive.get("fsve.stem2.conv.w"))
+        width = shape[0] if shape[:1] * 2 + (3, 3) == shape else 1
         return init_fsve_weights(FsveConfig(channels=max(width, 1)), seed)
 
     weights = _weights(args, init)

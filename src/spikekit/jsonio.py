@@ -60,6 +60,8 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataIOError(f"{path} nests JSON too deeply to read") from exc
 
 
 def is_a(kind: str, value) -> bool:

@@ -3,7 +3,9 @@
 Shorter inter-spike intervals mean a brighter pixel: a pixel that needed
 only ISI time steps to accumulate one threshold's worth of charge was,
 on average, theta / ISI bright. Pixels without two spikes inside the
-search window fall back to a configurable default intensity.
+search window fall back to a configurable default intensity. All sampled
+steps come from one forward and one backward sweep, each reading a frame
+at most once, and only if it lies in some sampled step's window.
 """
 
 from __future__ import annotations
@@ -34,31 +36,42 @@ class TfiConfig:
             raise PreconditionError("default_value must lie in [0, 1]")
 
 
+def _nearest(stream: SpikeStream, steps, reach: int, backward: bool):
+    """After each ascending sweep step s of ``steps``, yield per pixel the
+    stamp 1 + i of the latest spiking sweep frame i read so far (0: none),
+    in one reused [H, W] array of the least unsigned type that holds t_len
+    (the sweeps are memory-bound). Sweep frame i is stream frame i
+    forward, t_len - 1 - i backward. Step s reads the frames of
+    [s - reach, s] that no earlier step read, at most eight per
+    ``SpikeStream.unpack`` call."""
+    t_len = stream.t_len
+    dtype = np.min_scalar_type(t_len)
+    stamped = np.empty((8, stream.height, stream.width), dtype=dtype)
+    hit = np.empty(stamped.shape[1:], dtype=dtype)
+    nearest = np.zeros_like(hit)
+    done = 0
+    for s in steps:
+        for lo in range(max(done, s - reach), s + 1, 8):
+            hi = min(lo + 8, s + 1)
+            frames = (stream.unpack(t_len - hi, t_len - lo)[::-1]
+                      if backward else stream.unpack(lo, hi))
+            np.multiply(frames, np.arange(lo + 1, hi + 1, dtype=dtype)
+                        [:, None, None], out=stamped[:hi - lo])
+            np.maximum(nearest, stamped[:hi - lo].max(axis=0, out=hit),
+                       out=nearest)
+        done = s + 1
+        yield nearest
+
+
 def _tfi_frames(stream: SpikeStream, ts, cfg: TfiConfig) -> np.ndarray:
     """TFI frames [len(ts), H, W] of ``stream`` at the ascending time steps
-    ``ts``.
-
-    A forward sweep keeps, per pixel, the latest spike at or before each
-    sampled t; a backward sweep, the same on the reversed stream, keeps the
-    earliest spike after it and maps each interval to an intensity. A
-    sweep reads only the frames within cfg.delta_t_max of some sampled
-    step, each once, in ``SpikeStream.unpack`` calls of at most eight
-    frames: it stamps a chunk's spike flags with their times and reduces
-    the frames up to each sampled step to one [H, W] maximum. Besides the
-    output, this holds one time per pixel per sampled step, and one
-    [8, H, W] chunk.
-    """
+    ``ts``: the latest spike at or before each t from the forward sweep,
+    the earliest after it from the backward one. Besides the output, this
+    holds one time per pixel per sampled step, and one [8, H, W] chunk."""
     t_len, h, w = stream.t_len, stream.height, stream.width
     reach = min(cfg.delta_t_max, t_len)
     ts = list(ts)
-    # A sweep stamps its frame s (frame s forward, t_len - 1 - s backward)
-    # with 1 + s, so that 0 means "none yet", the nearer spike is the
-    # maximum, and the smallest unsigned type that holds t_len serves: the
-    # sweeps are memory-bound.
-    dtype = np.min_scalar_type(t_len)
-    stamped = np.empty((8, h, w), dtype=dtype)
-    hit = np.empty((h, w), dtype=dtype)
-    befores = np.empty((len(ts), h, w), dtype=dtype)
+    befores = [n.copy() for n in _nearest(stream, ts, reach, False)]
     out = np.empty((len(ts), h, w), dtype=np.float64)
     # The intensity of each interval up to 2 * reach, from a table. Entry 0
     # is default_value, for a pixel whose latest spike before t or earliest
@@ -69,47 +82,18 @@ def _tfi_frames(stream: SpikeStream, ts, cfg: TfiConfig) -> np.ndarray:
         np.arange(2 * reach + 1, dtype=np.float64), 1.0))
     table[0] = cfg.default_value
     isi = np.empty((h, w), dtype=np.min_scalar_type(-t_len - 2))
-    for backward in (False, True):
-        # Sampled step k is recorded once the sweep has read its window,
-        # frames [end - width, end) of the sweep.
-        if backward:
-            ends, width = [t_len - 1 - t for t in reversed(ts)], reach
-        else:
-            ends, width = [t + 1 for t in ts], reach + 1
-        # The end of the run of touching windows that window k is in: a
-        # chunk reads no frame past it.
-        run_ends = ends[:]
-        for k in reversed(range(len(ends) - 1)):
-            if ends[k + 1] - width <= ends[k]:
-                run_ends[k] = run_ends[k + 1]
-        nearest = np.zeros((h, w), dtype=dtype)
-        lo = hi = done = 0                  # stamped holds frames [lo, hi)
-        for k, end in enumerate(ends):
-            s = max(done, end - width)
-            while s < end:
-                if s >= hi:
-                    lo, hi = s, min(s + 8, run_ends[k])
-                    frames = (stream.unpack(t_len - hi, t_len - lo)[::-1]
-                              if backward else stream.unpack(lo, hi))
-                    np.multiply(frames, np.arange(lo + 1, hi + 1, dtype=dtype)
-                                [:, None, None], out=stamped[:hi - lo])
-                e = min(end, hi)
-                np.maximum(nearest, stamped[s - lo:e - lo].max(axis=0,
-                                                                out=hit),
-                           out=nearest)
-                s = e
-            done = end
-            if not backward:
-                befores[k] = nearest
-                continue
-            # t_after - t_before is (t_len - nearest) - (before - 1).
-            j = len(ts) - 1 - k
-            t, before = ts[j], befores[j]
-            np.subtract(t_len + 1, before, out=isi, dtype=isi.dtype)
-            isi -= nearest
-            isi *= ((before > max(t - reach, 0))
-                    & (nearest > max(t_len - 1 - t - reach, 0)))
-            table.take(isi, out=out[j], mode="clip")
+    # Backward, t's window t + 1 .. t + reach is sweep frame t_len - 2 - t
+    # and the reach - 1 frames before it.
+    afters = _nearest(stream, [t_len - 2 - t for t in reversed(ts)],
+                      reach - 1, True)
+    for j, after in zip(reversed(range(len(ts))), afters):
+        # t_after - t_before is (t_len - after) - (before - 1).
+        t, before = ts[j], befores[j]
+        np.subtract(t_len + 1, before, out=isi, dtype=isi.dtype)
+        isi -= after
+        isi *= ((before > max(t - reach, 0))
+                & (after > max(t_len - 1 - t - reach, 0)))
+        table.take(isi, out=out[j], mode="clip")
     return out
 
 

@@ -9,6 +9,7 @@ file is written whole or not at all (``jsonio.write_bytes``).
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -49,11 +50,15 @@ def load_weights(directory) -> dict[str, np.ndarray]:
             flat = np.fromfile(blob, dtype="<f4")
         except OSError as exc:
             raise DataIOError(f"cannot read {blob}: {exc}") from exc
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if flat.size != expected:
             raise DataIOError(
                 f"{blob}: has {flat.size} values, manifest says {expected}")
         if not np.isfinite(flat).all():
             raise DataIOError(f"{blob}: holds a non-finite value")
-        weights[name] = flat.reshape(shape).astype(np.float64)
+        try:    # numpy refuses some shapes of no values, such as (0, 2**63)
+            weights[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise DataIOError(f"{blob}: cannot take shape {shape}: "
+                              f"{exc}") from exc
     return weights

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,11 @@ import pytest
 
 import spikekit
 from oracles import encode_upsampled_whole, pack_bits, write_video_raw
+from spikekit import cli
 from spikekit.cli import main
 from spikekit.stream import StreamMeta, read_dat, read_meta
 from spikekit.videoio import load_video, read_pgm, write_pgm_clip
+from spikekit.weights import save_weights
 from spikekit.camera import EncoderConfig, IntensityVideo
 
 
@@ -843,6 +846,49 @@ def test_snn_forward_channels_only_size_seeded_weights(tmp_path):
     assert main(argv[:-2] + ["--seed", "0", "--channels", "0"]) == 2
 
 
+def test_featurize_sizes_no_weights_before_its_stream_is_read(
+        tmp_path, monkeypatch, capsys):
+    # A 640x640 sidecar beside a 32-byte .dat: the stream does not load,
+    # and no weight set is built at the size the sidecar claims.
+    (tmp_path / "s.dat").write_bytes(bytes(32))
+    (tmp_path / "s.meta.json").write_text(json.dumps(
+        StreamMeta(t_len=40, height=640, width=640).to_json_dict()))
+    sizes = []
+    monkeypatch.setattr(cli, "build_feature_weights",
+                        lambda *args: sizes.append(args[3]))
+    capsys.readouterr()
+    assert main(["featurize", str(tmp_path / "s.dat"), "--seed", "0",
+                 "--out", str(tmp_path / "e.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sizes == []
+
+
+def test_snn_forward_sizes_its_fit_check_by_a_backed_blob(
+        tmp_path, monkeypatch, capsys):
+    # An archive of one (2000, 1, 3, 3) stem, 72 KB, would size a seeded
+    # set of 22 * 2000**2 doubles (704 MB) if its width were taken from
+    # that stem; stem2's (c, c, 3, 3) blob alone decides it.
+    argv = _weight_archive(tmp_path, "snn-forward")
+    widths = []
+    init = cli.init_fsve_weights
+
+    def recorded(cfg, seed):
+        widths.append(cfg.channels)
+        return init(cfg, seed)
+
+    monkeypatch.setattr(cli, "init_fsve_weights", recorded)
+    assert main(argv) == 0
+    assert widths == [4]
+    shutil.rmtree(tmp_path / "w")
+    save_weights({"fsve.stem1.conv.w": np.zeros((2000, 1, 3, 3))},
+                 tmp_path / "w")
+    widths.clear()
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "fsve.stem1.conv.w" in capsys.readouterr().err
+    assert widths == [1]
+
+
 @pytest.mark.parametrize("command,name,value", [
     ("featurize", "star.attnpool.out.w", np.nan),
     ("snn-forward", "fsve.sdsa.out.w", np.inf),
@@ -1032,6 +1078,11 @@ def _malformed_npy(tmp_path, encoded_dat):
                  '[{"layer_name": "a", "spike_count": 0, "fan_out": 1, '
                  '"actual_sops": 0, "neuron_ops": 0}]', id="ledger-no-max-sops"),
     pytest.param(_malformed_ledger, '{not json', id="ledger-not-json"),
+    # Nesting deeper than the JSON decoder recurses.
+    pytest.param(_malformed_ledger, "[" * 200000 + "]" * 200000,
+                 id="ledger-nested-lists"),
+    pytest.param(_malformed_ledger, '{"a": ' * 50000 + "1" + "}" * 50000,
+                 id="ledger-nested-objects"),
     pytest.param(_malformed_raw_sidecar, '{not json', id="sidecar-not-json"),
     pytest.param(_malformed_raw_sidecar, '{"t_len": 3}',
                  id="sidecar-missing-field"),

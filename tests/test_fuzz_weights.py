@@ -99,3 +99,23 @@ def test_the_undamaged_manifest_is_read(archive, tmp_path):
     assert code == 0
     assert (tmp_path / "ledger.json").exists()
     assert (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("shape", [
+    [2**32, 2**32],     # 2**64 values, which np.prod wraps round to 0
+    [0, 2**63],         # no values, in shapes that numpy refuses
+    [0, 2**62, 4],
+])
+def test_a_shape_over_an_empty_blob_exits_3(shape, archive, tmp_path):
+    records = _records()
+    first = records[0]["name"]
+    shutil.copytree(archive / "w", tmp_path / "w")
+    (tmp_path / "w" / f"{first}.bin").write_bytes(b"")
+    (tmp_path / "w" / "manifest.json").write_text(
+        _text(records, {**records[0], "shape": shape}))
+    code, err = run_cli(["snn-forward", str(archive / "s.dat"),
+                         "--weights", str(tmp_path / "w"),
+                         "--ledger", str(tmp_path / "ledger.json")])
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "ledger.json").exists()

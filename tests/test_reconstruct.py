@@ -269,6 +269,44 @@ def test_tfi_video_unpacks_eight_frames_per_call(monkeypatch):
     assert max(calls) == 8
 
 
+@pytest.mark.parametrize("t_len, delta_t_max, ts", [
+    (1200, 40, [600]),                      # tfi_reconstruct at t = 600
+    (300, 20, list(range(0, 300, 100))),    # stride 100 > 2 * 20 + 1
+    (100, 40, list(range(0, 100, 25))),     # stream-io's windows overlap
+])
+def test_each_sweep_reads_each_frame_once_and_only_near_a_step(
+        monkeypatch, t_len, delta_t_max, ts):
+    # Each call of the sweep starts a list of the frames it unpacks.
+    sweeps = []
+    unpack, nearest = SpikeStream.unpack, reconstruct._nearest
+
+    def recorded_unpack(self, start, stop):
+        sweeps[-1].append(range(start, stop))
+        return unpack(self, start, stop)
+
+    def recorded_nearest(*args):
+        sweeps.append([])
+        yield from nearest(*args)
+
+    monkeypatch.setattr(SpikeStream, "unpack", recorded_unpack)
+    monkeypatch.setattr(reconstruct, "_nearest", recorded_nearest)
+    cfg = TfiConfig(delta_t_max=delta_t_max)
+    stream = _clip(t_len, 16)
+    if len(ts) == 1:
+        tfi_reconstruct(stream, ts[0], cfg)
+    else:
+        tfi_video(stream, ts[1], cfg)
+    assert len(sweeps) == 2
+    read = [[u for frames in calls for u in frames] for calls in sweeps]
+    for calls, frames in zip(sweeps, read):
+        assert max(map(len, calls)) <= 8
+        assert len(set(frames)) == len(frames), "a frame read twice"
+        assert all(any(abs(u - t) <= delta_t_max for t in ts)
+                   for u in frames)
+    if len(ts) == 1:
+        assert len(read[0]) + len(read[1]) <= 2 * delta_t_max + 1
+
+
 def test_tfi_memory_does_not_grow_with_the_stream():
     # Four sampled steps at every length: the output, one two-byte time
     # per sampled pixel and a few [8, H, W] chunks, whatever t_len.

@@ -278,14 +278,16 @@ def _reads_stream_frames(fn: ast.FunctionDef) -> bool:
 
 
 def test_one_tfi_implementation():
-    # tfi_reconstruct and tfi_video are both the one sweep, _tfi_frames:
-    # no per-window argmax scan, and no other function reads the frames.
+    # tfi_reconstruct and tfi_video both run _tfi_frames, whose forward and
+    # backward sweeps are the one loop _nearest: no per-window argmax scan,
+    # and no other function reads the frames.
     assert "argmax" not in _sources()["reconstruct.py"]
     assert _functions(_calls("_tfi_frames")) == [
         "reconstruct.py:tfi_reconstruct", "reconstruct.py:tfi_video"]
+    assert _functions(_calls("_nearest")) == ["reconstruct.py:_tfi_frames"]
     assert [name for name in _functions(_reads_stream_frames)
             if name.startswith("reconstruct.py:")] == [
-        "reconstruct.py:_tfi_frames"]
+        "reconstruct.py:_nearest"]
 
 
 def test_conv_sops_counted_once_per_spiking_stage():
