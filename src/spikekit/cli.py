@@ -2,7 +2,8 @@
 
 Commands: encode, decode, reconstruct, slice, subsample, featurize,
 snn-forward, energy, train-head, eval, synth, pipeline. Exit codes:
-0 success, 2 precondition violation (argparse uses the same code),
+0 success, 2 precondition violation (argparse uses the same code, and
+so does a run whose sizes ask for more memory than the host can give),
 3 I/O error. Seeds are always explicit; there are no wall-clock defaults
 anywhere.
 """
@@ -473,6 +474,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # sizes that ask for more than the host has
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ The tap-major GEMM runs in bands of whole output rows, about
 a time. K keeps the ``(c, dy, dx)`` order, and every output element is
 the same dot product in the same order, so a band gives the bits of the
 whole-map GEMM as long as it takes the same BLAS kernel. Measured with
-OpenBLAS 0.3.31 (Haswell, one thread), two things switch kernels:
+OpenBLAS 0.3.31 at one thread, two things switch kernels:
 
 * a GEMM of at most ``SMALL_GEMM_MACS`` (1e6) multiply-adds takes the
   small-matrix kernel: a ``3x432`` kernel (spatial attention) gave other
@@ -50,6 +50,12 @@ So a band is a multiple of 8 columns above ``SMALL_GEMM_MACS``: the band
 of about ``BAND_BYTES`` (1 MiB), rounded up to the smallest such band
 where it falls short. The last band takes the leftover rows, and only a
 map with no room for two bands runs as one.
+
+This rule holds for the GEMM kernels OpenBLAS 0.3.31 calls ``SkylakeX``
+and ``Sandybridge`` (``OPENBLAS_CORETYPE``). It does not hold for its
+``Haswell`` and ``Katmai`` kernels: there the spatial-attention conv's
+bands at 128 and 256 px give bits other than the whole-map GEMM's, at
+most 8.4e-16 relative apart.
 
 On large maps both orientations give the same bits. On small maps the
 BLAS picks other kernels for the two layouts, and several backbone

@@ -2,10 +2,10 @@
 
 ``run_pipeline`` executes the requested stages in dependency order
 (synthesize, encode, featurize, few-shot train, evaluate, plus an
-optional spiking-forward energy stage) entirely from explicit seeds, so two runs
-of the same config on the same numpy build and BLAS thread count produce
-byte-identical artifacts. Every JSON artifact carries a provenance record
-(input hashes, seeds, toolkit version).
+optional spiking-forward energy stage) entirely from explicit seeds, so
+two runs of the same config on the same numpy build, BLAS kernel and
+thread count produce byte-identical artifacts. Every JSON artifact
+carries a provenance record (input hashes, seeds, toolkit version).
 """
 
 from __future__ import annotations

@@ -123,6 +123,10 @@ def load_video(path) -> IntensityVideo:
             arr = np.load(path_str)
         except (OSError, ValueError, EOFError) as exc:
             raise DataIOError(f"cannot read {path_str}: {exc}") from exc
+        if not isinstance(arr, np.ndarray):     # an .npz archive's NpzFile
+            arr.close()
+            raise DataIOError(f"{path_str}: holds an npz archive, not an "
+                              f"npy array")
         if arr.dtype.kind not in "biuf":
             raise DataIOError(f"{path_str}: video dtype {arr.dtype} is not "
                               f"bool, integer or float")

@@ -1,7 +1,8 @@
 """Flat binary weight archive: one little-endian float32 blob per tensor.
 
 A directory holds ``manifest.json``, a list of {name, dtype, shape}
-records, plus one ``<name>.bin`` file per tensor. Tensors are loaded
+records, plus one ``<name>.bin`` file per tensor; a name holding a path
+separator (``/`` or ``\\``) or a NUL does not load. Tensors are loaded
 back as float64 for numerically tight forward passes; the on-disk dtype
 stays f32, and a blob that holds NaN or an infinity does not load. Each
 file is written whole or not at all (``jsonio.write_bytes``).
@@ -43,6 +44,11 @@ def load_weights(directory) -> dict[str, np.ndarray]:
                                  "dtype": "str?"},
                          f"{manifest_path}: tensor record")
         name, shape = record["name"], tuple(record["shape"])
+        # The blob is <name>.bin in this directory: a name with a path
+        # separator could reach outside it, and the OS refuses a NUL.
+        if set(name) & {"/", "\\", "\0"}:
+            raise DataIOError(f"{manifest_path}: tensor record name "
+                              f"{name!r} is not a file name")
         if record.get("dtype", "f32") != "f32":
             raise DataIOError(f"{name}: unsupported dtype {record['dtype']}")
         blob = os.path.join(directory, name + ".bin")

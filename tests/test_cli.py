@@ -657,6 +657,18 @@ def test_pipeline_config_lr_nan_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "head_s1_seed0.json").exists()
 
 
+def test_a_run_larger_than_any_address_space_exits_2(tmp_path, capsys):
+    # 10^13 frames make a 4.55 PiB packed body: more than any x86-64 or
+    # arm64 user address space, so no host can give it.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 0, "frames": 10 ** 13}))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("config", [
     {"seed": 1, "shots": 4},
     {"seed": 1, "classes": "wave"},
@@ -1046,9 +1058,9 @@ def _malformed_pgm_frame(tmp_path, encoded_dat):
         "encode", str(tmp_path / "frames"), str(tmp_path / "v.dat")]
 
 
-def _npy_bytes(arr):
+def _npy_bytes(arr, save=np.save):
     buf = io.BytesIO()
-    np.save(buf, arr)
+    save(buf, arr)
     return buf.getvalue()
 
 
@@ -1168,6 +1180,8 @@ def _malformed_npy(tmp_path, encoded_dat):
     pytest.param(_malformed_npy, _npy_bytes(np.array(["a", "b"])),
                  id="npy-strings"),
     pytest.param(_malformed_npy, "", id="npy-empty"),
+    pytest.param(_malformed_npy, _npy_bytes(np.zeros((3, 8, 8)), np.savez),
+                 id="npy-holds-npz"),
     pytest.param(_malformed_saved_manifest,
                  '[{"name": "fsve.stem1.conv.w", "dtype": "f32", '
                  '"shape": ["8", 1, 3, 3]}]', id="manifest-shape-strings"),

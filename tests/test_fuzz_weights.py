@@ -2,8 +2,9 @@
 reads. A manifest that is truncated, lacks a required field, or holds a
 value of the wrong type, `1e400` (which `json` reads as infinity),
 `-1e400`, `NaN` or `-1` in one field of a record, or in one dimension of
-its shape, makes the command exit 2 or 3 with one `error:` line and write
-no `--ledger` or `--out` file."""
+its shape, or a name that holds a NUL or a path separator, makes the
+command exit 2 or 3 with one `error:` line and write no `--ledger` or
+`--out` file."""
 
 import json
 import shutil
@@ -53,6 +54,12 @@ def _faults(records: list[dict]):
             if raw != json.dumps(value):
                 yield f"{name}={raw}", _text(records, {**record, name: "@"},
                                              raw)
+    # Names that are no file name in the archive: its blobs are read from
+    # <name>.bin beside the manifest.
+    for fault, name in [("nul", "a\u0000b"), ("backslash", "a\\b"),
+                        ("parent", f"../w/{record['name']}"),
+                        ("dot", f"./{record['name']}")]:
+        yield f"name-{fault}", _text(records, {**record, "name": name})
     dim, *rest = record["shape"]
     for raw in [f'"{dim}"', "true", "null", f"[{dim}]", f"{dim}.0",
                 f"{dim}.5"] + odd:

@@ -1,12 +1,28 @@
-"""Source guards: the JSON artifact format, the JSON kind check, the file
-writer, the shared helpers, the one binary check, the one conv kernel, the
-attention core, the SOP count, the loss and gradient, the PGM clip I/O,
-TFI, the bit packing and the few-shot stages each live in one place, so
-hand-copied duplicates cannot creep back in; no helper works a ledger's
-dense count out again; every error exits 2 or 3; and every exported name
-and public top-level definition has a caller outside the tests."""
+"""Source guards: properties of src/spikekit, none of which names a
+private helper, so a helper can be renamed, split or folded away freely.
+
+- JSON is dumped and loaded only in jsonio, never as NaN or Infinity.
+- One JSON kind check, ``is_binary``, ``conv2d`` and PGM header writer;
+  bit packing and window views each live in one module.
+- No name in ``DELETED_NAMES`` comes back.
+- The few-shot stages, the SOP count, the encoder's frame loop and range
+  check, and the packer each have one caller outside their module.
+- One log-softmax and one backward pass, with one caller, in align.py.
+- PGM clips are written by synth.py and read only through ``load_video``;
+  the pipeline reads no stream back.
+- One function each runs attention, reads TFI's frames and fires spikes,
+  and its module's entry points run it.
+- HSFE stacks and pads nothing.
+- Forwards read their layout from their weights and run one sample into
+  the ledger they are given; the configs hold one field each.
+- Files are written only by ``jsonio.write_bytes``; no helper works a
+  dense SOP count out again.
+- The arguments ``bench/spantrace.py`` reads by position stay there.
+- Every error exits 2 or 3; every export resolves, and code outside the
+  tests uses it."""
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -14,18 +30,71 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikekit"
 
+# Names that went and stay gone: HSFE's per-frame average and branch
+# slice, a stream's row layouts, the temperature object and its clamp (a
+# head holds only log(1/tau)), and the chunked encoder.
+DELETED_NAMES = ("moving_average_same", "_branch_slice", "_whole_bytes",
+                 "_read_rows", "_of_rows", "Temperature", "clamp_max",
+                 "encode_chunks", "frame_chunks", "from_chunks",
+                 "_fired_chunks")
 
+
+@functools.cache
 def _sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8")
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _functions(predicate) -> list[str]:
-    """'<file>:<function>' for every function definition matching predicate."""
-    return [f"{name}:{node.name}"
-            for name, text in _sources().items()
-            for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.FunctionDef) and predicate(node)]
+@functools.cache
+def _trees() -> dict[str, ast.Module]:
+    """Each module's syntax tree, parsed once for the whole file."""
+    return {name: ast.parse(text) for name, text in _sources().items()}
+
+
+@functools.cache
+def _definitions() -> tuple[tuple[str, ast.FunctionDef], ...]:
+    """(file, node) of every function definition, nested ones included."""
+    return tuple((name, node) for name, tree in _trees().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef))
+
+
+def _functions(predicate, file: str = "") -> list[str]:
+    """'<file>:<function>' of each definition (in ``file``) matching it."""
+    return [f"{name}:{node.name}" for name, node in _definitions()
+            if file in ("", name) and predicate(node)]
+
+
+def _files(functions: list[str]) -> list[str]:
+    return [name.split(":")[0] for name in functions]
+
+
+@functools.cache
+def _callees(fn: ast.FunctionDef) -> frozenset[str]:
+    return frozenset(ast.unparse(node.func) for node in ast.walk(fn)
+                     if isinstance(node, ast.Call))
+
+
+def _calls(*callees: str):
+    """Predicate: the function calls one of ``callees``, each matching the
+    end of the call's dotted name (so ``energy.count_conv_sops`` too)."""
+    return lambda fn: any(called == callee or called.endswith("." + callee)
+                          for called in _callees(fn) for callee in callees)
+
+
+def _one_core(file: str, predicate, entries: tuple[str, ...]) -> None:
+    """Exactly one function of ``file`` matches predicate, and each of
+    ``entries`` calls it, directly or through other functions of ``file``."""
+    core = _functions(predicate, file)
+    assert len(core) == 1, core
+    defs = {node.name: node for node in _trees()[file].body
+            if isinstance(node, ast.FunctionDef)}
+    for entry in entries:
+        seen, todo = set(), {entry}
+        while todo := todo - seen:
+            seen |= todo
+            todo = set().union(*(_callees(defs[n]) for n in todo if n in defs))
+        assert core[0].split(":")[1] in seen, entry
 
 
 def _writes_pgm_header(fn: ast.FunctionDef) -> bool:
@@ -41,7 +110,7 @@ def test_json_dump_and_load_only_in_jsonio():
 
 def test_json_never_writes_nan_or_infinity():
     # NaN and Infinity are not JSON, and the readers refuse them.
-    dumps = [node for node in ast.walk(ast.parse(_sources()["jsonio.py"]))
+    dumps = [node for node in ast.walk(_trees()["jsonio.py"])
              if isinstance(node, ast.Call)
              and ast.unparse(node.func) == "json.dumps"]
     assert [[ast.unparse(k) for k in node.keywords if k.arg == "allow_nan"]
@@ -54,8 +123,8 @@ def test_one_json_kind_check():
     # PipelineConfig keeps its own loop over is_a.
     assert sorted(_functions(lambda fn: fn.name in ("is_a", "checked"))) == [
         "jsonio.py:checked", "jsonio.py:is_a"]
-    assert sorted({name.split(":")[0] for name in _functions(_calls("is_a"))}
-                  ) == ["jsonio.py", "pipeline.py"]
+    assert sorted(set(_files(_functions(_calls("is_a"))))) == [
+        "jsonio.py", "pipeline.py"]
     kind_tests = re.compile(r"sys\.float_info\.max|"
                             r"\btype\([^()]*\) (is|in) \(?int\b")
     assert [name for name in ("cli.py", "weights.py", "stream.py",
@@ -71,10 +140,6 @@ def test_is_binary_defined_once():
 def test_no_isin_binary_checks():
     assert [name for name, text in _sources().items()
             if re.search(r"\bnp\.isin\b", text)] == []
-
-
-def test_one_pgm_writer():
-    assert _functions(_writes_pgm_header) == ["videoio.py:write_pgm_frame"]
 
 
 def test_bit_packing_only_in_stream():
@@ -95,107 +160,118 @@ def test_window_views_only_in_nnops():
     assert users == ["nnops.py"]
 
 
-def _calls(callee: str):
-    """Predicate: the function calls ``callee``, a dotted name matched
-    against the call's ``Attribute`` chain."""
-    return lambda fn: any(isinstance(node, ast.Call)
-                          and ast.unparse(node.func) == callee
-                          for node in ast.walk(fn))
+def test_one_pgm_writer():
+    assert _functions(_writes_pgm_header) == ["videoio.py:write_pgm_frame"]
 
 
-@pytest.mark.parametrize("callee,home,caller", [
-    ("AlignmentHead.create", "align.py", "pipeline.py:train_fewshot_head"),
-    ("evaluate_topk", "align.py", "pipeline.py:evaluate_head"),
-    ("encode_frames", "camera.py", "pipeline.py:encode_to_dat"),
-    ("finetune_head", "align.py", "pipeline.py:train_fewshot_head"),
+def test_deleted_names_stay_deleted():
+    # No definition, parameter, keyword, import or reference uses one.
+    used = [f"{file}:{value}" for file, tree in _trees().items()
+            for node in ast.walk(tree)
+            for field in ("name", "id", "attr", "arg", "asname")
+            if (value := getattr(node, field, None)) in DELETED_NAMES]
+    assert used == []
+
+
+@pytest.mark.parametrize("callee, home", [
+    ("AlignmentHead.create", "align.py"),
+    ("finetune_head", "align.py"),
+    ("evaluate_topk", "align.py"),
+    ("count_conv_sops", "energy.py"),
+    ("encode_frames", "camera.py"),
+    ("in_unit_range", "camera.py"),
+    ("SpikeStream.from_frames", "stream.py"),
 ])
-def test_fewshot_stages_have_one_caller(callee, home, caller):
+def test_one_caller_outside_its_module(callee, home):
+    # Each runs from one place: the few-shot stages, a spiking conv's SOP
+    # count, the encoder's frame loop and range check, and the packer.
     outside = [name for name in _functions(_calls(callee))
                if not name.startswith(home + ":")]
-    assert outside == [caller]
+    assert len(outside) == 1, outside
 
 
 def test_loss_and_gradient_live_only_in_align():
-    assert sorted(_functions(lambda fn: fn.name in (
-        "_log_softmax", "_forward_backward"))) == [
-        "align.py:_forward_backward", "align.py:_log_softmax"]
-    assert _functions(_calls("_forward_backward")) == [
-        "align.py:finetune_head"]
-    # The backward pass through the unit normalization, and the log-sum-exp.
-    users = [name for name, text in _sources().items()
-             if re.search(r"d_v_hat|np\.log\(np\.sum\(np\.exp", text)]
-    assert users == ["align.py"]
+    # One log-sum-exp, and one backward pass through the unit normalization
+    # (its gradient d_v_hat), which only the fine-tune runs.
+    assert _files(_functions(lambda fn: {"np.log", "np.sum", "np.exp"}
+                             <= _callees(fn))) == ["align.py"]
+    backward = _functions(lambda fn: "d_v_hat" in _references(fn))
+    assert _files(backward) == ["align.py"]
+    assert len(_functions(_calls(backward[0].split(":")[1]))) == 1
 
 
 def test_pgm_clips_stay_in_videoio_and_synth():
     # The pipeline renders and encodes clips in memory; PGM clips are
     # written only by `spikekit synth` and read only through load_video,
     # which only `spikekit encode` calls.
-    assert _functions(_calls("write_pgm_clip")) == ["synth.py:synth_dataset"]
-    assert [name for name in _functions(_calls("read_pgm"))
-            + _functions(_calls("read_pgm_clip"))
-            if not name.startswith("videoio.py:")] == []
-    assert [name for name in _functions(_calls("load_video"))
-            if not name.startswith("videoio.py:")] == ["cli.py:cmd_encode"]
+    assert _files(_functions(_calls("write_pgm_clip"))) == ["synth.py"]
+    assert set(_files(_functions(_calls("read_pgm", "read_pgm_clip")))) \
+        <= {"videoio.py"}
+    assert [file for file in _files(_functions(_calls("load_video")))
+            if file != "videoio.py"] == ["cli.py"]
 
 
 def test_run_pipeline_reads_no_stream_back():
     # Each clip is featurized from the stream its encode returned.
-    assert [name for name in _functions(_calls("read_dat"))
-            if name.startswith("pipeline.py:")] == []
+    assert _functions(_calls("read_dat"), "pipeline.py") == []
 
 
 def test_one_attention_core():
     # The q/k/v projection, scaled dot product and softmax of both the
-    # attention pool and the temporal encoder are _attend's.
-    users = [name for name in _functions(
-        lambda fn: any(isinstance(node, ast.Call)
-                       and ast.unparse(node.func) in ("softmax", "np.einsum",
-                                                      "np.sqrt")
-                       for node in ast.walk(fn)))
-        if name.startswith("starnet.py:")]
-    assert users == ["starnet.py:_attend"]
-    assert [name for name in _functions(_calls("_attend"))] == [
-        "starnet.py:attention_pool", "starnet.py:temporal_attention"]
+    # attention pool and the temporal encoder are one function's.
+    _one_core("starnet.py", lambda fn: bool(
+        _callees(fn) & {"softmax", "np.einsum", "np.sqrt"}),
+        ("attention_pool", "temporal_attention"))
 
 
-def test_hsfe_branch_stage_has_no_per_frame_helpers():
-    # HSFE averages each branch with hsfe._window_mean and slices it inline;
-    # the per-frame average and the slice helper live on only as the
-    # test oracle.
-    assert _functions(lambda fn: fn.name in ("moving_average_same",
-                                             "_branch_slice")) == []
-    assert _functions(lambda fn: fn.name == "_window_mean") == [
-        "hsfe.py:_window_mean"]
+def _reads_stream_frames(fn: ast.FunctionDef) -> bool:
+    # It unpacks a stream's frames (``.unpack``, ``.data``) or indexes data.
+    return any((isinstance(node, ast.Attribute)
+                and node.attr in ("unpack", "data"))
+               or (isinstance(node, ast.Subscript)
+                   and ast.unparse(node.value) == "data")
+               for node in ast.walk(fn))
 
 
-def test_a_stream_holds_one_bit_layout():
-    # A SpikeStream holds the .dat body, so nothing converts between it
-    # and rows of one frame each.
-    assert _functions(lambda fn: fn.name in ("_whole_bytes", "_read_rows",
-                                             "_of_rows")) == []
+def test_one_tfi_implementation():
+    # Both TFI entry points run the one frame reader, one loop for both
+    # sweeps; no other function reads the frames, and none scans by argmax.
+    assert "argmax" not in _sources()["reconstruct.py"]
+    _one_core("reconstruct.py", _reads_stream_frames,
+              ("tfi_reconstruct", "tfi_video"))
 
 
-def test_the_clamp_is_a_constant():
-    # 1/tau is clipped at align.INV_TAU_MAX, as in CLIP; a head holds only
-    # log(1/tau), with no temperature object or clamp of its own.
-    assert [name for name, text in _sources().items()
-            if re.search(r"\bTemperature\b|\bclamp_max\b", text)] == []
+def _fires(fn: ast.FunctionDef) -> bool:
+    # It reads an encoder config's threshold (not its own, in its check).
+    return any(isinstance(node, ast.Attribute) and node.attr == "theta"
+               and ast.unparse(node.value) != "self"
+               for node in ast.walk(fn))
 
 
-def test_backbone_config_has_one_field():
-    from dataclasses import fields
+def test_one_encoder_frame_loop():
+    # Every encoding runs the one frame loop: encode_video, and the one
+    # caller of encode_frames outside camera.py.
+    _one_core("camera.py", _fires, ("encode_video", "encode_frames"))
 
-    from spikekit.starnet import MiniMapResNetConfig
-    assert [f.name for f in fields(MiniMapResNetConfig)] == ["embed_dim"]
+
+def test_hsfe_stacks_and_pads_nothing():
+    # The convs read their zero-bordered buffers in place. That each map is
+    # written once is held by test_conv2d.py's featurize memory bound.
+    called = {ast.unparse(node.func) for node in ast.walk(_trees()["hsfe.py"])
+              if isinstance(node, ast.Call)}
+    assert called & {"np.concatenate", "np.stack", "np.pad", "np.copy",
+                     "np.ascontiguousarray", "_padded", "nnops._padded"} \
+        == set()
 
 
-def _parameters(qualified: str) -> list[str]:
-    """The parameter names of the function '<file>:<name>'."""
-    file, name = qualified.split(":")
-    fn, = [node for node in ast.walk(ast.parse(_sources()[file]))
-           if isinstance(node, ast.FunctionDef) and node.name == name]
-    return [arg.arg for arg in fn.args.args + fn.args.kwonlyargs]
+def _parameters(fn: ast.FunctionDef) -> list[str]:
+    return [arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)]
+
+
+def _function(qualified: str) -> ast.FunctionDef:
+    fn, = [fn for file, fn in _definitions()
+           if f"{file}:{fn.name}" == qualified]
+    return fn
 
 
 # bench/spantrace.py reads these arguments of the calls it traces by
@@ -211,11 +287,16 @@ def _parameters(qualified: str) -> list[str]:
 ])
 def test_traced_arguments_stay_where_the_tracer_reads_them(fn, param,
                                                            position):
-    file, name = fn.split(":")
-    node, = [node for node in ast.walk(ast.parse(_sources()[file]))
-             if isinstance(node, ast.FunctionDef) and node.name == name]
+    node = _function(fn)
     positional = [arg.arg for arg in node.args.posonlyargs + node.args.args]
     assert positional.index(param) == position
+
+
+def test_backbone_config_has_one_field():
+    from dataclasses import fields
+
+    from spikekit.starnet import MiniMapResNetConfig
+    assert [f.name for f in fields(MiniMapResNetConfig)] == ["embed_dim"]
 
 
 def test_forwards_read_their_layout_from_their_weights():
@@ -226,10 +307,9 @@ def test_forwards_read_their_layout_from_their_weights():
     from spikekit.snn import FsveConfig
     for fn in ("hsfe.py:mtf_forward", "hsfe.py:hsfe_forward",
                "pipeline.py:featurize_stream"):
-        assert "branches" not in _parameters(fn), fn
-    for fn in ("starnet.py:_attend", "starnet.py:attention_pool",
-               "starnet.py:temporal_attention"):
-        assert "heads" not in _parameters(fn), fn
+        assert "branches" not in _parameters(_function(fn)), fn
+    assert _functions(lambda fn: "heads" in _parameters(fn),
+                      "starnet.py") == []
     assert [f.name for f in fields(FsveConfig)] == ["channels"]
 
 
@@ -241,7 +321,7 @@ def test_no_batch_axis_or_optional_ledger(file):
     assert "ledger is not None" not in text
     assert "EnergyLedger | None" not in text
     names = {node.id if isinstance(node, ast.Name) else node.arg
-             for node in ast.walk(ast.parse(text))
+             for node in ast.walk(_trees()[file])
              if isinstance(node, (ast.Name, ast.arg))}
     assert [name for name in names if "batch" in name] == []
     assert not re.search(r"\[t, b\b", text)
@@ -262,47 +342,17 @@ def _writes_a_file(node: ast.AST) -> bool:
 
 def test_files_are_written_only_through_jsonio():
     # jsonio.write_bytes is the one writer: whole or not at all.
-    writers = [name for name in _functions(
-        lambda fn: any(_writes_a_file(node) for node in ast.walk(fn)))]
+    writers = _functions(lambda fn: any(_writes_a_file(node)
+                                        for node in ast.walk(fn)))
     assert writers == ["jsonio.py:write_bytes"]
-
-
-def _reads_stream_frames(fn: ast.FunctionDef) -> bool:
-    """The function unpacks frames of a stream, through its range accessor
-    ``.unpack`` or its whole ``.data``, or indexes ``data``."""
-    return any((isinstance(node, ast.Attribute)
-                and node.attr in ("unpack", "data"))
-               or (isinstance(node, ast.Subscript)
-                   and ast.unparse(node.value) == "data")
-               for node in ast.walk(fn))
-
-
-def test_one_tfi_implementation():
-    # tfi_reconstruct and tfi_video both run _tfi_frames, whose forward and
-    # backward sweeps are the one loop _nearest: no per-window argmax scan,
-    # and no other function reads the frames.
-    assert "argmax" not in _sources()["reconstruct.py"]
-    assert _functions(_calls("_tfi_frames")) == [
-        "reconstruct.py:tfi_reconstruct", "reconstruct.py:tfi_video"]
-    assert _functions(_calls("_nearest")) == ["reconstruct.py:_tfi_frames"]
-    assert [name for name in _functions(_reads_stream_frames)
-            if name.startswith("reconstruct.py:")] == [
-        "reconstruct.py:_nearest"]
-
-
-def test_conv_sops_counted_once_per_spiking_stage():
-    outside = [name for name in _functions(_calls("count_conv_sops"))
-               if not name.startswith("energy.py:")]
-    assert outside == ["snn.py:_conv_tdbn"]
 
 
 def test_max_sops_read_from_the_arrays_that_ran():
     # Each ledger record's dense baseline is its layer's output size times
     # its fan-in, read where the layer ran; no helper works the shapes out
     # again.
-    assert [name for name in _functions(
-        lambda fn: fn.name.startswith("dense_") or "macs" in fn.name)
-        if name.startswith("energy.py:")] == []
+    assert _functions(lambda fn: fn.name.startswith("dense_")
+                      or "macs" in fn.name, "energy.py") == []
 
 
 def test_every_error_exits_2_or_3():
@@ -327,7 +377,8 @@ def test_every_export_resolves():
             if not hasattr(spikekit, name)] == []
 
 
-def _references(tree: ast.AST, skip: str = "") -> set[str]:
+@functools.cache
+def _references(tree: ast.AST, skip: str = "") -> frozenset[str]:
     """The names a module reads, as bare names or attributes, leaving out
     the body of its own definition of ``skip``."""
     seen, stack = set(), [tree]
@@ -341,7 +392,7 @@ def _references(tree: ast.AST, skip: str = "") -> set[str]:
         elif isinstance(node, ast.Attribute):
             seen.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
-    return seen
+    return frozenset(seen)
 
 
 def test_every_export_has_traffic():
@@ -351,7 +402,7 @@ def test_every_export_has_traffic():
     # or in bench/ reads it.
     import spikekit
     bench = SRC.parents[1] / "bench"
-    trees = [ast.parse(text) for name, text in _sources().items()
+    trees = [tree for name, tree in _trees().items()
              if name != "__init__.py"]
     defined = {node.name for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -360,62 +411,6 @@ def test_every_export_has_traffic():
         encoding="utf-8"))) for path in sorted(bench.glob("*.py"))))
     assert [name for name in sorted(defined | set(spikekit.__all__))
             if name not in bench_names
-            and not any(name in _references(tree, name)
+            and not any(name in _references(tree)
+                        and name in _references(tree, name)
                         for tree in trees)] == []
-
-
-def test_one_encoder_frame_loop():
-    # Every encoding runs the one frame loop: the video encoder hands it
-    # its frames and the pipeline hands it rendered, loaded or blended
-    # frames, each range-checked on the way in. Only the packer groups
-    # frames, eight at a time, for the .dat layout.
-    assert _functions(lambda fn: fn.name in (
-        "encode_chunks", "frame_chunks", "from_chunks", "_fired_chunks")) == []
-    assert _functions(_calls("_fired")) == ["camera.py:encode_frames"]
-    assert _functions(_calls("encode_frames")) == [
-        "camera.py:encode_video", "pipeline.py:encode_to_dat"]
-    assert _functions(_calls("SpikeStream.from_frames")) == [
-        "camera.py:encode_frames", "stream.py:_take_frames"]
-    assert [name for name in _functions(_calls("in_unit_range"))
-            if not name.startswith("camera.py:")] == [
-        "pipeline.py:encode_to_dat"]
-
-
-def test_hsfe_writes_each_blocks_maps_once():
-    # mtf_forward masks and averages each branch's frames inside one
-    # zero-bordered buffer, each branch conv writes into its slice of a
-    # second one, and spatial attention's conv reads that one in place:
-    # no stacking and no padded copy of the branch inputs or maps.
-    tree = ast.parse(_sources()["hsfe.py"])
-    called = {ast.unparse(node.func) for node in ast.walk(tree)
-              if isinstance(node, ast.Call)}
-    assert called & {"np.concatenate", "np.stack", "np.pad", "np.copy",
-                     "np.ascontiguousarray", "_padded", "nnops._padded"} \
-        == set()
-    mtf, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-            and node.name == "mtf_forward"]
-    convs = [node for node in ast.walk(mtf) if isinstance(node, ast.Call)
-             and ast.unparse(node.func) == "conv2d"]
-    assert [[kw.arg for kw in node.keywords if kw.arg == "out"]
-            for node in convs] == [["out"]]
-
-
-def test_align_keeps_no_token_table():
-    # text_features keeps each prompt's vector, not the TABLE_SIZE x dim
-    # table it was read from: the one module-level value that is not a
-    # number is the dict of vectors, and it holds only 1-D arrays.
-    from spikekit import align
-    from spikekit.synth import CLASS_PROMPTS
-    tree = ast.parse(_sources()["align.py"])
-    held = [ast.unparse(target) for node in tree.body
-            if isinstance(node, (ast.Assign, ast.AnnAssign))
-            and not (isinstance(node.value, ast.Constant)
-                     and isinstance(node.value.value, (int, float)))
-            for target in getattr(node, "targets", [node.target])]
-    assert held == ["_FEATURES"]
-    assert _functions(lambda fn: fn.decorator_list
-                      and fn.name == "text_features") == []
-    for prompt in CLASS_PROMPTS.values():
-        align.text_features(prompt, 64)
-    assert {vector.shape for vector in align._FEATURES.values()} >= {(64,)}
-    assert all(vector.ndim == 1 for vector in align._FEATURES.values())

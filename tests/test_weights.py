@@ -45,6 +45,18 @@ def test_blob_size_mismatch(tmp_path):
         load_weights(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["../outside/w", "/abs"])
+def test_a_name_that_is_no_file_name_in_the_archive_is_refused(name,
+                                                              tmp_path):
+    # ../outside/w.bin and /abs.bin would be read from outside the archive.
+    save_weights({"w": np.ones(2)}, tmp_path / "outside")
+    (tmp_path / "archive").mkdir()
+    manifest = [{"name": name, "dtype": "f32", "shape": [2]}]
+    (tmp_path / "archive" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataIOError, match="is not a file name"):
+        load_weights(tmp_path / "archive")
+
+
 def test_unsupported_dtype(tmp_path):
     save_weights({"w": np.zeros(2)}, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
