@@ -154,7 +154,12 @@ def cmd_slice(args) -> int:
 def cmd_subsample(args) -> int:
     stream, meta = _read_stream(args.input, args.meta)
     out_stream = subsample_temporal(stream, args.target)
-    write_dat(out_stream, replace(meta, t_len=out_stream.t_len), args.out)
+    # The kept frames are evenly spaced only when the target divides t_len.
+    step, uneven = divmod(stream.t_len, args.target)
+    tick = (meta.tick_seconds * step
+            if meta.tick_seconds is not None and not uneven else None)
+    write_dat(out_stream, replace(meta, t_len=out_stream.t_len,
+                                  tick_seconds=tick), args.out)
     print(f"subsampled {stream.t_len} -> {out_stream.t_len} frames: {args.out}")
     return 0
 

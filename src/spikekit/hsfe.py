@@ -6,8 +6,11 @@ count against temporal coverage: a branch with many input channels sees a
 short, sharp slice of time, a branch with few channels integrates a wider
 averaged window, and the product of the two stays (nearly) constant,
 the same way a fixed amount of fluid fills a wide short or narrow tall
-container. A spatial-attention head then gates each branch per pixel and
-the gated maps are stacked into one coarse intensity estimate per block.
+container. Each branch is masked and averaged in the buffer its conv
+reads: a mean overwrites its frame, so the earlier frames of a window are
+masked again from the block. A spatial-attention head then gates each
+branch per pixel and the gated maps are stacked into one coarse intensity
+estimate per block.
 """
 
 from __future__ import annotations
@@ -123,31 +126,6 @@ def allocate_channels(total_channels: int, m: int,
     return ks
 
 
-def _window_mean(x: np.ndarray, width: int) -> np.ndarray:
-    """Centred moving average of x along axis 0, in place; returns x.
-
-    Frame i becomes the mean of frames i - (width-1)//2 .. i + width//2;
-    the windows shrink at the edges and divide by their true frame count,
-    so the map stays linear in x. Each window is summed from its first
-    frame to its last. Frames are replaced in order, so the (width-1)//2
-    input frames before the current one, which its window still reads,
-    are kept in a ring.
-    """
-    t = x.shape[0]
-    before, after = (width - 1) // 2, width // 2
-    kept = np.empty((before, *x.shape[1:]))
-    acc = np.empty(x.shape[1:])
-    for i in range(t):
-        lo, hi = max(i - before, 0), min(i + after + 1, t)
-        acc[...] = kept[lo % before] if lo < i else x[lo]
-        for j in range(lo + 1, hi):
-            acc += kept[j % before] if j < i else x[j]
-        if before:
-            kept[i % before] = x[i]
-        np.divide(acc, hi - lo, out=x[i])
-    return x
-
-
 def _bordered_zeros(c: int, h: int, w: int) -> np.ndarray:
     """Zeros for c maps of h x w, each bordered by one zero, as one flat
     buffer with the two zeros after it that a 3x3 conv's stride-1 columns
@@ -169,15 +147,18 @@ def mtf_forward(block: np.ndarray,
     The branch count is the spatial-attention kernel's output width, and
     branch i's channel count k_i is the length of its temporal mask. Per
     branch: take the central k_i frames, weight them with the mask,
-    average over round(block_len / k_i) frames, then run a 3x3 (padding 1)
-    convolution of the k_i channels with the branch kernel. Branch 0 spans
-    the block, so these are the widths of :func:`allocate_channels`.
+    average over round(block_len / k_i) frames (fewer at the edges), then
+    run a 3x3 (padding 1) convolution of the k_i channels with the branch
+    kernel. Branch 0 spans the block, so these are the widths of
+    :func:`allocate_channels`.
 
-    Each branch's frames are masked and averaged inside one zero-bordered
-    buffer, sized for branch 0 and reused by the narrower branches, and
-    each conv writes its maps into its slice of a second one. The result
-    is the interior of that second buffer, which ``conv2d`` in
-    :func:`spatial_attention` reads as its padded input without a copy.
+    Each branch's frames are masked into one zero-bordered buffer, sized
+    for branch 0 and reused by the narrower branches, and averaged there
+    in frame order, each window summed first to last. A mean overwrites
+    its frame t, so the window's frames before t are masked again from
+    the block. Each conv writes its maps into its slice of a second
+    buffer, whose interior is the result: ``conv2d`` in
+    :func:`spatial_attention` reads it as its padded input without a copy.
     """
     block = np.asarray(block)
     if block.ndim != 3:
@@ -208,7 +189,13 @@ def mtf_forward(block: np.ndarray,
                     out=inputs)
         width = _avg_width(block_len, len(mask))
         if width > 1:
-            _window_mean(inputs, width)
+            for t in range(len(mask)):
+                lo = max(t - (width - 1) // 2, 0)
+                hi = min(t + width // 2 + 1, len(mask))
+                total = inputs[t] if lo == t else block[start + lo] * mask[lo]
+                for j in range(lo + 1, hi):
+                    total += inputs[j] if j >= t else block[start + j] * mask[j]
+                np.divide(total, hi - lo, out=inputs[t])
         conv2d(inputs, kernel, bias=None, stride=1, padding=1,
                out=maps[i * c_out:(i + 1) * c_out])
     return maps

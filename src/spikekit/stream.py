@@ -56,8 +56,9 @@ class SpikeStream:
     """Binary spatiotemporal event tensor of shape [t_len, height, width].
 
     The spikes are held packed as the ``.dat`` body (see the module
-    docstring). ``SpikeStream(array)`` checks an outside array and packs a
-    copy of it; :meth:`unpack` and :attr:`data` give frames back.
+    docstring). ``SpikeStream(array)`` checks an outside array and packs
+    its frames with :meth:`from_frames`; :meth:`unpack` and :attr:`data`
+    give frames back.
     Operations return new streams.
     """
 
@@ -74,9 +75,9 @@ class SpikeStream:
         if any(s < 1 for s in raw.shape):
             raise PreconditionError(
                 f"all stream dimensions must be >= 1, got {raw.shape}")
-        self._body = read_only(np.packbits(raw.astype(np.bool_, copy=False),
-                                           bitorder="big"))
-        self._shape = raw.shape
+        packed = self.from_frames(
+            (frame.astype(np.bool_, copy=False) for frame in raw), raw.shape)
+        self._body, self._shape = packed._body, packed._shape
 
     @classmethod
     def _of_body(cls, body: np.ndarray,

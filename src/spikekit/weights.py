@@ -2,10 +2,11 @@
 
 A directory holds ``manifest.json``, a list of {name, dtype, shape}
 records, plus one ``<name>.bin`` file per tensor; a name holding a path
-separator (``/`` or ``\\``) or a NUL does not load. Tensors are loaded
-back as float64 for numerically tight forward passes; the on-disk dtype
-stays f32, and a blob that holds NaN or an infinity does not load. Each
-file is written whole or not at all (``jsonio.write_bytes``).
+separator (``/`` or ``\\``) or a NUL, or named by two records, does not
+load. Tensors are loaded back as float64 for numerically tight forward
+passes; the on-disk dtype stays f32, and a blob that holds NaN or an
+infinity does not load. Each file is written whole or not at all
+(``jsonio.write_bytes``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ def load_weights(directory) -> dict[str, np.ndarray]:
         if set(name) & {"/", "\\", "\0"}:
             raise DataIOError(f"{manifest_path}: tensor record name "
                               f"{name!r} is not a file name")
+        if name in weights:
+            raise DataIOError(f"{manifest_path}: tensor {name!r} is named "
+                              f"by more than one record")
         if record.get("dtype", "f32") != "f32":
             raise DataIOError(f"{name}: unsupported dtype {record['dtype']}")
         blob = os.path.join(directory, name + ".bin")

@@ -33,6 +33,7 @@ one command as the CLI fuzz tests do.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -322,9 +323,11 @@ def conv2d_loops(x, kernel, bias=None, stride=1, padding=1):
 # ---------------------------------------------------------------------------
 
 def moving_average_same(x: np.ndarray, width: int) -> np.ndarray:
-    """Centered moving average along axis 0 with same-length output, one
-    numpy sum per frame. Edge windows shrink to the valid range and are
-    normalized by the actual tap count."""
+    """Centered moving average along axis 0 with same-length output, each
+    window summed from its first frame to its last (numpy's ``sum`` may
+    pair the terms of a window that is one pixel wide). Edge windows
+    shrink to the valid range and are normalized by the actual tap
+    count."""
     x = np.asarray(x, dtype=np.float64)
     if width == 1:
         return x.copy()
@@ -335,7 +338,7 @@ def moving_average_same(x: np.ndarray, width: int) -> np.ndarray:
     for i in range(t):
         lo = max(0, i - half_lo)
         hi = min(t, i + half_hi + 1)
-        out[i] = x[lo:hi].sum(axis=0) / (hi - lo)
+        out[i] = functools.reduce(np.add, x[lo:hi]) / (hi - lo)
     return out
 
 

@@ -17,7 +17,8 @@ import spikekit
 from oracles import encode_upsampled_whole, pack_bits, write_video_raw
 from spikekit import cli
 from spikekit.cli import main
-from spikekit.stream import StreamMeta, read_dat, read_meta
+from spikekit.stream import (SpikeStream, StreamMeta, read_dat, read_meta,
+                             write_dat)
 from spikekit.videoio import load_video, read_pgm, write_pgm_clip
 from spikekit.weights import save_weights
 from spikekit.camera import EncoderConfig, IntensityVideo
@@ -154,6 +155,23 @@ def test_slice_and_subsample_commands(encoded_dat, tmp_path):
                  "--out", str(sub)]) == 0
     meta = read_meta(str(sub)[:-4] + ".meta.json")
     assert meta.t_len == 10
+
+
+@pytest.mark.parametrize("target, tick", [(10, 1e-06 * 12), (7, None)])
+def test_subsample_writes_the_tick_of_the_kept_frames(tmp_path, target, tick):
+    # 120 frames to 10 keeps every 12th frame; to 7 it keeps frames of
+    # uneven spacing, which have no one tick.
+    rng = np.random.default_rng(151)
+    src, sub = tmp_path / "long.dat", tmp_path / "sub.dat"
+    stream = SpikeStream(rng.integers(0, 2, size=(120, 2, 3), dtype=np.uint8))
+    write_dat(stream, StreamMeta(height=2, width=3, t_len=120,
+                                 tick_seconds=1e-06), src)
+    assert main(["subsample", str(src), "--target", str(target),
+                 "--out", str(sub)]) == 0
+    sidecar = json.loads((tmp_path / "sub.meta.json").read_text())
+    assert sidecar["t_len"] == target
+    assert sidecar.get("tick_seconds") == tick
+    assert ("tick_seconds" in sidecar) == (tick is not None)
 
 
 def test_slice_too_short_exits_2(encoded_dat, tmp_path):

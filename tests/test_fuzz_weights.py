@@ -2,9 +2,9 @@
 reads. A manifest that is truncated, lacks a required field, or holds a
 value of the wrong type, `1e400` (which `json` reads as infinity),
 `-1e400`, `NaN` or `-1` in one field of a record, or in one dimension of
-its shape, or a name that holds a NUL or a path separator, makes the
-command exit 2 or 3 with one `error:` line and write no `--ledger` or
-`--out` file."""
+its shape, a name that holds a NUL or a path separator, or a record
+that names its tensor again, makes the command exit 2 or 3 with one
+`error:` line and write no `--ledger` or `--out` file."""
 
 import json
 import shutil
@@ -60,6 +60,7 @@ def _faults(records: list[dict]):
                         ("parent", f"../w/{record['name']}"),
                         ("dot", f"./{record['name']}")]:
         yield f"name-{fault}", _text(records, {**record, "name": name})
+    yield "first-record-repeated", json.dumps([record, *records], indent=2)
     dim, *rest = record["shape"]
     for raw in [f'"{dim}"', "true", "null", f"[{dim}]", f"{dim}.0",
                 f"{dim}.5"] + odd:

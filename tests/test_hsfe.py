@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spikekit.errors import PreconditionError
-from spikekit.hsfe import (BlockSpec, BranchSpec, _avg_width, _window_mean,
+from spikekit.hsfe import (BlockSpec, BranchSpec, _avg_width,
                            allocate_channels, hsfe_forward, init_hsfe_weights,
                            mtf_forward, slice_blocks, spatial_attention)
 from spikekit.nnops import conv2d, sigmoid
@@ -154,20 +154,27 @@ def test_mtf_matches_dense_loop_oracle():
                                    rtol=1e-6, atol=1e-12)
 
 
-# Block length 41 and these branch lengths give averaging widths 1 to 8.
-WIDTH_SWEEP_KS = (41, 20, 14, 10, 8, 7, 6, 5)
+# Block length 41 and these branch lengths give averaging widths 1 to 8,
+# then 10, 20 and 41: branches of 4, 2 and 1 frames, shorter than their
+# windows. A 45-frame block's 5-frame branch averages over 9, and an
+# 81-frame block's 9-frame branch has a whole window of 9 frames.
+WIDTH_SWEEP = ((41, (41, 20, 14, 10, 8, 7, 6, 5, 4, 2, 1)), (45, (45, 5)),
+               (81, (81, 9)))
 
 
-@pytest.mark.parametrize("frame", [(1, 2), (2, 1), (5, 7), (16, 16)])
-def test_branch_and_attention_bytes_equal_the_branch_list_oracle(frame):
-    assert [_avg_width(41, k) for k in WIDTH_SWEEP_KS] == list(range(1, 9))
-    rng = np.random.default_rng([52, *frame])
-    c_out, m = 2, len(WIDTH_SWEEP_KS)
+@pytest.mark.parametrize("block_len, ks", WIDTH_SWEEP)
+@pytest.mark.parametrize("frame", [(1, 1), (1, 2), (2, 1), (5, 7), (16, 16)])
+def test_branch_and_attention_bytes_equal_the_branch_list_oracle(
+        frame, block_len, ks):
+    assert [[_avg_width(n, k) for k in sweep] for n, sweep in WIDTH_SWEEP] \
+        == [[*range(1, 9), 10, 20, 41], [1, 9], [1, 9]]
+    rng = np.random.default_rng([52, block_len, *frame])
+    c_out, m = 2, len(ks)
     for _ in range(3):
-        block = rng.integers(0, 2, size=(41, *frame), dtype=np.uint8)
+        block = rng.integers(0, 2, size=(block_len, *frame), dtype=np.uint8)
         weights = {"hsfe.sa.conv.w": rng.normal(size=(m, m * c_out, 3, 3)),
                    "hsfe.sa.conv.b": rng.normal(size=m)}
-        for i, k in enumerate(WIDTH_SWEEP_KS):
+        for i, k in enumerate(ks):
             weights[f"hsfe.branch{i}.mask"] = rng.normal(size=k)
             weights[f"hsfe.branch{i}.conv.w"] = rng.normal(size=(c_out, k, 3, 3))
         stacked = mtf_forward(block, weights)
@@ -209,31 +216,6 @@ def test_coarse_estimates_keep_the_bytes_of_the_unfused_oracles(
     plain = np.ascontiguousarray(maps)
     assert plain.base is None
     assert spatial_attention(plain, weights).tobytes() == want
-
-
-def _window_mean_left_to_right(x, width):
-    t = x.shape[0]
-    out = np.empty_like(x)
-    for i in range(t):
-        lo = max(0, i - (width - 1) // 2)
-        hi = min(t, i + width // 2 + 1)
-        acc = x[lo].copy()
-        for j in range(lo + 1, hi):
-            acc = acc + x[j]
-        out[i] = acc / (hi - lo)
-    return out
-
-
-@pytest.mark.parametrize("frame", [(1, 1), (1, 3), (4, 4)])
-def test_window_mean_sums_each_window_first_to_last(frame):
-    rng = np.random.default_rng([53, *frame])
-    for t in (*range(1, 13), 21, 41):
-        for width in range(1, 10):
-            x = rng.normal(size=(t, *frame))
-            want = _window_mean_left_to_right(x, width)
-            # The average replaces x, frame by frame.
-            assert _window_mean(x, width) is x
-            assert x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("size", [8, 32])

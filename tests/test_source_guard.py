@@ -36,7 +36,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikekit"
 DELETED_NAMES = ("moving_average_same", "_branch_slice", "_whole_bytes",
                  "_read_rows", "_of_rows", "Temperature", "clamp_max",
                  "encode_chunks", "frame_chunks", "from_chunks",
-                 "_fired_chunks")
+                 "_fired_chunks", "_window_mean")
 
 
 @functools.cache
