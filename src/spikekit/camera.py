@@ -126,7 +126,7 @@ def encode_frames(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
     """The spike stream that :func:`encode_video` makes of the video of
     ``shape`` [t_len, H, W] whose float [H, W] frames of intensities in
     [0, 1] ``frames`` yields. The range is the producer's to check, as
-    ``IntensityVideo`` and ``pipeline.encode_to_dat`` do; a second scan of
+    ``IntensityVideo`` and ``pipeline.encode_clip`` do; a second scan of
     each frame here cost ``stream-io`` about 7% of its pass.
 
     The noise-seed rules are checked at the call, before any frame is read.

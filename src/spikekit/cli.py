@@ -24,7 +24,7 @@ from .energy import EnergyLedger, energy_report, format_report
 from .errors import DataIOError, PreconditionError, SpikeKitError
 from .hsfe import BlockSpec, BranchSpec
 from .jsonio import checked, read_json, read_text, write_bytes, write_json
-from .pipeline import (PipelineConfig, build_feature_weights, encode_to_dat,
+from .pipeline import (PipelineConfig, build_feature_weights, encode_clip,
                        evaluate_head, featurize_stream, provenance,
                        run_pipeline, train_fewshot_head)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
@@ -100,8 +100,9 @@ def _load_head(path) -> tuple[AlignmentHead, list[str]]:
 def cmd_encode(args) -> int:
     cfg = EncoderConfig(theta=args.theta, noise_amplitude=args.noise)
     frames = load_video(args.input).frames
-    stream = encode_to_dat(frames, frames.shape, args.out, cfg, args.upsample,
-                           args.seed)
+    stream = encode_clip(frames, frames.shape, cfg, args.upsample, args.seed)
+    write_dat(stream, StreamMeta.for_stream(stream, threshold_theta=cfg.theta),
+              args.out)
     print(f"encoded {stream.t_len}x{stream.height}x{stream.width} "
           f"({stream.spike_count()} spikes) -> {args.out}")
     return 0

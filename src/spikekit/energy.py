@@ -4,7 +4,9 @@ One SOP is one synaptic accumulation triggered by one input spike reaching
 one output; SOPs are priced at 4.6 pJ and neuron updates (membrane update
 plus threshold compare, counted whether or not the neuron fires) at 0.9 pJ
 (45 nm CMOS metrics). The dense baseline of a layer (``max_sops``) is
-its output elements times their fan-in, priced at the SOP rate.
+its output elements times their fan-in, priced at the SOP rate. Which
+outputs a conv's input spike reaches is ``nnops.conv2d``'s to know, and
+:func:`count_conv_sops` asks it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .errors import DataIOError, PreconditionError
 from .jsonio import checked, read_json, write_json
+from .nnops import conv2d
 from .stream import is_binary
 
 E_SOP_J = 4.6e-12
@@ -124,22 +127,13 @@ class EnergyLedger:
 # SOP counting
 # ---------------------------------------------------------------------------
 
-def _reach_counts(n_in: int, stride: int) -> np.ndarray:
-    """How many 3x3, padding-1 conv outputs each input position reaches."""
-    n_out = (n_in - 1) // stride + 1
-    pos = np.arange(n_in)
-    lo = np.ceil((pos - 1) / stride).astype(np.int64)
-    hi = np.floor((pos + 1) / stride).astype(np.int64)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, n_out - 1)
-    return np.maximum(0, hi - lo + 1)
-
-
 def count_conv_sops(spikes_in: np.ndarray, out_channels: int,
                     stride: int = 1) -> int:
     """SOPs of a 3x3, padding-1 convolution driven by binary [..., C, H, W]
     input maps, summed over every leading axis: each spike reaches its
-    border-clipped set of output positions in every output channel."""
+    border-clipped set of output positions in every output channel: the
+    sum of ``nnops.conv2d`` of the per-position spike counts with a 3x3
+    kernel of ones. Its sums are of integers far below 2**53, so exact."""
     spikes = np.asarray(spikes_in)
     if not is_binary(spikes):
         raise PreconditionError("conv spikes must be binary (0/1)")
@@ -147,9 +141,10 @@ def count_conv_sops(spikes_in: np.ndarray, out_channels: int,
         raise PreconditionError(
             f"conv spikes must be [..., c, h, w], got shape {spikes.shape}")
     h, w = spikes.shape[-2:]
-    per_position = spikes.reshape(-1, h, w).sum(axis=0, dtype=np.int64)
-    reach = np.outer(_reach_counts(h, stride), _reach_counts(w, stride))
-    return int((per_position * reach).sum()) * out_channels
+    per_position = spikes.reshape(-1, h, w).sum(axis=0, dtype=np.float64)
+    reached = conv2d(per_position[None], np.ones((1, 1, 3, 3)),
+                     stride=stride, padding=1)
+    return int(reached.sum()) * out_channels
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ container. Each branch is masked and averaged in the buffer its conv
 reads: a mean overwrites its frame, so the earlier frames of a window are
 masked again from the block. A spatial-attention head then gates each
 branch per pixel and the gated maps are stacked into one coarse intensity
-estimate per block.
+estimate per block. Those buffers come from ``nnops.padded_zeros``:
+``nnops`` alone knows how a conv lays out its padded input.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .nnops import conv2d, he_init, sigmoid
+from .nnops import conv2d, he_init, padded_zeros, sigmoid
 from .stream import SpikeStream
 
 
@@ -126,19 +127,6 @@ def allocate_channels(total_channels: int, m: int,
     return ks
 
 
-def _bordered_zeros(c: int, h: int, w: int) -> np.ndarray:
-    """Zeros for c maps of h x w, each bordered by one zero, as one flat
-    buffer with the two zeros after it that a 3x3 conv's stride-1 columns
-    run into: the padded input that ``conv2d`` reads in place."""
-    return np.zeros(c * (h + 2) * (w + 2) + 2)
-
-
-def _interior(buf: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
-    """The [c, h, w] maps inside the borders of a :func:`_bordered_zeros`
-    buffer's first c maps."""
-    return buf[:c * (h + 2) * (w + 2)].reshape(c, h + 2, w + 2)[:, 1:-1, 1:-1]
-
-
 def mtf_forward(block: np.ndarray,
                 weights: dict[str, np.ndarray]) -> np.ndarray:
     """Multi-scale temporal filtering of one block: the [m * c_out, H, W]
@@ -152,13 +140,14 @@ def mtf_forward(block: np.ndarray,
     kernel. Branch 0 spans the block, so these are the widths of
     :func:`allocate_channels`.
 
-    Each branch's frames are masked into one zero-bordered buffer, sized
-    for branch 0 and reused by the narrower branches, and averaged there
-    in frame order, each window summed first to last. A mean overwrites
-    its frame t, so the window's frames before t are masked again from
-    the block. Each conv writes its maps into its slice of a second
-    buffer, whose interior is the result: ``conv2d`` in
-    :func:`spatial_attention` reads it as its padded input without a copy.
+    Each branch's frames are masked into the first k_i maps of one
+    ``nnops.padded_zeros`` buffer, sized for branch 0 and reused by the
+    narrower branches, and averaged there in frame order, each window
+    summed first to last. A mean overwrites its frame t, so the window's
+    frames before t are masked again from the block. Each conv reads its
+    frames in place and writes its maps into its slice of a second such
+    buffer, the result, which ``conv2d`` in :func:`spatial_attention` also
+    reads without a copy.
     """
     block = np.asarray(block)
     if block.ndim != 3:
@@ -179,12 +168,11 @@ def mtf_forward(block: np.ndarray,
         raise PreconditionError(
             f"branch kernels of shapes {[k.shape for k in kernels]} must be "
             f"(c_out, k_i, 3, 3), one c_out, k_i each mask's length")
-    frames = _bordered_zeros(block_len, h, w)
-    maps = _interior(_bordered_zeros(len(masks) * c_out, h, w),
-                     len(masks) * c_out, h, w)
+    frames = padded_zeros(block_len, h, w)
+    maps = padded_zeros(len(masks) * c_out, h, w)
     for i, (mask, kernel) in enumerate(zip(masks, kernels)):
         start = (block_len - len(mask)) // 2
-        inputs = _interior(frames, len(mask), h, w)
+        inputs = frames[:len(mask)]
         np.multiply(block[start:start + len(mask)], mask[:, None, None],
                     out=inputs)
         width = _avg_width(block_len, len(mask))
@@ -210,8 +198,8 @@ def spatial_attention(features: np.ndarray,
     logistic squashing turns it into gates strictly inside (0, 1), and
     gate i scales branch i's c_out maps. The branch count m is the
     kernel's output width. Maps from :func:`mtf_forward` are convolved
-    inside their zero-bordered buffer; any other float64 array is copied
-    into one by ``conv2d``.
+    inside their ``nnops.padded_zeros`` buffer; ``conv2d`` copies any
+    other array into one.
     """
     features = np.asarray(features, dtype=np.float64)
     kernel = np.asarray(weights["hsfe.sa.conv.w"], dtype=np.float64)

@@ -20,16 +20,17 @@ it and multiplies by the kernel in one of two orientations:
   into the next padded row and are cropped. Other strides copy rows of
   ``W'`` strided values.
 
-An input that already sits in such a buffer is read in place: a float64
+This module alone knows that layout. ``padded_zeros`` makes it, and an
+input that already sits in such a buffer is read in place: a float64
 input that is the interior of a C-ordered ``[C_in, H + 2p, W + 2p]``
 block of the array that owns its memory, when that block's border and
 the spare zeros after it hold +0.0 in every bit. A C-contiguous float64
 input with no border or spare zeros to hold is its own buffer. Any other
-input is copied once into a new zeroed buffer (an unpadded one without
-the zero fill), so memory that is not zero is never read as padding.
-Either way the columns are copies of the same values, so the product
-has the same bits. ``out`` takes the ``[C_out, H', W']`` result in the
-caller's float64 array instead of a new one; it changes no value.
+input is copied once into a new ``padded_zeros`` buffer, so memory that
+is not zero is never read as padding. Either way the columns are copies
+of the same values, so the product has the same bits. ``out`` takes the
+``[C_out, H', W']`` result in the caller's float64 array instead of a
+new one; it changes no value.
 
 The tap-major GEMM runs in bands of whole output rows, about
 ``BAND_BYTES`` of columns each, so only one band of columns is alive at
@@ -88,11 +89,13 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere, with
+    ``e = exp(-|x|)``, so no ``exp`` overflows. ``minimum(x, -x)`` keeps a
+    NaN's sign bit, and in place at most three arrays of x's size live."""
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -138,25 +141,35 @@ def _held_padding(x: np.ndarray, padding: int,
     return flat[:size].reshape(c, hp, wp)
 
 
+def padded_zeros(c: int, h: int, w: int, padding: int = 1,
+                 spare: int = 2) -> np.ndarray:
+    """Zero [c, h, w] maps inside the buffer :func:`conv2d` reads in place:
+    one flat run of the C-ordered ``[c, h + 2p, w + 2p]`` maps, each
+    bordered by ``padding`` zeros, then the ``spare`` (``kw - 1``) zeros
+    that stride-1 columns run into; the defaults are a 3x3 conv's. The
+    first k maps are such maps too: map k's top border is their spare."""
+    hp, wp = h + 2 * padding, w + 2 * padding
+    maps = np.zeros(c * hp * wp + spare)[:c * hp * wp].reshape(c, hp, wp)
+    return maps[:, padding:padding + h, padding:padding + w]
+
+
 def _padded(x: np.ndarray, padding: int, spare: int) -> np.ndarray:
     """``x`` zero-padded by ``padding`` on each spatial side: a C-ordered
     ``[C, H + 2p, W + 2p]`` view of a flat buffer that holds ``spare``
     more zeros after it. The buffer ``x`` sits in (:func:`_held_padding`)
     is read in place, and an unpadded C-contiguous float64 ``x`` with no
-    spare is its own buffer. Any other ``x`` is copied once, into zeros,
-    or with no zero fill but the spare when unpadded."""
+    spare is its own buffer. Any other ``x`` is copied once into
+    :func:`padded_zeros`."""
     if padding == 0 and spare == 0:
         return np.ascontiguousarray(x, dtype=np.float64)
     held = _held_padding(x, padding, spare)
     if held is not None:
         return held
     c, h, w = x.shape
-    size = c * (h + 2 * padding) * (w + 2 * padding)
-    buf = np.zeros(size + spare) if padding else np.empty(size + spare)
-    buf[size:] = 0.0
-    xp = buf[:size].reshape(c, h + 2 * padding, w + 2 * padding)
-    xp[:, padding:padding + h, padding:padding + w] = x
-    return xp
+    maps = padded_zeros(c, h, w, padding, spare)
+    maps[...] = x
+    return maps.base[:maps.base.size - spare].reshape(
+        c, h + 2 * padding, w + 2 * padding)
 
 
 def _taps(xp: np.ndarray, kh: int, kw: int, rows: int, row_cols: int,

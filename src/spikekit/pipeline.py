@@ -197,37 +197,38 @@ def featurize_stream(stream: SpikeStream, block_spec: BlockSpec,
 # Stages shared by run_pipeline and the CLI
 # ---------------------------------------------------------------------------
 
-def encode_to_dat(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
-                  dat_path, cfg: EncoderConfig, upsample: int,
-                  seed: int | None) -> SpikeStream:
+def encode_clip(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
+                cfg: EncoderConfig, upsample: int,
+                seed: int | None) -> SpikeStream:
     """Encode the video of ``shape`` [t, H, W] whose [H, W] frames
-    ``frames`` yields, upsampled in time by ``upsample`` unless it is 1,
-    and write the ``.dat`` plus its sidecar. The frames are blended,
-    range-checked and encoded one at a time, so no whole upsampled clip is
-    held. A factor below 1, or a frame with a value outside [0, 1], is a
-    ``PreconditionError``."""
+    ``frames`` yields, upsampled in time by ``upsample`` unless it is 1.
+    The frames are blended, range-checked and encoded one at a time, so no
+    whole upsampled clip is held. A factor below 1, or a frame with a value
+    outside [0, 1], is a ``PreconditionError``."""
     if upsample != 1:
         shape = (upsampled_length(shape[0], upsample), *shape[1:])
         frames = upsampled_frames(frames, upsample)
     frames = (in_unit_range(frame, "intensity values") for frame in frames)
-    stream = encode_frames(frames, shape, cfg, seed=seed)
-    write_dat(stream, StreamMeta.for_stream(stream, threshold_theta=cfg.theta),
-              dat_path)
-    return stream
+    return encode_frames(frames, shape, cfg, seed=seed)
 
 
 def _encode_synth_clip(spec: SyntheticDatasetSpec, label: int,
                        rng: np.random.Generator, dat_path, cfg: EncoderConfig,
                        upsample: int, seed: int | None) -> SpikeStream:
-    """Render one dataset clip and encode it as ``spikekit encode`` would
+    """Render one dataset clip and write it as ``spikekit encode`` would
     its PGM frames: each frame is quantized to 8 bits as it is rendered,
     and ``/ 255`` reads the pixels back as ``read_pgm`` does. The frames
-    go on to ``encode_to_dat`` one at a time, so no whole clip is held."""
+    go on to ``encode_clip`` one at a time, so no whole clip is held. The
+    ``.dat``'s directory is made once there is a stream to write."""
     frames = render_frames(spec.classes[label], spec.frames, spec.height,
                            spec.width, rng)
-    return encode_to_dat((quantize_u8(frame) / 255.0 for frame in frames),
-                         (spec.frames, spec.height, spec.width), dat_path,
-                         cfg, upsample, seed)
+    stream = encode_clip((quantize_u8(frame) / 255.0 for frame in frames),
+                         (spec.frames, spec.height, spec.width), cfg,
+                         upsample, seed)
+    os.makedirs(os.path.dirname(dat_path), exist_ok=True)
+    write_dat(stream, StreamMeta.for_stream(stream, threshold_theta=cfg.theta),
+              dat_path)
+    return stream
 
 
 def train_fewshot_head(vectors: np.ndarray, labels: np.ndarray,
@@ -318,7 +319,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
                                     config.star_config(),
                                     (config.height, config.width), config.seed)
     spikes_dir = os.path.join(out_dir, "spikes")
-    os.makedirs(spikes_dir, exist_ok=True)
     prompts = [CLASS_PROMPTS[c] for c in config.classes]
     support_per_class = config.clips_per_class - config.test_per_class
 

@@ -306,15 +306,13 @@ def test_encode_frames_refuses_a_frame_it_cannot_encode(frame):
 @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan, np.inf])
 @pytest.mark.parametrize("at", [0, 11])
 @pytest.mark.parametrize("factor", [1, 2])
-def test_encode_to_dat_refuses_a_value_outside_the_unit_range(bad, at, factor,
-                                                              tmp_path):
+def test_encode_clip_refuses_a_value_outside_the_unit_range(bad, at, factor):
     # Each frame is checked as it is handed over, so frame 11 of 12 too.
     frames = np.full((12, 4, 4), 0.5)
     frames[at, 2, 3] = bad
     with pytest.raises(PreconditionError, match=re.escape("[0, 1]")):
-        pipeline.encode_to_dat(frames, frames.shape, tmp_path / "c.dat",
-                               EncoderConfig(), factor, None)
-    assert list(tmp_path.iterdir()) == []
+        pipeline.encode_clip(frames, frames.shape, EncoderConfig(), factor,
+                             None)
 
 
 def test_encode_frames_checks_the_seed_before_reading_a_frame():

@@ -677,7 +677,8 @@ def test_pipeline_config_lr_nan_exits_2(tmp_path, capsys):
 
 def test_a_run_larger_than_any_address_space_exits_2(tmp_path, capsys):
     # 10^13 frames make a 4.55 PiB packed body: more than any x86-64 or
-    # arm64 user address space, so no host can give it.
+    # arm64 user address space, so no host can give it. The first clip
+    # asks for it before anything is written, so the run leaves no --out.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 0, "frames": 10 ** 13}))
     capsys.readouterr()
@@ -685,6 +686,7 @@ def test_a_run_larger_than_any_address_space_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("config", [

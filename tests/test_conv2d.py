@@ -337,6 +337,31 @@ def test_conv2d_reads_a_callers_padded_buffer_in_place_into_its_out():
     assert in_place >= 20
 
 
+@pytest.mark.parametrize("n", [8, 64])
+def test_padded_zeros_maps_are_read_in_place_whole_and_as_their_first_k(n):
+    # HSFE's branch inputs are the first k maps of one padded_zeros buffer
+    # and its branch maps the whole of another. conv2d reads either in
+    # place, the pixel-major 8 px maps and the tap-major 64 px ones that
+    # read two spare zeros, and gives the bits of the conv of a plain copy.
+    rng = np.random.default_rng(158)
+    maps = nnops.padded_zeros(6, n, n)
+    flat = maps.base
+    assert maps.shape == (6, n, n) and flat.size == 6 * (n + 2) ** 2 + 2
+    assert not flat.any()
+    maps[...] = rng.normal(size=maps.shape)
+    for k in (6, 4, 1):
+        x = maps[:k]
+        kernel = rng.normal(size=(5, k, 3, 3))
+        for stride in (1, 2):
+            spare = _spare(x.shape, kernel.shape, stride, 1)
+            xp = nnops._padded(x, 1, spare)
+            assert xp.base is flat and xp.shape == (k, n + 2, n + 2)
+            assert np.shares_memory(xp[:, 1:-1, 1:-1], x)
+            got = conv2d(x, kernel, stride=stride)
+            want = conv2d(np.array(x), kernel, stride=stride)
+            assert got.tobytes() == want.tobytes(), (k, stride)
+
+
 @pytest.mark.parametrize("poison", [1.0, -0.0, np.nan])
 def test_memory_that_is_not_zero_is_never_read_as_padding(poison):
     # Each border side and the spare zeros after the maps: a value that is

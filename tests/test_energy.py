@@ -35,13 +35,17 @@ def brute_force_conv_sops(spikes, out_channels, kernel=3, stride=1,
 # ---------------------------------------------------------------------------
 
 def test_exact_conv_count_matches_brute_force():
+    # Small random maps, and maps of 16x16 and more, whose count runs
+    # through conv2d's tap-major columns at stride 1 (and at stride 2 from
+    # 32x32 on).
     rng = np.random.default_rng(100)
-    for _ in range(25):
+    cases = [(int(rng.integers(3, 9)), int(rng.integers(3, 9)),
+              int(rng.integers(1, 3))) for _ in range(25)]
+    cases += [(h, w, stride) for h, w in ((16, 16), (17, 23), (40, 40))
+              for stride in (1, 2)]
+    for h, w, stride in cases:
         c = int(rng.integers(1, 4))
-        h = int(rng.integers(3, 9))
-        w = int(rng.integers(3, 9))
         out_ch = int(rng.integers(1, 5))
-        stride = int(rng.integers(1, 3))
         spikes = rng.integers(0, 2, size=(c, h, w)).astype(np.uint8)
         got = count_conv_sops(spikes, out_ch, stride=stride)
         expected = brute_force_conv_sops(spikes, out_ch, stride=stride)

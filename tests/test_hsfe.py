@@ -298,6 +298,27 @@ def test_attention_gates_strictly_inside_unit_interval():
                                  for i in range(3)]))
 
 
+def test_sigmoid_has_the_bits_of_the_two_branch_formula():
+    # 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere,
+    # each on its own elements: NaNs of either sign, ±0.0, ±inf, logits
+    # whose exp would overflow, and random logits at several scales, in
+    # a contiguous array and in a strided view of it.
+    rng = np.random.default_rng(57)
+    x = np.concatenate([
+        rng.normal(scale=1.0, size=999), rng.normal(scale=40.0, size=999),
+        [0.0, -0.0, 1e3, -1e3, 800.0, -800.0, np.inf, -np.inf, np.nan,
+         -np.nan, 5e-324, -5e-324]])
+    rng.shuffle(x)
+    for logits in (x, x[::3], x.reshape(6, -1)):
+        want = np.empty_like(logits)
+        pos = logits >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+        ex = np.exp(logits[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        got = sigmoid(logits)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_attention_shape_mismatch():
     for features, kernel_shape in [
             ((6, 4), (2, 6, 3, 3)),         # features not 3-D

@@ -32,11 +32,14 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikekit"
 
 # Names that went and stay gone: HSFE's per-frame average and branch
 # slice, a stream's row layouts, the temperature object and its clamp (a
-# head holds only log(1/tau)), and the chunked encoder.
+# head holds only log(1/tau)), the chunked encoder, HSFE's and the SOP
+# count's own copies of conv2d's padded layout and reach (nnops owns
+# both), and the encode step that also wrote the file.
 DELETED_NAMES = ("moving_average_same", "_branch_slice", "_whole_bytes",
                  "_read_rows", "_of_rows", "Temperature", "clamp_max",
                  "encode_chunks", "frame_chunks", "from_chunks",
-                 "_fired_chunks", "_window_mean")
+                 "_fired_chunks", "_window_mean", "_bordered_zeros",
+                 "_interior", "_reach_counts", "encode_to_dat")
 
 
 @functools.cache
