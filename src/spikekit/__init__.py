@@ -23,8 +23,8 @@ from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
 from .starnet import (MiniMapResNetConfig, attention_pool,
                       init_starnet_weights, mini_mapresnet_forward,
                       star_net_forward, temporal_attention, temporal_pool)
-from .snn import (FsveConfig, esdsa_forward, fsve_forward, init_fsve_weights,
-                  lif_step, sn_threshold, spiking_residual_block, tdbn)
+from .snn import (esdsa_forward, fsve_forward, init_fsve_weights, lif_step,
+                  sn_threshold, spiking_residual_block, tdbn)
 from .energy import (EnergyLedger, LayerEnergy, count_conv_sops,
                      energy_report, estimate_ann_energy, estimate_snn_energy)
 from .align import AlignmentHead, evaluate_topk, finetune_head, text_features
@@ -47,7 +47,7 @@ __all__ = [
     "MiniMapResNetConfig", "mini_mapresnet_forward",
     "attention_pool", "temporal_attention", "temporal_pool",
     "star_net_forward", "init_starnet_weights",
-    "FsveConfig", "lif_step", "tdbn", "spiking_residual_block",
+    "lif_step", "tdbn", "spiking_residual_block",
     "sn_threshold", "esdsa_forward", "fsve_forward", "init_fsve_weights",
     "EnergyLedger", "LayerEnergy", "count_conv_sops",
     "estimate_snn_energy", "estimate_ann_energy", "energy_report",

@@ -53,8 +53,8 @@ def owned(raw, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntensityVideo:
-    """Sequence of H x W grayscale frames with values in [0, 1], held in a
-    read-only float64 array (see :func:`owned`)."""
+    """Sequence of H x W grayscale frames with values in [0, 1], held in
+    one read-only float64 [n, h, w] array (see :func:`owned`)."""
 
     frames: np.ndarray
 
@@ -65,18 +65,6 @@ class IntensityVideo:
                                     f"[n, h, w] array, got shape {arr.shape}")
         in_unit_range(arr, "intensity values")
         object.__setattr__(self, "frames", arr)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[2]
 
 
 @dataclass(frozen=True)

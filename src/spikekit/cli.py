@@ -28,7 +28,7 @@ from .pipeline import (PipelineConfig, build_feature_weights, encode_clip,
                        evaluate_head, featurize_stream, provenance,
                        run_pipeline, train_fewshot_head)
 from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
-from .snn import FsveConfig, fsve_forward, init_fsve_weights
+from .snn import fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig
 from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, read_dat,
                      read_meta, sidecar_path, slice_clips, subsample_indices,
@@ -131,8 +131,8 @@ def cmd_reconstruct(args) -> int:
         frames = [(args.t, tfi_reconstruct(stream, args.t, cfg))]
     else:
         video = tfi_video(stream, args.stride, cfg)
-        frames = [(i * args.stride, video.frames[i])
-                  for i in range(video.n_frames)]
+        frames = [(i * args.stride, frame)
+                  for i, frame in enumerate(video.frames)]
     os.makedirs(args.out, exist_ok=True)
     for t, frame in frames:
         write_pgm_frame(frame, os.path.join(args.out, f"tfi_{t:06d}.pgm"))
@@ -235,14 +235,14 @@ def cmd_snn_forward(args) -> int:
 
     def init(seed, archive):
         if archive is None:     # --channels sizes only seeded weights
-            return init_fsve_weights(FsveConfig(channels=args.channels), seed)
+            return init_fsve_weights(args.channels, seed)
         # The archive's own width c, read from a (c, c, 3, 3) stem2 blob
         # that the archive holds, so the fit check builds no more than about
         # five times the archive's bytes; width 1 for any other archive,
         # whose fit check then names the blob.
         shape = np.shape(archive.get("fsve.stem2.conv.w"))
         width = shape[0] if shape[:1] * 2 + (3, 3) == shape else 1
-        return init_fsve_weights(FsveConfig(channels=max(width, 1)), seed)
+        return init_fsve_weights(max(width, 1), seed)
 
     weights = _weights(args, init)
     ledger = EnergyLedger()

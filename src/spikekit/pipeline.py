@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .hsfe import (BlockSpec, BranchSpec, allocate_channels, hsfe_forward,
                    init_hsfe_weights)
 from .jsonio import is_a, read_json, write_json
-from .snn import FsveConfig, fsve_forward, init_fsve_weights
+from .snn import fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig, init_starnet_weights, star_net_forward
 from .stream import SpikeStream, StreamMeta, subsample_indices, write_dat
 from .synth import (CLASS_PROMPTS, SyntheticDatasetSpec, dataset_clips,
@@ -104,7 +104,6 @@ class PipelineConfig:
             raise PreconditionError(
                 f"streams of {self.t_len} steps are too short for "
                 f"{blocks.n_blocks} blocks (need {blocks.required_t_len})")
-        FsveConfig(channels=self.snn_channels)
         # The spiking stage runs last, after every clip was rendered.
         if self.run_snn:
             subsample_indices(self.t_len, self.timesteps)
@@ -142,7 +141,8 @@ class PipelineConfig:
 
 # Lower bounds of the fields that no stage's own config checks.
 _AT_LEAST = {"seed": 0, "eval_seeds": 0, "shots": 1, "topk": 1,
-             "upsample": 1, "epochs": 1, "timesteps": 1, "test_per_class": 1}
+             "upsample": 1, "epochs": 1, "timesteps": 1, "test_per_class": 1,
+             "snn_channels": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +385,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
 
     # Stage 6: spiking forward + energy on the first clip.
     if config.run_snn:
-        fsve_weights = init_fsve_weights(
-            FsveConfig(channels=config.snn_channels),
-            seed=int(np.random.default_rng([config.seed, 4]).integers(2 ** 31)))
+        fsve_weights = init_fsve_weights(config.snn_channels, seed=int(
+            np.random.default_rng([config.seed, 4]).integers(2 ** 31)))
         ledger = EnergyLedger()
         fsve_forward(first_stream, fsve_weights, config.timesteps, ledger)
         ledger.save(os.path.join(out_dir, "ledger.json"))

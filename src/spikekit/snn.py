@@ -7,11 +7,12 @@ The LIF neurons share one threshold and one leak and reset hard.
 Spike-valued tensors contain only {0, 1} after every operation; the
 Heaviside convention here is that the boundary fires (Theta(0) = 1,
 matching the >= in the firing rule).
+
+The encoder's one size is its width, the int that ``init_fsve_weights``
+takes; ``fsve_forward`` and its stages read it back from the weights.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,20 +197,13 @@ def esdsa_forward(u: np.ndarray, weights: dict[str, np.ndarray],
 # Desk-scale full-spiking encoder path (drives the snn-forward command)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FsveConfig:
-    """The width of ``init_fsve_weights``; the forward reads it back."""
-
-    channels: int = 8
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise PreconditionError("channels must be >= 1")
-
-
-def init_fsve_weights(cfg: FsveConfig, seed: int) -> dict[str, np.ndarray]:
+def init_fsve_weights(channels: int, seed: int) -> dict[str, np.ndarray]:
+    """Seeded weights of the full-spiking path, every stage ``channels``
+    wide; a width below 1 is a ``PreconditionError``."""
+    if channels < 1:
+        raise PreconditionError(f"channels must be >= 1, got {channels}")
     rng = np.random.default_rng(seed)
-    c = cfg.channels
+    c = channels
     weights: dict[str, np.ndarray] = {}
     for name, c_in in (("stem1", 1), ("stem2", c), ("block", c)):
         weights[f"fsve.{name}.conv.w"] = he_init(rng, (c, c_in, 3, 3),

@@ -481,9 +481,10 @@ def write_video_raw(video: IntensityVideo, path) -> None:
     """Raw planar little-endian float32 frames at ``path``, and the
     ``.meta.json`` sidecar beside it that names their shape."""
     pathlib.Path(path).write_bytes(video.frames.astype("<f4").tobytes())
+    t_len, height, width = video.frames.shape
     pathlib.Path(os.fspath(path) + ".meta.json").write_text(json.dumps(
-        {"t_len": video.n_frames, "height": video.height,
-         "width": video.width, "dtype": "f32"}, indent=2) + "\n")
+        {"t_len": t_len, "height": height, "width": width, "dtype": "f32"},
+        indent=2) + "\n")
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -23,7 +23,7 @@ from spikekit.energy import (E_NEURON_J, E_SOP_J, EnergyLedger,
 from spikekit.hsfe import _avg_width, allocate_channels
 from spikekit.pipeline import PipelineConfig, run_pipeline
 from spikekit.reconstruct import TfiConfig, tfi_reconstruct
-from spikekit.snn import FsveConfig, fsve_forward, init_fsve_weights
+from spikekit.snn import fsve_forward, init_fsve_weights
 from spikekit.starnet import (GROUPS, HEADS, MiniMapResNetConfig, _attend,
                               attention_pool, init_starnet_weights,
                               temporal_attention, temporal_pool)
@@ -349,7 +349,7 @@ def test_criterion_09_snn_semantics():
         rng = np.random.default_rng(1009)
         stream = SpikeStream(rng.integers(0, 2, size=(16, 32, 32),
                                           dtype=np.uint8))
-        weights = init_fsve_weights(FsveConfig(channels=4), seed=1009)
+        weights = init_fsve_weights(4, seed=1009)
         ledger, oracle_ledger = EnergyLedger(), EnergyLedger()
         embedding = fsve_forward(stream, weights, 2, ledger)
         expected, stages = fsve_forward_with_stages(stream, weights, 2,

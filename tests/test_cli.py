@@ -904,9 +904,9 @@ def test_snn_forward_sizes_its_fit_check_by_a_backed_blob(
     widths = []
     init = cli.init_fsve_weights
 
-    def recorded(cfg, seed):
-        widths.append(cfg.channels)
-        return init(cfg, seed)
+    def recorded(channels, seed):
+        widths.append(channels)
+        return init(channels, seed)
 
     monkeypatch.setattr(cli, "init_fsve_weights", recorded)
     assert main(argv) == 0

@@ -82,8 +82,8 @@ def pipeline_conv_shapes():
                                         cfg.branch_spec(), star_cfg,
                                         (cfg.height, cfg.width), cfg.seed)
         featurize_stream(stream, block_spec, weights)
-        fsve_cfg = snn.FsveConfig(channels=cfg.snn_channels)
-        snn.fsve_forward(stream, snn.init_fsve_weights(fsve_cfg, seed=1),
+        snn.fsve_forward(stream,
+                         snn.init_fsve_weights(cfg.snn_channels, seed=1),
                          cfg.timesteps, EnergyLedger())
     return sorted(seen)
 
@@ -137,9 +137,9 @@ def _shapes_run_at(n):
             block_spec.block_len, cfg.branch_spec(), cfg.star_config(),
             (n, n), cfg.seed))
         with pytest.raises(Stop):
-            snn.fsve_forward(stream, snn.init_fsve_weights(
-                snn.FsveConfig(channels=cfg.snn_channels), seed=1),
-                cfg.timesteps, EnergyLedger())
+            snn.fsve_forward(stream,
+                             snn.init_fsve_weights(cfg.snn_channels, seed=1),
+                             cfg.timesteps, EnergyLedger())
     return seen
 
 

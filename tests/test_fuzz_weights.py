@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import run_cli
-from spikekit.snn import FsveConfig, init_fsve_weights
+from spikekit.snn import init_fsve_weights
 from spikekit.stream import SpikeStream, StreamMeta, write_dat
 from spikekit.weights import save_weights
 
@@ -24,7 +24,7 @@ OPTIONAL = {"dtype"}
 def _records() -> list[dict]:
     """The records of a seeded 4-channel archive, as `save_weights` lists
     them."""
-    weights = init_fsve_weights(FsveConfig(channels=4), 0)
+    weights = init_fsve_weights(4, 0)
     return [{"name": name, "dtype": "f32",
              "shape": list(np.shape(weights[name]))}
             for name in sorted(weights)]
@@ -72,7 +72,7 @@ def _faults(records: list[dict]):
 def archive(tmp_path_factory):
     """The seeded archive and a 20x8x8 stream beside it."""
     root = tmp_path_factory.mktemp("archive")
-    save_weights(init_fsve_weights(FsveConfig(channels=4), 0), root / "w")
+    save_weights(init_fsve_weights(4, 0), root / "w")
     stream = SpikeStream(np.random.default_rng(148).integers(
         0, 2, size=(20, 8, 8), dtype=np.uint8))
     write_dat(stream, StreamMeta.for_stream(stream), root / "s.dat")

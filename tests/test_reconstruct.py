@@ -83,7 +83,7 @@ def test_tfi_video_frame_k_is_tfi_reconstruct_at_k_stride():
     stream = SpikeStream(rng.random((90, 4, 4)) < 0.15)
     cfg = TfiConfig(delta_t_max=9, theta=4.0, default_value=0.1)
     video = tfi_video(stream, 11, cfg)
-    assert video.n_frames == 9
+    assert len(video.frames) == 9
     for k, frame in enumerate(video.frames):
         assert frame.tobytes() == \
             tfi_reconstruct(stream, k * 11, cfg).tobytes(), k
@@ -184,7 +184,7 @@ def test_t_out_of_range():
 def test_tfi_video_single_frame_when_stride_is_t_len():
     stream = periodic_stream(5, 30)
     video = tfi_video(stream, stride=30, cfg=TfiConfig(delta_t_max=10))
-    assert video.n_frames == 1
+    assert len(video.frames) == 1
 
 
 def test_tfi_video_constant_stream_gives_identical_frames():

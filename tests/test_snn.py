@@ -15,10 +15,10 @@ from oracles import (esdsa_forward_with_internals, fsve_forward_with_stages,
 from spikekit.energy import EnergyLedger
 from spikekit import snn
 from spikekit.errors import PreconditionError
-from spikekit.snn import (FsveConfig, esdsa_forward, fsve_forward,
-                          init_fsve_weights, lif_step, sn_threshold,
-                          spiking_residual_block, tdbn)
-from spikekit.stream import SpikeStream
+from spikekit.snn import (esdsa_forward, fsve_forward, init_fsve_weights,
+                          lif_step, sn_threshold, spiking_residual_block,
+                          tdbn)
+from spikekit.stream import SpikeStream, subsample_temporal
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,7 @@ def test_block_identity_path_passes_spikes():
 
 def test_block_output_binary_for_random_inputs():
     rng = np.random.default_rng(84)
-    cfg = FsveConfig(channels=4)
-    weights = init_fsve_weights(cfg, seed=84)
+    weights = init_fsve_weights(4, seed=84)
     for _ in range(5):
         s = rng.integers(0, 2, size=(2, 4, 6, 6)).astype(np.uint8)
         out = spiking_residual_block(s, weights, EnergyLedger())
@@ -317,7 +316,7 @@ def test_fsve_forward_all_stages_binary_and_ledger_consistent(size,
     rng = np.random.default_rng(90)
     stream = SpikeStream(rng.integers(0, 2, size=(20, size, size),
                                       dtype=np.uint8))
-    weights = init_fsve_weights(FsveConfig(channels=channels), seed=90)
+    weights = init_fsve_weights(channels, seed=90)
     ledger, oracle_ledger = EnergyLedger(), EnergyLedger()
     embedding = fsve_forward(stream, weights, 2, ledger)
     expected, stages = fsve_forward_with_stages(stream, weights, 2,
@@ -355,9 +354,61 @@ def test_a_non_binary_stage_is_refused_by_the_function_that_reads_it(
     real = getattr(snn, stage)
     monkeypatch.setattr(snn, stage, lambda *args: 2 * real(*args))
     stream = SpikeStream(np.ones((4, 8, 8), dtype=np.uint8))
-    weights = init_fsve_weights(FsveConfig(channels=2), seed=91)
+    weights = init_fsve_weights(2, seed=91)
     ledger = EnergyLedger()
     with pytest.raises(PreconditionError, match=message):
         fsve_forward(stream, weights, 2, ledger)
     assert [rec.layer_name for rec in ledger.layers] == [
         f"fsve.{name}.conv" for name in recorded]
+
+
+def _reverse_tap_conv(x, kernel, bias, stride, padding):
+    """``conv2d`` of the spiking path with its taps added one at a time in
+    reverse (c, dy, dx) order, a summation order no BLAS product takes."""
+    assert bias is None
+    c_out, c_in, kh, kw = kernel.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    h_out = (xp.shape[1] - kh) // stride + 1
+    w_out = (xp.shape[2] - kw) // stride + 1
+    out = np.zeros((c_out, h_out, w_out))
+    for c in reversed(range(c_in)):
+        for dy in reversed(range(kh)):
+            for dx in reversed(range(kw)):
+                out += kernel[:, c, dy, dx, None, None] * xp[
+                    c, dy:dy + stride * h_out:stride,
+                    dx:dx + stride * w_out:stride]
+    return out
+
+
+def test_spiking_path_does_not_depend_on_the_conv_summation_order(
+        monkeypatch):
+    # Each conv feeds a threshold through TDBN, so a conv that sums its
+    # taps in another order, and so differs in the last bits, leaves every
+    # spike, the ledger and the embedding as they were.
+    real = snn.conv2d
+    differing = 0
+    for size in (64, 128, 256):
+        for k, rate in enumerate((0.02, 0.035, 0.05)):
+            rng = np.random.default_rng([k, size])
+            stream = SpikeStream(rng.random((60, size, size)) < rate)
+            weights = init_fsve_weights(8, seed=7 + k)
+            runs = []
+            for conv in (real, _reverse_tap_conv):
+                monkeypatch.setattr(snn, "conv2d", conv)
+                ledger, oracle_ledger = EnergyLedger(), EnergyLedger()
+                embedding = fsve_forward(stream, weights, 2, ledger)
+                _, stages = fsve_forward_with_stages(stream, weights, 2,
+                                                     oracle_ledger)
+                runs.append((embedding.tobytes(), ledger.to_json_list(),
+                             oracle_ledger.to_json_list(),
+                             {name: tensor.tobytes()
+                              for name, tensor in stages.items()}))
+            assert runs[0] == runs[1], (size, k)
+            kernel = weights["fsve.stem1.conv.w"]
+            for frame in subsample_temporal(stream, 2).data[:, None]:
+                frame = frame.astype(np.float64)
+                differing += np.count_nonzero(
+                    real(frame, kernel, None, 2, 1)
+                    != _reverse_tap_conv(frame, kernel, None, 2, 1))
+    # The two convs do differ, so the test could fail.
+    assert differing > 0

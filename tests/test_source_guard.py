@@ -34,12 +34,13 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikekit"
 # slice, a stream's row layouts, the temperature object and its clamp (a
 # head holds only log(1/tau)), the chunked encoder, HSFE's and the SOP
 # count's own copies of conv2d's padded layout and reach (nnops owns
-# both), and the encode step that also wrote the file.
+# both), the encode step that also wrote the file, and the spiking
+# encoder's one-int config (its width is an int).
 DELETED_NAMES = ("moving_average_same", "_branch_slice", "_whole_bytes",
                  "_read_rows", "_of_rows", "Temperature", "clamp_max",
                  "encode_chunks", "frame_chunks", "from_chunks",
                  "_fired_chunks", "_window_mean", "_bordered_zeros",
-                 "_interior", "_reach_counts", "encode_to_dat")
+                 "_interior", "_reach_counts", "encode_to_dat", "FsveConfig")
 
 
 @functools.cache
@@ -304,16 +305,12 @@ def test_backbone_config_has_one_field():
 
 def test_forwards_read_their_layout_from_their_weights():
     # The branch layout and the head count live in the weights; BranchSpec
-    # and FsveConfig only size weights at init.
-    from dataclasses import fields
-
-    from spikekit.snn import FsveConfig
+    # only sizes weights at init.
     for fn in ("hsfe.py:mtf_forward", "hsfe.py:hsfe_forward",
                "pipeline.py:featurize_stream"):
         assert "branches" not in _parameters(_function(fn)), fn
     assert _functions(lambda fn: "heads" in _parameters(fn),
                       "starnet.py") == []
-    assert [f.name for f in fields(FsveConfig)] == ["channels"]
 
 
 @pytest.mark.parametrize("file", ["snn.py", "starnet.py"])

@@ -6,19 +6,21 @@ spikekit package under ``SRC`` (this checkout's ``src`` by default):
 * ``pipeline`` at ``{"seed": 0}`` and at a small upsampled, noisy config;
 * ``featurize --seed 5`` of each run's streams, with and without
   ``--channel-step 25``;
-* ``snn-forward --seed 7 --save-weights`` of each run's first stream;
+* ``snn-forward`` of each run's first stream three times: ``--seed 7
+  --save-weights``, ``--channels 3 --seed 7``, and ``--weights`` of the
+  archive the first one saved;
 * ``synth`` of one short clip per class, ``encode --noise 0.05 --seed 1``
   of one clip, then ``decode`` (to ``.npy`` and ``.dat``),
   ``reconstruct --stride 7``, ``slice`` and ``subsample`` of its stream.
 
 Every file the commands leave is printed as one ``sha256  path`` line,
 paths relative to the temporary directory, in path order. Two trees make
-the same artifacts when the lists are equal, for example a ``git
-archive`` of a parent commit against this checkout::
+the same artifacts when the lists are equal. ``--against REV`` runs the
+command set on both a ``git archive`` of ``REV``'s ``src`` and ``SRC``,
+prints the paths whose hashes differ, and exits 1 if any do (2 if git
+cannot archive ``REV``)::
 
-    python tools/artifact_hashes.py /tmp/parent/src > parent.txt
-    python tools/artifact_hashes.py > tree.txt
-    diff parent.txt tree.txt
+    python tools/artifact_hashes.py --against HEAD~1
 
 The promise holds for one numpy build and BLAS kernel (README Notes), so
 run both on the same host.
@@ -28,14 +30,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tarfile
 import tempfile
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PIPELINE_CONFIGS = {
     "seed0": {"seed": 0},
     "seed3": {"seed": 3, "upsample": 2, "noise_amplitude": 0.2,
@@ -66,10 +71,15 @@ def run_all(src: pathlib.Path, work: pathlib.Path) -> None:
             spikekit("featurize", f"{run}/spikes", "--seed", "5", *extra,
                      "--out", f"{run}-featurize{tag}.json")
         first = _first_clip(work / run / "dataset" / "manifest.json")
-        spikekit("snn-forward", f"{run}/spikes/{first}.dat", "--seed", "7",
-                 "--save-weights", f"{run}-snn-weights",
-                 "--ledger", f"{run}-snn-ledger.json",
-                 "--out", f"{run}-snn.json")
+        # Seeded weights at the default and a given width, and the saved
+        # archive, whose width is read from its blobs.
+        for tag, extra in (("", ("--seed", "7", "--save-weights",
+                                 f"{run}-snn-weights")),
+                           ("-c3", ("--channels", "3", "--seed", "7")),
+                           ("-loaded", ("--weights", f"{run}-snn-weights"))):
+            spikekit("snn-forward", f"{run}/spikes/{first}.dat", *extra,
+                     "--ledger", f"{run}-snn{tag}-ledger.json",
+                     "--out", f"{run}-snn{tag}.json")
     spikekit("synth", "--out", "synth", "--clips-per-class", "1",
              "--frames", "120", "--size", "64", "--seed", "1")
     first = _first_clip(work / "synth" / "manifest.json")
@@ -84,10 +94,14 @@ def run_all(src: pathlib.Path, work: pathlib.Path) -> None:
              "--out", "clip-77.dat")
 
 
-def hashes(work: pathlib.Path) -> list[str]:
-    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
-            f"{path.relative_to(work).as_posix()}"
-            for path in sorted(work.rglob("*")) if path.is_file()]
+def hashes(src: pathlib.Path) -> dict[str, str]:
+    """Path -> SHA-256 of every artifact of the command set on ``src``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        run_all(src, work)
+        return {path.relative_to(work).as_posix():
+                hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(work.rglob("*")) if path.is_file()}
 
 
 def main(argv=None) -> int:
@@ -95,12 +109,27 @@ def main(argv=None) -> int:
     parser.add_argument("src", nargs="?", type=pathlib.Path, default=SRC,
                         help="directory holding the spikekit package "
                              "(default: this checkout's src)")
-    src = parser.parse_args(argv).src.resolve()
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the src of git revision REV")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        print("\n".join(f"{digest}  {path}" for path, digest
+                        in hashes(args.src.resolve()).items()))
+        return 0
+    archive = subprocess.run(["git", "archive", args.against, "src"],
+                             cwd=ROOT, stdout=subprocess.PIPE)
+    if archive.returncode:      # git has said why on stderr
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
-        work = pathlib.Path(tmp)
-        run_all(src, work)
-        print("\n".join(hashes(work)))
-    return 0
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        base = hashes(pathlib.Path(tmp, "src"))
+    tree = hashes(args.src.resolve())
+    differ = sorted(path for path in base.keys() | tree.keys()
+                    if base.get(path) != tree.get(path))
+    print("\n".join(differ) if differ else
+          f"{len(tree)} artifacts, every hash equal to {args.against}'s")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
