@@ -3,9 +3,9 @@
 Commands: encode, decode, reconstruct, slice, subsample, featurize,
 snn-forward, energy, train-head, eval, synth, pipeline. Exit codes:
 0 success, 2 precondition violation (argparse uses the same code, and
-so does a run whose sizes ask for more memory than the host can give),
-3 I/O error. Seeds are always explicit; there are no wall-clock defaults
-anywhere.
+so does a run whose sizes ask for more memory than the host can give or
+reach past numpy's index range), 3 I/O error. Seeds are always
+explicit; there are no wall-clock defaults anywhere.
 """
 
 from __future__ import annotations
@@ -31,27 +31,22 @@ from .reconstruct import TfiConfig, tfi_reconstruct, tfi_video
 from .snn import fsve_forward, init_fsve_weights
 from .starnet import MiniMapResNetConfig
 from .stream import (ClipWindowSpec, SpikeStream, StreamMeta, read_dat,
-                     read_meta, sidecar_path, slice_clips, subsample_indices,
-                     subsample_temporal, write_dat)
+                     read_meta, sidecar_path, slice_clips, subsample_temporal,
+                     write_dat)
 from .synth import CLASS_PROMPTS, SyntheticDatasetSpec, synth_dataset
 from .videoio import load_video, write_pgm_frame
 from .weights import load_weights, save_weights
 
 
-def _resolve_meta(dat_path: str, meta_arg: str | None) -> StreamMeta:
-    if meta_arg:
-        return read_meta(meta_arg)
-    sidecar = sidecar_path(dat_path)
-    if os.path.exists(sidecar):
-        return read_meta(sidecar)
-    raise PreconditionError(
-        f"no --meta given and no sidecar {sidecar} found for {dat_path}")
-
-
 def _read_stream(dat_path: str,
                  meta_arg: str | None) -> tuple[SpikeStream, StreamMeta]:
-    """The stream at ``dat_path`` and its meta, from --meta or the sidecar."""
-    meta = _resolve_meta(dat_path, meta_arg)
+    """The stream at ``dat_path`` and its meta, from --meta or else the
+    sidecar, which must then exist."""
+    meta_path = meta_arg or sidecar_path(dat_path)
+    if not (meta_arg or os.path.exists(meta_path)):
+        raise PreconditionError(
+            f"no --meta given and no sidecar {meta_path} found for {dat_path}")
+    meta = read_meta(meta_path)
     return read_dat(dat_path, meta), meta
 
 
@@ -231,7 +226,6 @@ def cmd_featurize(args) -> int:
 
 def cmd_snn_forward(args) -> int:
     stream, _ = _read_stream(args.input, args.meta)
-    subsample_indices(stream.t_len, args.timesteps)    # fail before any write
 
     def init(seed, archive):
         if archive is None:     # --channels sizes only seeded weights

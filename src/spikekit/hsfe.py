@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, in_index_range
 from .nnops import conv2d, he_init, padded_zeros, sigmoid
 from .stream import SpikeStream
 
@@ -147,7 +147,9 @@ def mtf_forward(block: np.ndarray,
     frames before t are masked again from the block. Each conv reads its
     frames in place and writes its maps into its slice of a second such
     buffer, the result, which ``conv2d`` in :func:`spatial_attention` also
-    reads without a copy.
+    reads without a copy. The masks are checked here and the branch kernels
+    by ``conv2d``: a kernel that is not ``(c_out, k_i, 3, 3)``, with branch
+    0's ``c_out``, does not fit its input or its slice of the result.
     """
     block = np.asarray(block)
     if block.ndim != 3:
@@ -163,11 +165,6 @@ def mtf_forward(block: np.ndarray,
     kernels = [np.asarray(weights[f"hsfe.branch{i}.conv.w"], dtype=np.float64)
                for i in range(len(masks))]
     c_out = kernels[0].shape[0] if kernels[0].ndim else 0
-    if not all(kernel.shape == (c_out, len(mask), 3, 3)
-               for kernel, mask in zip(kernels, masks)):
-        raise PreconditionError(
-            f"branch kernels of shapes {[k.shape for k in kernels]} must be "
-            f"(c_out, k_i, 3, 3), one c_out, k_i each mask's length")
     frames = padded_zeros(block_len, h, w)
     maps = padded_zeros(len(masks) * c_out, h, w)
     for i, (mask, kernel) in enumerate(zip(masks, kernels)):
@@ -243,6 +240,7 @@ def init_hsfe_weights(block_len: int, branches: BranchSpec,
     zero-bias attention head."""
     rng = np.random.default_rng(seed)
     ks = allocate_channels(block_len, branches.m, branches.channel_step)
+    in_index_range(8 * block_len, "a branch mask's bytes")
     weights: dict[str, np.ndarray] = {}
     for i, k in enumerate(ks):
         weights[f"hsfe.branch{i}.mask"] = np.ones(k)

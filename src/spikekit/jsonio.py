@@ -58,7 +58,7 @@ def read_json(path):
     text = read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an int of over 4,300 digits
         raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DataIOError(f"{path} nests JSON too deeply to read") from exc

@@ -72,7 +72,7 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, in_index_range
 
 # Output maps with at least this many pixels use tap-major columns.
 TAP_MAJOR_MIN_PIXELS = 256
@@ -251,4 +251,5 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
 
 def he_init(rng: np.random.Generator, shape: tuple[int, ...],
             fan_in: int) -> np.ndarray:
+    in_index_range(8 * math.prod(shape), "a weight array's bytes")
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)

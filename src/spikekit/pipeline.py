@@ -201,14 +201,14 @@ def encode_clip(frames: Iterable[np.ndarray], shape: tuple[int, int, int],
                 cfg: EncoderConfig, upsample: int,
                 seed: int | None) -> SpikeStream:
     """Encode the video of ``shape`` [t, H, W] whose [H, W] frames
-    ``frames`` yields, upsampled in time by ``upsample`` unless it is 1.
-    The frames are blended, range-checked and encoded one at a time, so no
-    whole upsampled clip is held. A factor below 1, or a frame with a value
-    outside [0, 1], is a ``PreconditionError``."""
-    if upsample != 1:
-        shape = (upsampled_length(shape[0], upsample), *shape[1:])
-        frames = upsampled_frames(frames, upsample)
-    frames = (in_unit_range(frame, "intensity values") for frame in frames)
+    ``frames`` yields, upsampled in time by ``upsample`` through
+    ``camera.upsampled_frames``, whose factor 1 passes each frame through
+    as it is. The frames are blended, range-checked and encoded one at a
+    time, so no whole upsampled clip is held. A factor below 1, or a frame
+    with a value outside [0, 1], is a ``PreconditionError``."""
+    shape = (upsampled_length(shape[0], upsample), *shape[1:])
+    frames = (in_unit_range(frame, "intensity values")
+              for frame in upsampled_frames(frames, upsample))
     return encode_frames(frames, shape, cfg, seed=seed)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, in_index_range
 from .nnops import conv2d, he_init, linear, relu, softmax
 
 
@@ -120,9 +120,6 @@ def mini_mapresnet_forward(estimate: np.ndarray,
                            weights: dict[str, np.ndarray]) -> np.ndarray:
     """Map one coarse estimate [C, H, W] to an embedding vector [D]."""
     x = np.asarray(estimate, dtype=np.float64)
-    if x.ndim != 3:
-        raise PreconditionError(
-            f"estimate must be [c, h, w], got shape {x.shape}")
     for i in (1, 2, 3):
         x = relu(conv2d(x, weights[f"star.stem.conv{i}.w"],
                         weights[f"star.stem.conv{i}.b"], stride=2, padding=1))
@@ -231,6 +228,7 @@ def init_starnet_weights(cfg: MiniMapResNetConfig, in_channels: int,
 
     c = GROUPS[-1][0]
     n_tokens = -(-spatial_hw[0] // 32) * -(-spatial_hw[1] // 32)
+    in_index_range(8 * (n_tokens + 1) * c, "the positional codes' bytes")
     weights["star.attnpool.pos"] = rng.normal(0.0, 0.02, (n_tokens + 1, c))
     for name in ("q", "k", "v"):
         dense(f"star.attnpool.{name}", c, c)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataIOError, PreconditionError
+from .errors import DataIOError, PreconditionError, in_index_range
 from .jsonio import checked, read_json, write_bytes, write_json
 
 META_SUFFIX = ".meta.json"
@@ -72,9 +72,6 @@ class SpikeStream:
         if raw.ndim != 3:
             raise PreconditionError(
                 f"spike stream must be 3-D [t, y, x], got shape {raw.shape}")
-        if any(s < 1 for s in raw.shape):
-            raise PreconditionError(
-                f"all stream dimensions must be >= 1, got {raw.shape}")
         packed = self.from_frames(
             (frame.astype(np.bool_, copy=False) for frame in raw), raw.shape)
         self._body, self._shape = packed._body, packed._shape
@@ -101,7 +98,9 @@ class SpikeStream:
             raise PreconditionError(
                 f"stream shape must be 3 dimensions, each >= 1, got {shape}")
         t_len, height, width = shape
-        body = np.empty((t_len * height * width + 7) // 8, dtype=np.uint8)
+        body = np.empty(in_index_range((t_len * height * width + 7) // 8,
+                                       "a stream body's bytes"),
+                        dtype=np.uint8)
         buf = np.empty((8, height, width), dtype=np.bool_)
         t = 0
         for frame in frames:
@@ -354,6 +353,7 @@ def subsample_indices(t_len: int, target_len: int) -> np.ndarray:
     if target_len > t_len:
         raise PreconditionError(
             f"target_len {target_len} exceeds stream length {t_len}")
+    in_index_range((target_len - 1) * t_len, "frame index products")
     return (np.arange(target_len, dtype=np.int64) * t_len) // target_len
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import IntensityVideo
-from .errors import PreconditionError
+from .errors import PreconditionError, in_index_range
 from .jsonio import write_bytes, write_json
 from .stream import read_only
 from .videoio import write_pgm_clip
@@ -92,6 +92,7 @@ def render_frames(class_name: str, frames: int, height: int, width: int,
         raise PreconditionError(f"unknown class {class_name!r}")
     if frames < 2:      # the motion runs from s = 0 to s = 1
         raise PreconditionError("clips need at least 2 frames")
+    in_index_range(8 * height * width, "a frame's bytes")
     # A blob's squared distance is summed from a [H, 1] and a [1, W] term,
     # the same floating-point operations per pixel as on a full grid.
     gy = np.arange(height, dtype=np.float64)[:, None]

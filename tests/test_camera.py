@@ -20,7 +20,7 @@ from spikekit.camera import (EncoderConfig, IntensityVideo, encode_frames,
                              encode_video, to_grayscale, upsampled_frames,
                              upsampled_length)
 from spikekit.errors import PreconditionError
-from spikekit.stream import StreamMeta
+from spikekit.stream import StreamMeta, pack_spikes
 from spikekit.synth import SyntheticDatasetSpec, dataset_clips, render_clip
 from spikekit.videoio import quantize_u8
 
@@ -313,6 +313,20 @@ def test_encode_clip_refuses_a_value_outside_the_unit_range(bad, at, factor):
     with pytest.raises(PreconditionError, match=re.escape("[0, 1]")):
         pipeline.encode_clip(frames, frames.shape, EncoderConfig(), factor,
                              None)
+
+
+@pytest.mark.parametrize("noise, seed", [(0.0, None), (0.2, 7)],
+                         ids=["clean", "noisy"])
+def test_encode_clip_at_factor_1_is_encode_frames(noise, seed):
+    # Factor 1 goes through upsampled_frames too, which passes each frame
+    # through as it is.
+    frames = np.random.default_rng(143).uniform(size=(21, 5, 7))
+    cfg = EncoderConfig(theta=1.5, noise_amplitude=noise)
+    clip = pipeline.encode_clip(frames, frames.shape, cfg, 1, seed)
+    direct = encode_frames(iter(frames), frames.shape, cfg, seed)
+    assert clip.spike_count() > 0
+    assert (clip.t_len, bytes(pack_spikes(clip))) == (
+        direct.t_len, bytes(pack_spikes(direct)))
 
 
 def test_encode_frames_checks_the_seed_before_reading_a_frame():

@@ -689,6 +689,49 @@ def test_a_run_larger_than_any_address_space_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _files(root):
+    return sorted(p for p in Path(root).rglob("*") if p.is_file())
+
+
+# Sizes past numpy's index range (2**63 - 1 bytes or indices), where numpy
+# raises ValueError or OverflowError rather than MemoryError. A dict is a
+# pipeline config.
+@pytest.mark.parametrize("probe", [
+    {"frames": 1_000_000_000_000_000_000},
+    {"frames": 1_000_000_000_000_000_000_000_000_000_000},
+    {"height": 1_000_000_000_000_000_000_000_000_000_000},
+    {"embed_dim": 8_000_000_000_000_000_000_000_000},
+    ["encode", "clip", "up.dat", "--upsample",
+     str(1_000_000_000_000_000_000_000_000)],
+    ["snn-forward", "clip.dat", "--seed", "1", "--channels",
+     str(100_000_000_000_000_000_000_000), "--ledger", "l.json"],
+    ["featurize", "clip.dat", "--seed", "1", "--c-out",
+     str(100_000_000_000_000_000_000_000), "--out", "e.json"],
+    ["featurize", "clip.dat", "--seed", "1", "--embed-dim",
+     str(8_000_000_000_000_000_000_000_000), "--out", "e.json"],
+    ["featurize", "clip.dat", "--seed", "1", "--r-win",
+     str(100_000_000_000_000_000_000_000), "--out", "e.json"],
+    ["synth", "--out", "synth", "--size",
+     str(100_000_000_000_000_000_000_000), "--seed", "1"],
+], ids=["pipeline-frames-1e18", "pipeline-frames-1e30",
+        "pipeline-height-1e30", "pipeline-embed-dim-8e24",
+        "encode-upsample-1e24", "snn-forward-channels-1e23",
+        "featurize-c-out-1e23", "featurize-embed-dim-8e24",
+        "featurize-r-win-1e23", "synth-size-1e23"])
+def test_a_size_past_numpys_index_range_exits_2(probe, encoded_dat, tmp_path,
+                                                capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(probe, dict):
+        Path("config.json").write_text(json.dumps({"seed": 0, **probe}))
+        probe = ["pipeline", "--config", "config.json", "--out", "run"]
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(probe) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert _files(tmp_path) == before
+
+
 @pytest.mark.parametrize("config", [
     {"seed": 1, "shots": 4},
     {"seed": 1, "classes": "wave"},
@@ -1098,6 +1141,17 @@ def _malformed_npy(tmp_path, encoded_dat):
                                 str(tmp_path / "v.dat")]
 
 
+def _malformed_config(tmp_path, encoded_dat):
+    return tmp_path / "config.json", ["pipeline", "--config",
+                                      str(tmp_path / "config.json"),
+                                      "--out", str(tmp_path / "run")]
+
+
+def _malformed_found_sidecar(tmp_path, encoded_dat):
+    return tmp_path / "clip.meta.json", ["decode", str(encoded_dat), "--out",
+                                         str(tmp_path / "x.npy")]
+
+
 @pytest.mark.parametrize("setup,text", [
     pytest.param(_malformed_ledger, '[{"layer_name": "a"}]',
                  id="ledger-missing-field"),
@@ -1211,11 +1265,25 @@ def _malformed_npy(tmp_path, encoded_dat):
 ] + [pytest.param(setup, text, id=f"embeddings-{name}-{command}")
      for text, name in _BAD_EMBEDDINGS
      for setup, command in ((_malformed_embeddings_train, "train-head"),
-                            (_malformed_embeddings_eval, "eval"))])
+                            (_malformed_embeddings_eval, "eval"))] + [
+    # json.loads refuses an integer of more than 4,300 digits with a
+    # ValueError that is not a JSONDecodeError.
+    pytest.param(setup, "1" * 5000, id=f"{name}-5000-digit-int")
+    for setup, name in ((_malformed_config, "pipeline-config"),
+                        (_malformed_found_sidecar, "stream-sidecar"),
+                        (_malformed_ledger, "ledger"),
+                        (_malformed_manifest, "weight-manifest"),
+                        (_malformed_head, "head"),
+                        (_malformed_embeddings_train, "embeddings"),
+                        (_malformed_featurize_manifest, "dataset-manifest"),
+                        (_malformed_raw_sidecar, "raw-video-sidecar"))])
 def test_malformed_json_artifact_exits_3(setup, text, encoded_dat, tmp_path,
                                          capsys):
     path, argv = setup(tmp_path, encoded_dat)
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    before = _files(tmp_path)
     capsys.readouterr()
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _files(tmp_path) == before

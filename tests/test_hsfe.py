@@ -260,6 +260,30 @@ def test_mtf_shape_mismatch_errors():
         mtf_forward(np.zeros((7, 4, 4)), weights)
 
 
+@pytest.mark.parametrize("branch, damage", [
+    (0, lambda w: w[..., 0]),
+    (1, lambda w: w[..., 0]),
+    (0, lambda w: w[:, 1:]),
+    (1, lambda w: w[:, 1:]),
+    (0, lambda w: np.zeros(w.shape[:2] + (5, 5))),
+    (1, lambda w: np.zeros(w.shape[:2] + (5, 5))),
+    (1, lambda w: np.concatenate([w, w[:1]])),
+], ids=["3-d-first", "3-d-second", "width-first", "width-second",
+        "5x5-first", "5x5-second", "second-c-out"])
+def test_mtf_branch_kernels_are_checked_by_conv2d(branch, damage):
+    # A branch kernel must be (c_out, k_i, 3, 3) with branch 0's c_out:
+    # conv2d refuses any other, by its rank and input width or because
+    # its maps do not fit the branch's slice of the result.
+    weights = init_hsfe_weights(13, BranchSpec(m=2, channel_step=4, c_out=2),
+                                seed=2)
+    block = np.random.default_rng(52).normal(size=(13, 4, 4))
+    mtf_forward(block, weights)
+    name = f"hsfe.branch{branch}.conv.w"
+    weights[name] = damage(weights[name])
+    with pytest.raises(PreconditionError, match="conv2d"):
+        mtf_forward(block, weights)
+
+
 # ---------------------------------------------------------------------------
 # Spatial attention
 # ---------------------------------------------------------------------------

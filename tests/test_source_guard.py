@@ -34,13 +34,15 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikekit"
 # slice, a stream's row layouts, the temperature object and its clamp (a
 # head holds only log(1/tau)), the chunked encoder, HSFE's and the SOP
 # count's own copies of conv2d's padded layout and reach (nnops owns
-# both), the encode step that also wrote the file, and the spiking
-# encoder's one-int config (its width is an int).
+# both), the encode step that also wrote the file, the spiking
+# encoder's one-int config (its width is an int), and the CLI's meta
+# lookup (its one caller reads the stream).
 DELETED_NAMES = ("moving_average_same", "_branch_slice", "_whole_bytes",
                  "_read_rows", "_of_rows", "Temperature", "clamp_max",
                  "encode_chunks", "frame_chunks", "from_chunks",
                  "_fired_chunks", "_window_mean", "_bordered_zeros",
-                 "_interior", "_reach_counts", "encode_to_dat", "FsveConfig")
+                 "_interior", "_reach_counts", "encode_to_dat", "FsveConfig",
+                 "_resolve_meta")
 
 
 @functools.cache

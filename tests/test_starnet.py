@@ -262,6 +262,15 @@ def test_star_forward_reads_any_iterable_and_needs_one_estimate():
             star_net_forward(empty, weights)
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (1, 4, 64, 64)],
+                         ids=["2-d", "4-d"])
+def test_mini_mapresnet_refuses_an_estimate_that_is_not_3d(shape):
+    # The first stem conv2d checks the estimate's rank.
+    weights = make_weights(in_channels=4, seed=79)
+    with pytest.raises(PreconditionError, match="3-D"):
+        mini_mapresnet_forward(np.zeros(shape), weights)
+
+
 def test_star_forward_is_bit_deterministic():
     weights = make_weights(in_channels=4, seed=77)
     rng = np.random.default_rng(77)

@@ -118,6 +118,10 @@ def test_stream_rejects_bad_rank_and_empty_dims():
         SpikeStream(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(PreconditionError):
         SpikeStream(np.zeros((0, 2, 2), dtype=np.uint8))
+    # Packing iterates the array's frames, and a 0-d array has none: its
+    # rank is checked first, or iter() would raise a TypeError.
+    with pytest.raises(PreconditionError, match="3-D"):
+        SpikeStream(np.asarray(1, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

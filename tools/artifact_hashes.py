@@ -11,7 +11,11 @@ spikekit package under ``SRC`` (this checkout's ``src`` by default):
   archive the first one saved;
 * ``synth`` of one short clip per class, ``encode --noise 0.05 --seed 1``
   of one clip, then ``decode`` (to ``.npy`` and ``.dat``),
-  ``reconstruct --stride 7``, ``slice`` and ``subsample`` of its stream.
+  ``reconstruct --stride 7``, ``slice`` and ``subsample`` of its stream;
+  ``reconstruct --stride 7`` once more with ``--meta`` naming the
+  sidecar that ``decode`` wrote, so a stream is read through ``--meta``
+  as well as through its own sidecar;
+* ``encode --upsample 3 --noise 0.05 --seed 1`` of the same clip.
 
 Every file the commands leave is printed as one ``sha256  path`` line,
 paths relative to the temporary directory, in path order. Two trees make
@@ -88,10 +92,15 @@ def run_all(src: pathlib.Path, work: pathlib.Path) -> None:
     spikekit("decode", "clip.dat", "--out", "clip.npy")
     spikekit("decode", "clip.dat", "--out", "clip-copy.dat")
     spikekit("reconstruct", "clip.dat", "--stride", "7", "--out", "tfi")
+    # decode's clip-copy.meta.json is a copy of clip.meta.json.
+    spikekit("reconstruct", "clip.dat", "--meta", "clip-copy.meta.json",
+             "--stride", "7", "--out", "tfi-meta")
     spikekit("slice", "clip.dat", "--window", "45", "--stride", "13",
              "--out", "slices")
     spikekit("subsample", "clip.dat", "--target", "77",
              "--out", "clip-77.dat")
+    spikekit("encode", f"synth/clips/{first}", "clip-up3.dat", "--upsample",
+             "3", "--noise", "0.05", "--seed", "1")
 
 
 def hashes(src: pathlib.Path) -> dict[str, str]:
